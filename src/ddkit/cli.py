@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -68,7 +68,8 @@ class Config:
 
     Schema: {"bath_dim": int, "norm_bound": float, "seeds": [int, ...],
     "t_min": float, "t_max": float, "t_points": int, "error_floor": float,
-    "error_ceiling": float, "threads": int}.  Unknown keys are rejected.
+    "error_ceiling": float, "threads": int}.  Unknown keys are rejected;
+    values are validated by ``RunConfig``.  ``threads`` is deprecated.
     """
 
     bath_dim: int = 4
@@ -82,8 +83,12 @@ class Config:
     threads: int = 1
 
     def run_config(self) -> RunConfig:
+        try:
+            t_grid = tuple(np.geomspace(self.t_min, self.t_max, self.t_points))
+        except ValueError as exc:
+            raise PreconditionError(f"invalid time grid: {exc}")
         return RunConfig(
-            t_grid=tuple(np.geomspace(self.t_min, self.t_max, self.t_points)),
+            t_grid=t_grid,
             seeds=self.seeds,
             error_floor=self.error_floor,
             error_ceiling=self.error_ceiling,
@@ -249,11 +254,7 @@ def cmd_scan(args, cfg: Config) -> int:
         )
     run_cfg = cfg.run_config()
     if args.seeds is not None:
-        run_cfg = RunConfig(
-            t_grid=run_cfg.t_grid, seeds=tuple(range(args.seeds)),
-            error_floor=run_cfg.error_floor, error_ceiling=run_cfg.error_ceiling,
-            threads=run_cfg.threads,
-        )
+        run_cfg = replace(run_cfg, seeds=tuple(range(args.seeds)))
     operators = [moos.by_label(args.op)] if args.op else None
     result = order_scan(sched, moos, spec, run_cfg, operators=operators)
     fit_path = _write_scan(result, sched.scheme, sched.orders, args.out)
@@ -340,7 +341,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--allow-odd-inner", action="store_true")
     p.add_argument("--model", default="general:2x4", help="structure:SYSxBATH")
     p.add_argument("--seeds", type=int, help="number of model seeds (0..n-1)")
-    p.add_argument("--threads", type=int, help="worker thread cap")
+    p.add_argument("--threads", type=int, help="deprecated and ignored (must be >= 1)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_scan)
 
@@ -376,9 +377,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        if getattr(args, "threads", None):
-            cfg = Config(**{**{f.name: getattr(cfg, f.name) for f in fields(Config)},
-                            "threads": args.threads})
+        if getattr(args, "threads", None) is not None:
+            cfg = replace(cfg, threads=args.threads)
         return args.func(args, cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

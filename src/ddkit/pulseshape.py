@@ -17,7 +17,7 @@ from .errors import DDKitError, PreconditionError
 from .linalg import expm_i, spectral_norm
 from .model import HamiltonianModel
 from .operators import Operator
-from .simulate import OperatorFit, RunConfig, ScalingResult, fit_loglog
+from .simulate import RunConfig, ScalingResult, fit_operator
 
 __all__ = [
     "PulseShape",
@@ -318,7 +318,13 @@ def pulse_error_scan(
     with P = exp(-i * area * Omega).  Each propagator is certified by a
     step-halving comparison.
     """
-    tau_grid = tuple(float(t) for t in tau_grid)
+    config = RunConfig(
+        t_grid=tau_grid,
+        seeds=(model.seed,),
+        error_floor=error_floor,
+        error_ceiling=error_ceiling,
+    )
+    tau_grid = config.t_grid
     errs = np.zeros((len(tau_grid), 1))
     for i, tau_p in enumerate(tau_grid):
         s = shape.rescaled(tau_p)
@@ -338,20 +344,7 @@ def pulse_error_scan(
         )
         errs[i, 0] = spectral_norm(u - ref)
 
-    config = RunConfig(
-        t_grid=tau_grid,
-        seeds=(model.seed,),
-        error_floor=error_floor,
-        error_ceiling=error_ceiling,
-    )
-    try:
-        slope, intercept, rms, n_used = fit_loglog(
-            list(zip(tau_grid, errs[:, 0])), error_floor, error_ceiling
-        )
-        status = "ok" if n_used >= 4 and rms <= 0.1 else "unfittable"
-        fit = OperatorFit(omega.label, slope, intercept, rms, n_used, status)
-    except DDKitError:
-        fit = OperatorFit(omega.label, math.nan, math.nan, math.nan, 0, "unfittable")
+    fit = fit_operator(omega.label, tau_grid, errs[:, 0], error_floor, error_ceiling)
     med = {omega.label: errs[:, 0].copy()}
     return ScalingResult(config, {omega.label: errs}, med, {omega.label: fit})
 

@@ -1,18 +1,30 @@
 """Controlled propagators, preservation-error measurement, time sweeps, and
 log-log fits of the achieved decoupling order.
 
-Sweep points (T x seed) are independent; results are reduced by sorted keys,
-so the output never depends on execution order.
+Every propagation runs one segment program.  ``compile_program`` flattens a
+schedule into steps (fraction of T, pulse): free evolution over that
+fraction of the total time T, then one system pulse, the product of all
+pulses of that instant (or none).  Conjugating every free block by C turns
+each pulse P into C P C and adds a leading C; a Hahn echo of W runs two
+half-time copies of the program, each closed by W.  The product of the
+pulses is the net pulse the preservation error compensates.
+
+The kernel runs a program for a batch of models and total times at once, in
+each model's eigenbasis H = V diag(lambda) V^dag: a free segment is an
+elementwise phase multiply by exp(-i frac T lambda), a pulse one batched
+product with V^dag (P x I) V, and the result is rotated back as V W V^dag.
+Sweep points (T x seed) are independent, so results never depend on how a
+sweep is batched.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, UnfittableError
-from .linalg import kron, spectral_norm
+from .linalg import kron
 from .model import HamiltonianModel, random_model
 from .operators import Moos, Operator
 from .sequences import Schedule
@@ -22,10 +34,13 @@ __all__ = [
     "ModelSpec",
     "OperatorFit",
     "ScalingResult",
+    "Program",
+    "compile_program",
     "propagate",
     "propagate_wrapped",
     "preservation_error",
     "fit_loglog",
+    "fit_operator",
     "order_scan",
 ]
 
@@ -34,11 +49,17 @@ DEFAULT_SEEDS = tuple(range(8))
 MAX_EXPONENTIALS = 10**6
 MIN_FIT_POINTS = 4
 MAX_FIT_RESIDUAL = 0.1
+# Bytes of propagators a sweep holds at once; larger sweeps run in chunks.
+BATCH_BYTES = 2**25
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Sweep grid and fit-window settings."""
+    """Sweep grid and fit-window settings.
+
+    ``threads`` is deprecated: the sweep is batched, so a value above one is
+    accepted with a warning and changes nothing.
+    """
 
     t_grid: tuple[float, ...] = tuple(DEFAULT_T_GRID)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
@@ -48,10 +69,24 @@ class RunConfig:
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.t_grid)
+        if not grid:
+            raise PreconditionError("t_grid must not be empty")
+        if not all(0.0 < t < math.inf for t in grid):
+            raise PreconditionError("every total time in t_grid must be positive and finite")
         if any(t2 <= t1 for t1, t2 in zip(grid, grid[1:])):
             raise PreconditionError("t_grid must be strictly increasing")
+        seeds = tuple(int(s) for s in self.seeds)
+        if not seeds:
+            raise PreconditionError("seeds must not be empty")
+        if not self.error_floor < self.error_ceiling:
+            raise PreconditionError(
+                f"error_floor {self.error_floor} must be below error_ceiling "
+                f"{self.error_ceiling}"
+            )
+        if self.threads < 1:
+            raise PreconditionError(f"threads must be >= 1, got {self.threads}")
         object.__setattr__(self, "t_grid", grid)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", seeds)
 
 
 @dataclass(frozen=True)
@@ -104,6 +139,102 @@ class ScalingResult:
         return out
 
 
+@dataclass(frozen=True)
+class Program:
+    """A schedule flattened into steps (fraction of T, pulse key or None):
+    free evolution over that fraction, then the system pulse ``pulses[key]``.
+    ``net`` is the ordered product of the pulses of all steps."""
+
+    steps: tuple[tuple[float, object], ...]
+    pulses: dict
+    net: Operator
+
+
+def compile_program(
+    schedule: Schedule,
+    moos: Moos,
+    interval_conj: Operator | None = None,
+    wrap: Operator | None = None,
+) -> Program:
+    """Segment program of ``schedule``; ``interval_conj`` conjugates every
+    free block by a system operator, ``wrap`` puts a Hahn echo of a system
+    operator around the whole run (see the module docstring)."""
+    for op in (interval_conj, wrap):
+        if op is not None and op.acts_on != moos.dim:
+            raise PreconditionError(
+                f"operator {op.label!r} acts on dimension {op.acts_on}, "
+                f"MOOS dimension is {moos.dim}"
+            )
+    eye = np.eye(moos.dim, dtype=complex)
+    pulses = {}  # one system matrix per distinct pulse
+    steps = []
+    prev = 0.0
+    stops = [(e.time, e.ops) for e in schedule.events] + [(1.0, schedule.closing_ops)]
+    for time, ops in stops:
+        key = tuple(ops) or None
+        if key is not None and key not in pulses:
+            p = eye
+            for lab in key:  # the first label acts first
+                p = moos.by_label(lab).matrix @ p
+            pulses[key] = p
+        steps.append((time - prev, key))
+        prev = time
+
+    if interval_conj is not None:
+        c, last = interval_conj.matrix, len(steps) - 1
+        pulses["C"] = c
+        conj_steps = [(0.0, "C")]
+        for i, (frac, key) in enumerate(steps):
+            # The C closing this block, the pulse, then the C opening the next.
+            p = eye if key is None else pulses[key]
+            pulses.setdefault(("C", key, i == last), p @ c if i == last else c @ p @ c)
+            conj_steps.append((frac, ("C", key, i == last)))
+        steps = conj_steps
+
+    if wrap is not None:
+        *body, (frac, key) = [(frac / 2, key) for frac, key in steps]
+        pulses["W", key] = wrap.matrix @ (eye if key is None else pulses[key])
+        steps = 2 * (body + [(frac, ("W", key))])
+
+    net = eye
+    for _, key in steps:
+        if key is not None:
+            net = pulses[key] @ net
+    return Program(tuple(steps), pulses, Operator("net", net, moos.dim))
+
+
+def _propagators(program: Program, models, times) -> np.ndarray:
+    """Propagators of ``program`` for every model and total time, as an
+    array indexed [model, time] of full-space matrices."""
+    sys_dim, bath_dim = models[0].sys_dim, models[0].bath_dim
+    if program.net.acts_on != sys_dim:
+        raise PreconditionError(
+            f"MOOS dimension {program.net.acts_on} != system dimension {sys_dim}"
+        )
+    evals = np.stack([m.eig()[0] for m in models])
+    vecs = np.stack([m.eig()[1] for m in models])
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    eye_b = np.eye(bath_dim)
+    # The eigenbasis propagators are held as w[model, row, time, column], so
+    # that one pulse is one product per model over every time at once.
+    n_models, dim = vecs.shape[:2]
+    n_times = len(times)
+    rate = -1j * evals[:, :, None] * np.asarray(times, dtype=float)
+    w = np.zeros((n_models, dim, n_times, dim), dtype=complex)
+    w[:, np.arange(dim), :, np.arange(dim)] = 1.0
+    phases, lifted = {}, {}
+    for frac, key in program.steps:
+        if frac:
+            if frac not in phases:
+                phases[frac] = np.exp(frac * rate)[..., None]
+            w *= phases[frac]
+        if key is not None:
+            if key not in lifted:
+                lifted[key] = vecs_h @ kron(program.pulses[key], eye_b) @ vecs
+            w = (lifted[key] @ w.reshape(n_models, dim, -1)).reshape(w.shape)
+    return vecs[:, None] @ w.transpose(0, 2, 1, 3) @ vecs_h[:, None]
+
+
 def propagate(
     schedule: Schedule,
     model: HamiltonianModel,
@@ -120,41 +251,9 @@ def propagate(
     system operator (used for the MOOS-compatibility property checks); the
     conjugating pulses then also enter the net pulse product.
     """
-    if moos.dim != model.sys_dim:
-        raise PreconditionError(
-            f"MOOS dimension {moos.dim} != system dimension {model.sys_dim}"
-        )
-    lifted = {lab: model.lift(moos.by_label(lab)) for lab in set(schedule.op_labels)}
-    eye_sys = np.eye(model.sys_dim, dtype=complex)
-    conj_full = model.lift(interval_conj) if interval_conj is not None else None
-    conj_sys = interval_conj.matrix if interval_conj is not None else None
-
-    u = np.eye(model.dim, dtype=complex)
-    net = eye_sys.copy()
-    prev = 0.0
-
-    def free_block(u, net, duration):
-        seg = model.propagator(duration * total_time)
-        if conj_full is not None:
-            u = conj_full @ seg @ conj_full @ u
-            net = conj_sys @ conj_sys @ net
-        else:
-            u = seg @ u
-        return u, net
-
-    for event in schedule.events:
-        u, net = free_block(u, net, event.time - prev)
-        for lab in event.ops:
-            u = lifted[lab] @ u
-            net = moos.by_label(lab).matrix @ net
-        prev = event.time
-    u, net = free_block(u, net, 1.0 - prev)
-    for lab in schedule.closing_ops:
-        u = lifted[lab] @ u
-        net = moos.by_label(lab).matrix @ net
-    if return_net_pulse:
-        return u, Operator("net", net, model.sys_dim)
-    return u
+    program = compile_program(schedule, moos, interval_conj)
+    u = _propagators(program, [model], (total_time,))[0, 0]
+    return (u, program.net) if return_net_pulse else u
 
 
 def propagate_wrapped(
@@ -169,22 +268,23 @@ def propagate_wrapped(
     the end.  ``wrap`` need not belong to the MOOS; when it neither commutes
     nor anticommutes with the protected operators, the outer echo interferes
     with the inner protection."""
-    u_half, net_half = propagate(
-        schedule, model, moos, total_time / 2, return_net_pulse=True
-    )
-    w_full = model.lift(wrap)
-    u = w_full @ u_half @ w_full @ u_half
-    net = wrap.matrix @ net_half.matrix @ wrap.matrix @ net_half.matrix
-    return u, Operator("net", net, model.sys_dim)
+    program = compile_program(schedule, moos, wrap=wrap)
+    return _propagators(program, [model], (total_time,))[0, 0], program.net
 
 
-def preservation_error(u: np.ndarray, omega: Operator, net_pulse: Operator, bath_dim: int) -> float:
+def preservation_error(u: np.ndarray, omega: Operator, net_pulse: Operator, bath_dim: int):
     """Spectral norm of U^dag (Omega x I) U - P^dag (Omega x I) P with
-    P = net_pulse (x) I, compensating the known leftover rotation."""
+    P = net_pulse (x) I, compensating the known leftover rotation.
+
+    ``u`` is one propagator (the result is a float) or a stack of them
+    indexed [..., row, column] (the result is an array of the stack's shape).
+    """
     eye_b = np.eye(bath_dim)
     q = kron(omega.matrix, eye_b)
     p = kron(net_pulse.matrix, eye_b)
-    return spectral_norm(u.conj().T @ q @ u - p.conj().T @ q @ p)
+    diff = u.conj().swapaxes(-1, -2) @ q @ u - p.conj().T @ q @ p
+    norm = np.linalg.norm(diff, ord=2, axis=(-2, -1))
+    return float(norm) if u.ndim == 2 else norm
 
 
 def fit_loglog(points, floor: float, ceiling: float):
@@ -204,6 +304,18 @@ def fit_loglog(points, floor: float, ceiling: float):
     return float(slope), float(intercept), rms, len(kept)
 
 
+def fit_operator(label: str, t_grid, errors, floor: float, ceiling: float) -> OperatorFit:
+    """Log-log fit of one operator's errors over ``t_grid``.  The status is
+    "ok" when at least MIN_FIT_POINTS points lie inside (floor, ceiling) and
+    the rms residual is at most MAX_FIT_RESIDUAL, else "unfittable"."""
+    try:
+        slope, intercept, rms, n_used = fit_loglog(list(zip(t_grid, errors)), floor, ceiling)
+    except UnfittableError:
+        return OperatorFit(label, math.nan, math.nan, math.nan, 0, "unfittable")
+    ok = n_used >= MIN_FIT_POINTS and rms <= MAX_FIT_RESIDUAL
+    return OperatorFit(label, slope, intercept, rms, n_used, "ok" if ok else "unfittable")
+
+
 def order_scan(
     schedule: Schedule,
     moos: Moos,
@@ -220,6 +332,8 @@ def order_scan(
     The fitted slope estimates the decoupling order plus one.  An operator
     whose error sits at the floating-point floor everywhere is reported as
     "exact"; too few valid points or a noisy fit is reported "unfittable".
+    ``interval_conj`` and ``wrap_op`` act as in ``propagate`` and
+    ``propagate_wrapped``.
     """
     if operators is None:
         operators = list(moos.elements)
@@ -228,50 +342,34 @@ def order_scan(
         raise PreconditionError(
             f"sweep budget exceeded: {work} exponentials > {MAX_EXPONENTIALS}"
         )
+    if config.threads > 1:
+        warnings.warn(
+            "RunConfig.threads is deprecated and ignored: the sweep is batched",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+    program = compile_program(schedule, moos, interval_conj, wrap_op)
 
     n_t, n_s = len(config.t_grid), len(config.seeds)
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}
-
-    def run_seed(j_seed):
-        seed = config.seeds[j_seed]
-        model = model_spec.realize(seed)
-        out = {op.label: np.zeros(n_t) for op in operators}
-        for i, t in enumerate(config.t_grid):
-            if wrap_op is not None:
-                u, net = propagate_wrapped(schedule, model, moos, t, wrap_op)
-            else:
-                u, net = propagate(
-                    schedule, model, moos, t,
-                    interval_conj=interval_conj, return_net_pulse=True,
-                )
+    point_bytes = 16 * (model_spec.sys_dim * model_spec.bath_dim) ** 2
+    t_step = max(1, min(n_t, BATCH_BYTES // point_bytes))
+    s_step = max(1, BATCH_BYTES // (point_bytes * t_step))
+    for j in range(0, n_s, s_step):
+        models = [model_spec.realize(seed) for seed in config.seeds[j:j + s_step]]
+        for i in range(0, n_t, t_step):
+            u = _propagators(program, models, config.t_grid[i:i + t_step])
             for op in operators:
-                out[op.label][i] = preservation_error(u, op, net, model.bath_dim)
-        return out
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run_seed, range(n_s)))
-    else:
-        results = [run_seed(j) for j in range(n_s)]
-    for j, out in enumerate(results):
-        for label, col in out.items():
-            errors[label][:, j] = col
+                err = preservation_error(u, op, program.net, model_spec.bath_dim)
+                errors[op.label][i:i + t_step, j:j + s_step] = err.T
 
     medians = {label: np.median(err, axis=1) for label, err in errors.items()}
     fits = {}
     for label, med in medians.items():
         if np.all(med <= config.error_floor):
             fits[label] = OperatorFit(label, math.nan, math.nan, 0.0, 0, "exact")
-            continue
-        try:
-            slope, intercept, rms, n_used = fit_loglog(
-                list(zip(config.t_grid, med)),
-                config.error_floor,
-                config.error_ceiling,
+        else:
+            fits[label] = fit_operator(
+                label, config.t_grid, med, config.error_floor, config.error_ceiling
             )
-        except UnfittableError:
-            fits[label] = OperatorFit(label, math.nan, math.nan, math.nan, 0, "unfittable")
-            continue
-        status = "ok" if (n_used >= MIN_FIT_POINTS and rms <= MAX_FIT_RESIDUAL) else "unfittable"
-        fits[label] = OperatorFit(label, slope, intercept, rms, n_used, status)
     return ScalingResult(config, errors, medians, fits)

@@ -97,6 +97,35 @@ def test_scan_free_evolution_slope_one_with_config(tmp_path, capsys):
     assert 0.8 <= fits["Z1"]["slope"] <= 1.2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"t_points": 0}, {"t_min": 0.0}, {"error_floor": 1e-2, "error_ceiling": 1e-3},
+     {"threads": 0}],
+    ids=["no_t_points", "zero_t_min", "floor_above_ceiling", "zero_threads"],
+)
+def test_scan_invalid_config_exit_2(tmp_path, capsys, doc):
+    # used to report "exact" and exit 0, raise a traceback, or run serially
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(
+        ["--config", str(cfg), "scan", "--scheme", "udd", "--orders", "2", "--op", "Z1",
+         "--out", str(tmp_path / "x.csv")], capsys,
+    )
+    assert code == 2
+    assert "precondition violated" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_scan_zero_seeds_exit_2(tmp_path, capsys):
+    # used to exit 3 ("unfittable")
+    code, _, err = run(
+        ["scan", "--scheme", "udd", "--orders", "2", "--op", "Z1", "--seeds", "0",
+         "--out", str(tmp_path / "x.csv")], capsys,
+    )
+    assert code == 2
+    assert "seeds must not be empty" in err
+
+
 def test_config_env_var_and_unknown_key(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"t_mim": 0.1}))

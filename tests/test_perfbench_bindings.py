@@ -1,0 +1,45 @@
+"""The benchmark's span tracer binds ddkit functions by name; a rename in the
+library must fail here rather than break traced benchmark runs."""
+
+import types
+from pathlib import Path
+
+import numpy as np
+
+from ddkit import simulate
+from ddkit.operators import qubit_full_moos
+from ddkit.sequences import udd_schedule
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+def _load_layertrace():
+    """The tracer module, executed from its source without writing bytecode
+    next to it."""
+    module = types.ModuleType("perfbench_layertrace")
+    exec(compile(LAYERTRACE.read_text(), str(LAYERTRACE), "exec"), module.__dict__)
+    return module
+
+
+def test_layertrace_boundaries_bind_and_restore():
+    layertrace = _load_layertrace()
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in layertrace.BOUNDARIES if not hasattr(owner, attr)]
+    assert not missing
+
+    originals = [(owner, attr, getattr(owner, attr))
+                 for owner, attr, _, _ in layertrace.BOUNDARIES]
+    moos = qubit_full_moos(1)
+    config = simulate.RunConfig(t_grid=(0.1, 0.2), seeds=(0,))
+    original_scan = simulate.order_scan
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        assert simulate.order_scan is not original_scan
+        simulate.order_scan(udd_schedule("Z1", 2), moos, simulate.ModelSpec(), config)
+        simulate.propagate(udd_schedule("Z1", 2), simulate.ModelSpec().realize(0), moos, 0.1)
+    for owner, attr, fn in originals:
+        assert getattr(owner, attr) is fn, f"{attr} not restored"
+    metrics = tracer.metrics()
+    assert metrics["simulate.propagate_calls"] == 1
+    assert metrics["simulate.fit_points_offered"] == 2 * len(moos)
+    assert np.isfinite(metrics["simulate.scan_self_s"])

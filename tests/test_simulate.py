@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ddkit import simulate
 from ddkit.errors import PreconditionError, UnfittableError
 from ddkit.linalg import expm_i, kron, spectral_norm
 from ddkit.model import HamiltonianModel, random_model
@@ -152,10 +154,47 @@ def test_order_scan_rows_shape_and_determinism():
 
 
 def test_order_scan_threaded_matches_serial():
+    # threads is deprecated: a value above one is accepted with one warning
+    # and gives the same rows as the default
     cfg = RunConfig(threads=4)
-    serial = order_scan(udd_schedule("Z1", 2), MOOS1, GENERAL, operators=[SZ])
-    threaded = order_scan(udd_schedule("Z1", 2), MOOS1, GENERAL, cfg, operators=[SZ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        serial = order_scan(udd_schedule("Z1", 2), MOOS1, GENERAL, operators=[SZ])
+    with pytest.warns(DeprecationWarning) as record:
+        threaded = order_scan(udd_schedule("Z1", 2), MOOS1, GENERAL, cfg, operators=[SZ])
+    assert len(record) == 1
     assert serial.rows() == threaded.rows()
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 16 * 8 * 8 * 5])
+def test_order_scan_chunking_is_invisible(monkeypatch, batch_bytes):
+    # one sweep point per chunk, then chunks of five times that split the
+    # grid unevenly: the rows stay bit-identical
+    whole = order_scan(nudd(MOOS1, (2, 2)), MOOS1, GENERAL).rows()
+    monkeypatch.setattr(simulate, "BATCH_BYTES", batch_bytes)
+    assert order_scan(nudd(MOOS1, (2, 2)), MOOS1, GENERAL).rows() == whole
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"t_grid": ()},
+        {"t_grid": (0.0, 0.1)},
+        {"t_grid": (-0.2, -0.1)},
+        {"t_grid": (0.1, math.inf)},
+        {"seeds": ()},
+        {"error_floor": 1e-2, "error_ceiling": 1e-2},
+        {"error_floor": 1e-1, "error_ceiling": 1e-2},
+        {"threads": 0},
+    ],
+    ids=["empty_grid", "zero_time", "negative_times", "infinite_time",
+         "empty_seeds", "floor_equals_ceiling", "floor_above_ceiling", "zero_threads"],
+)
+def test_run_config_rejects_invalid(kwargs):
+    # each of these used to be accepted and end in a silent "exact" fit, an
+    # "unfittable" exit, a crash inside the sweep, or a silent serial run
+    with pytest.raises(PreconditionError):
+        RunConfig(**kwargs)
 
 
 def test_order_scan_budget_cap():
