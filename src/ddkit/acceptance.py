@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import spectral_norm
+from .linalg import spectral_norm_le
 from .operators import (
     Moos,
     Operator,
@@ -223,9 +223,9 @@ def criterion_lie_closure() -> CriterionResult:
     proj = sum(
         (np.trace(b.matrix.conj().T @ zz) / 4) * b.matrix for b in closure
     )
-    in_span = spectral_norm(proj - zz) <= 1e-9
+    in_span = spectral_norm_le(proj - zz, 1e-9)
     commutes = all(
-        spectral_norm(zz @ op.matrix - op.matrix @ zz) <= 1e-10
+        spectral_norm_le(zz @ op.matrix - op.matrix @ zz, 1e-10)
         for op in encoded.elements
     )
     ok &= in_span and commutes

@@ -4,6 +4,8 @@ Matrices are plain ``numpy.ndarray`` of dtype complex128, square, row-major.
 All functions are pure and thread-safe.
 """
 
+import math
+
 import numpy as np
 
 from .errors import PreconditionError
@@ -12,6 +14,11 @@ from .errors import PreconditionError
 HERM_TOL = 1e-10       # max-abs entry deviation allowed from Hermiticity
 UNITARY_TOL = 1e-12    # spectral deviation of U^dag U from the identity
 MAX_DIM = 256
+
+# Relative slack on both Frobenius bounds in spectral_norm_le.  It is far
+# above the rounding error of either computed norm at d <= MAX_DIM, so a bound
+# only decides where the SVD would decide the same way.
+_BOUND_SLACK = 1e-9
 
 __all__ = [
     "HERM_TOL",
@@ -22,6 +29,7 @@ __all__ = [
     "require_hermitian",
     "expm_i",
     "spectral_norm",
+    "spectral_norm_le",
     "kron",
 ]
 
@@ -68,6 +76,22 @@ def spectral_norm(m) -> float:
     """Largest singular value of m."""
     a = as_matrix(m)
     return float(np.linalg.norm(a, ord=2))
+
+
+def spectral_norm_le(m, tol: float) -> bool:
+    """Exactly ``spectral_norm(m) <= tol``, without an SVD where the bounds
+    |m|_F / sqrt(d) <= |m|_2 <= |m|_F already decide it.
+
+    The SVD runs only when |m|_F lies between tol and tol * sqrt(d), or is
+    not finite.
+    """
+    a = as_matrix(m)
+    fro = float(np.linalg.norm(a))
+    if fro <= tol * (1.0 - _BOUND_SLACK):
+        return True
+    if tol * math.sqrt(a.shape[0]) * (1.0 + _BOUND_SLACK) < fro < math.inf:
+        return False
+    return spectral_norm(a) <= tol
 
 
 def kron(a, b) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
+from .jsonio import get_field, load_object
 from .linalg import MAX_DIM, kron, require_hermitian, spectral_norm
 from .operators import Operator, pauli
 
@@ -101,6 +102,14 @@ def random_model(
             f"unknown model structure {structure!r}; choose from "
             f"{[s for s in STRUCTURES if s != 'custom']}"
         )
+    if sys_dim < 1 or bath_dim < 1:
+        raise PreconditionError(
+            f"sys_dim and bath_dim must be >= 1, got {sys_dim} and {bath_dim}"
+        )
+    if not (0.0 <= norm_bound < math.inf):
+        raise PreconditionError(f"norm_bound must be finite and >= 0, got {norm_bound}")
+    if not (0 <= seed < 2**128):
+        raise PreconditionError(f"seed must lie in [0, 2^128), got {seed}")
     dim = sys_dim * bath_dim
     if dim > MAX_DIM:
         raise PreconditionError(f"total dimension {dim} exceeds {MAX_DIM}")
@@ -162,11 +171,11 @@ def model_descriptor(model: HamiltonianModel) -> str:
 
 
 def model_from_descriptor(text: str) -> HamiltonianModel:
-    doc = json.loads(text)
+    doc = load_object(text, "model descriptor")
     return random_model(
-        doc["structure"],
-        doc["sys_dim"],
-        doc["bath_dim"],
-        doc["norm_bound"],
-        doc["seed"],
+        get_field(doc, "structure", str, "model descriptor"),
+        get_field(doc, "sys_dim", int, "model descriptor"),
+        get_field(doc, "bath_dim", int, "model descriptor"),
+        get_field(doc, "norm_bound", float, "model descriptor"),
+        get_field(doc, "seed", int, "model descriptor"),
     )

@@ -14,7 +14,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DDKitError, PreconditionError
-from .linalg import expm_i, spectral_norm
+from .jsonio import get_field, get_list, load_object
+from .linalg import expm_i, spectral_norm, spectral_norm_le
 from .model import HamiltonianModel
 from .operators import Operator
 from .simulate import RunConfig, ScalingResult, fit_operator
@@ -273,9 +274,9 @@ def composed_pulse(ops: list[Operator]) -> Operator:
     for op in ops:
         p = op.matrix @ p
     label = "*".join(op.label for op in ops)
-    if spectral_norm(p - p.conj().T) <= 1e-10:
+    if spectral_norm_le(p - p.conj().T, 1e-10):
         return Operator(label, p, dim)
-    if spectral_norm(p + p.conj().T) <= 1e-10:
+    if spectral_norm_le(p + p.conj().T, 1e-10):
         return Operator(label, 1j * p, dim)
     raise PreconditionError(
         f"composed pulse {label!r} is neither Hermitian nor anti-Hermitian"
@@ -361,9 +362,14 @@ def pulse_to_json(shape: PulseShape) -> str:
 
 
 def pulse_from_json(text: str) -> PulseShape:
-    doc = json.loads(text)
+    doc = load_object(text, "pulse")
+    segments = tuple(
+        (get_field(s, "len_frac", float, "pulse segment"),
+         get_field(s, "amp", float, "pulse segment"))
+        for s in get_list(doc, "segments", dict, "pulse")
+    )
     return PulseShape(
-        doc["tau_p"],
-        doc["tau_s"],
-        tuple((s["len_frac"], s["amp"]) for s in doc["segments"]),
+        get_field(doc, "tau_p", float, "pulse"),
+        get_field(doc, "tau_s", float, "pulse"),
+        segments,
     )

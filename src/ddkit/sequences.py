@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+from .jsonio import get_field, get_list, load_object
 from .operators import Moos, Operator
 
 __all__ = [
@@ -50,8 +51,9 @@ class Schedule:
 
     ``closing_ops`` are the pulses applied at time 1 (bracketed pulses of the
     recursion, or the leftover inner-block pulses of odd-order NUDD levels).
-    ``intervals`` is the number of control intervals of the scheme, which for
-    SDD exceeds the pulse-free-segment count by one silent midpoint boundary.
+    ``intervals`` is the number of control intervals of the scheme: at least
+    ``len(events) + 1``, and more for SDD, whose midpoint boundary is silent
+    when the inner schedule has no closing pulses.
     """
 
     scheme: str
@@ -67,6 +69,11 @@ class Schedule:
                 raise PreconditionError(f"event time {t} outside the open interval (0, 1)")
         if any(t2 - t1 <= _TIME_TOL for t1, t2 in zip(times, times[1:])):
             raise PreconditionError("event times must be strictly increasing")
+        if self.intervals < len(self.events) + 1:
+            raise PreconditionError(
+                f"intervals {self.intervals} is fewer than len(events) + 1 = "
+                f"{len(self.events) + 1}"
+            )
 
     @property
     def op_labels(self) -> tuple[str, ...]:
@@ -278,6 +285,7 @@ def net_pulse_operator(schedule: Schedule, moos: Moos) -> Operator:
 
 
 def schedule_to_json(schedule: Schedule) -> str:
+    """Compact JSON (no indentation or spaces), which CPython encodes in C."""
     doc = {
         "scheme": schedule.scheme,
         "orders": list(schedule.orders),
@@ -285,15 +293,20 @@ def schedule_to_json(schedule: Schedule) -> str:
         "closing": list(schedule.closing_ops),
         "intervals": schedule.intervals,
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def schedule_from_json(text: str) -> Schedule:
-    doc = json.loads(text)
+    doc = load_object(text, "schedule")
+    events = tuple(
+        Event(get_field(e, "t", float, "schedule event"),
+              tuple(get_list(e, "ops", str, "schedule event")))
+        for e in get_list(doc, "events", dict, "schedule")
+    )
     return Schedule(
-        doc["scheme"],
-        tuple(doc["orders"]),
-        tuple(Event(e["t"], tuple(e["ops"])) for e in doc["events"]),
-        tuple(doc["closing"]),
-        doc["intervals"],
+        get_field(doc, "scheme", str, "schedule"),
+        tuple(get_list(doc, "orders", int, "schedule")),
+        events,
+        tuple(get_list(doc, "closing", str, "schedule")),
+        get_field(doc, "intervals", int, "schedule"),
     )

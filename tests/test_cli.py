@@ -154,6 +154,22 @@ def test_pulse_design_and_scan_round_trip(tmp_path, capsys):
     assert 1.8 <= fits["Z1"]["slope"] <= 2.3
 
 
+@pytest.mark.parametrize("text, needle", [
+    ('{"tau_p": 1.0, "tau_s"', "malformed pulse JSON"),
+    ('{"tau_p": 1.0, "segments": []}', "missing key 'tau_s'"),
+    ('{"tau_p": "1", "tau_s": 0.5, "segments": []}', "'tau_p' must be a finite number"),
+], ids=["malformed", "missing_key", "wrong_type"])
+def test_pulse_scan_bad_pulse_json_exit_2(tmp_path, capsys, text, needle):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run(
+        ["pulse", "scan", "--pulse", str(bad), "--out", str(tmp_path / "ps.csv")], capsys
+    )
+    assert code == 2
+    assert needle in err
+    assert "Traceback" not in err
+
+
 def test_pulse_design_rect_exit_3(capsys):
     code, _, err = run(["pulse", "design", "--family", "rect"], capsys)
     assert code == 3

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddkit.errors import PreconditionError
-from ddkit.linalg import expm_i, kron, spectral_norm
+from ddkit.linalg import expm_i, kron, spectral_norm, spectral_norm_le
 
 
 def _rng(seed=0):
@@ -123,3 +125,32 @@ def test_kron_mixed_product():
     rng = _rng(19)
     a, b, c, d = (rng.standard_normal((3, 3)) for _ in range(4))
     assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    dim=st.integers(1, 16),
+    spectrum=st.sampled_from(["random", "rank_one", "flat"]),
+    band=st.sampled_from(["below", "gap", "above"]),
+    pos=st.floats(0.0, 1.0),
+    tol=st.sampled_from([1e-12, 1e-10, 1e-9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_norm_le_matches_svd(dim, spectrum, band, pos, tol, seed):
+    # rank_one makes |m|_F = |m|_2 (the upper bound is tight) and flat, a
+    # scaled unitary, makes |m|_F = sqrt(d) |m|_2 (the lower bound is tight).
+    rng = _rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if spectrum == "rank_one":
+        g = np.outer(g[:, 0], g[0].conj())
+    elif spectrum == "flat":
+        g = np.linalg.qr(g)[0]
+    # |m|_2 lands in [0, tol], in the gap (tol, tol sqrt(d)], or above it
+    factor = {
+        "below": pos,
+        "gap": 1.0 + pos * (np.sqrt(dim) - 1.0),
+        "above": np.sqrt(dim) * (1.0 + pos),
+    }[band]
+    m = g * (tol * factor / spectral_norm(g))
+    assert spectral_norm_le(m, tol) == (spectral_norm(m) <= tol)
+

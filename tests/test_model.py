@@ -148,3 +148,25 @@ def test_descriptor_round_trip():
     }
     again = model_from_descriptor(text)
     assert np.array_equal(again.h_total, m.h_total)
+
+
+_GOOD_DESCRIPTOR = {"structure": "general", "sys_dim": 2, "bath_dim": 4, "norm_bound": 1.0, "seed": 0}
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"structure": "general"', "malformed model descriptor JSON"),
+    ("null", "must be an object, got NoneType"),
+    (json.dumps({k: v for k, v in _GOOD_DESCRIPTOR.items() if k != "seed"}), "missing key 'seed'"),
+    (json.dumps({**_GOOD_DESCRIPTOR, "sys_dim": "2"}), "'sys_dim' must be an integer"),
+    (json.dumps({**_GOOD_DESCRIPTOR, "seed": False}), "'seed' must be an integer"),
+    (json.dumps({**_GOOD_DESCRIPTOR, "structure": ["general"]}), "'structure' must be a string"),
+    (json.dumps({**_GOOD_DESCRIPTOR, "sys_dim": -2}), "sys_dim and bath_dim must be >= 1"),
+    (json.dumps({**_GOOD_DESCRIPTOR, "seed": -1}), "seed must lie in [0, 2^128)"),
+    (json.dumps({**_GOOD_DESCRIPTOR, "norm_bound": -1.0}), "norm_bound must be finite and >= 0"),
+], ids=["truncated", "null", "no_seed", "sys_dim_str", "seed_bool", "structure_list",
+        "sys_dim_negative", "seed_negative", "norm_bound_negative"])
+def test_model_from_descriptor_rejects_bad_input(text, needle):
+    with pytest.raises(PreconditionError) as err:
+        model_from_descriptor(text)
+    assert needle in str(err.value)
+

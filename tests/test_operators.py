@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddkit import linalg, operators
 from ddkit.errors import PreconditionError
-from ddkit.linalg import spectral_norm
+from ddkit.linalg import HERM_TOL, spectral_norm
 from ddkit.operators import (
     Moos,
     Operator,
@@ -172,3 +177,126 @@ def test_moos_json_round_trip():
     for a, b in zip(moos.elements, again.elements):
         assert np.array_equal(a.matrix, b.matrix)
     assert np.array_equal(again.signature, moos.signature)
+    assert not any(ch.isspace() for ch in moos_to_json(moos))  # written compact
+
+
+def _moos_text(element=None, **changes):
+    doc = json.loads(moos_to_json(qubit_full_moos(1)))
+    doc.update(changes)
+    if element is not None:
+        doc["elements"][0] = element
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"dim": 2, "elements": [', "malformed MOOS JSON"),
+    ("3", "must be an object, got int"),
+    (json.dumps({"dim": 2}), "missing key 'elements'"),
+    (_moos_text(element={"label": "Z1", "re": [[1, 0], [0, -1]]}), "missing key 'im'"),
+    (_moos_text(dim="2"), "'dim' must be an integer"),
+    (_moos_text(element={"label": 3, "re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]}),
+     "'label' must be a string"),
+    (_moos_text(element={"label": "Z1", "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}),
+     "re and im must be matrices of numbers"),
+    (_moos_text(element={"label": "Z1", "re": [[1, 0], [0, -1]], "im": [[0, 0]]}),
+     "re and im must be finite and of one shape"),
+    (_moos_text(element={"label": "Z1", "re": [[1, "a"], [0, -1]], "im": [[0, 0], [0, 0]]}),
+     "re and im must be matrices of numbers"),
+], ids=["truncated", "not_object", "no_elements", "element_no_im", "dim_str", "label_int",
+        "ragged", "im_broadcast", "entry_str"])
+def test_moos_from_json_rejects_bad_input(text, needle):
+    with pytest.raises(PreconditionError) as err:
+        moos_from_json(text)
+    assert needle in str(err.value)
+
+
+def _spectral_norm_validation(elements):
+    """MOOS validation decided by spectral norms alone, as before Frobenius
+    bounds: (signature, None) for a valid set, (None, message) otherwise."""
+    for op in elements:
+        m = op.matrix
+        d_sq = spectral_norm(m @ m - np.eye(op.acts_on))
+        d_h = spectral_norm(m - m.conj().T)
+        if d_sq > HERM_TOL or d_h > HERM_TOL:
+            return None, (
+                f"operator {op.label!r} is not unitary Hermitian: "
+                f"|Omega^2 - I| = {d_sq:.3e}, |Omega - Omega^dag| = {d_h:.3e}"
+            )
+    n = len(elements)
+    sig = np.ones((n, n), dtype=int)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = elements[i], elements[j]
+            ab, ba = a.matrix @ b.matrix, b.matrix @ a.matrix
+            comm, anti = spectral_norm(ab - ba), spectral_norm(ab + ba)
+            if comm <= HERM_TOL:
+                rel = 1
+            elif anti <= HERM_TOL:
+                rel = -1
+            else:
+                return None, (
+                    f"pair ({a.label!r}, {b.label!r}) neither commutes nor "
+                    f"anticommutes: |[A,B]| = {comm:.3e}, |{{A,B}}| = {anti:.3e}"
+                )
+            sig[i, j] = sig[j, i] = rel
+            if rel == -1:
+                for op in (a, b):
+                    tr = abs(np.trace(op.matrix))
+                    if tr > HERM_TOL:
+                        return None, (
+                            f"anticommuting MOOS member {op.label!r} has "
+                            f"nonzero trace {tr:.3e}"
+                        )
+    return sig, None
+
+
+@st.composite
+def _pauli_sets(draw):
+    """A random ordered subset of the 1-3-qubit X, Y, Z Paulis, possibly with
+    one extra element: the skewed (X+Y)/sqrt2 on some qubit, or a scaled Z
+    that is not unitary."""
+    n = draw(st.integers(1, 3))
+    pairs = [(a, q) for a in "xyz" for q in range(1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True))
+    ops = [pauli(a, q, n) for a, q in chosen]
+    extra = draw(st.sampled_from([None, "skew", "scaled"]))
+    if extra is not None:
+        q = draw(st.integers(1, n))
+        if extra == "skew":
+            m = (pauli("x", q, n).matrix + pauli("y", q, n).matrix) / np.sqrt(2)
+            op = Operator("D", m, 2**n)
+        else:
+            op = Operator("S", 1.5 * pauli("z", q, n).matrix, 2**n)
+        ops.insert(draw(st.integers(0, len(ops))), op)
+    return tuple(ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pauli_sets())
+def test_moos_decisions_match_spectral_norm_rule(ops):
+    want_sig, want_msg = _spectral_norm_validation(ops)
+    if want_msg is not None:
+        with pytest.raises(PreconditionError) as err:
+            Moos(ops)
+        assert str(err.value) == want_msg
+    else:
+        assert np.array_equal(Moos(ops).signature, want_sig)
+
+
+def test_moos_validation_of_pauli_set_runs_no_svd(monkeypatch):
+    # the 13-element 8-qubit set of test_first_order_size_cap
+    ops = tuple(pauli("z", q, 8) for q in range(1, 9)) + tuple(
+        pauli("x", q, 8) for q in range(1, 6)
+    )
+    calls = []
+    real = linalg.spectral_norm
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "spectral_norm", counting)
+    monkeypatch.setattr(operators, "spectral_norm", counting)
+    assert len(Moos(ops)) == 13
+    assert calls == []
+

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -184,3 +185,23 @@ def test_pulse_json_round_trip():
     again = pulse_from_json(text)
     assert again == shape
     assert pulse_to_json(again) == text
+
+
+_GOOD_PULSE = {"tau_p": 1.0, "tau_s": 0.5, "segments": [{"len_frac": 1.0, "amp": math.pi / 2}]}
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"tau_p": 1.0,', "malformed pulse JSON"),
+    ('"sym3"', "must be an object, got str"),
+    (json.dumps({**_GOOD_PULSE, "segments": [{"amp": 1.0}]}), "missing key 'len_frac'"),
+    (json.dumps({k: v for k, v in _GOOD_PULSE.items() if k != "tau_s"}), "missing key 'tau_s'"),
+    (json.dumps({**_GOOD_PULSE, "tau_p": "1"}), "'tau_p' must be a finite number"),
+    (json.dumps({**_GOOD_PULSE, "segments": [[1.0, 1.0]]}), "'segments': every item must be an object"),
+    ('{"tau_p": NaN, "tau_s": 0.5, "segments": []}', "'tau_p' must be a finite number"),
+], ids=["truncated", "not_object", "segment_no_len_frac", "no_tau_s", "tau_p_str",
+        "segment_list", "tau_p_nan"])
+def test_pulse_from_json_rejects_bad_input(text, needle):
+    with pytest.raises(PreconditionError) as err:
+        pulse_from_json(text)
+    assert needle in str(err.value)
+

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -255,3 +256,57 @@ def test_schedule_json_round_trip_bit_exact():
         again = schedule_from_json(text)
         assert again == s
         assert schedule_to_json(again) == text
+        assert not any(ch.isspace() for ch in text)  # written compact
+
+
+_GOOD_SCHEDULE = {
+    "scheme": "udd", "orders": [2],
+    "events": [{"t": 0.25, "ops": ["Z1"]}, {"t": 0.75, "ops": ["Z1"]}],
+    "closing": [], "intervals": 3,
+}
+
+
+def _schedule_text(**changes):
+    doc = json.loads(json.dumps(_GOOD_SCHEDULE))
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"scheme": "udd", "orders": [2', "malformed schedule JSON"),
+    ("[1, 2]", "must be an object, got list"),
+    (_schedule_text(events=None), "missing key 'events'"),
+    (_schedule_text(events=[{"t": 0.5}]), "missing key 'ops'"),
+    (_schedule_text(scheme=7), "'scheme' must be a string"),
+    (_schedule_text(orders=["2"]), "'orders': every item must be an integer"),
+    (_schedule_text(events=[{"t": "0.5", "ops": ["Z1"]}]), "'t' must be a finite number"),
+    (_schedule_text(events=[{"t": 0.5, "ops": [7]}], intervals=2), "'ops': every item must be a string"),
+    (_schedule_text(closing=[None]), "'closing': every item must be a string"),
+    (_schedule_text(intervals=-3), "intervals -3 is fewer than len(events) + 1 = 3"),
+    (_schedule_text(intervals=2), "intervals 2 is fewer than len(events) + 1 = 3"),
+    (_schedule_text(intervals=3.0), "'intervals' must be an integer"),
+    (_schedule_text(intervals=True), "'intervals' must be an integer"),
+], ids=[
+    "truncated", "not_object", "no_events", "event_no_ops", "scheme_int",
+    "order_str", "time_str", "label_int", "closing_label_null", "intervals_negative",
+    "intervals_too_few", "intervals_float", "intervals_bool",
+])
+def test_schedule_from_json_rejects_bad_input(text, needle):
+    with pytest.raises(PreconditionError) as err:
+        schedule_from_json(text)
+    assert needle in str(err.value)
+
+
+def test_schedule_from_json_accepts_silent_sdd_midpoints():
+    # each SDD of an unbracketed schedule adds a midpoint boundary with no pulse
+    once = sdd_schedule(first_order_schedule(MOOS1))
+    twice = sdd_schedule(once)
+    assert once.intervals == len(once.events) + 2
+    assert twice.intervals == len(twice.events) + 4
+    for s in (once, twice):
+        assert schedule_from_json(schedule_to_json(s)) == s
+
