@@ -383,9 +383,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionError, KeyError, FileNotFoundError) as exc:
+    except (PreconditionError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"precondition violated: {msg}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a missing, unreadable or unwritable path
+        print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
     except (UnfittableError, PulseDesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,24 +34,33 @@ __all__ = [
 ]
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex128 array."""
+def _as_stack(m) -> np.ndarray:
+    """Coerce input to a complex128 stack of square matrices, shape (..., d, d)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
+    if a.shape[-1] < 1:
         raise PreconditionError("matrix dimension must be >= 1")
     return a
 
 
+def as_matrix(m) -> np.ndarray:
+    """Coerce input to a square complex128 array."""
+    a = _as_stack(m)
+    if a.ndim != 2:
+        raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def herm_deviation(m) -> float:
-    """Max-abs entry deviation of m from its Hermitian conjugate."""
-    a = as_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T)))
+    """Max-abs entry deviation from the Hermitian conjugate over a matrix or a
+    stack (..., d, d); 0 for an empty stack."""
+    a = _as_stack(m)
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
 
 
 def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
-    a = as_matrix(m)
+    a = _as_stack(m)
     dev = herm_deviation(a)
     if dev > tol:
         raise PreconditionError(
@@ -60,16 +69,18 @@ def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     return a
 
 
-def expm_i(h, t: float) -> np.ndarray:
+def expm_i(h, t) -> np.ndarray:
     """Unitary exponential exp(-i*h*t) of a Hermitian matrix h.
 
+    ``h`` may be a stack (..., d, d) and ``t`` an array broadcast over its
+    leading axes; each matrix of the result equals the 2-D call bit for bit.
     Computed via Hermitian eigendecomposition so the phases are exact and
     the result is unitary to machine precision (no series truncation).
     """
     a = require_hermitian(h)
     evals, evecs = np.linalg.eigh(a)
-    phases = np.exp(-1j * evals * t)
-    return (evecs * phases) @ evecs.conj().T
+    phases = np.exp(-1j * evals * np.asarray(t)[..., None])
+    return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
 def spectral_norm(m) -> float:

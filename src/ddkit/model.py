@@ -61,10 +61,12 @@ class HamiltonianModel:
             object.__setattr__(self, "_eig", np.linalg.eigh(self.h_total))
         return self._eig
 
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(-i * h_total * t) from the cached eigendecomposition."""
+    def propagator(self, t) -> np.ndarray:
+        """exp(-i * h_total * t) from the cached eigendecomposition; an array
+        of times gives a stack (..., d, d), each equal to its scalar call."""
         evals, evecs = self.eig()
-        return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+        phases = np.exp(-1j * evals * np.asarray(t)[..., None])
+        return (evecs * phases[..., None, :]) @ evecs.conj().T
 
     def lift(self, op: Operator) -> np.ndarray:
         """System operator lifted to the full space as Omega (x) I_bath."""

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.median imports it on its first call; load it with the module
 
 from .errors import PreconditionError, UnfittableError
 from .linalg import kron

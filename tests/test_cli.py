@@ -170,6 +170,23 @@ def test_pulse_scan_bad_pulse_json_exit_2(tmp_path, capsys, text, needle):
     assert "Traceback" not in err
 
 
+def test_pulse_scan_directory_as_pulse_exit_2(tmp_path, capsys):
+    # used to end in an IsADirectoryError traceback
+    code, _, err = run(
+        ["pulse", "scan", "--pulse", str(tmp_path), "--out", str(tmp_path / "ps.csv")], capsys
+    )
+    assert code == 2
+    assert "Is a directory" in err
+    assert "Traceback" not in err
+
+
+def test_pulse_scan_out_in_missing_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "ps.csv"
+    code, _, err = run(["pulse", "scan", "--pulse", "rect", "--out", str(out)], capsys)
+    assert code == 2
+    assert "No such file or directory" in err and str(out) in err
+
+
 def test_pulse_design_rect_exit_3(capsys):
     code, _, err = run(["pulse", "design", "--family", "rect"], capsys)
     assert code == 3

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,33 @@ def test_pulse_shape_validation():
         PulseShape(1.0, 2.0, ((1.0, 1.0),))
     with pytest.raises(PreconditionError):
         PulseShape(1.0, 0.5, ((0.5, 1.0), (0.4, 1.0)))  # fractions != 1
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("tau_p, tau_s, segments", [
+    (_INF, 0.5, ((1.0, 1.0),)),
+    (_NAN, 0.5, ((1.0, 1.0),)),
+    (_INF, _INF, ((1.0, 1.0),)),
+    (1.0, _NAN, ((1.0, 1.0),)),
+    (1.0, 0.5, ((_NAN, 1.0),)),
+    (1.0, 0.5, ((0.5, 1.0), (_INF, 1.0))),
+    (1.0, 0.5, ((1.0, _INF),)),
+    (1.0, 0.5, ((0.5, 1.0), (0.5, _NAN))),
+], ids=["tau_p_inf", "tau_p_nan", "tau_s_inf", "tau_s_nan", "frac_nan", "frac_inf",
+        "amp_inf", "amp_nan"])
+def test_pulse_shape_rejects_non_finite(tau_p, tau_s, segments):
+    # a NaN fraction used to construct and fail later inside the propagator
+    with pytest.raises(PreconditionError, match="must be finite"):
+        PulseShape(tau_p, tau_s, segments)
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import ddkit, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_rectangular_pulse_area():
@@ -149,7 +180,7 @@ def test_propagate_pulse_zero_hamiltonian_exact():
     h = np.zeros((4, 4), dtype=complex)
     m = HamiltonianModel("general", 2, 2, 1.0, 0, h)
     for shape in (rectangular_pulse(0.3), design_pulse("sym3").rescaled(0.3)):
-        u = propagate_pulse(shape, m, SZ, n_steps=64)
+        u = propagate_pulse(shape, m, SZ)
         ideal = kron(expm_i(SZ.matrix, shape.area), np.eye(2))
         assert spectral_norm(u - ideal) <= 1e-12
 
