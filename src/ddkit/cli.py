@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import PreconditionError, UnfittableError
+from .jsonio import get_field, get_list, load_object
 from .operators import Moos, build_moos, lie_closure, moos_to_json
 from .pulseshape import (
     PulseDesignError,
@@ -66,13 +67,13 @@ class _Parser(argparse.ArgumentParser):
 class Config:
     """Defaults loadable from a JSON file; every field optional.
 
-    Schema: {"bath_dim": int, "norm_bound": float, "seeds": [int, ...],
-    "t_min": float, "t_max": float, "t_points": int, "error_floor": float,
-    "error_ceiling": float, "threads": int}.  Unknown keys are rejected;
-    values are validated by ``RunConfig``.  ``threads`` is deprecated.
+    Schema: {"norm_bound": float, "seeds": [int, ...], "t_min": float,
+    "t_max": float, "t_points": int, "error_floor": float,
+    "error_ceiling": float, "threads": int}.  Unknown keys and values of the
+    wrong type are rejected by ``load_config``; the values themselves are
+    validated by ``RunConfig``.  ``threads`` is deprecated.
     """
 
-    bath_dim: int = 4
     norm_bound: float = 1.0
     seeds: tuple[int, ...] = tuple(range(8))
     t_min: float = 0.02
@@ -102,21 +103,23 @@ def load_config(path: str | None) -> Config:
     if not path:
         return Config()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
         raise PreconditionError(f"cannot read config {path!r}: {exc}")
-    if not isinstance(doc, dict):
-        raise PreconditionError(f"config {path!r} must be a JSON object")
-    known = {f.name for f in fields(Config)}
-    unknown = sorted(set(doc) - known)
+    what = f"config {path!r}"
+    doc = load_object(text, what)
+    kinds = {f.name: f.type for f in fields(Config)}
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise PreconditionError(
-            f"unknown config keys {unknown}; known keys are {sorted(known)}"
+            f"unknown config keys {unknown}; known keys are {sorted(kinds)}"
         )
-    if "seeds" in doc:
-        doc["seeds"] = tuple(int(s) for s in doc["seeds"])
-    return Config(**doc)
+    return Config(**{
+        key: tuple(get_list(doc, key, int, what)) if key == "seeds"
+        else get_field(doc, key, kinds[key], what)
+        for key in doc
+    })
 
 
 def _parse_orders(text: str | None) -> tuple[int, ...]:

@@ -1,5 +1,5 @@
 """Checked reading of the JSON documents ddkit writes (schedules, MOOS sets,
-pulse shapes and model descriptors).
+pulse shapes, model descriptors and CLI config files).
 
 Each loader parses through ``load_object`` and reads every key through
 ``get_field`` or ``get_list``, so malformed text, a missing key or a value of
@@ -12,7 +12,7 @@ import math
 
 from .errors import PreconditionError
 
-__all__ = ["load_object", "get_field", "get_list"]
+__all__ = ["load_object", "get_field", "get_list", "all_of_kind"]
 
 
 _KIND_NAMES = {
@@ -24,14 +24,35 @@ _KIND_NAMES = {
 }
 
 
+def _is_finite(value) -> bool:
+    # An integer beyond the float range is not a finite number either.
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_kind(value, kind: type) -> bool:
     # json.loads yields exact int and float, never a bool for a number; it
     # also accepts NaN and Infinity, which no ddkit document holds.
     if kind is float:
-        return type(value) in (int, float) and math.isfinite(value)
+        return type(value) in (int, float) and _is_finite(value)
     if kind is int:
         return type(value) is int
     return isinstance(value, kind)
+
+
+def all_of_kind(values: list, kind: type) -> bool:
+    """Whether every item of ``values`` is of ``kind``, decided over the whole
+    list at once.  It tests exact types, which is what json.loads yields, so
+    a False here is confirmed (and the bad item named) by a per-item walk."""
+    types = set(map(type, values))
+    if kind is float:
+        try:
+            return types <= {int, float} and all(map(math.isfinite, values))
+        except OverflowError:  # an integer beyond the float range
+            return False
+    return types <= {kind}
 
 
 def load_object(text: str, what: str) -> dict:
@@ -64,10 +85,11 @@ def get_field(doc: dict, key: str, kind: type, what: str):
 def get_list(doc: dict, key: str, kind: type, what: str) -> list:
     """``doc[key]``, which must be a list whose every item is of ``kind``."""
     values = get_field(doc, key, list, what)
-    for v in values:
-        if not _is_kind(v, kind):
-            raise PreconditionError(
-                f"{what} JSON key {key!r}: every item must be {_KIND_NAMES[kind]}, "
-                f"got {type(v).__name__}"
-            )
+    if not all_of_kind(values, kind):
+        for v in values:
+            if not _is_kind(v, kind):
+                raise PreconditionError(
+                    f"{what} JSON key {key!r}: every item must be "
+                    f"{_KIND_NAMES[kind]}, got {type(v).__name__}"
+                )
     return values

@@ -10,11 +10,14 @@ first label acts first).
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
-from .jsonio import get_field, get_list, load_object
+from .jsonio import all_of_kind, get_field, get_list, load_object
 from .operators import Moos, Operator
 
 __all__ = [
@@ -37,9 +40,8 @@ MAX_CDD_BUDGET = 20
 _TIME_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Event:
-    """An instant in (0, 1) with an ordered list of pulse labels."""
+class Event(NamedTuple):
+    """An instant in (0, 1) with an ordered tuple of pulse labels."""
 
     time: float
     ops: tuple[str, ...]
@@ -92,31 +94,49 @@ def udd_times(n: int) -> list[float]:
     return [math.sin(k * math.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
 
 
+# ---------------------------------------------------------------------------
+# The builders work on two columns: a list of times and a list of label
+# tuples, where events with the same pulses share one tuple.  Each public
+# builder turns the columns into Event tuples once, at the end.
+
+
+def _events(times, ops) -> tuple[Event, ...]:
+    # tuple.__new__ is the constructor Event's own __new__ calls, minus one
+    # Python frame per event.
+    return tuple(map(tuple.__new__, repeat(Event), zip(times, ops)))
+
+
+def _columns(events) -> tuple[list, list]:
+    return [e.time for e in events], [e.ops for e in events]
+
+
 def udd_schedule(op_label: str, n: int) -> Schedule:
     """Nth-order UDD of a single operator; the leftover Omega^N rotation is
     not emitted as a closing pulse (the error metric compensates for it)."""
-    events = tuple(Event(t, (op_label,)) for t in udd_times(n))
+    events = _events(udd_times(n), repeat((op_label,)))
     return Schedule("udd", (n,), events, (), n + 1)
 
 
-# ---------------------------------------------------------------------------
-# internal builders working on raw (events, closing) pairs
+def _scale(times, a: float, b: float) -> list[float]:
+    w = b - a
+    return [a + w * t for t in times]
 
 
-def _scale(events, a: float, b: float):
-    return [Event(a + (b - a) * e.time, e.ops) for e in events]
-
-
-def _halve(events, closing, op_label: str):
-    """One step of the bracketed recursion X -> Omega X(T/2) Omega X(T/2):
-    X in the first half, composed (X-closing then Omega) pulse at the
-    midpoint, X in the second half, Omega appended to the closing bracket."""
-    new_events = (
-        _scale(events, 0.0, 0.5)
-        + [Event(0.5, tuple(closing) + (op_label,))]
-        + _scale(events, 0.5, 1.0)
-    )
-    return new_events, list(closing) + [op_label]
+def _bracketed(labels, orders):
+    """Columns and closing bracket of the bracketed recursion
+    X -> Omega X(T/2) Omega X(T/2), run N_l times per label, first label
+    innermost: X in the first half, the composed (X-closing then Omega) pulse
+    at the midpoint, X in the second half, Omega appended to the closing
+    bracket."""
+    times: list[float] = []
+    ops: list[tuple[str, ...]] = []
+    closing: tuple[str, ...] = ()
+    for lab, n in zip(labels, orders):
+        for _ in range(n):
+            closing += (lab,)
+            times = _scale(times, 0.0, 0.5) + [0.5] + _scale(times, 0.5, 1.0)
+            ops = ops + [closing] + ops
+    return times, ops, closing
 
 
 def first_order_schedule(moos: Moos, include_closing: bool = False) -> Schedule:
@@ -134,50 +154,55 @@ def first_order_schedule(moos: Moos, include_closing: bool = False) -> Schedule:
         raise PreconditionError(f"MOOS size {size} exceeds {MAX_FIRST_ORDER_SIZE}")
     labels = moos.labels
     if include_closing:
-        events: list[Event] = []
-        closing: list[str] = []
-        for lab in labels:
-            events, closing = _halve(events, closing, lab)
+        times, ops, closing = _bracketed(labels, (1,) * size)
     else:
-        events = []
-        for k in range(1, 2**size):
-            j = (k & -k).bit_length() - 1  # trailing zero bits of k
-            events.append(Event(k / 2**size, (labels[j],)))
-        closing = []
-    return Schedule("first_order", (1,) * size, tuple(events), tuple(closing), 2**size)
+        single = [(lab,) for lab in labels]
+        n = 2**size
+        times = [k / n for k in range(1, n)]
+        ops = [single[(k & -k).bit_length() - 1] for k in range(1, n)]  # trailing zero bits of k
+        closing = ()
+    return Schedule("first_order", (1,) * size, _events(times, ops), closing, 2**size)
 
 
 def sdd_schedule(inner: Schedule) -> Schedule:
     """Mirror symmetrization: the inner schedule compressed into [0, 1/2]
     followed by its time mirror.  An inner closing bracket collides with the
     mirror's opening bracket at the midpoint and the two compose in order."""
-    first = _scale(inner.events, 0.0, 0.5)
-    mid_ops = tuple(inner.closing_ops) + tuple(reversed(inner.closing_ops))
-    mid = [Event(0.5, mid_ops)] if mid_ops else []
-    second = [
-        Event(1.0 - 0.5 * e.time, tuple(reversed(e.ops)))
-        for e in reversed(inner.events)
-    ]
+    times, ops = _columns(inner.events)
+    closing = tuple(inner.closing_ops)
+    mid = [closing + closing[::-1]] if closing else []
+    own = {o: o for o in ops}
+    mirrored = {o: own.get(o[::-1], o[::-1]) for o in own}
     return Schedule(
         "sdd",
         inner.orders,
-        tuple(first + mid + second),
+        _events(
+            _scale(times, 0.0, 0.5) + [0.5] * len(mid) + [1.0 - 0.5 * t for t in reversed(times)],
+            ops + mid + [mirrored[o] for o in reversed(ops)],
+        ),
         (),
         2 * inner.intervals,
     )
 
 
-def _substitute(outer_events, outer_closing, inner_events, inner_closing):
+def _substitute(outer, inner):
     """Fill every free interval of the outer pattern with the inner schedule;
-    inner closing pulses compose with the outer pulse at shared boundaries."""
-    bounds = [0.0] + [e.time for e in outer_events] + [1.0]
-    events: list[Event] = []
-    for i, e in enumerate(outer_events):
-        events.extend(_scale(inner_events, bounds[i], bounds[i + 1]))
-        events.append(Event(e.time, tuple(inner_closing) + tuple(e.ops)))
-    events.extend(_scale(inner_events, bounds[-2], bounds[-1]))
-    closing = list(inner_closing) + list(outer_closing)
-    return events, closing
+    inner closing pulses compose with the outer pulse at shared boundaries.
+    ``outer`` and ``inner`` are (times, ops, closing) triples, as returned."""
+    outer_times, outer_ops, outer_closing = outer
+    inner_times, inner_ops, inner_closing = inner
+    bounds = [0.0, *outer_times, 1.0]
+    composed = {o: inner_closing + o for o in outer_ops}
+    times: list[float] = []
+    ops: list[tuple[str, ...]] = []
+    for a, b, o in zip(bounds, bounds[1:], outer_ops):
+        times += _scale(inner_times, a, b)
+        times.append(b)
+        ops += inner_ops
+        ops.append(composed[o])
+    times += _scale(inner_times, bounds[-2], bounds[-1])
+    ops += inner_ops
+    return times, ops, inner_closing + outer_closing
 
 
 def cdd_uniform(moos: Moos, n: int) -> Schedule:
@@ -190,12 +215,12 @@ def cdd_uniform(moos: Moos, n: int) -> Schedule:
         raise PreconditionError(
             f"CDD budget exceeded: N*L = {n * size} > {MAX_CDD_BUDGET}"
         )
-    base = first_order_schedule(moos, include_closing=True)
-    events = list(base.events)
-    closing = list(base.closing_ops)
+    base = _bracketed(moos.labels, (1,) * size)
+    sched = base
     for _ in range(n - 1):
-        events, closing = _substitute(base.events, base.closing_ops, events, closing)
-    return Schedule("cdd", (n,) * size, tuple(events), tuple(closing), 2 ** (n * size))
+        sched = _substitute(base, sched)
+    times, ops, closing = sched
+    return Schedule("cdd", (n,) * size, _events(times, ops), closing, 2 ** (n * size))
 
 
 def cdd_nested(moos: Moos, orders) -> Schedule:
@@ -206,16 +231,14 @@ def cdd_nested(moos: Moos, orders) -> Schedule:
         raise PreconditionError(
             f"got {len(orders)} orders for an MOOS of size {len(moos)}"
         )
+    if any(n < 0 for n in orders):
+        raise PreconditionError("CDD orders must be >= 0")
     if sum(orders) > MAX_CDD_BUDGET:
         raise PreconditionError(
             f"CDD budget exceeded: sum of orders {sum(orders)} > {MAX_CDD_BUDGET}"
         )
-    events: list[Event] = []
-    closing: list[str] = []
-    for lab, n_l in zip(moos.labels, orders):
-        for _ in range(n_l):
-            events, closing = _halve(events, closing, lab)
-    return Schedule("cdd_nested", orders, tuple(events), tuple(closing), 2 ** sum(orders))
+    times, ops, closing = _bracketed(moos.labels, orders)
+    return Schedule("cdd_nested", orders, _events(times, ops), closing, 2 ** sum(orders))
 
 
 def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
@@ -244,29 +267,33 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
                 f"even inner orders (pass allow_odd_inner to override)"
             )
     labels = moos.labels
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def build(level: int, a: float, b: float):
-        """Events inside (a, b) and the pulses left at the right edge b."""
+        """Columns of the events inside (a, b) and the pulses left at the
+        right edge b."""
         if level == 0:
-            return [], []
+            return [], [], ()
         lab = labels[level - 1]
         n = orders[level - 1]
         bounds = [a] + [a + (b - a) * f for f in udd_times(n)] + [b]
-        events: list[Event] = []
-        for i in range(len(bounds) - 1):
-            sub_events, sub_edge = build(level - 1, bounds[i], bounds[i + 1])
-            events.extend(sub_events)
-            if i < len(bounds) - 2:
-                events.append(Event(bounds[i + 1], tuple(sub_edge) + (lab,)))
-                last_edge = None
-            else:
-                last_edge = sub_edge
-        edge = list(last_edge) + ([lab] if n % 2 == 1 and level < len(labels) else [])
-        return events, edge
+        times: list[float] = []
+        ops: list[tuple[str, ...]] = []
+        for i in range(n + 1):
+            sub_times, sub_ops, edge = build(level - 1, bounds[i], bounds[i + 1])
+            times += sub_times
+            ops += sub_ops
+            if i < n:
+                times.append(bounds[i + 1])
+                pulse = edge + (lab,)
+                ops.append(shared.setdefault(pulse, pulse))
+        if n % 2 == 1 and level < len(labels):
+            edge += (lab,)
+        return times, ops, edge
 
-    events, edge = build(len(labels), 0.0, 1.0)
+    times, ops, edge = build(len(labels), 0.0, 1.0)
     intervals = math.prod(n + 1 for n in orders)
-    return Schedule("nudd", orders, tuple(events), tuple(edge), intervals)
+    return Schedule("nudd", orders, _events(times, ops), edge, intervals)
 
 
 def net_pulse_operator(schedule: Schedule, moos: Moos) -> Operator:
@@ -284,29 +311,57 @@ def net_pulse_operator(schedule: Schedule, moos: Moos) -> Operator:
     return Operator("net", net, moos.dim)
 
 
+_dumps = partial(json.dumps, separators=(",", ":"))
+
+
 def schedule_to_json(schedule: Schedule) -> str:
-    """Compact JSON (no indentation or spaces), which CPython encodes in C."""
-    doc = {
-        "scheme": schedule.scheme,
-        "orders": list(schedule.orders),
-        "events": [{"t": e.time, "ops": list(e.ops)} for e in schedule.events],
-        "closing": list(schedule.closing_ops),
-        "intervals": schedule.intervals,
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    """Compact JSON: byte for byte ``json.dumps`` of the dict form
+
+        {"scheme": ..., "orders": [...], "events": [{"t": ..., "ops": [...]}, ...],
+         "closing": [...], "intervals": ...}
+
+    with ``separators=(",", ":")``.  The events are written without building
+    that dict: each time as ``float.__repr__`` (how json writes a float) and
+    each distinct label tuple encoded once."""
+    times, ops = _columns(schedule.events)
+    encoded = {o: _dumps(o) for o in set(ops)}
+    events = ",".join(map(
+        '{{"t":{},"ops":{}}}'.format,
+        map(float.__repr__, times),
+        map(encoded.__getitem__, ops),
+    ))
+    return (
+        f'{{"scheme":{_dumps(schedule.scheme)},"orders":{_dumps(list(schedule.orders))},'
+        f'"events":[{events}],"closing":{_dumps(list(schedule.closing_ops))},'
+        f'"intervals":{_dumps(schedule.intervals)}}}'
+    )
 
 
 def schedule_from_json(text: str) -> Schedule:
     doc = load_object(text, "schedule")
-    events = tuple(
-        Event(get_field(e, "t", float, "schedule event"),
-              tuple(get_list(e, "ops", str, "schedule event")))
-        for e in get_list(doc, "events", dict, "schedule")
-    )
-    return Schedule(
-        get_field(doc, "scheme", str, "schedule"),
-        tuple(get_list(doc, "orders", int, "schedule")),
-        events,
-        tuple(get_list(doc, "closing", str, "schedule")),
-        get_field(doc, "intervals", int, "schedule"),
-    )
+    items = get_list(doc, "events", dict, "schedule")
+    try:
+        times = [e["t"] for e in items]
+        labels = [e["ops"] for e in items]
+        valid = (
+            all_of_kind(times, float)
+            and all_of_kind(labels, list)
+            and all_of_kind(list(chain.from_iterable(labels)), str)
+        )
+    except KeyError:
+        valid = False
+    if not valid:  # walk the events in order to name the first bad key
+        times, labels = [], []
+        for e in items:
+            times.append(get_field(e, "t", float, "schedule event"))
+            labels.append(get_list(e, "ops", str, "schedule event"))
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    ops = [shared.setdefault(o, o) for o in map(tuple, labels)]
+    scheme = get_field(doc, "scheme", str, "schedule")
+    orders = tuple(get_list(doc, "orders", int, "schedule"))
+    closing = tuple(get_list(doc, "closing", str, "schedule"))
+    intervals = get_field(doc, "intervals", int, "schedule")
+    # Drop the parsed document before the events are made, so that the two
+    # are not held at once: it is the larger of them.
+    del doc, items, labels
+    return Schedule(scheme, orders, _events(times, ops), closing, intervals)

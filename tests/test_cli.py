@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ddkit.cli import main
+from ddkit.cli import load_config, main
 from ddkit.operators import moos_from_json
 from ddkit.pulseshape import pulse_from_json
 from ddkit.sequences import schedule_from_json, udd_times
@@ -191,3 +191,66 @@ def test_pulse_design_rect_exit_3(capsys):
     code, _, err = run(["pulse", "design", "--family", "rect"], capsys)
     assert code == 3
     assert "residual" in err
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ({"seeds": "ab"}, "'seeds' must be a list, got str"),
+    ({"seeds": None}, "'seeds' must be a list, got NoneType"),
+    ({"seeds": [1.5, 2]}, "'seeds': every item must be an integer, got float"),
+    ({"t_points": "12"}, "'t_points' must be an integer, got str"),
+    ({"t_points": 2.5}, "'t_points' must be an integer, got float"),
+    ({"threads": 1.5}, "'threads' must be an integer, got float"),
+    ({"norm_bound": "x"}, "'norm_bound' must be a finite number, got str"),
+    ({"error_floor": None}, "'error_floor' must be a finite number, got NoneType"),
+    ({"t_min": True}, "'t_min' must be a finite number, got bool"),
+], ids=["seeds_str", "seeds_null", "seeds_float_item", "t_points_str", "t_points_float",
+        "threads_float", "norm_bound_str", "error_floor_null", "t_min_bool"])
+def test_config_wrong_type_exit_2(tmp_path, capsys, doc, needle):
+    # used to end in a traceback, run seeds 1 and 2, accept threads 1.5, or
+    # blame the time grid for t_min: true
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(["--config", str(cfg), "sequence", "--scheme", "free"], capsys)
+    assert code == 2
+    assert needle in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, needle", [
+    (b'{"seeds": [0, 1', "malformed config"),
+    (b"\xff\xfe\x00", "malformed config"),
+    (b"[1, 2]", "must be an object, got list"),
+    (b'{"bath_dim": 4}', "unknown config keys ['bath_dim']"),
+], ids=["truncated", "not_utf8", "not_object", "bath_dim_removed"])
+def test_config_bad_document_exit_2(tmp_path, capsys, data, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    code, _, err = run(["--config", str(cfg), "sequence", "--scheme", "free"], capsys)
+    assert code == 2
+    assert needle in err
+
+
+def test_config_values_reach_the_run_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": [3, 5], "t_points": 4, "norm_bound": 2}))
+    loaded = load_config(str(cfg))
+    assert loaded.seeds == (3, 5) and loaded.t_points == 4 and loaded.norm_bound == 2
+    assert loaded.run_config().seeds == (3, 5)
+
+
+def test_sequence_cdd_nested_negative_order_exit_2(capsys):
+    code, _, err = run(["sequence", "--scheme", "cdd_nested", "--orders=-1,3"], capsys)
+    assert code == 2
+    assert "CDD orders must be >= 0" in err
+
+
+def test_pulse_scan_integer_beyond_float_range_exit_2(tmp_path, capsys):
+    # json reads 1000...0 as an int that math.isfinite cannot convert; it used
+    # to end in an OverflowError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"tau_p": 1' + "0" * 400 + ', "tau_s": 0.5, "segments": []}')
+    code, _, err = run(
+        ["pulse", "scan", "--pulse", str(bad), "--out", str(tmp_path / "ps.csv")], capsys
+    )
+    assert code == 2
+    assert "'tau_p' must be a finite number, got int" in err

@@ -1,0 +1,317 @@
+"""Property tests of every schedule builder and of the schedule JSON writer.
+
+The builders work on flat columns and the writer assembles its text by
+hand, so both are checked against independent references: per-event
+versions of the recursions written out below (times must agree bit for
+bit), ``json.dumps`` of the documented dict form (the byte oracle of the
+writer), and SHA-256 digests of ``ddkit sequence --out`` files.
+"""
+
+import functools
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddkit.cli import main
+from ddkit.operators import Moos, qubit_full_moos
+from ddkit.sequences import (
+    Event,
+    Schedule,
+    cdd_nested,
+    cdd_uniform,
+    first_order_schedule,
+    net_pulse_operator,
+    nudd,
+    schedule_from_json,
+    schedule_to_json,
+    sdd_schedule,
+    udd_schedule,
+    udd_times,
+)
+
+MOOS3 = qubit_full_moos(3)  # Z1, X1, Z2, X2, Z3, X3 (8x8)
+
+
+@functools.lru_cache(maxsize=None)
+def _moos(indices: tuple[int, ...]) -> Moos:
+    return Moos(tuple(MOOS3.elements[i] for i in indices))
+
+
+# ---------------------------------------------------------------------------
+# Per-event reference builders: each event is a (time, ops) pair and every
+# recursion step is unrolled literally.
+
+
+def _ref_scale(events, a, b):
+    return [(a + (b - a) * t, ops) for t, ops in events]
+
+
+def _ref_bracketed(labels, orders):
+    events, closing = [], ()
+    for lab, n in zip(labels, orders):
+        for _ in range(n):
+            mid = closing + (lab,)
+            events = _ref_scale(events, 0.0, 0.5) + [(0.5, mid)] + _ref_scale(events, 0.5, 1.0)
+            closing = mid
+    return events, closing
+
+
+def _ref_first_order(labels):
+    size = len(labels)
+    events = []
+    for k in range(1, 2**size):
+        j = 0
+        while not (k >> j) & 1:
+            j += 1
+        events.append((k / 2**size, (labels[j],)))
+    return events, ()
+
+
+def _ref_cdd_uniform(labels, n):
+    base, base_closing = _ref_bracketed(labels, (1,) * len(labels))
+    events, closing = base, base_closing
+    for _ in range(n - 1):
+        bounds = [0.0] + [t for t, _ in base] + [1.0]
+        out = []
+        for i, (t, ops) in enumerate(base):
+            out += _ref_scale(events, bounds[i], bounds[i + 1])
+            out.append((t, closing + ops))
+        out += _ref_scale(events, bounds[-2], bounds[-1])
+        events, closing = out, closing + base_closing
+    return events, closing
+
+
+def _ref_sdd(events, closing):
+    mid = closing + closing[::-1]
+    return (
+        _ref_scale(events, 0.0, 0.5)
+        + ([(0.5, mid)] if mid else [])
+        + [(1.0 - 0.5 * t, ops[::-1]) for t, ops in reversed(events)]
+    ), ()
+
+
+def _ref_nudd(labels, orders, level, a, b):
+    if level == 0:
+        return [], ()
+    lab, n = labels[level - 1], orders[level - 1]
+    bounds = [a] + [a + (b - a) * f for f in udd_times(n)] + [b]
+    events = []
+    for i in range(n + 1):
+        sub, edge = _ref_nudd(labels, orders, level - 1, bounds[i], bounds[i + 1])
+        events += sub
+        if i < n:
+            events.append((bounds[i + 1], edge + (lab,)))
+    if n % 2 == 1 and level < len(labels):
+        edge += (lab,)
+    return events, edge
+
+
+# ---------------------------------------------------------------------------
+# One strategy per scheme.  Each draws a schedule of at most 2^10 intervals
+# and returns (schedule, moos, reference (events, closing), number of silent
+# SDD midpoints, whether the net pulse must be the identity).
+
+_subsets = st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True).map(tuple)
+
+
+@st.composite
+def _udd(draw):
+    n = draw(st.integers(0, 40))
+    lab = draw(st.sampled_from(MOOS3.labels))
+    return (udd_schedule(lab, n), MOOS3, ([(t, (lab,)) for t in udd_times(n)], ()),
+            0, False)
+
+
+@st.composite
+def _first_order(draw):
+    idx = draw(_subsets)
+    moos, labels = _moos(idx), _moos(idx).labels
+    closing = draw(st.booleans())
+    ref = _ref_bracketed(labels, (1,) * len(labels)) if closing else _ref_first_order(labels)
+    return first_order_schedule(moos, include_closing=closing), moos, ref, 0, closing
+
+
+@st.composite
+def _sdd(draw):
+    idx = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(tuple))
+    moos, labels = _moos(idx), _moos(idx).labels
+    closing = draw(st.booleans())
+    sched = first_order_schedule(moos, include_closing=closing)
+    ref = _ref_bracketed(labels, (1,) * len(labels)) if closing else _ref_first_order(labels)
+    silent = 0
+    for _ in range(draw(st.integers(1, 3))):
+        silent = 2 * silent + (0 if sched.closing_ops else 1)
+        sched, ref = sdd_schedule(sched), _ref_sdd(*ref)
+    return sched, moos, ref, silent, False
+
+
+@st.composite
+def _cdd(draw):
+    idx = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(tuple))
+    n = draw(st.integers(1, 10 // len(idx)))
+    moos = _moos(idx)
+    return cdd_uniform(moos, n), moos, _ref_cdd_uniform(moos.labels, n), 0, True
+
+
+@st.composite
+def _cdd_nested(draw):
+    idx = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(tuple))
+    orders = tuple(draw(st.lists(st.integers(0, 4), min_size=len(idx), max_size=len(idx))))
+    if sum(orders) > 10:
+        orders = tuple(min(n, 10 // len(idx)) for n in orders)
+    moos = _moos(idx)
+    return (cdd_nested(moos, orders), moos, _ref_bracketed(moos.labels, orders), 0, True)
+
+
+@st.composite
+def _nudd(draw):
+    idx = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True).map(tuple))
+    odd = draw(st.booleans())
+    inner = st.integers(0, 5) if odd else st.integers(0, 2).map(lambda k: 2 * k)
+    orders = tuple(draw(st.lists(inner, min_size=len(idx) - 1, max_size=len(idx) - 1)))
+    orders += (draw(st.integers(0, 6)),)
+    moos = _moos(idx)
+    ref = _ref_nudd(moos.labels, orders, len(orders), 0.0, 1.0)
+    all_even = all(n % 2 == 0 for n in orders)
+    return nudd(moos, orders, allow_odd_inner=odd), moos, ref, 0, all_even
+
+
+SCHEMES = {
+    "udd": _udd(), "first_order": _first_order(), "sdd": _sdd(),
+    "cdd": _cdd(), "cdd_nested": _cdd_nested(), "nudd": _nudd(),
+}
+
+
+def _dict_form(s: Schedule) -> str:
+    """The byte oracle: json.dumps of the documented dict form."""
+    doc = {
+        "scheme": s.scheme,
+        "orders": list(s.orders),
+        "events": [{"t": e.time, "ops": list(e.ops)} for e in s.events],
+        "closing": list(s.closing_ops),
+        "intervals": s.intervals,
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_scheme_properties(scheme):
+    @settings(max_examples=40, deadline=None)
+    @given(SCHEMES[scheme])
+    def check(case):
+        sched, moos, (ref_events, ref_closing), silent, net_identity = case
+        times = [e.time for e in sched.events]
+        assert all(0.0 < t < 1.0 for t in times)
+        assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+        assert sched.intervals == len(sched.events) + 1 + silent
+        # bit-exact times and identical label tuples against the reference
+        assert [(e.time, e.ops) for e in sched.events] == ref_events
+        assert sched.closing_ops == ref_closing
+        assert all(type(e) is Event and type(e.ops) is tuple for e in sched.events)
+        if net_identity:
+            net = net_pulse_operator(sched, moos).matrix
+            assert np.abs(net - np.eye(moos.dim)).max() <= 1e-12
+        text = schedule_to_json(sched)
+        assert text == _dict_form(sched)
+        assert schedule_from_json(text) == sched
+
+    check()
+
+
+@st.composite
+def _hand_built(draw):
+    """Schedules built directly, with arbitrary text for scheme and labels."""
+    raw = sorted(draw(st.lists(st.floats(1e-9, 1 - 1e-9), max_size=30)))
+    times = []
+    for t in raw:
+        if not times or t - times[-1] > 1e-11:
+            times.append(t)
+    label = st.text(max_size=4)
+    events = tuple(
+        Event(t, tuple(draw(st.lists(label, max_size=3)))) for t in times
+    )
+    return Schedule(
+        draw(st.text(max_size=6)),
+        tuple(draw(st.lists(st.integers(-5, 2**70), max_size=3))),
+        events,
+        tuple(draw(st.lists(label, max_size=3))),
+        len(events) + 1 + draw(st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hand_built())
+def test_writer_matches_json_dumps_on_any_text(sched):
+    text = schedule_to_json(sched)
+    assert text == _dict_form(sched)
+    assert schedule_from_json(text) == sched
+
+
+def test_writer_formats_float_subclasses_as_json_does():
+    sched = Schedule("udd", (1,), (Event(np.float64(0.5), ("Z1",)),), (), 2)
+    assert schedule_to_json(sched) == _dict_form(sched)
+    assert '"t":0.5,' in schedule_to_json(sched)
+
+
+@pytest.mark.parametrize("sched", [
+    cdd_uniform(qubit_full_moos(1), 4),
+    cdd_nested(qubit_full_moos(2), (2, 1, 0, 3)),
+    first_order_schedule(qubit_full_moos(2)),
+    sdd_schedule(first_order_schedule(qubit_full_moos(2), include_closing=True)),
+    nudd(qubit_full_moos(2), (3, 2, 1, 2), allow_odd_inner=True),
+], ids=["cdd", "cdd_nested", "first_order", "sdd", "nudd"])
+def test_events_with_the_same_pulses_share_one_label_tuple(sched):
+    for s in (sched, schedule_from_json(schedule_to_json(sched))):
+        assert len({id(e.ops) for e in s.events}) == len({e.ops for e in s.events})
+
+
+# ---------------------------------------------------------------------------
+# Golden digests of `ddkit sequence --out`, recorded when the schedule
+# builders still made one event object per event.
+
+GOLDEN = [
+    ("--scheme udd --orders 5",
+     "09ccbb5018a4f35693e7b695565d32e24e8612f62abf112934f58a315d4dddb9"),
+    ("--scheme udd --orders 4 --moos qubit_full:2 --op X2",
+     "e749b0810b336180323355d8440a9601cfc65da419b63b55dda24d6307330f21"),
+    ("--scheme free",
+     "7bf11d88f6e6866e4c1fa5dcb30314926fec80c00cd714982e8c85c230ac0066"),
+    ("--scheme first_order --moos qubit_full:2",
+     "983eeb00bf9647c2a98389fecafc993866e653ea29c58e5280a522134d7bfcaf"),
+    ("--scheme first_order --moos qubit_full:2 --include-closing",
+     "2c5ca4a380c291781425622164725309e94246ad61e0bf39715f6d3fe52886ce"),
+    ("--scheme sdd --moos qubit_full:2",
+     "18fcaef180d8963d594cf2cd549de09686a9d6298ed44beed012c2e6d8e762b1"),
+    ("--scheme sdd --moos qubit_full:1 --include-closing",
+     "81bcdcb980403a81fef37a71f1b1beaeabfe325214e2e5583b27bb1f3f4f3e26"),
+    ("--scheme cdd --orders 3 --moos qubit_full:1",
+     "192b87c3218c0c01e8aa5f83addc8e743a682e2682996a5726a466b62f8e21ef"),
+    ("--scheme cdd --orders 2 --moos mlevel_full:2",
+     "e13caea43682526ac21cd44a8822e76d6d02720144b553a0806fa8d2d6b2e91c"),
+    ("--scheme cdd --orders 3 --moos qubit_full:2",
+     "138b3c60e357b7f73f0c3f89e10e45d7211e77ca34722872cc9a9e12bf8cf909"),
+    ("--scheme cdd_nested --orders 2,1,0,2 --moos qubit_full:2",
+     "dca1fcf2c07d6402c43f5ce5c32e5d3bc2b6aa1b479428ac33bdacbaf00930ed"),
+    ("--scheme nudd --orders 2,3",
+     "ee982cb05ac780df773ff27f960661fc9e8da290810ec5fdc4232d7df03cc0eb"),
+    ("--scheme nudd --orders 1,2 --allow-odd-inner",
+     "5aa213f6eb165f954bbf7bbf3d6b093692ddab2491b524d82e7c16a2dd40da02"),
+    ("--scheme nudd --orders 2,2,2,3 --moos qubit_full:2",
+     "c2742a72db61f2ef0caf50ec3fda7ba45c8f97c7942b355de816343ba97e841a"),
+    ("--scheme nudd --orders 3,2 --allow-odd-inner",
+     "0d4550fecde9cf205cf8018c29b637176f1536006d66e683cdfd89c49ff628be"),
+    ("--scheme nudd --orders 4,0 --moos mlevel_diagonal:3",
+     "eece83728bb087787894f21d2f22e58348518d65ebf2900a088a43d9c4f5b040"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_sequence_out_golden_sha256(tmp_path, capsys, args, digest):
+    out = tmp_path / "s.json"
+    assert main(["sequence", *args.split(), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -310,3 +310,61 @@ def test_schedule_from_json_accepts_silent_sdd_midpoints():
     for s in (once, twice):
         assert schedule_from_json(schedule_to_json(s)) == s
 
+
+
+def _events_text(events):
+    doc = dict(_GOOD_SCHEDULE, events=events, intervals=len(events) + 1)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, needle", [
+    (_events_text([{"t": 0.5, "ops": ["Z1"]}, 7]),
+     "'events': every item must be an object, got int"),
+    (_events_text([{"t": 0.5, "ops": ["Z1"]}]).replace("0.5", "NaN"),
+     "'t' must be a finite number, got float"),
+    (_events_text([{"t": 0.25, "ops": ["Z1"]}]).replace("0.25", "1" + "0" * 400),
+     "'t' must be a finite number, got int"),
+    (_events_text([{"t": True, "ops": ["Z1"]}]), "'t' must be a finite number, got bool"),
+    (_events_text([{"t": 0.5, "ops": "Z1"}]), "'ops' must be a list, got str"),
+    # the first bad key in event order is named, not the first bad column
+    (_events_text([{"t": 0.25, "ops": [None]}, {"t": "0.5", "ops": ["Z1"]}]),
+     "'ops': every item must be a string, got NoneType"),
+    (_events_text([{"t": 0.25, "ops": ["Z1"]}, {"ops": ["Z1"]}, {"t": 0.75}]),
+     "schedule event JSON is missing key 't'"),
+], ids=["event_not_object", "time_nan", "time_int_beyond_float", "time_bool",
+        "ops_string", "first_bad_event_named", "missing_time_before_missing_ops"])
+def test_schedule_from_json_names_the_bad_event_key(text, needle):
+    with pytest.raises(PreconditionError) as err:
+        schedule_from_json(text)
+    assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("bad, needle", [
+    ({"t": 0.9999, "ops": ["Z1", 7]}, "'ops': every item must be a string, got int"),
+    ({"t": None, "ops": ["Z1"]}, "'t' must be a finite number, got NoneType"),
+    ({"t": 0.9999}, "missing key 'ops'"),
+    ("Z1", "'events': every item must be an object, got str"),
+], ids=["label", "time", "missing_ops", "not_object"])
+def test_schedule_from_json_finds_one_bad_event_among_10000(bad, needle):
+    events = [{"t": (k + 1) / 10001, "ops": ["Z1"]} for k in range(9999)] + [bad]
+    with pytest.raises(PreconditionError) as err:
+        schedule_from_json(_events_text(events))
+    assert needle in str(err.value)
+    events[-1] = {"t": 0.9999, "ops": ["Z1"]}
+    assert len(schedule_from_json(_events_text(events)).events) == 10000
+
+
+def test_cdd_nested_rejects_negative_orders():
+    # used to fail later with "intervals 4 is fewer than len(events) + 1 = 8"
+    for orders in ((-1, 3), (2, -2)):
+        with pytest.raises(PreconditionError) as err:
+            cdd_nested(MOOS1, orders)
+        assert str(err.value) == "CDD orders must be >= 0"
+    assert cdd_nested(MOOS1, (0, 0)) == Schedule("cdd_nested", (0, 0), (), (), 1)
+
+
+def test_event_is_a_named_tuple():
+    e = Event(0.5, ("Z1", "X1"))
+    assert (e.time, e.ops) == (0.5, ("Z1", "X1")) == tuple(e)
+    assert e == Event(0.5, ("Z1", "X1")) != Event(0.5, ("X1", "Z1"))
+    assert nudd(MOOS1, (2, 2)).op_labels.count("X1") == 2
