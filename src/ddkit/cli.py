@@ -49,6 +49,13 @@ from .simulate import ModelSpec, RunConfig, ScalingResult, order_scan
 __all__ = ["main", "Config"]
 
 _SCHEMES = ("udd", "free", "first_order", "sdd", "cdd", "cdd_nested", "nudd")
+# The schemes each schedule option applies to; any other scheme rejects it.
+_OPTION_SCHEMES = {
+    "orders": ("udd", "cdd", "cdd_nested", "nudd"),
+    "op": ("udd",),
+    "allow_odd_inner": ("nudd",),
+    "include_closing": ("first_order", "sdd"),
+}
 
 
 class _UsageError(Exception):
@@ -69,9 +76,9 @@ class Config:
 
     Schema: {"norm_bound": float, "seeds": [int, ...], "t_min": float,
     "t_max": float, "t_points": int, "error_floor": float,
-    "error_ceiling": float, "threads": int}.  Unknown keys and values of the
-    wrong type are rejected by ``load_config``; the values themselves are
-    validated by ``RunConfig``.  ``threads`` is deprecated.
+    "error_ceiling": float}.  Unknown keys and values of the wrong type are
+    rejected by ``load_config``; the values themselves are validated by
+    ``RunConfig``.
     """
 
     norm_bound: float = 1.0
@@ -81,7 +88,6 @@ class Config:
     t_points: int = 12
     error_floor: float = 1e-12
     error_ceiling: float = 1e-2
-    threads: int = 1
 
     def run_config(self) -> RunConfig:
         try:
@@ -93,7 +99,6 @@ class Config:
             seeds=self.seeds,
             error_floor=self.error_floor,
             error_ceiling=self.error_ceiling,
-            threads=self.threads,
         )
 
 
@@ -145,7 +150,18 @@ def parse_model_spec(text: str, cfg: Config) -> ModelSpec:
 
 def build_schedule(scheme, orders, moos: Moos, op=None, allow_odd_inner=False,
                    include_closing=False) -> Schedule:
-    """Dispatch a scheme name + order vector to the sequence compilers."""
+    """Dispatch a scheme name + order vector to the sequence compilers; an
+    option the scheme cannot apply is rejected."""
+    if scheme not in _SCHEMES:
+        raise PreconditionError(f"unknown scheme {scheme!r}; choose from {_SCHEMES}")
+    given = {"orders": orders, "op": op, "allow_odd_inner": allow_odd_inner,
+             "include_closing": include_closing}
+    for name, value in given.items():
+        if value and scheme not in _OPTION_SCHEMES[name]:
+            raise PreconditionError(
+                f"--{name.replace('_', '-')} does not apply to scheme {scheme!r}; "
+                f"it applies to {', '.join(_OPTION_SCHEMES[name])}"
+            )
     if scheme == "udd":
         if len(orders) != 1:
             raise PreconditionError("udd takes exactly one order")
@@ -164,9 +180,7 @@ def build_schedule(scheme, orders, moos: Moos, op=None, allow_odd_inner=False,
         return cdd_uniform(moos, orders[0])
     if scheme == "cdd_nested":
         return cdd_nested(moos, orders)
-    if scheme == "nudd":
-        return nudd(moos, orders, allow_odd_inner=allow_odd_inner)
-    raise PreconditionError(f"unknown scheme {scheme!r}; choose from {_SCHEMES}")
+    return nudd(moos, orders, allow_odd_inner=allow_odd_inner)
 
 
 def _write(path: str, text: str):
@@ -246,9 +260,10 @@ def cmd_moos(args, cfg: Config) -> int:
 
 def cmd_scan(args, cfg: Config) -> int:
     moos = build_moos(args.moos)
+    # --op names the scanned operator for every scheme and the pulse of udd
     sched = build_schedule(
-        args.scheme, _parse_orders(args.orders), moos, op=args.op,
-        allow_odd_inner=args.allow_odd_inner,
+        args.scheme, _parse_orders(args.orders), moos,
+        op=args.op if args.scheme == "udd" else None, allow_odd_inner=args.allow_odd_inner,
     )
     spec = parse_model_spec(args.model, cfg)
     if moos.dim != spec.sys_dim:
@@ -340,11 +355,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--scheme", required=True, choices=_SCHEMES)
     p.add_argument("--orders", help="comma-separated order vector")
     p.add_argument("--moos", default="qubit_full:1")
-    p.add_argument("--op", help="protected operator label (udd only)")
+    p.add_argument("--op", help="scanned operator label (and the udd pulse)")
     p.add_argument("--allow-odd-inner", action="store_true")
     p.add_argument("--model", default="general:2x4", help="structure:SYSxBATH")
     p.add_argument("--seeds", type=int, help="number of model seeds (0..n-1)")
-    p.add_argument("--threads", type=int, help="deprecated and ignored (must be >= 1)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_scan)
 
@@ -380,8 +394,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        if getattr(args, "threads", None) is not None:
-            cfg = replace(cfg, threads=args.threads)
         return args.func(args, cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 A shaped pulse H(t) = v(t) * Omega replaces an instantaneous pi pulse with an
 error O(tau_p^2) in the pulse duration once the two first-order moment
 integrals eta_11 and eta_12 vanish (together with the pi/2 area constraint).
-Envelopes here are piecewise constant; sign changes are allowed.  Each
-segment's propagator is therefore one exact exponential, and a scan over
-pulse durations computes every duration's exponentials in one batch.
+Envelopes here are piecewise constant; sign changes are allowed.  A shape
+runs as a segment program of ``simulate``, one driven step per segment, so a
+scan over pulse durations is one batched call of the propagation kernel.
 """
 
 import json
@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import DDKitError, PreconditionError
 from .jsonio import get_field, get_list, load_object
-from .linalg import expm_i, spectral_norm_le
+from .linalg import expm_i, require_hermitian, spectral_norm_le
 from .model import HamiltonianModel
 from .operators import Operator
-from .simulate import RunConfig, ScalingResult, fit_operator
+from .simulate import Program, RunConfig, ScalingResult, _propagators, fit_operator
 
 __all__ = [
     "PulseShape",
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 TARGET_AREA = math.pi / 2  # exp(-i*area*Omega) = -i*Omega, a pi pulse
-AREA_TOL = 1e-10
 ETA_TOL = 1e-10
 
 
@@ -288,31 +287,29 @@ def composed_pulse(ops: list[Operator]) -> Operator:
     )
 
 
-def _pulse_propagators(shape: PulseShape, model: HamiltonianModel, omega: Operator,
-                       taus: np.ndarray) -> np.ndarray:
-    """Time-ordered propagators under H + v(t) Omega (x) I of ``shape``
-    rescaled to each duration in ``taus``, as a stack (T, d, d).
-
-    The envelope is piecewise constant, so each segment is one exact
-    exponential of the stack H + a_j(tau) Omega (x) I over all tau at once.
-    """
-    with np.errstate(over="ignore"):  # an overflow is rejected below
-        ratio = shape.tau_p / taus  # amplitudes scale by it to keep the area
-        amps = np.multiply.outer(ratio, [a for _, a in shape.segments])
-    if not np.isfinite(amps).all():
-        raise PreconditionError("pulse amplitudes overflow at the shortest duration")
-    lifted = model.lift(omega)
-    u = None
-    for j, length in enumerate(np.diff(shape.boundaries())):
-        step = expm_i(model.h_total + amps[:, j, None, None] * lifted, length / ratio)
-        u = step if u is None else step @ u
-    return u
+def _pulse_program(shape: PulseShape, model: HamiltonianModel, omega: Operator,
+                   reference: bool = False) -> Program:
+    """One driven step per segment, whose angle len_frac * tau_p * amp is the
+    segment's share of the pulse area at every duration.  ``reference``
+    appends U_ref^dag (see ``pulse_error_scan``)."""
+    if omega.acts_on != model.sys_dim:
+        raise PreconditionError(
+            f"operator {omega.label!r} acts on dimension {omega.acts_on}, "
+            f"system dimension is {model.sys_dim}"
+        )
+    pulses = {"A": require_hermitian(omega.matrix)}
+    steps = [(f, ("A", f * shape.tau_p * a), None) for f, a in shape.segments]
+    if reference:
+        s = shape.tau_s / shape.tau_p
+        pulses["P"] = expm_i(omega.matrix, -shape.area)  # P^dag
+        steps += [(s - 1, None, "P"), (-s, None, None)]
+    net = pulses["P"] if reference else np.eye(omega.acts_on)
+    return Program(tuple(steps), pulses, Operator("net", net, omega.acts_on))
 
 
 def propagate_pulse(shape: PulseShape, model: HamiltonianModel, omega: Operator) -> np.ndarray:
-    """Time-ordered propagator under H + v(t) Omega (x) I, one exact
-    exponential per segment."""
-    return _pulse_propagators(shape, model, omega, np.array([shape.tau_p]))[0]
+    """Time-ordered propagator under H + v(t) Omega (x) I."""
+    return _propagators(_pulse_program(shape, model, omega), [model], [shape.tau_p])[0, 0]
 
 
 def pulse_error_scan(
@@ -326,22 +323,15 @@ def pulse_error_scan(
     """Error of the shaped pulse against the ideal instantaneous pulse over a
     grid of durations, with the fitted slope of log(error) vs log(tau_p).
 
-    The ideal reference is exp(-i (tau_p - tau_s) H) (P (x) I) exp(-i tau_s H)
-    with P = exp(-i * area * Omega).  The whole grid runs as one batch; the
-    errors are spectral norms.
+    The ideal reference is U_ref = exp(-i (tau_p - tau_s) H) (P (x) I)
+    exp(-i tau_s H) with P = exp(-i * area * Omega).  The program runs the
+    shape and then U_ref^dag, by backward free evolution, for the whole grid
+    in one batch; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|.
     """
-    config = RunConfig(
-        t_grid=tau_grid,
-        seeds=(model.seed,),
-        error_floor=error_floor,
-        error_ceiling=error_ceiling,
-    )
-    taus = np.asarray(config.t_grid)
-    u = _pulse_propagators(shape, model, omega, taus)
-    tau_s = shape.tau_s * taus / shape.tau_p
-    p_ideal = model.lift(Operator("P", expm_i(omega.matrix, shape.area), omega.acts_on))
-    ref = model.propagator(taus - tau_s) @ p_ideal @ model.propagator(tau_s)
-    errs = np.linalg.norm(u - ref, ord=2, axis=(-2, -1))
+    config = RunConfig(t_grid=tau_grid, seeds=(model.seed,),
+                       error_floor=error_floor, error_ceiling=error_ceiling)
+    u = _propagators(_pulse_program(shape, model, omega, True), [model], config.t_grid)[0]
+    errs = np.linalg.norm(u - np.eye(model.dim), ord=2, axis=(-2, -1))
 
     fit = fit_operator(omega.label, config.t_grid, errs, error_floor, error_ceiling)
     label = omega.label

@@ -1,20 +1,23 @@
 """Controlled propagators, preservation-error measurement, time sweeps, and
 log-log fits of the achieved decoupling order.
 
-Every propagation runs one segment program.  ``compile_program`` flattens a
-schedule into steps (fraction of T, pulse): free evolution over that
-fraction of the total time T, then one system pulse, the product of all
-pulses of that instant (or none).  Conjugating every free block by C turns
-each pulse P into C P C and adds a leading C; a Hahn echo of W runs two
-half-time copies of the program, each closed by W.  The product of the
-pulses is the net pulse the preservation error compensates.
+Every propagation, of a schedule or of a shaped pulse, runs one segment
+program.  A step (fraction of T, drive, pulse) evolves over that fraction of
+the total time T, freely by exp(-i frac T H) or, with a drive (axis A,
+angle), by exp(-i (frac T H + angle A x I)); then one system pulse acts, or
+none.  A negative fraction runs time backwards.  ``compile_program`` turns a
+schedule into undriven steps, each pulse the product of all pulses of that
+instant.  Conjugating every free block by C turns each pulse P into C P C and
+adds a leading C; a Hahn echo of W runs two half-time copies of the program,
+each closed by W.  The product of the pulses is the net pulse the
+preservation error compensates.
 
 The kernel runs a program for a batch of models and total times at once, in
-each model's eigenbasis H = V diag(lambda) V^dag: a free segment is an
-elementwise phase multiply by exp(-i frac T lambda), a pulse one batched
-product with V^dag (P x I) V, and the result is rotated back as V W V^dag.
-Sweep points (T x seed) are independent, so results never depend on how a
-sweep is batched.
+each model's eigenbasis H = V diag(lambda) V^dag: a free step is a phase
+multiply by exp(-i frac T lambda), a driven step one batched ``eigh`` of
+frac T diag(lambda) + angle V^dag (A x I) V, a pulse one batched product with
+V^dag (P x I) V, and the result is rotated back as V W V^dag.  Sweep points
+(T x seed) are independent, so results never depend on how a sweep is batched.
 """
 
 import math
@@ -142,11 +145,13 @@ class ScalingResult:
 
 @dataclass(frozen=True)
 class Program:
-    """A schedule flattened into steps (fraction of T, pulse key or None):
-    free evolution over that fraction, then the system pulse ``pulses[key]``.
-    ``net`` is the ordered product of the pulses of all steps."""
+    """Steps (fraction of T, drive, pulse key): evolution over that fraction
+    of T, driven when ``drive`` is (axis key, angle) and free when it is
+    None, then the system pulse ``pulses[key]`` unless the key is None.
+    ``pulses`` also holds the drive axes.  ``net`` is the ordered product of
+    the pulses of all steps."""
 
-    steps: tuple[tuple[float, object], ...]
+    steps: tuple[tuple[float, object, object], ...]
     pulses: dict
     net: Operator
 
@@ -178,27 +183,28 @@ def compile_program(
             for lab in key:  # the first label acts first
                 p = moos.by_label(lab).matrix @ p
             pulses[key] = p
-        steps.append((time - prev, key))
+        steps.append((time - prev, None, key))
         prev = time
 
     if interval_conj is not None:
         c, last = interval_conj.matrix, len(steps) - 1
         pulses["C"] = c
-        conj_steps = [(0.0, "C")]
-        for i, (frac, key) in enumerate(steps):
+        conj_steps = [(0.0, None, "C")]
+        for i, (frac, _, key) in enumerate(steps):
             # The C closing this block, the pulse, then the C opening the next.
             p = eye if key is None else pulses[key]
             pulses.setdefault(("C", key, i == last), p @ c if i == last else c @ p @ c)
-            conj_steps.append((frac, ("C", key, i == last)))
+            conj_steps.append((frac, None, ("C", key, i == last)))
         steps = conj_steps
 
     if wrap is not None:
-        *body, (frac, key) = [(frac / 2, key) for frac, key in steps]
+        *body, (frac, _, key) = [(frac / 2, None, key) for frac, _, key in steps]
         pulses["W", key] = wrap.matrix @ (eye if key is None else pulses[key])
-        steps = 2 * (body + [(frac, ("W", key))])
+        steps = 2 * (body + [(frac, None, ("W", key))])
 
+    pulses = {key: pulses[key] for _, _, key in steps if key is not None}  # each one is lifted
     net = eye
-    for _, key in steps:
+    for _, _, key in steps:
         if key is not None:
             net = pulses[key] @ net
     return Program(tuple(steps), pulses, Operator("net", net, moos.dim))
@@ -219,19 +225,23 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     # The eigenbasis propagators are held as w[model, row, time, column], so
     # that one pulse is one product per model over every time at once.
     n_models, dim = vecs.shape[:2]
-    n_times = len(times)
-    rate = -1j * evals[:, :, None] * np.asarray(times, dtype=float)
-    w = np.zeros((n_models, dim, n_times, dim), dtype=complex)
+    energy = evals[:, :, None] * np.asarray(times, dtype=float)
+    w = np.zeros((n_models, dim, len(times), dim), dtype=complex)
     w[:, np.arange(dim), :, np.arange(dim)] = 1.0
-    phases, lifted = {}, {}
-    for frac, key in program.steps:
-        if frac:
+    lifted = {key: vecs_h @ kron(p, eye_b) @ vecs for key, p in program.pulses.items()}
+    phases = {}
+    for frac, drive, key in program.steps:
+        if drive is not None:
+            axis, angle = drive
+            diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(dim)
+            vals, q = np.linalg.eigh(angle * lifted[axis][:, None] + diag)
+            step = (q * np.exp(-1j * vals)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+            w = (step @ w.swapaxes(1, 2)).swapaxes(1, 2)
+        elif frac:
             if frac not in phases:
-                phases[frac] = np.exp(frac * rate)[..., None]
+                phases[frac] = np.exp(-1j * frac * energy)[..., None]
             w *= phases[frac]
         if key is not None:
-            if key not in lifted:
-                lifted[key] = vecs_h @ kron(program.pulses[key], eye_b) @ vecs
             w = (lifted[key] @ w.reshape(n_models, dim, -1)).reshape(w.shape)
     return vecs[:, None] @ w.transpose(0, 2, 1, 3) @ vecs_h[:, None]
 
@@ -307,8 +317,11 @@ def fit_loglog(points, floor: float, ceiling: float):
 
 def fit_operator(label: str, t_grid, errors, floor: float, ceiling: float) -> OperatorFit:
     """Log-log fit of one operator's errors over ``t_grid``.  The status is
-    "ok" when at least MIN_FIT_POINTS points lie inside (floor, ceiling) and
-    the rms residual is at most MAX_FIT_RESIDUAL, else "unfittable"."""
+    "exact" when every error is at most ``floor``, "ok" when at least
+    MIN_FIT_POINTS points lie inside (floor, ceiling) and the rms residual is
+    at most MAX_FIT_RESIDUAL, else "unfittable"."""
+    if np.all(np.asarray(errors) <= floor):
+        return OperatorFit(label, math.nan, math.nan, 0.0, 0, "exact")
     try:
         slope, intercept, rms, n_used = fit_loglog(list(zip(t_grid, errors)), floor, ceiling)
     except UnfittableError:
@@ -330,9 +343,8 @@ def order_scan(
     preservation error of each protected operator, and fit the slope of
     log(median error) vs log(T).
 
-    The fitted slope estimates the decoupling order plus one.  An operator
-    whose error sits at the floating-point floor everywhere is reported as
-    "exact"; too few valid points or a noisy fit is reported "unfittable".
+    The fitted slope estimates the decoupling order plus one; the status is
+    ``fit_operator``'s.
     ``interval_conj`` and ``wrap_op`` act as in ``propagate`` and
     ``propagate_wrapped``.
     """
@@ -365,12 +377,8 @@ def order_scan(
                 errors[op.label][i:i + t_step, j:j + s_step] = err.T
 
     medians = {label: np.median(err, axis=1) for label, err in errors.items()}
-    fits = {}
-    for label, med in medians.items():
-        if np.all(med <= config.error_floor):
-            fits[label] = OperatorFit(label, math.nan, math.nan, 0.0, 0, "exact")
-        else:
-            fits[label] = fit_operator(
-                label, config.t_grid, med, config.error_floor, config.error_ceiling
-            )
+    fits = {
+        label: fit_operator(label, config.t_grid, med, config.error_floor, config.error_ceiling)
+        for label, med in medians.items()
+    }
     return ScalingResult(config, errors, medians, fits)

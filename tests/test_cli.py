@@ -199,15 +199,15 @@ def test_pulse_design_rect_exit_3(capsys):
     ({"seeds": [1.5, 2]}, "'seeds': every item must be an integer, got float"),
     ({"t_points": "12"}, "'t_points' must be an integer, got str"),
     ({"t_points": 2.5}, "'t_points' must be an integer, got float"),
-    ({"threads": 1.5}, "'threads' must be an integer, got float"),
+    ({"threads": 1.5}, "unknown config keys ['threads']"),
     ({"norm_bound": "x"}, "'norm_bound' must be a finite number, got str"),
     ({"error_floor": None}, "'error_floor' must be a finite number, got NoneType"),
     ({"t_min": True}, "'t_min' must be a finite number, got bool"),
 ], ids=["seeds_str", "seeds_null", "seeds_float_item", "t_points_str", "t_points_float",
         "threads_float", "norm_bound_str", "error_floor_null", "t_min_bool"])
 def test_config_wrong_type_exit_2(tmp_path, capsys, doc, needle):
-    # used to end in a traceback, run seeds 1 and 2, accept threads 1.5, or
-    # blame the time grid for t_min: true
+    # used to end in a traceback, run seeds 1 and 2, or blame the time grid
+    # for t_min: true; threads is no longer a config key
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     code, _, err = run(["--config", str(cfg), "sequence", "--scheme", "free"], capsys)
@@ -254,3 +254,76 @@ def test_pulse_scan_integer_beyond_float_range_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "'tau_p' must be a finite number, got int" in err
+
+
+INAPPLICABLE = [
+    ("free", ["--orders", "2"]),
+    ("first_order", ["--orders", "7,7,7"]),
+    ("sdd", ["--orders", "1"]),
+    *((scheme, ["--op", "Z1"]) for scheme in
+      ("free", "first_order", "sdd", "cdd", "cdd_nested", "nudd")),
+    *((scheme, ["--include-closing"]) for scheme in
+      ("udd", "free", "cdd", "cdd_nested", "nudd")),
+    *((scheme, ["--allow-odd-inner"]) for scheme in
+      ("udd", "free", "first_order", "sdd", "cdd", "cdd_nested")),
+]
+VALID_ORDERS = {"udd": "2", "cdd": "2", "cdd_nested": "2,2", "nudd": "2,2"}
+
+
+@pytest.mark.parametrize("scheme, option", INAPPLICABLE,
+                         ids=[f"{scheme}{option[0]}" for scheme, option in INAPPLICABLE])
+def test_sequence_option_that_cannot_apply_exit_2(capsys, scheme, option):
+    # each of these used to be ignored, with exit 0
+    orders = ["--orders", VALID_ORDERS[scheme]] if scheme in VALID_ORDERS else []
+    code, _, err = run(["sequence", "--scheme", scheme, *orders, *option], capsys)
+    assert code == 2
+    assert f"{option[0]} does not apply to scheme {scheme!r}" in err
+
+
+def test_sequence_options_that_apply_still_accepted(capsys):
+    for argv in (["--scheme", "udd", "--orders", "2", "--op", "X1"],
+                 ["--scheme", "first_order", "--include-closing"],
+                 ["--scheme", "sdd", "--include-closing"]):
+        assert run(["sequence", *argv], capsys)[0] == 0
+
+
+def test_scan_op_selects_the_operator_for_every_scheme(tmp_path, capsys):
+    code, _, _ = run(
+        ["scan", "--scheme", "nudd", "--orders", "2,2", "--op", "X1",
+         "--out", str(tmp_path / "n.csv")], capsys,
+    )
+    assert code == 0
+    assert set(json.loads((tmp_path / "n.fits.json").read_text())) == {"X1"}
+
+
+def test_scan_threads_flag_removed_exit_1(tmp_path, capsys):
+    code, _, err = run(
+        ["scan", "--scheme", "udd", "--orders", "2", "--threads", "2",
+         "--out", str(tmp_path / "x.csv")], capsys,
+    )
+    assert code == 1
+    assert "--threads" in err
+
+
+def test_pulse_scan_exact_with_zero_hamiltonian_exit_0(tmp_path, capsys):
+    # H = 0 makes every error sit at the floor: "exact", as in scan; it used
+    # to print "unfittable" and exit 3
+    cfg = tmp_path / "z.json"
+    cfg.write_text(json.dumps({"norm_bound": 0.0}))
+    code, stdout, _ = run(
+        ["--config", str(cfg), "pulse", "scan", "--pulse", "rect",
+         "--out", str(tmp_path / "ps.csv")], capsys,
+    )
+    assert code == 0
+    assert "(exact)" in stdout
+    assert json.loads((tmp_path / "ps.fits.json").read_text())["Z1"]["status"] == "exact"
+
+
+def test_pulse_scan_operator_dimension_mismatch_exit_2(tmp_path, capsys):
+    code, _, err = run(
+        ["pulse", "scan", "--pulse", "rect", "--moos", "qubit_full:2",
+         "--model", "general:2x4", "--out", str(tmp_path / "ps.csv")], capsys,
+    )
+    assert code == 2
+    assert "operator 'Z1' acts on dimension 4, system dimension is 2" in err
+    assert "Traceback" not in err

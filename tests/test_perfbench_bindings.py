@@ -1,12 +1,14 @@
 """The benchmark's span tracer binds ddkit functions by name; a rename in the
-library must fail here rather than break traced benchmark runs."""
+library, or a refactor of the schedule or pulse path, must fail here rather
+than break traced benchmark runs."""
 
 import types
 from pathlib import Path
 
 import numpy as np
 
-from ddkit import simulate
+from ddkit import pulseshape, simulate
+from ddkit.model import random_model
 from ddkit.operators import qubit_full_moos
 from ddkit.sequences import udd_schedule
 
@@ -43,3 +45,26 @@ def test_layertrace_boundaries_bind_and_restore():
     assert metrics["simulate.propagate_calls"] == 1
     assert metrics["simulate.fit_points_offered"] == 2 * len(moos)
     assert np.isfinite(metrics["simulate.scan_self_s"])
+
+
+def test_layertrace_records_the_pulse_path_and_restores():
+    layertrace = _load_layertrace()
+    originals = [(owner, attr, getattr(owner, attr))
+                 for owner, attr, _, _ in layertrace.BOUNDARIES]
+    shape, m = pulseshape.rectangular_pulse(), random_model("general", 2, 4, 1.0, 0)
+    z1 = qubit_full_moos(1).by_label("Z1")
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        pulseshape.pulse_error_scan(shape, m, z1, [0.01, 0.02, 0.04])
+        pulseshape.propagate_pulse(shape, m, z1)
+    for owner, attr, fn in originals:
+        assert getattr(owner, attr) is fn, f"{attr} not restored"
+    assert [s[0] for s in tracer.spans if s[3] < 0] == [
+        "pulseshape.scan", "pulseshape.propagate_pulse"]
+    metrics = tracer.metrics()
+    assert metrics["pulseshape.propagate_pulse_calls"] == 1
+    assert metrics["simulate.fit_points_offered"] == 3
+    assert np.isfinite(metrics["pulseshape.scan_self_s"])
+    # one exponential, the ideal pulse of the scan; the kernel does the rest
+    assert metrics["linalg.expm_calls"] == 1
+    assert metrics["model.exponentials"] == 0

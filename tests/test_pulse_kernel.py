@@ -97,10 +97,21 @@ def test_non_hermitian_omega_rejected():
         pulse_error_scan(SHAPES["sym3"], MODEL, skew, [0.01, 0.02])
 
 
-def test_pulse_error_scan_rejects_overflowing_amplitudes():
-    # the rescaled amplitude pi/2 / tau is infinite at tau = 1e-310
-    with pytest.raises(PreconditionError, match="overflow"):
-        pulse_error_scan(SHAPES["rect"], MODEL, SZ, [1e-310, 0.01])
+def test_pulse_error_scan_zero_duration_limit_is_the_ideal_pulse():
+    # no amplitude pi/2 / tau is formed, so tau = 1e-310 no longer overflows:
+    # a pulse of vanishing duration is the ideal pulse
+    res = pulse_error_scan(SHAPES["rect"], MODEL, SZ, [1e-310, 0.01])
+    err = res.errors["Z1"][0, 0]
+    assert np.isfinite(err) and err <= 1e-12
+
+
+def test_pulse_operator_dimension_mismatch_rejected():
+    z4 = pauli("z", 1, 2)
+    msg = "operator 'Z1' acts on dimension 4, system dimension is 2"
+    with pytest.raises(PreconditionError, match=msg):
+        propagate_pulse(SHAPES["sym3"], MODEL, z4)
+    with pytest.raises(PreconditionError, match=msg):
+        pulse_error_scan(SHAPES["sym3"], MODEL, z4, [0.01, 0.02])
 
 
 def _random_hermitian_stack(rng, shape, d):

@@ -185,6 +185,13 @@ def test_propagate_pulse_zero_hamiltonian_exact():
         assert spectral_norm(u - ideal) <= 1e-12
 
 
+def test_pulse_error_scan_zero_hamiltonian_reports_exact():
+    # the same status rule as order_scan: every error at the floor is "exact"
+    m = HamiltonianModel("general", 2, 2, 1.0, 0, np.zeros((4, 4), dtype=complex))
+    res = pulse_error_scan(rectangular_pulse(), m, SZ, np.geomspace(0.003, 0.1, 10))
+    assert res.fits["Z1"].status == "exact"
+
+
 def test_pulse_error_scan_designed_second_order():
     m = random_model("general", 2, 4, 1.0, 0)
     res = pulse_error_scan(design_pulse("sym3"), m, SZ, np.geomspace(0.003, 0.1, 10))

@@ -106,6 +106,17 @@ def test_fit_loglog_noisy_power_law():
     assert slope == pytest.approx(2.5, abs=0.05)
 
 
+def test_fit_operator_status_rule():
+    ts = (0.1, 0.2, 0.4, 0.8)
+    exact = simulate.fit_operator("Z1", ts, [1e-13, 0.0, 1e-12, 5e-13], 1e-12, 1e-2)
+    assert exact.status == "exact" and exact.points_used == 0
+    # one point above the floor is not "exact", and too few to fit
+    assert simulate.fit_operator("Z1", ts, [1e-13, 0.0, 1e-12, 1e-3], 1e-12, 1e-2).status \
+        == "unfittable"
+    ok = simulate.fit_operator("Z1", ts, [1e-9 * t**3 for t in ts], 1e-12, 1e-2)
+    assert ok.status == "ok" and ok.slope == pytest.approx(3.0, abs=1e-9)
+
+
 def test_order_scan_synthetic_quartic_slope():
     # inject an exact power law through the fitting path
     cfg = RunConfig()
