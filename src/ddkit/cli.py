@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import PreconditionError, UnfittableError
 from .jsonio import get_field, get_list, load_object
 from .operators import Moos, build_moos, lie_closure, moos_to_json
 from .pulseshape import (
+    DEFAULT_TAU_GRID,
     PulseDesignError,
     design_pulse,
     eta_integrals,
@@ -33,7 +34,6 @@ from .pulseshape import (
     pulse_to_json,
     rectangular_pulse,
 )
-from .model import random_model
 from .sequences import (
     Schedule,
     cdd_nested,
@@ -46,7 +46,7 @@ from .sequences import (
 )
 from .simulate import ModelSpec, RunConfig, ScalingResult, order_scan
 
-__all__ = ["main", "Config"]
+__all__ = ["main", "load_config"]
 
 _SCHEMES = ("udd", "free", "first_order", "sdd", "cdd", "cdd_nested", "nudd")
 # The schemes each schedule option applies to; any other scheme rejects it.
@@ -70,43 +70,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class Config:
-    """Defaults loadable from a JSON file; every field optional.
-
-    Schema: {"norm_bound": float, "seeds": [int, ...], "t_min": float,
-    "t_max": float, "t_points": int, "error_floor": float,
-    "error_ceiling": float}.  Unknown keys and values of the wrong type are
-    rejected by ``load_config``; the values themselves are validated by
-    ``RunConfig``.
-    """
-
-    norm_bound: float = 1.0
-    seeds: tuple[int, ...] = tuple(range(8))
-    t_min: float = 0.02
-    t_max: float = 0.6
-    t_points: int = 12
-    error_floor: float = 1e-12
-    error_ceiling: float = 1e-2
-
-    def run_config(self) -> RunConfig:
-        try:
-            t_grid = tuple(np.geomspace(self.t_min, self.t_max, self.t_points))
-        except ValueError as exc:
-            raise PreconditionError(f"invalid time grid: {exc}")
-        return RunConfig(
-            t_grid=t_grid,
-            seeds=self.seeds,
-            error_floor=self.error_floor,
-            error_ceiling=self.error_ceiling,
-        )
+def _geomspace(start, stop, num) -> tuple[float, ...]:
+    """Geometric grid from ``start`` to ``stop``; numpy's complaint about the
+    bounds becomes a violated precondition."""
+    try:
+        return tuple(np.geomspace(start, stop, num))
+    except ValueError as exc:
+        raise PreconditionError(f"invalid time grid: {exc}")
 
 
-def load_config(path: str | None) -> Config:
-    """Config from --config, else DDKIT_CONFIG, else built-in defaults."""
+def load_config(path: str | None) -> tuple[RunConfig, float]:
+    """Sweep and model norm bound from --config, else DDKIT_CONFIG; a key
+    the file leaves out keeps the default of ``RunConfig`` or ``ModelSpec``.
+    The T grid is geometric from t_min to t_max in t_points steps."""
+    run_cfg, norm_bound = RunConfig(), ModelSpec().norm_bound
     path = path or os.environ.get("DDKIT_CONFIG")
     if not path:
-        return Config()
+        return run_cfg, norm_bound
     try:
         with open(path, "rb") as fh:
             text = fh.read()
@@ -114,17 +94,28 @@ def load_config(path: str | None) -> Config:
         raise PreconditionError(f"cannot read config {path!r}: {exc}")
     what = f"config {path!r}"
     doc = load_object(text, what)
-    kinds = {f.name: f.type for f in fields(Config)}
-    unknown = sorted(set(doc) - set(kinds))
+    grid = run_cfg.t_grid
+    defaults = {
+        "norm_bound": norm_bound, "seeds": run_cfg.seeds, "t_min": grid[0],
+        "t_max": grid[-1], "t_points": len(grid), "error_floor": run_cfg.error_floor,
+        "error_ceiling": run_cfg.error_ceiling,
+    }
+    unknown = sorted(set(doc) - set(defaults))
     if unknown:
         raise PreconditionError(
-            f"unknown config keys {unknown}; known keys are {sorted(kinds)}"
+            f"unknown config keys {unknown}; known keys are {sorted(defaults)}"
         )
-    return Config(**{
-        key: tuple(get_list(doc, key, int, what)) if key == "seeds"
-        else get_field(doc, key, kinds[key], what)
-        for key in doc
-    })
+    value = dict(defaults)
+    for key in doc:
+        value[key] = (tuple(get_list(doc, key, int, what)) if key == "seeds"
+                      else get_field(doc, key, type(defaults[key]), what))
+    run_cfg = RunConfig(
+        t_grid=_geomspace(value["t_min"], value["t_max"], value["t_points"]),
+        seeds=value["seeds"],
+        error_floor=value["error_floor"],
+        error_ceiling=value["error_ceiling"],
+    )
+    return run_cfg, value["norm_bound"]
 
 
 def _parse_orders(text: str | None) -> tuple[int, ...]:
@@ -136,12 +127,12 @@ def _parse_orders(text: str | None) -> tuple[int, ...]:
         raise PreconditionError(f"malformed orders {text!r}, want e.g. '2' or '2,3'")
 
 
-def parse_model_spec(text: str, cfg: Config) -> ModelSpec:
+def parse_model_spec(text: str, norm_bound: float) -> ModelSpec:
     """'structure:SYSxBATH' -> ModelSpec, e.g. 'general:2x4'."""
     structure, _, dims = text.partition(":")
     try:
         sys_dim, _, bath_dim = dims.partition("x")
-        return ModelSpec(structure, int(sys_dim), int(bath_dim), cfg.norm_bound)
+        return ModelSpec(structure, int(sys_dim), int(bath_dim), norm_bound)
     except ValueError:
         raise PreconditionError(
             f"malformed model spec {text!r}, want 'structure:SYSxBATH'"
@@ -201,8 +192,9 @@ def _fit_doc(result: ScalingResult) -> dict:
     }
 
 
-def _write_scan(result: ScalingResult, scheme: str, orders, out: str) -> str:
-    """CSV rows + companion fit JSON; returns the fit file path."""
+def _report(result: ScalingResult, scheme: str, orders, out: str) -> int:
+    """Write the CSV rows and the companion fit JSON, print the fits, and
+    raise UnfittableError if any operator could not be fitted."""
     order_str = ",".join(str(n) for n in orders)
     lines = ["scheme,orders,operator,T,seed,error"]
     for label, t, seed, err in result.rows():
@@ -210,10 +202,7 @@ def _write_scan(result: ScalingResult, scheme: str, orders, out: str) -> str:
     _write(out, "\n".join(lines) + "\n")
     fit_path = (out[: -len(".csv")] if out.endswith(".csv") else out) + ".fits.json"
     _write(fit_path, json.dumps(_fit_doc(result), indent=2) + "\n")
-    return fit_path
-
-
-def _print_fits(result: ScalingResult):
+    print(f"wrote {out} and {fit_path}")
     for label, fit in sorted(result.fits.items()):
         if fit.status == "exact":
             print(f"  {label}: error at floor everywhere (exact)")
@@ -224,9 +213,12 @@ def _print_fits(result: ScalingResult):
                 f"  {label}: slope {fit.slope:.4f}  rms {fit.rms_residual:.4f}  "
                 f"points {fit.points_used}  [{fit.status}]"
             )
+    if any(f.status == "unfittable" for f in result.fits.values()):
+        raise UnfittableError("one or more operators could not be fitted")
+    return 0
 
 
-def cmd_sequence(args, cfg: Config) -> int:
+def cmd_sequence(args, run_cfg: RunConfig, norm_bound: float) -> int:
     moos = build_moos(args.moos)
     sched = build_schedule(
         args.scheme, _parse_orders(args.orders), moos, op=args.op,
@@ -244,7 +236,7 @@ def cmd_sequence(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_moos(args, cfg: Config) -> int:
+def cmd_moos(args, run_cfg: RunConfig, norm_bound: float) -> int:
     moos = build_moos(args.spec)
     print(f"dim {moos.dim}, {len(moos)} elements: {', '.join(moos.labels)}")
     print("signature (+1 commute / -1 anticommute):")
@@ -258,32 +250,26 @@ def cmd_moos(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_scan(args, cfg: Config) -> int:
+def cmd_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
     moos = build_moos(args.moos)
     # --op names the scanned operator for every scheme and the pulse of udd
     sched = build_schedule(
         args.scheme, _parse_orders(args.orders), moos,
         op=args.op if args.scheme == "udd" else None, allow_odd_inner=args.allow_odd_inner,
     )
-    spec = parse_model_spec(args.model, cfg)
+    spec = parse_model_spec(args.model, norm_bound)
     if moos.dim != spec.sys_dim:
         raise PreconditionError(
             f"MOOS dimension {moos.dim} != model system dimension {spec.sys_dim}"
         )
-    run_cfg = cfg.run_config()
     if args.seeds is not None:
         run_cfg = replace(run_cfg, seeds=tuple(range(args.seeds)))
     operators = [moos.by_label(args.op)] if args.op else None
     result = order_scan(sched, moos, spec, run_cfg, operators=operators)
-    fit_path = _write_scan(result, sched.scheme, sched.orders, args.out)
-    print(f"wrote {args.out} and {fit_path}")
-    _print_fits(result)
-    if any(f.status == "unfittable" for f in result.fits.values()):
-        raise UnfittableError("one or more operators could not be fitted")
-    return 0
+    return _report(result, sched.scheme, sched.orders, args.out)
 
 
-def cmd_pulse_design(args, cfg: Config) -> int:
+def cmd_pulse_design(args, run_cfg: RunConfig, norm_bound: float) -> int:
     shape = design_pulse(args.family, args.tau_p, args.seed)
     e11, e12 = eta_integrals(shape)
     print(f"family {args.family}: amplitudes {[a for _, a in shape.segments]}")
@@ -294,29 +280,24 @@ def cmd_pulse_design(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_pulse_scan(args, cfg: Config) -> int:
+def cmd_pulse_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
+    if run_cfg != RunConfig():
+        print("note: the config's sweep keys apply to scan only; pulse scan reads "
+              "norm_bound alone", file=sys.stderr)
     if args.pulse == "rect":
         shape = rectangular_pulse()
     else:
         with open(args.pulse) as fh:
             shape = pulse_from_json(fh.read())
-    spec = parse_model_spec(args.model, cfg)
-    model = random_model(
-        spec.structure, spec.sys_dim, spec.bath_dim, spec.norm_bound, args.seed
-    )
+    model = parse_model_spec(args.model, norm_bound).realize(args.seed)
     moos = build_moos(args.moos)
     omega = moos.by_label(args.op) if args.op else moos.elements[0]
-    tau_grid = np.geomspace(args.tau_min, args.tau_max, args.tau_points)
+    tau_grid = _geomspace(args.tau_min, args.tau_max, args.tau_points)
     result = pulse_error_scan(shape, model, omega, tau_grid)
-    fit_path = _write_scan(result, "pulse", (), args.out)
-    print(f"wrote {args.out} and {fit_path}")
-    _print_fits(result)
-    if any(f.status == "unfittable" for f in result.fits.values()):
-        raise UnfittableError("pulse error scaling could not be fitted")
-    return 0
+    return _report(result, "pulse", (), args.out)
 
 
-def cmd_accept(args, cfg: Config) -> int:
+def cmd_accept(args, run_cfg: RunConfig, norm_bound: float) -> int:
     from .acceptance import run_all
 
     results = run_all()
@@ -378,9 +359,9 @@ def _build_parser() -> _Parser:
     ps.add_argument("--moos", default="qubit_full:1")
     ps.add_argument("--op", help="pulse axis operator label")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--tau-min", type=float, default=0.003)
-    ps.add_argument("--tau-max", type=float, default=0.1)
-    ps.add_argument("--tau-points", type=int, default=10)
+    ps.add_argument("--tau-min", type=float, default=DEFAULT_TAU_GRID[0])
+    ps.add_argument("--tau-max", type=float, default=DEFAULT_TAU_GRID[-1])
+    ps.add_argument("--tau-points", type=int, default=len(DEFAULT_TAU_GRID))
     ps.add_argument("--out", required=True, help="CSV output path")
     ps.set_defaults(func=cmd_pulse_scan)
 
@@ -393,8 +374,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config)
-        return args.func(args, cfg)
+        return args.func(args, *load_config(args.config))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

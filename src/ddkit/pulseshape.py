@@ -37,6 +37,11 @@ __all__ = [
 
 TARGET_AREA = math.pi / 2  # exp(-i*area*Omega) = -i*Omega, a pi pulse
 ETA_TOL = 1e-10
+# The pulse durations ``pulse scan`` sweeps by default, and the fit window
+# of ``pulse_error_scan``.
+DEFAULT_TAU_GRID = tuple(np.geomspace(0.003, 0.1, 10).tolist())
+ERROR_FLOOR = 1e-13
+ERROR_CEILING = 1e-1
 
 
 class PulseDesignError(DDKitError):
@@ -317,8 +322,6 @@ def pulse_error_scan(
     model: HamiltonianModel,
     omega: Operator,
     tau_grid,
-    error_floor: float = 1e-13,
-    error_ceiling: float = 1e-1,
 ) -> ScalingResult:
     """Error of the shaped pulse against the ideal instantaneous pulse over a
     grid of durations, with the fitted slope of log(error) vs log(tau_p).
@@ -327,13 +330,14 @@ def pulse_error_scan(
     exp(-i tau_s H) with P = exp(-i * area * Omega).  The program runs the
     shape and then U_ref^dag, by backward free evolution, for the whole grid
     in one batch; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|.
+    The fit window is (ERROR_FLOOR, ERROR_CEILING).
     """
     config = RunConfig(t_grid=tau_grid, seeds=(model.seed,),
-                       error_floor=error_floor, error_ceiling=error_ceiling)
+                       error_floor=ERROR_FLOOR, error_ceiling=ERROR_CEILING)
     u = _propagators(_pulse_program(shape, model, omega, True), [model], config.t_grid)[0]
     errs = np.linalg.norm(u - np.eye(model.dim), ord=2, axis=(-2, -1))
 
-    fit = fit_operator(omega.label, config.t_grid, errs, error_floor, error_ceiling)
+    fit = fit_operator(omega.label, config.t_grid, errs, ERROR_FLOOR, ERROR_CEILING)
     label = omega.label
     return ScalingResult(config, {label: errs[:, None]}, {label: errs.copy()}, {label: fit})
 

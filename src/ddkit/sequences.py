@@ -30,6 +30,7 @@ __all__ = [
     "cdd_uniform",
     "cdd_nested",
     "nudd",
+    "compose_pulses",
     "net_pulse_operator",
     "schedule_to_json",
     "schedule_from_json",
@@ -296,19 +297,24 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
     return Schedule("nudd", orders, _events(times, ops), edge, intervals)
 
 
-def net_pulse_operator(schedule: Schedule, moos: Moos) -> Operator:
-    """Ordered product of all pulse operators (closing pulses included);
+def compose_pulses(labels, moos: Moos) -> np.ndarray:
+    """Product of the MOOS pulses ``labels``, the first label acting first:
     the matrix product runs latest-applied leftmost."""
-    net = np.eye(moos.dim, dtype=complex)
-    for lab in schedule.op_labels:
+    product = np.eye(moos.dim, dtype=complex)
+    for lab in labels:
         try:
             op = moos.by_label(lab)
         except KeyError:
             raise PreconditionError(
                 f"schedule references label {lab!r} not present in the MOOS"
             )
-        net = op.matrix @ net
-    return Operator("net", net, moos.dim)
+        product = op.matrix @ product
+    return product
+
+
+def net_pulse_operator(schedule: Schedule, moos: Moos) -> Operator:
+    """Ordered product of all pulse operators (closing pulses included)."""
+    return Operator("net", compose_pulses(schedule.op_labels, moos), moos.dim)
 
 
 _dumps = partial(json.dumps, separators=(",", ":"))

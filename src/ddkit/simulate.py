@@ -31,7 +31,7 @@ from .errors import PreconditionError, UnfittableError
 from .linalg import kron
 from .model import HamiltonianModel, random_model
 from .operators import Moos, Operator
-from .sequences import Schedule
+from .sequences import Schedule, compose_pulses
 
 __all__ = [
     "RunConfig",
@@ -179,10 +179,7 @@ def compile_program(
     for time, ops in stops:
         key = tuple(ops) or None
         if key is not None and key not in pulses:
-            p = eye
-            for lab in key:  # the first label acts first
-                p = moos.by_label(lab).matrix @ p
-            pulses[key] = p
+            pulses[key] = compose_pulses(key, moos)
         steps.append((time - prev, None, key))
         prev = time
 

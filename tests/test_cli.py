@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from ddkit.cli import load_config, main
 from ddkit.operators import moos_from_json
 from ddkit.pulseshape import pulse_from_json
 from ddkit.sequences import schedule_from_json, udd_times
+from ddkit.simulate import RunConfig
 
 
 def run(argv, capsys):
@@ -233,9 +235,67 @@ def test_config_bad_document_exit_2(tmp_path, capsys, data, needle):
 def test_config_values_reach_the_run_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seeds": [3, 5], "t_points": 4, "norm_bound": 2}))
-    loaded = load_config(str(cfg))
-    assert loaded.seeds == (3, 5) and loaded.t_points == 4 and loaded.norm_bound == 2
-    assert loaded.run_config().seeds == (3, 5)
+    run_cfg, norm_bound = load_config(str(cfg))
+    assert run_cfg.seeds == (3, 5) and len(run_cfg.t_grid) == 4 and norm_bound == 2
+    # the bounds the file leaves out are the default grid's
+    default = RunConfig().t_grid
+    assert (run_cfg.t_grid[0], run_cfg.t_grid[-1]) == (default[0], default[-1])
+
+
+def test_readme_config_schema_is_the_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Schema of the config file", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(block)
+    assert load_config(str(cfg)) == load_config(None)
+
+
+def test_config_values_checked_by_every_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_min": 0.0}))
+    code, _, err = run(["--config", str(cfg), "sequence", "--scheme", "free"], capsys)
+    assert code == 2
+    assert "invalid time grid" in err
+
+
+def test_pulse_scan_zero_tau_min_exit_2(tmp_path, capsys):
+    # used to end in a ValueError traceback from np.geomspace, exit 1
+    code, _, err = run(
+        ["pulse", "scan", "--pulse", "rect", "--tau-min", "0",
+         "--out", str(tmp_path / "x.csv")], capsys,
+    )
+    assert code == 2
+    assert "invalid time grid" in err
+    assert "Traceback" not in err
+
+
+def test_pulse_scan_notes_that_sweep_keys_apply_to_scan_only(tmp_path, capsys):
+    # the config's sweep keys used to be ignored by pulse scan without a word
+    argv = ["pulse", "scan", "--pulse", "rect", "--out"]
+    code, _, err = run(argv + [str(tmp_path / "plain.csv")], capsys)
+    assert code == 0 and "scan only" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"error_floor": 1e-3, "t_points": 3}))
+    code, _, err = run(["--config", str(cfg)] + argv + [str(tmp_path / "cfg.csv")], capsys)
+    assert code == 0
+    assert err.count("\n") == 1 and "apply to scan only" in err
+    for suffix in (".csv", ".fits.json"):
+        plain = (tmp_path / f"plain{suffix}").read_bytes()
+        assert (tmp_path / f"cfg{suffix}").read_bytes() == plain
+
+
+def test_both_scans_print_the_same_unfittable_message(tmp_path, capsys):
+    code, _, scan_err = run(
+        ["scan", "--scheme", "free", "--op", "Z1", "--out", str(tmp_path / "s.csv")], capsys
+    )
+    assert code == 3
+    code, _, pulse_err = run(
+        ["pulse", "scan", "--pulse", "rect", "--tau-points", "3",
+         "--out", str(tmp_path / "p.csv")], capsys,
+    )
+    assert code == 3
+    assert pulse_err == scan_err == "error: one or more operators could not be fitted\n"
 
 
 def test_sequence_cdd_nested_negative_order_exit_2(capsys):

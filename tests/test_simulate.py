@@ -242,3 +242,13 @@ def test_non_moos_wrap_degrades_protection():
     fit = res.fits["X1"]
     assert fit.ok
     assert 0.8 <= fit.slope <= 1.2
+
+
+def test_unknown_pulse_label_is_a_precondition_for_scan_and_propagate():
+    # both used to raise a bare KeyError from Moos.by_label
+    sched = udd_schedule("Q9", 2)
+    needle = "schedule references label 'Q9' not present in the MOOS"
+    with pytest.raises(PreconditionError, match=needle):
+        order_scan(sched, MOOS1, GENERAL)
+    with pytest.raises(PreconditionError, match=needle):
+        propagate(sched, random_model("general", 2, 4, 1.0, 0), MOOS1, 0.1)
