@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError, UnfittableError
 from .jsonio import get_field, get_list, load_object
+from .model import check_norm_bound
 from .operators import Moos, build_moos, lie_closure, moos_to_json
 from .pulseshape import (
     DEFAULT_TAU_GRID,
@@ -115,6 +116,7 @@ def load_config(path: str | None) -> tuple[RunConfig, float]:
         error_floor=value["error_floor"],
         error_ceiling=value["error_ceiling"],
     )
+    check_norm_bound(value["norm_bound"])
     return run_cfg, value["norm_bound"]
 
 

@@ -78,6 +78,12 @@ class HamiltonianModel:
         return kron(op.matrix, np.eye(self.bath_dim))
 
 
+def check_norm_bound(norm_bound: float) -> None:
+    """Reject a model norm bound that is negative or not finite."""
+    if not (0.0 <= norm_bound < math.inf):
+        raise PreconditionError(f"norm_bound must be finite and >= 0, got {norm_bound}")
+
+
 def _random_hermitian(rng: np.random.Generator, dim: int, norm: float) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (a + a.conj().T) / 2
@@ -108,8 +114,7 @@ def random_model(
         raise PreconditionError(
             f"sys_dim and bath_dim must be >= 1, got {sys_dim} and {bath_dim}"
         )
-    if not (0.0 <= norm_bound < math.inf):
-        raise PreconditionError(f"norm_bound must be finite and >= 0, got {norm_bound}")
+    check_norm_bound(norm_bound)
     if not (0 <= seed < 2**128):
         raise PreconditionError(f"seed must lie in [0, 2^128), got {seed}")
     dim = sys_dim * bath_dim

@@ -6,6 +6,16 @@ M-level constructions, validates custom sets, and computes the Lie-algebra
 closure of an MOOS (the full set of operators that get protected along with
 the MOOS itself).
 
+Validation forms every product of a pair of elements, and the square of
+each element.  Every built-in construction is monomial: one nonzero per row
+and per column, a permutation with phases.  From dimension
+``GATHER_MIN_DIM`` on, a product with a monomial factor is formed as a row
+or column gather of the other factor, scaled by the monomial's entries, in
+O(d^2) instead of a BLAS product in O(d^3); below it BLAS is as fast.  The
+products are the same (exactly, for entries +-1 and +-i), and every
+decision and message is made from them as before.  ``lie_closure`` stops as soon as its basis spans all
+d^2 - 1 traceless directions, where no candidate can add to it.
+
 Qubit ordering convention: qubit 1 is the slowest (leftmost) Kronecker
 factor.
 """
@@ -45,6 +55,14 @@ _PAULI = {
 MAX_QUBITS = 8
 MAX_LEVELS = 256
 
+# Validation forms a product with a monomial factor by gathering from this
+# dimension on.  Measured on a 2-core Xeon VM with OpenBLAS on one thread,
+# gather vs BLAS: per pair 37 vs 112 us at d = 64, 152 vs 718 us at d = 128
+# and 0.77 vs 5.9 ms at d = 256; for all of qubit_full(L), 1.6 vs 1.4 ms at
+# d = 32 (detecting a monomial costs ~20 us an element) and 4.3 vs 8.4 ms at
+# d = 64.
+GATHER_MIN_DIM = 64
+
 
 @dataclass(frozen=True)
 class Operator:
@@ -61,6 +79,8 @@ class Operator:
                 f"operator {self.label!r}: matrix shape {m.shape} does not match "
                 f"dimension {self.acts_on}"
             )
+        if not np.isfinite(m).all():
+            raise PreconditionError(f"operator {self.label!r} has non-finite entries")
         object.__setattr__(self, "matrix", m)
 
     def unitary_hermitian_deviation(self) -> tuple[float, float]:
@@ -73,24 +93,69 @@ class Operator:
         )
 
     def is_unitary_hermitian(self, tol: float = HERM_TOL) -> bool:
-        m = self.matrix
-        squares_to_one = spectral_norm_le(m @ m - np.eye(self.acts_on), tol)
-        return squares_to_one and spectral_norm_le(m - m.conj().T, tol)
+        return _is_unitary_hermitian(self.matrix, None, np.empty_like(self.matrix), tol)
 
 
-def _pair_relation(a: Operator, b: Operator, work: np.ndarray, tol: float = HERM_TOL):
+def _monomial(m: np.ndarray):
+    """Describe a matrix M with exactly one nonzero per row and per column as
+    (src, vals, inv, inv_vals): row r holds vals[r] in column src[r], and
+    column c holds inv_vals[c] in row inv[c].  None for any other matrix."""
+    nz = m != 0
+    if not ((np.count_nonzero(nz, axis=1) == 1).all()
+            and (np.count_nonzero(nz, axis=0) == 1).all()):
+        return None
+    src = nz.argmax(axis=1)
+    vals = m[np.arange(len(m)), src]
+    inv = np.argsort(src)
+    return src, vals[:, None], inv, vals[inv]
+
+
+def _left_mul(mono, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M m for the monomial M described by ``mono``: a row gather."""
+    src, vals, _, _ = mono
+    np.take(m, src, axis=0, out=out, mode="clip")
+    return np.multiply(out, vals, out=out)
+
+
+def _right_mul(m: np.ndarray, mono, out: np.ndarray) -> np.ndarray:
+    """out = m M for the monomial M described by ``mono``: a column gather."""
+    _, _, inv, inv_vals = mono
+    np.take(m, inv, axis=1, out=out, mode="clip")
+    return np.multiply(out, inv_vals, out=out)
+
+
+def _is_unitary_hermitian(m: np.ndarray, mono, out: np.ndarray, tol: float = HERM_TOL) -> bool:
+    """Whether |m^2 - I| <= tol and |m - m^dag| <= tol, with m^2 formed in
+    ``out`` by a row gather when ``mono`` describes m, else by BLAS."""
+    sq = np.matmul(m, m, out=out) if mono is None else _left_mul(mono, m, out)
+    diag = np.arange(len(m))
+    sq[diag, diag] -= 1
+    return spectral_norm_le(sq, tol) and spectral_norm_le(m - m.conj().T, tol)
+
+
+def _pair_relation(a: Operator, b: Operator, monos, work: np.ndarray, tol: float = HERM_TOL):
     """Return (+1, None) for a commuting pair, (-1, None) for an
     anticommuting one, or (0, residuals) if neither holds to tolerance, with
     the residual norms (|[A,B]|, |{A,B}|) computed for that case only.
 
+    ``monos`` holds the ``_monomial`` descriptions of A and B (or None); a
+    monomial factor turns both products into gathers of the other factor.
     ``work`` is a (3, d, d) complex work buffer reused for every pair:
     fresh d x d temporaries per pair go back to the operating system and are
     faulted in again, which at d = 256 costs about half as much as the
     products.
     """
     ab, ba, res = work
-    np.matmul(a.matrix, b.matrix, out=ab)
-    np.matmul(b.matrix, a.matrix, out=ba)
+    mono_a, mono_b = monos
+    if mono_a is not None:
+        _left_mul(mono_a, b.matrix, ab)
+        _right_mul(b.matrix, mono_a, ba)
+    elif mono_b is not None:
+        _right_mul(a.matrix, mono_b, ab)
+        _left_mul(mono_b, a.matrix, ba)
+    else:
+        np.matmul(a.matrix, b.matrix, out=ab)
+        np.matmul(b.matrix, a.matrix, out=ba)
     if spectral_norm_le(np.subtract(ab, ba, out=res), tol):
         return 1, None
     if spectral_norm_le(np.add(ab, ba, out=res), tol):
@@ -116,13 +181,16 @@ class Moos:
         if not elements:
             raise PreconditionError("an MOOS must contain at least one operator")
         dim = elements[0].acts_on
+        work = np.empty((3, dim, dim), dtype=complex)
+        monos = []
         for op in elements:
             if op.acts_on != dim:
                 raise PreconditionError(
                     f"operator {op.label!r} acts on dimension {op.acts_on}, "
                     f"expected {dim}"
                 )
-            if not op.is_unitary_hermitian():
+            monos.append(_monomial(op.matrix) if dim >= GATHER_MIN_DIM else None)
+            if not _is_unitary_hermitian(op.matrix, monos[-1], work[0]):
                 d_sq, d_h = op.unitary_hermitian_deviation()
                 raise PreconditionError(
                     f"operator {op.label!r} is not unitary Hermitian: "
@@ -130,10 +198,11 @@ class Moos:
                 )
         n = len(elements)
         sig = np.ones((n, n), dtype=int)
-        work = np.empty((3, dim, dim), dtype=complex)
         for i in range(n):
             for j in range(i + 1, n):
-                rel, residuals = _pair_relation(elements[i], elements[j], work)
+                rel, residuals = _pair_relation(
+                    elements[i], elements[j], (monos[i], monos[j]), work
+                )
                 if rel == 0:
                     comm, anti = residuals
                     raise PreconditionError(
@@ -187,12 +256,20 @@ def pauli(axis: str, qubit_index: int, num_qubits: int) -> Operator:
     return Operator(f"{axis.upper()}{qubit_index}", m, 2**num_qubits)
 
 
+def _level_bits(m_levels: int) -> int:
+    """Number of binary digits ceil(log2 M), at least 1, of a level count M
+    checked to lie in 1..MAX_LEVELS."""
+    if m_levels < 1:
+        raise PreconditionError(f"system dimension must be >= 1, got {m_levels}")
+    if m_levels > MAX_LEVELS:
+        raise PreconditionError(f"system dimension must be <= {MAX_LEVELS}")
+    return max(1, math.ceil(math.log2(m_levels)))
+
+
 def sigma_z_level(l: int, m_levels: int) -> Operator:
     """Diagonal M-level operator with entry (-1)^(m_l) at basis state m,
     where m_l is the l-th binary digit of m."""
-    n_bits = max(1, math.ceil(math.log2(m_levels)))
-    if m_levels > MAX_LEVELS:
-        raise PreconditionError(f"system dimension must be <= {MAX_LEVELS}")
+    n_bits = _level_bits(m_levels)
     if not (1 <= l <= n_bits):
         raise PreconditionError(f"level-bit index {l} out of range 1..{n_bits}")
     diag = np.array(
@@ -204,8 +281,9 @@ def sigma_z_level(l: int, m_levels: int) -> Operator:
 def sigma_x_level(l: int, m_levels: int) -> Operator:
     """M-level permutation operator swapping |m> and |m + 2^(l-1)> for every
     m whose l-th bit is zero.  Requires M divisible by 2^l."""
-    if m_levels > MAX_LEVELS:
-        raise PreconditionError(f"system dimension must be <= {MAX_LEVELS}")
+    _level_bits(m_levels)
+    if l < 1:
+        raise PreconditionError(f"level-bit index {l} must be >= 1")
     if m_levels % (2**l) != 0:
         raise PreconditionError(
             f"sigma_x_level({l}, {m_levels}): M mod 2^l = "
@@ -236,12 +314,13 @@ def qubit_full_moos(num_qubits: int) -> Moos:
 def mlevel_diagonal_moos(m_levels: int) -> Moos:
     """MOOS {Sigma_z^(l)} protecting all diagonal operators of an M-level
     system; contains ceil(log2 M) mutually commuting elements."""
-    n_bits = max(1, math.ceil(math.log2(m_levels)))
+    n_bits = _level_bits(m_levels)
     return Moos(tuple(sigma_z_level(l, m_levels) for l in range(1, n_bits + 1)))
 
 
 def mlevel_full_moos(m_levels: int) -> Moos:
     """MOOS {Sigma_x^(l) | M mod 2^l = 0} plus {Sigma_z^(l) | 2^l <= M}."""
+    _level_bits(m_levels)
     ops = []
     l = 1
     while m_levels % (2**l) == 0:
@@ -274,66 +353,60 @@ def build_moos(spec: str) -> Moos:
     return builders[family](size)
 
 
-def _traceless(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0]
-    return m - (np.trace(m) / d) * np.eye(d)
-
-
-def _hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    # Trace inner product normalized by dimension; real for Hermitian inputs.
-    return float(np.vdot(a, b).real / a.shape[0])
-
-
 def lie_closure(moos: Moos, max_dim: int | None = None) -> list[Operator]:
     """Orthonormal basis of the real Lie algebra generated from the MOOS by
     i[. , .], anticommutation, and linear combination (traceless parts only).
 
-    Gram-Schmidt against the current span uses the dimension-normalized trace
-    inner product with rank tolerance 1e-9.
+    Candidates are tried in a fixed order: the MOOS elements, then in each
+    round i[a, b] and {a, b} for every basis element a against each element
+    b added in the round before.  Gram-Schmidt against the current span
+    (projected twice) uses the real part of the dimension-normalized trace
+    inner product with rank tolerance 1e-9.  The closure stops once the
+    basis spans all d^2 - 1 traceless directions.
     """
     dim = moos.dim
+    full = dim * dim - 1
     if max_dim is None:
-        max_dim = dim * dim - 1
-    if max_dim > dim * dim - 1:
-        raise PreconditionError(
-            f"max_dim {max_dim} exceeds dim^2 - 1 = {dim * dim - 1}"
-        )
+        max_dim = full
+    if max_dim > full:
+        raise PreconditionError(f"max_dim {max_dim} exceeds dim^2 - 1 = {full}")
     tol = 1e-9
-    basis: list[np.ndarray] = []
+    eye = np.eye(dim)
+    # Row i is basis element i, flattened; rows are added as they are found.
+    basis = np.empty((min(full, 16), dim * dim), dtype=complex)
+    k = 0
 
-    def try_add(candidate: np.ndarray) -> bool:
-        v = _traceless(candidate)
-        for b in basis:
-            v = v - _hs_inner(b, v) * b
-        nrm = math.sqrt(max(_hs_inner(v, v), 0.0))
+    def candidates():
+        yield from (op.matrix for op in moos.elements)
+        lo = 0
+        while lo < k <= max_dim:  # past max_dim, the check after the loop raises
+            hi = k
+            frontier = basis[lo:hi].reshape(hi - lo, dim, dim)
+            for a in basis[:hi].reshape(hi, dim, dim):
+                af, fa = a @ frontier, frontier @ a
+                yield from np.stack((1j * (af - fa), af + fa), axis=1).reshape(-1, dim, dim)
+            lo = hi
+
+    for cand in candidates():
+        if k == full:
+            break
+        v = (cand - (np.trace(cand) / dim) * eye).reshape(-1).view(float)
+        # Re tr(b^dag v) is the dot product of the float views of b and v.
+        rows = basis[:k].view(float)
+        for _ in range(2):
+            v -= (rows @ v / dim) @ rows
+        nrm = math.sqrt(max(v @ v / dim, 0.0))
         if nrm <= tol:
-            return False
-        basis.append(v / nrm)
-        return True
-
-    for op in moos.elements:
-        try_add(op.matrix)
-
-    frontier = list(basis)
-    while frontier:
-        if len(basis) > max_dim:
-            raise PreconditionError(
-                f"Lie closure exceeded max_dim {max_dim}: reached {len(basis)}"
-            )
-        new: list[np.ndarray] = []
-        for a in list(basis):
-            for b in frontier:
-                comm = 1j * (a @ b - b @ a)
-                anti = a @ b + b @ a
-                for cand in (comm, anti):
-                    if try_add(cand):
-                        new.append(basis[-1])
-        frontier = new
-    if len(basis) > max_dim:
+            continue
+        if k == len(basis):
+            basis = np.concatenate((basis, np.empty_like(basis[: full - k])))
+        basis[k] = v.view(complex) / nrm
+        k += 1
+    if k > max_dim:
         raise PreconditionError(
-            f"Lie closure exceeded max_dim {max_dim}: reached {len(basis)}"
+            f"Lie closure exceeded max_dim {max_dim}: reached {k}"
         )
-    return [Operator(f"G{i}", m, dim) for i, m in enumerate(basis)]
+    return [Operator(f"G{i}", m, dim) for i, m in enumerate(basis[:k].reshape(k, dim, dim))]
 
 
 def moos_to_json(moos: Moos) -> str:

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ddkit
 from ddkit.cli import load_config, main
 from ddkit.operators import moos_from_json
 from ddkit.pulseshape import pulse_from_json
@@ -387,3 +390,31 @@ def test_pulse_scan_operator_dimension_mismatch_exit_2(tmp_path, capsys):
     assert code == 2
     assert "operator 'Z1' acts on dimension 4, system dimension is 2" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["mlevel_full:0", "mlevel_full:-4", "mlevel_diagonal:0",
+                                  "mlevel_diagonal:-3"])
+def test_moos_mlevel_size_below_one_exit_2(spec):
+    # mlevel_full:0 used to loop forever; the others ended in a traceback.
+    # A subprocess with a timeout makes a hang fail instead of stalling the suite.
+    src = str(Path(ddkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ddkit.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "moos", "--spec", spec],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    size = spec.split(":")[1]
+    assert f"system dimension must be >= 1, got {size}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["sequence", "--scheme", "free"],
+                                  ["moos", "--spec", "qubit_full:1"]])
+def test_config_norm_bound_checked_by_every_command(tmp_path, capsys, argv):
+    # sequence and moos used to exit 0 with a negative norm_bound
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"norm_bound": -1}))
+    code, _, err = run(["--config", str(cfg), *argv], capsys)
+    assert code == 2
+    assert "norm_bound must be finite and >= 0, got -1" in err

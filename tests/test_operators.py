@@ -68,6 +68,8 @@ def test_sigma_x_level_swaps():
 def test_sigma_x_level_divisibility():
     with pytest.raises(PreconditionError):
         sigma_x_level(1, 3)
+    with pytest.raises(PreconditionError, match="level-bit index 0 must be >= 1"):
+        sigma_x_level(0, 4)  # used to end in "negative shift count"
 
 
 def test_level_operators_anticommute():
@@ -300,3 +302,139 @@ def test_moos_validation_of_pauli_set_runs_no_svd(monkeypatch):
     assert len(Moos(ops)) == 13
     assert calls == []
 
+
+
+def _conjugated(ops, u):
+    return tuple(Operator(op.label, u @ op.matrix @ u.conj().T, op.acts_on) for op in ops)
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _validation_sets(n):
+    """The MOOS sets of the gather and BLAS validation paths at d = 2^n."""
+    rng = np.random.default_rng(n)
+    d = 2**n
+    paulis = tuple(pauli(a, q, n) for a, q in (("z", 1), ("x", 1), ("y", 2), ("z", n), ("x", n)))
+    phase = np.diag(np.exp(2j * np.pi * rng.random(d)))
+    phased = _conjugated(paulis, phase)
+    skew = Operator("D", (pauli("x", 1, n).matrix + pauli("y", 1, n).matrix) / np.sqrt(2), d)
+    scaled = Operator("S", 1.5 * pauli("z", 2, n).matrix, d)
+    return {
+        "pauli": paulis,
+        "phased": phased,
+        "phased_skew": phased + _conjugated((skew,), phase),
+        "phased_scaled": phased[:2] + _conjugated((scaled,), phase) + phased[2:],
+        "dense": _conjugated(paulis, _random_unitary(rng, d)),
+    }
+
+
+@pytest.mark.parametrize("n", [6, 7], ids=["d64", "d128"])
+@pytest.mark.parametrize("kind", ["pauli", "phased", "phased_skew", "phased_scaled", "dense"])
+def test_moos_validation_at_gather_dimensions_matches_spectral_norm_rule(n, kind):
+    ops = _validation_sets(n)[kind]
+    assert (operators._monomial(ops[0].matrix) is None) == (kind == "dense")
+    want_sig, want_msg = _spectral_norm_validation(ops)
+    if want_msg is not None:
+        with pytest.raises(PreconditionError) as err:
+            Moos(ops)
+        assert str(err.value) == want_msg
+    else:
+        assert np.array_equal(Moos(ops).signature, want_sig)
+
+
+def test_monomial_structure_check():
+    rng = np.random.default_rng(1)
+    perm = rng.permutation(8)
+    vals = np.exp(2j * np.pi * rng.random(8))
+    m = np.zeros((8, 8), dtype=complex)
+    m[np.arange(8), perm] = vals
+    src, row_vals, inv, inv_vals = operators._monomial(m)
+    assert np.array_equal(src, perm) and np.array_equal(row_vals[:, 0], vals)
+    assert np.array_equal(m[inv, np.arange(8)], inv_vals)
+    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    mono = operators._monomial(m)
+    out = np.empty_like(b)
+    assert np.allclose(operators._left_mul(mono, b, out), m @ b, rtol=0, atol=1e-14)
+    assert np.allclose(operators._right_mul(b, mono, out), b @ m, rtol=0, atol=1e-14)
+
+    two_in_row = m.copy()
+    two_in_row[0, perm[1]] = 1.0
+    zero_row = m.copy()
+    zero_row[3] = 0
+    zero_col = m.copy()
+    zero_col[perm == 5, 5] = 0      # one nonzero per row, but column 5 is empty
+    zero_col[perm == 5, 6] = 1.0
+    for bad in (two_in_row, zero_row, zero_col):
+        assert operators._monomial(bad) is None
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)],
+                         ids=["nan", "inf", "-inf", "nan_imag"])
+def test_operator_rejects_non_finite_entries(value):
+    # used to reach the SVD and end in "LinAlgError: SVD did not converge"
+    with pytest.raises(PreconditionError, match="operator 'N' has non-finite entries"):
+        Operator("N", np.array([[value, 0], [0, 1]]), 2)
+
+
+def _closure_mgs(moos):
+    """The Lie closure by modified Gram-Schmidt with one inner product per
+    basis element, trying every candidate, as before the batched closure."""
+    dim = moos.dim
+
+    def hs(a, b):
+        return float(np.vdot(a, b).real / dim)
+
+    basis = []
+
+    def try_add(candidate):
+        v = candidate - (np.trace(candidate) / dim) * np.eye(dim)
+        for b in basis:
+            v = v - hs(b, v) * b
+        nrm = np.sqrt(max(hs(v, v), 0.0))
+        if nrm <= 1e-9:
+            return False
+        basis.append(v / nrm)
+        return True
+
+    for op in moos.elements:
+        try_add(op.matrix)
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for a in list(basis):
+            for b in frontier:
+                for cand in (1j * (a @ b - b @ a), a @ b + b @ a):
+                    if try_add(cand):
+                        new.append(basis[-1])
+        frontier = new
+    return basis
+
+
+def _closure_sets():
+    rng = np.random.default_rng(3)
+    sets = {f"qubit_full({n})": qubit_full_moos(n) for n in (1, 2, 3)}
+    sets.update({f"mlevel_full({m})": mlevel_full_moos(m) for m in (4, 6, 8)})
+    sets["qubit_dephasing(3)"] = qubit_dephasing_moos(3)
+    for n in (2, 3):
+        d = 2**n
+        phase = np.diag(np.exp(2j * np.pi * rng.random(d)))
+        sets[f"phase-conjugated qubit_full({n})"] = Moos(
+            _conjugated(qubit_full_moos(n).elements, phase))
+        sets[f"Q-conjugated qubit_full({n})"] = Moos(
+            _conjugated(qubit_full_moos(n).elements, _random_unitary(rng, d)))
+    return sets
+
+
+_CLOSURE_SETS = _closure_sets()
+
+
+@pytest.mark.parametrize("name, moos", list(_CLOSURE_SETS.items()), ids=list(_CLOSURE_SETS))
+def test_lie_closure_matches_modified_gram_schmidt(name, moos):
+    want = _closure_mgs(moos)
+    got = lie_closure(moos)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.matrix - w)) <= 1e-12
