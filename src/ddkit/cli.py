@@ -289,7 +289,7 @@ def cmd_pulse_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
     if args.pulse == "rect":
         shape = rectangular_pulse()
     else:
-        with open(args.pulse) as fh:
+        with open(args.pulse, "rb") as fh:
             shape = pulse_from_json(fh.read())
     model = parse_model_spec(args.model, norm_bound).realize(args.seed)
     moos = build_moos(args.moos)

@@ -13,8 +13,11 @@ and per column, a permutation with phases.  From dimension
 or column gather of the other factor, scaled by the monomial's entries, in
 O(d^2) instead of a BLAS product in O(d^3); below it BLAS is as fast.  The
 products are the same (exactly, for entries +-1 and +-i), and every
-decision and message is made from them as before.  ``lie_closure`` stops as soon as its basis spans all
-d^2 - 1 traceless directions, where no candidate can add to it.
+decision and message is made from them as before.
+
+``lie_closure`` spans the subset products of the MOOS, which for an MOOS is
+the generated Lie algebra; a basis that could exceed ``MAX_CLOSURE_BYTES``
+is rejected before any product is formed.
 
 Qubit ordering convention: qubit 1 is the slowest (leftmost) Kronecker
 factor.
@@ -23,6 +26,7 @@ factor.
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -41,6 +45,7 @@ __all__ = [
     "mlevel_diagonal_moos",
     "mlevel_full_moos",
     "build_moos",
+    "composed_pulse",
     "lie_closure",
     "moos_to_json",
     "moos_from_json",
@@ -62,6 +67,9 @@ MAX_LEVELS = 256
 # d = 32 (detecting a monomial costs ~20 us an element) and 4.3 vs 8.4 ms at
 # d = 64.
 GATHER_MIN_DIM = 64
+
+# Largest basis lie_closure allocates, in bytes; simulate.BATCH_BYTES's size.
+MAX_CLOSURE_BYTES = 2**25
 
 
 @dataclass(frozen=True)
@@ -353,43 +361,60 @@ def build_moos(spec: str) -> Moos:
     return builders[family](size)
 
 
-def lie_closure(moos: Moos, max_dim: int | None = None) -> list[Operator]:
+def composed_pulse(ops) -> Operator:
+    """Product of coinciding pulse operators, phase-fixed to be unitary
+    Hermitian (a product of pairwise (anti)commuting involutions is Hermitian
+    or anti-Hermitian; the latter absorbs a factor i)."""
+    if not ops:
+        raise PreconditionError("need at least one operator to compose")
+    dim = ops[0].acts_on
+    p = np.eye(dim, dtype=complex)
+    for op in ops:
+        p = op.matrix @ p
+    label = "*".join(op.label for op in ops)
+    if spectral_norm_le(p - p.conj().T, 1e-10):
+        return Operator(label, p, dim)
+    if spectral_norm_le(p + p.conj().T, 1e-10):
+        return Operator(label, 1j * p, dim)
+    raise PreconditionError(
+        f"composed pulse {label!r} is neither Hermitian nor anti-Hermitian"
+    )
+
+
+def lie_closure(moos: Moos) -> list[Operator]:
     """Orthonormal basis of the real Lie algebra generated from the MOOS by
     i[. , .], anticommutation, and linear combination (traceless parts only).
 
-    Candidates are tried in a fixed order: the MOOS elements, then in each
-    round i[a, b] and {a, b} for every basis element a against each element
-    b added in the round before.  Gram-Schmidt against the current span
-    (projected twice) uses the real part of the dimension-normalized trace
-    inner product with rank tolerance 1e-9.  The closure stops once the
-    basis spans all d^2 - 1 traceless directions.
+    For an MOOS that algebra is the span of the subset products:
+    {a, b} = 2ab for a commuting pair, i[a, b] = 2i ab for an anticommuting
+    one.  Candidates are the products of nonempty subsets, made Hermitian by
+    ``composed_pulse``, by subset size and in ``itertools.combinations``
+    order, so the MOOS elements come first; an element in the span of those
+    before it joins no larger subset, as its products add nothing.
+    Gram-Schmidt against the current span (projected twice) uses the real
+    part of the dimension-normalized trace inner product with rank tolerance
+    1e-9.  The closure stops at the full span of d^2 - 1 traceless
+    directions, or after a subset size adds nothing, as no larger one can.
+    The basis, of at most min(2^n - 1, d^2 - 1) elements for n elements, is
+    allocated once, and one that could exceed ``MAX_CLOSURE_BYTES`` is
+    rejected before any product is formed.
     """
-    dim = moos.dim
+    dim, n = moos.dim, len(moos)
     full = dim * dim - 1
-    if max_dim is None:
-        max_dim = full
-    if max_dim > full:
-        raise PreconditionError(f"max_dim {max_dim} exceeds dim^2 - 1 = {full}")
+    size = min(2**n - 1, full)
+    if size * dim * dim * 16 > MAX_CLOSURE_BYTES:
+        raise PreconditionError(
+            f"Lie closure of {n} elements at dimension {dim} can reach {size} basis "
+            f"elements, {size * dim * dim * 16} bytes, more than MAX_CLOSURE_BYTES = 2^25"
+        )
     tol = 1e-9
     eye = np.eye(dim)
-    # Row i is basis element i, flattened; rows are added as they are found.
-    basis = np.empty((min(full, 16), dim * dim), dtype=complex)
+    # Row i is basis element i, flattened.
+    basis = np.empty((size, dim * dim), dtype=complex)
     k = 0
 
-    def candidates():
-        yield from (op.matrix for op in moos.elements)
-        lo = 0
-        while lo < k <= max_dim:  # past max_dim, the check after the loop raises
-            hi = k
-            frontier = basis[lo:hi].reshape(hi - lo, dim, dim)
-            for a in basis[:hi].reshape(hi, dim, dim):
-                af, fa = a @ frontier, frontier @ a
-                yield from np.stack((1j * (af - fa), af + fa), axis=1).reshape(-1, dim, dim)
-            lo = hi
-
-    for cand in candidates():
-        if k == full:
-            break
+    def add(cand: np.ndarray) -> bool:
+        nonlocal k
         v = (cand - (np.trace(cand) / dim) * eye).reshape(-1).view(float)
         # Re tr(b^dag v) is the dot product of the float views of b and v.
         rows = basis[:k].view(float)
@@ -397,15 +422,20 @@ def lie_closure(moos: Moos, max_dim: int | None = None) -> list[Operator]:
             v -= (rows @ v / dim) @ rows
         nrm = math.sqrt(max(v @ v / dim, 0.0))
         if nrm <= tol:
-            continue
-        if k == len(basis):
-            basis = np.concatenate((basis, np.empty_like(basis[: full - k])))
+            return False
         basis[k] = v.view(complex) / nrm
         k += 1
-    if k > max_dim:
-        raise PreconditionError(
-            f"Lie closure exceeded max_dim {max_dim}: reached {k}"
-        )
+        return True
+
+    gens = [op for op in moos.elements if add(op.matrix)]
+    for r in range(2, len(gens) + 1):
+        grew = False
+        for subset in combinations(gens, r):
+            if k == full:
+                break
+            grew |= add(composed_pulse(subset).matrix)
+        if k == full or not grew:
+            break
     return [Operator(f"G{i}", m, dim) for i, m in enumerate(basis[:k].reshape(k, dim, dim))]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DDKitError, PreconditionError
 from .jsonio import get_field, get_list, load_object
-from .linalg import expm_i, require_hermitian, spectral_norm_le
+from .linalg import expm_i, require_hermitian
 from .model import HamiltonianModel
 from .operators import Operator
 from .simulate import Program, RunConfig, ScalingResult, _propagators, fit_operator
@@ -28,7 +28,6 @@ __all__ = [
     "eta_integrals",
     "eta_integrals_quadrature",
     "design_pulse",
-    "composed_pulse",
     "propagate_pulse",
     "pulse_error_scan",
     "pulse_to_json",
@@ -269,26 +268,6 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0, seed: int = 0) -> Pul
                 break
     raise PulseDesignError(
         f"no root found for family {family!r}; best residual {best:.3e}", best
-    )
-
-
-def composed_pulse(ops: list[Operator]) -> Operator:
-    """Product of coinciding pulse operators, phase-fixed to be unitary
-    Hermitian (a product of pairwise (anti)commuting involutions is Hermitian
-    or anti-Hermitian; the latter absorbs a factor i)."""
-    if not ops:
-        raise PreconditionError("need at least one operator to compose")
-    dim = ops[0].acts_on
-    p = np.eye(dim, dtype=complex)
-    for op in ops:
-        p = op.matrix @ p
-    label = "*".join(op.label for op in ops)
-    if spectral_norm_le(p - p.conj().T, 1e-10):
-        return Operator(label, p, dim)
-    if spectral_norm_le(p + p.conj().T, 1e-10):
-        return Operator(label, 1j * p, dim)
-    raise PreconditionError(
-        f"composed pulse {label!r} is neither Hermitian nor anti-Hermitian"
     )
 
 

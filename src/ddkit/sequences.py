@@ -37,7 +37,9 @@ __all__ = [
 ]
 
 MAX_FIRST_ORDER_SIZE = 12
-MAX_CDD_BUDGET = 20
+# Most control intervals a builder makes; each checks before building a list.
+_LOG2_MAX_INTERVALS = 20
+MAX_INTERVALS = 2**_LOG2_MAX_INTERVALS
 _TIME_TOL = 1e-12
 
 
@@ -111,9 +113,18 @@ def _columns(events) -> tuple[list, list]:
     return [e.time for e in events], [e.ops for e in events]
 
 
+def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
+    return PreconditionError(
+        f"{scheme} would have {intervals} control intervals, more than "
+        f"MAX_INTERVALS = 2^{_LOG2_MAX_INTERVALS}"
+    )
+
+
 def udd_schedule(op_label: str, n: int) -> Schedule:
     """Nth-order UDD of a single operator; the leftover Omega^N rotation is
     not emitted as a closing pulse (the error metric compensates for it)."""
+    if n + 1 > MAX_INTERVALS:
+        raise _too_many_intervals("udd", n + 1)
     events = _events(udd_times(n), repeat((op_label,)))
     return Schedule("udd", (n,), events, (), n + 1)
 
@@ -123,20 +134,19 @@ def _scale(times, a: float, b: float) -> list[float]:
     return [a + w * t for t in times]
 
 
-def _bracketed(labels, orders):
+def _bracketed(labels):
     """Columns and closing bracket of the bracketed recursion
-    X -> Omega X(T/2) Omega X(T/2), run N_l times per label, first label
-    innermost: X in the first half, the composed (X-closing then Omega) pulse
-    at the midpoint, X in the second half, Omega appended to the closing
-    bracket."""
+    X -> Omega X(T/2) Omega X(T/2), applied once per label in order, the
+    first label innermost: X in the first half, the composed (X-closing then
+    Omega) pulse at the midpoint, X in the second half, Omega appended to the
+    closing bracket."""
     times: list[float] = []
     ops: list[tuple[str, ...]] = []
     closing: tuple[str, ...] = ()
-    for lab, n in zip(labels, orders):
-        for _ in range(n):
-            closing += (lab,)
-            times = _scale(times, 0.0, 0.5) + [0.5] + _scale(times, 0.5, 1.0)
-            ops = ops + [closing] + ops
+    for lab in labels:
+        closing += (lab,)
+        times = _scale(times, 0.0, 0.5) + [0.5] + _scale(times, 0.5, 1.0)
+        ops = ops + [closing] + ops
     return times, ops, closing
 
 
@@ -155,7 +165,7 @@ def first_order_schedule(moos: Moos, include_closing: bool = False) -> Schedule:
         raise PreconditionError(f"MOOS size {size} exceeds {MAX_FIRST_ORDER_SIZE}")
     labels = moos.labels
     if include_closing:
-        times, ops, closing = _bracketed(labels, (1,) * size)
+        times, ops, closing = _bracketed(labels)
     else:
         single = [(lab,) for lab in labels]
         n = 2**size
@@ -186,41 +196,15 @@ def sdd_schedule(inner: Schedule) -> Schedule:
     )
 
 
-def _substitute(outer, inner):
-    """Fill every free interval of the outer pattern with the inner schedule;
-    inner closing pulses compose with the outer pulse at shared boundaries.
-    ``outer`` and ``inner`` are (times, ops, closing) triples, as returned."""
-    outer_times, outer_ops, outer_closing = outer
-    inner_times, inner_ops, inner_closing = inner
-    bounds = [0.0, *outer_times, 1.0]
-    composed = {o: inner_closing + o for o in outer_ops}
-    times: list[float] = []
-    ops: list[tuple[str, ...]] = []
-    for a, b, o in zip(bounds, bounds[1:], outer_ops):
-        times += _scale(inner_times, a, b)
-        times.append(b)
-        ops += inner_ops
-        ops.append(composed[o])
-    times += _scale(inner_times, bounds[-2], bounds[-1])
-    ops += inner_ops
-    return times, ops, inner_closing + outer_closing
-
-
 def cdd_uniform(moos: Moos, n: int) -> Schedule:
     """Concatenated DD: N recursive substitutions of the bracketed
     first-order pattern into its own free intervals; 2^(N*L) intervals."""
     size = len(moos)
     if n < 1:
         raise PreconditionError("CDD order must be >= 1")
-    if n * size > MAX_CDD_BUDGET:
-        raise PreconditionError(
-            f"CDD budget exceeded: N*L = {n * size} > {MAX_CDD_BUDGET}"
-        )
-    base = _bracketed(moos.labels, (1,) * size)
-    sched = base
-    for _ in range(n - 1):
-        sched = _substitute(base, sched)
-    times, ops, closing = sched
+    if n * size > _LOG2_MAX_INTERVALS:
+        raise _too_many_intervals("cdd", f"2^{n * size}")
+    times, ops, closing = _bracketed(moos.labels * n)
     return Schedule("cdd", (n,) * size, _events(times, ops), closing, 2 ** (n * size))
 
 
@@ -234,11 +218,9 @@ def cdd_nested(moos: Moos, orders) -> Schedule:
         )
     if any(n < 0 for n in orders):
         raise PreconditionError("CDD orders must be >= 0")
-    if sum(orders) > MAX_CDD_BUDGET:
-        raise PreconditionError(
-            f"CDD budget exceeded: sum of orders {sum(orders)} > {MAX_CDD_BUDGET}"
-        )
-    times, ops, closing = _bracketed(moos.labels, orders)
+    if sum(orders) > _LOG2_MAX_INTERVALS:
+        raise _too_many_intervals("cdd_nested", f"2^{sum(orders)}")
+    times, ops, closing = _bracketed(chain.from_iterable(map(repeat, moos.labels, orders)))
     return Schedule("cdd_nested", orders, _events(times, ops), closing, 2 ** sum(orders))
 
 
@@ -267,6 +249,9 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
                 f"inner level {l} has odd UDD order {n_l}; nesting requires "
                 f"even inner orders (pass allow_odd_inner to override)"
             )
+    intervals = math.prod(n + 1 for n in orders)
+    if intervals > MAX_INTERVALS:
+        raise _too_many_intervals("nudd", intervals)
     labels = moos.labels
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
 
@@ -293,7 +278,6 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
         return times, ops, edge
 
     times, ops, edge = build(len(labels), 0.0, 1.0)
-    intervals = math.prod(n + 1 for n in orders)
     return Schedule("nudd", orders, _events(times, ops), edge, intervals)
 
 

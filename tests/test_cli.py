@@ -418,3 +418,31 @@ def test_config_norm_bound_checked_by_every_command(tmp_path, capsys, argv):
     code, _, err = run(["--config", str(cfg), *argv], capsys)
     assert code == 2
     assert "norm_bound must be finite and >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("scheme, orders, intervals", [("udd", "100000000", "100000001"),
+                                                       ("nudd", "2,1048576", "3145731")])
+def test_sequence_interval_count_checked_before_building(scheme, orders, intervals):
+    # udd at order 10^8 used to build its events before any check, about
+    # 11.5 GB; a subprocess with a timeout makes a regression fail instead
+    # of exhausting memory.
+    src = str(Path(ddkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ddkit.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "sequence", "--scheme", scheme, "--orders", orders],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    want = f"{scheme} would have {intervals} control intervals, more than MAX_INTERVALS"
+    assert want in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_pulse_scan_non_utf8_pulse_file_exit_2(tmp_path, capsys):
+    # used to end in a UnicodeDecodeError traceback with exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, _, err = run(["pulse", "scan", "--pulse", str(bad), "--out", str(tmp_path / "o.csv")],
+                       capsys)
+    assert code == 2
+    assert "malformed pulse JSON" in err

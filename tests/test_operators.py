@@ -1,10 +1,16 @@
+import itertools
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddkit
 from ddkit import linalg, operators
 from ddkit.errors import PreconditionError
 from ddkit.linalg import HERM_TOL, spectral_norm
@@ -167,9 +173,54 @@ def test_lie_closure_generator_order_invariant():
     assert a == b == 3
 
 
-def test_lie_closure_max_dim_cap():
-    with pytest.raises(PreconditionError):
-        lie_closure(qubit_full_moos(2), max_dim=5)
+@pytest.mark.parametrize("build", [lambda: qubit_full_moos(6), lambda: mlevel_full_moos(256)],
+                         ids=["qubit_full(6)", "mlevel_full(256)"])
+def test_lie_closure_rejects_oversized_basis_before_any_work(build):
+    moos = build()
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="more than MAX_CLOSURE_BYTES"):
+        lie_closure(moos)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_lie_closure_qubit_full_4_is_su16():
+    assert len(lie_closure(qubit_full_moos(4))) == 255
+
+
+def test_moos_closure_cli_rejects_qubit_full_8():
+    # A subprocess with a timeout makes a runaway closure fail instead of
+    # stalling the suite or exhausting memory.
+    src = str(Path(ddkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ddkit.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "moos", "--spec", "qubit_full:8", "--closure"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "more than MAX_CLOSURE_BYTES" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_lie_closure_repeated_elements_take_no_part():
+    # Z1 sixty times, then X1 and Z2: if the copies took part in larger
+    # subsets the closure would try over half a million products.
+    z1, x1, z2 = pauli("z", 1, 2), pauli("x", 1, 2), pauli("z", 2, 2)
+    start = time.perf_counter()
+    assert len(lie_closure(Moos((z1,) * 60 + (x1, z2)))) == 7
+    assert time.perf_counter() - start < 2.0
+
+
+def test_lie_closure_stops_after_a_size_adds_nothing():
+    # D_i = I - 2 e_i for twenty i at d = 32: D_i D_j = D_i + D_j - I, so no
+    # pair adds to the span of the elements, and the closure stops after the
+    # pairs instead of trying all 2^20 - 1 subsets.
+    ops = tuple(
+        Operator(f"D{i}", np.diag(np.where(np.arange(32) == i, -1.0, 1.0)), 32)
+        for i in range(20)
+    )
+    start = time.perf_counter()
+    assert len(lie_closure(Moos(ops))) == 20
+    assert time.perf_counter() - start < 2.0
 
 
 def test_moos_json_round_trip():
@@ -425,7 +476,31 @@ def _closure_sets():
             _conjugated(qubit_full_moos(n).elements, phase))
         sets[f"Q-conjugated qubit_full({n})"] = Moos(
             _conjugated(qubit_full_moos(n).elements, _random_unitary(rng, d)))
+    # Distinct non-identity Pauli strings pairwise commute or anticommute,
+    # and the anticommuting ones are traceless: every such set is an MOOS.
+    pauli_rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        strings = list(itertools.product("IXYZ", repeat=n))[1:]
+        for _ in range(3):
+            size = pauli_rng.integers(1, min(6, len(strings)) + 1)
+            picked = pauli_rng.choice(len(strings), size=size, replace=False)
+            labels = ["".join(strings[i]) for i in picked]
+            sets[f"pauli strings {','.join(labels)}"] = Moos(tuple(
+                Operator(lab, _pauli_string(lab), 2**n) for lab in labels))
     return sets
+
+
+def _pauli_string(label):
+    m = np.eye(1, dtype=complex)
+    for c in label:
+        m = np.kron(m, {"I": np.eye(2), "X": SX, "Y": SY, "Z": SZ}[c])
+    return m
+
+
+def _float_rows(basis, dim):
+    """Basis elements as rows of their float views, scaled so that the dot
+    product of two rows is their dimension-normalized inner product."""
+    return np.array([np.ravel(b).view(float) for b in basis]) / np.sqrt(dim)
 
 
 _CLOSURE_SETS = _closure_sets()
@@ -433,8 +508,13 @@ _CLOSURE_SETS = _closure_sets()
 
 @pytest.mark.parametrize("name, moos", list(_CLOSURE_SETS.items()), ids=list(_CLOSURE_SETS))
 def test_lie_closure_matches_modified_gram_schmidt(name, moos):
-    want = _closure_mgs(moos)
-    got = lie_closure(moos)
+    # The closure tries subset products where the reference tries commutator
+    # rounds, so the two are different orthonormal bases of one span that
+    # agree on the MOOS elements they both start from.
+    want = _float_rows(_closure_mgs(moos), moos.dim)
+    got = _float_rows([g.matrix for g in lie_closure(moos)], moos.dim)
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.max(np.abs(g.matrix - w)) <= 1e-12
+    assert np.max(np.abs(got.T @ got - want.T @ want)) <= 1e-12
+    assert np.max(np.abs(got @ got.T - np.eye(len(got)))) <= 1e-12
+    n = len(moos)
+    assert np.max(np.abs(got[:n] - want[:n])) <= 1e-12

@@ -11,11 +11,10 @@ import pytest
 from ddkit.errors import PreconditionError
 from ddkit.linalg import expm_i, kron, spectral_norm
 from ddkit.model import HamiltonianModel, random_model
-from ddkit.operators import Moos, Operator, pauli
+from ddkit.operators import Moos, Operator, composed_pulse, pauli
 from ddkit.pulseshape import (
     PulseDesignError,
     PulseShape,
-    composed_pulse,
     design_pulse,
     eta_integrals,
     eta_integrals_quadrature,
