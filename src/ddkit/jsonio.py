@@ -1,5 +1,5 @@
-"""Checked reading of the JSON documents ddkit writes (schedules, MOOS sets,
-pulse shapes, model descriptors and CLI config files).
+"""Checked reading of the JSON documents ddkit writes (schedules, MOOS sets
+and pulse shapes) and of CLI config files.
 
 Each loader parses through ``load_object`` and reads every key through
 ``get_field`` or ``get_list``, so malformed text, a missing key or a value of

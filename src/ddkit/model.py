@@ -6,18 +6,16 @@ is scheduled across threads.  The system is the slow (leftmost) Kronecker
 factor throughout.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionError
-from .jsonio import get_field, load_object
 from .linalg import MAX_DIM, kron, require_hermitian, spectral_norm
 from .operators import Operator, pauli
 
-__all__ = ["HamiltonianModel", "random_model", "decompose", "model_descriptor", "model_from_descriptor"]
+__all__ = ["HamiltonianModel", "random_model", "decompose"]
 
 STRUCTURES = ("general", "pure_dephasing", "qdd_counterexample", "custom")
 DEFAULT_BATH_DIM = 4
@@ -162,27 +160,3 @@ def decompose(model: HamiltonianModel, omega: Operator):
     a_part = (model.h_total - whw) / 2
     return c_part, a_part
 
-
-def model_descriptor(model: HamiltonianModel) -> str:
-    """JSON descriptor; matrices are never serialized, always regenerated."""
-    return json.dumps(
-        {
-            "structure": model.structure,
-            "sys_dim": model.sys_dim,
-            "bath_dim": model.bath_dim,
-            "norm_bound": model.norm_bound,
-            "seed": model.seed,
-        },
-        indent=2,
-    )
-
-
-def model_from_descriptor(text: str) -> HamiltonianModel:
-    doc = load_object(text, "model descriptor")
-    return random_model(
-        get_field(doc, "structure", str, "model descriptor"),
-        get_field(doc, "sys_dim", int, "model descriptor"),
-        get_field(doc, "bath_dim", int, "model descriptor"),
-        get_field(doc, "norm_bound", float, "model descriptor"),
-        get_field(doc, "seed", int, "model descriptor"),
-    )

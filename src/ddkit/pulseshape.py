@@ -111,12 +111,13 @@ def rectangular_pulse(tau_p: float = 1.0) -> PulseShape:
     return PulseShape(tau_p, tau_p / 2, ((1.0, TARGET_AREA / tau_p),))
 
 
-def _symmetric_shape(amps, tau_p: float) -> PulseShape:
-    """Mirror-symmetric equal-length segments from the first-half amplitudes:
-    amps (a1, .., ak) gives 2k-1 segments (a1, .., ak, .., a1)."""
+def _symmetric_shape(amps) -> PulseShape:
+    """Mirror-symmetric equal-length segments of unit total duration from the
+    first-half amplitudes: amps (a1, .., ak) gives 2k-1 segments
+    (a1, .., ak, .., a1)."""
     full = tuple(amps) + tuple(reversed(amps[:-1]))
     n = len(full)
-    return PulseShape(tau_p, tau_p / 2, tuple((1.0 / n, a) for a in full))
+    return PulseShape(1.0, 0.5, tuple((1.0 / n, a) for a in full))
 
 
 def eta_integrals(shape: PulseShape) -> tuple[float, float]:
@@ -126,26 +127,33 @@ def eta_integrals(shape: PulseShape) -> tuple[float, float]:
     eta_11 = int (t - tau_s) v(t) cos(phi0 - psi(t)) dt and eta_12 the sine
     counterpart, with psi(t) = 2 int_{tau_s}^t v and phi0 the area imbalance
     about tau_s.
+
+    Both moments scale as tau_p at a fixed area, so they are evaluated on the
+    shape stretched to tau_p = 1, where b**2 below neither overflows nor
+    vanishes, and scaled back; at tau_p = 1 the stretch is exact.
     """
-    edges = shape.boundaries()
+    tau_p = shape.tau_p
+    segments = [(f, a * tau_p) for f, a in shape.segments]
+    tau_s = shape.tau_s / tau_p
+    edges = [e / tau_p for e in shape.boundaries()]
     # cumulative integral of v at segment starts
     v_cum = [0.0]
-    for (f, a), j in zip(shape.segments, range(len(shape.segments))):
+    for (f, a), j in zip(segments, range(len(segments))):
         v_cum.append(v_cum[-1] + a * (edges[j + 1] - edges[j]))
     area = v_cum[-1]
 
     def v_int(t: float) -> float:
-        for j in range(len(shape.segments)):
-            if t <= edges[j + 1] or j == len(shape.segments) - 1:
-                return v_cum[j] + shape.segments[j][1] * (t - edges[j])
+        for j in range(len(segments)):
+            if t <= edges[j + 1] or j == len(segments) - 1:
+                return v_cum[j] + segments[j][1] * (t - edges[j])
         raise AssertionError
 
-    v_at_s = v_int(shape.tau_s)
+    v_at_s = v_int(tau_s)
     phi0 = area - 2 * v_at_s
 
     eta11 = 0.0
     eta12 = 0.0
-    for j, (_, amp) in enumerate(shape.segments):
+    for j, (_, amp) in enumerate(segments):
         if amp == 0.0:
             continue
         t0, t1 = edges[j], edges[j + 1]
@@ -154,18 +162,18 @@ def eta_integrals(shape: PulseShape) -> tuple[float, float]:
         a_coef = phi0 + 2 * v_at_s - 2 * v_cum[j] + 2 * amp * t0
 
         def f_cos(t):
-            return (t - shape.tau_s) * math.sin(a_coef + b * t) / b + math.cos(
+            return (t - tau_s) * math.sin(a_coef + b * t) / b + math.cos(
                 a_coef + b * t
             ) / b**2
 
         def f_sin(t):
-            return -(t - shape.tau_s) * math.cos(a_coef + b * t) / b + math.sin(
+            return -(t - tau_s) * math.cos(a_coef + b * t) / b + math.sin(
                 a_coef + b * t
             ) / b**2
 
         eta11 += amp * (f_cos(t1) - f_cos(t0))
         eta12 += amp * (f_sin(t1) - f_sin(t0))
-    return eta11, eta12
+    return eta11 * tau_p, eta12 * tau_p
 
 
 def eta_integrals_quadrature(shape: PulseShape, tol: float = 1e-12):
@@ -211,7 +219,11 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0, seed: int = 0) -> Pul
     eta_11 = 0 by parity, leaving the area constraint and the eta_12 root.
     Damped Newton with a finite-difference Jacobian, 200 iterations and 20
     random restarts; 'rect' has no free parameter and reports its residual.
+    The moments scale as tau_p at a fixed area, so the solve runs at
+    tau_p = 1 and the root found there is stretched to ``tau_p``.
     """
+    if not 0.0 < tau_p < math.inf:
+        raise PreconditionError(f"pulse duration must be positive and finite, got {tau_p}")
     if family == "rect":
         shape = rectangular_pulse(tau_p)
         _, eta12 = eta_integrals(shape)
@@ -225,7 +237,7 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0, seed: int = 0) -> Pul
     n_amps = {"sym3": 2, "sym5": 3}[family]
 
     def residual(x):
-        shape = _symmetric_shape(x, tau_p)
+        shape = _symmetric_shape(x)
         _, eta12 = eta_integrals(shape)
         return np.array([shape.area - TARGET_AREA, eta12])
 
@@ -233,19 +245,19 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0, seed: int = 0) -> Pul
     best = math.inf
     for restart in range(20):
         if restart == 0:
-            x = np.full(n_amps, TARGET_AREA / tau_p)
+            x = np.full(n_amps, TARGET_AREA)
             x[0] = -x[0]  # negative wings, the known qualitative solution
         else:
-            x = rng.uniform(-4.0, 4.0, n_amps) * TARGET_AREA / tau_p
+            x = rng.uniform(-4.0, 4.0, n_amps) * TARGET_AREA
         for _ in range(200):
             r = residual(x)
             nrm = float(np.linalg.norm(r))
             best = min(best, nrm)
             if nrm < 1e-13:
-                shape = _symmetric_shape(x, tau_p)
+                shape = _symmetric_shape(x)
                 eta11, eta12 = eta_integrals(shape)
                 if abs(eta11) <= ETA_TOL and abs(eta12) <= ETA_TOL:
-                    return shape
+                    return shape.rescaled(tau_p)
                 break
             jac = np.zeros((2, n_amps))
             h = 1e-7 * max(1.0, float(np.max(np.abs(x))))

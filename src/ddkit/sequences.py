@@ -1,6 +1,10 @@
 """Pulse-schedule compilation: UDD, the first-order iterated MOOS scheme,
 SDD mirror symmetrization, both CDD recursions, and NUDD nesting.
 
+All but SDD are one construction, ``_nest``: layers nested in each other's
+free intervals, UDD layers for UDD and NUDD, order-1 layers at the midpoint
+for CDD and the first-order scheme.
+
 Schedules live on the normalized time axis [0, 1]; the physical total time T
 is applied at simulation time.  Pulses at a common instant are stored as one
 event carrying an ordered label list and are composed in that order (the
@@ -41,6 +45,7 @@ MAX_FIRST_ORDER_SIZE = 12
 _LOG2_MAX_INTERVALS = 20
 MAX_INTERVALS = 2**_LOG2_MAX_INTERVALS
 _TIME_TOL = 1e-12
+_HALF = (0.5,)  # exact; udd_times(1) is 0.49999999999999994
 
 
 class Event(NamedTuple):
@@ -54,8 +59,8 @@ class Event(NamedTuple):
 class Schedule:
     """An ordered pulse schedule on normalized time [0, 1].
 
-    ``closing_ops`` are the pulses applied at time 1 (bracketed pulses of the
-    recursion, or the leftover inner-block pulses of odd-order NUDD levels).
+    ``closing_ops`` are the pulses applied at time 1: the leftover labels of
+    the nested layers (CDD brackets, odd inner NUDD levels).
     ``intervals`` is the number of control intervals of the scheme: at least
     ``len(events) + 1``, and more for SDD, whose midpoint boundary is silent
     when the inner schedule has no closing pulses.
@@ -120,65 +125,65 @@ def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
     )
 
 
+def _nest(scheme: str, orders, layers) -> Schedule:
+    """``layers`` are (label, interior fractions, leftover) triples,
+    innermost first.  Each layer puts boundaries at a + (b - a) * f inside
+    every interval (a, b) of the layers outside it.  A layer's pulse is the
+    inner layers' leftover labels followed by its own; a layer with
+    ``leftover`` appends its label to them, and what is left after the
+    outermost layer is the closing."""
+    ops: list[tuple[str, ...]] = []
+    leftover: tuple[str, ...] = ()
+    for label, fracs, keep in layers:
+        # The inner layers' pattern in each of this layer's intervals, with
+        # this layer's pulse between them.
+        ops = [*ops, leftover + (label,)] * (len(fracs) + 1)
+        ops.pop()
+        if keep:
+            leftover += (label,)
+    times = _boundaries([fracs for _, fracs, _ in layers])
+    return Schedule(scheme, orders, _events(times, ops), leftover, len(times) + 1)
+
+
+def _boundaries(fractions) -> list[float]:
+    # _nest's boundary times, outermost layer first and all intervals of a
+    # layer at once; the arrays are freed on return.
+    edges = np.array([0.0, 1.0])
+    for fracs in reversed(fractions):
+        if fracs:
+            a = edges[:-1, None]
+            edges = np.append(np.hstack((a, a + (edges[1:, None] - a) * fracs)), 1.0)
+    return edges[1:-1].tolist()
+
+
 def udd_schedule(op_label: str, n: int) -> Schedule:
     """Nth-order UDD of a single operator; the leftover Omega^N rotation is
     not emitted as a closing pulse (the error metric compensates for it)."""
     if n + 1 > MAX_INTERVALS:
         raise _too_many_intervals("udd", n + 1)
-    events = _events(udd_times(n), repeat((op_label,)))
-    return Schedule("udd", (n,), events, (), n + 1)
-
-
-def _scale(times, a: float, b: float) -> list[float]:
-    w = b - a
-    return [a + w * t for t in times]
-
-
-def _bracketed(labels):
-    """Columns and closing bracket of the bracketed recursion
-    X -> Omega X(T/2) Omega X(T/2), applied once per label in order, the
-    first label innermost: X in the first half, the composed (X-closing then
-    Omega) pulse at the midpoint, X in the second half, Omega appended to the
-    closing bracket."""
-    times: list[float] = []
-    ops: list[tuple[str, ...]] = []
-    closing: tuple[str, ...] = ()
-    for lab in labels:
-        closing += (lab,)
-        times = _scale(times, 0.0, 0.5) + [0.5] + _scale(times, 0.5, 1.0)
-        ops = ops + [closing] + ops
-    return times, ops, closing
+    return _nest("udd", (n,), [(op_label, udd_times(n), False)])
 
 
 def first_order_schedule(moos: Moos, include_closing: bool = False) -> Schedule:
-    """First-order iterated scheme over the whole MOOS: 2^L equal intervals.
-
-    Without closing pulses the pattern is the binary-carry (ruler) sequence:
-    at boundary k the element whose index equals the number of trailing zero
-    bits of k is applied, so the first MOOS element toggles fastest.  With
-    ``include_closing`` every recursion level keeps its end bracket, inner
-    brackets compose with the boundary pulses, and the net pulse operator is
-    exactly the identity.
+    """First-order iterated scheme over the whole MOOS: 2^L equal intervals,
+    one halving layer per element, the first innermost, so it toggles
+    fastest.  With ``include_closing`` every layer keeps its end bracket,
+    inner brackets compose with the boundary pulses, and the net pulse
+    operator is exactly the identity.
     """
     size = len(moos)
     if size > MAX_FIRST_ORDER_SIZE:
         raise PreconditionError(f"MOOS size {size} exceeds {MAX_FIRST_ORDER_SIZE}")
-    labels = moos.labels
-    if include_closing:
-        times, ops, closing = _bracketed(labels)
-    else:
-        single = [(lab,) for lab in labels]
-        n = 2**size
-        times = [k / n for k in range(1, n)]
-        ops = [single[(k & -k).bit_length() - 1] for k in range(1, n)]  # trailing zero bits of k
-        closing = ()
-    return Schedule("first_order", (1,) * size, _events(times, ops), closing, 2**size)
+    layers = [(lab, _HALF, include_closing) for lab in moos.labels]
+    return _nest("first_order", (1,) * size, layers)
 
 
 def sdd_schedule(inner: Schedule) -> Schedule:
     """Mirror symmetrization: the inner schedule compressed into [0, 1/2]
     followed by its time mirror.  An inner closing bracket collides with the
     mirror's opening bracket at the midpoint and the two compose in order."""
+    if 2 * inner.intervals > MAX_INTERVALS:
+        raise _too_many_intervals("sdd", 2 * inner.intervals)
     times, ops = _columns(inner.events)
     closing = tuple(inner.closing_ops)
     mid = [closing + closing[::-1]] if closing else []
@@ -188,7 +193,7 @@ def sdd_schedule(inner: Schedule) -> Schedule:
         "sdd",
         inner.orders,
         _events(
-            _scale(times, 0.0, 0.5) + [0.5] * len(mid) + [1.0 - 0.5 * t for t in reversed(times)],
+            [0.5 * t for t in times] + [0.5] * len(mid) + [1.0 - 0.5 * t for t in reversed(times)],
             ops + mid + [mirrored[o] for o in reversed(ops)],
         ),
         (),
@@ -198,14 +203,14 @@ def sdd_schedule(inner: Schedule) -> Schedule:
 
 def cdd_uniform(moos: Moos, n: int) -> Schedule:
     """Concatenated DD: N recursive substitutions of the bracketed
-    first-order pattern into its own free intervals; 2^(N*L) intervals."""
+    first-order pattern X -> Omega X(T/2) Omega X(T/2) into its own free
+    intervals; 2^(N*L) intervals."""
     size = len(moos)
     if n < 1:
         raise PreconditionError("CDD order must be >= 1")
     if n * size > _LOG2_MAX_INTERVALS:
         raise _too_many_intervals("cdd", f"2^{n * size}")
-    times, ops, closing = _bracketed(moos.labels * n)
-    return Schedule("cdd", (n,) * size, _events(times, ops), closing, 2 ** (n * size))
+    return _nest("cdd", (n,) * size, [(lab, _HALF, True) for lab in moos.labels * n])
 
 
 def cdd_nested(moos: Moos, orders) -> Schedule:
@@ -220,21 +225,22 @@ def cdd_nested(moos: Moos, orders) -> Schedule:
         raise PreconditionError("CDD orders must be >= 0")
     if sum(orders) > _LOG2_MAX_INTERVALS:
         raise _too_many_intervals("cdd_nested", f"2^{sum(orders)}")
-    times, ops, closing = _bracketed(chain.from_iterable(map(repeat, moos.labels, orders)))
-    return Schedule("cdd_nested", orders, _events(times, ops), closing, 2 ** sum(orders))
+    labels = chain.from_iterable(map(repeat, moos.labels, orders))
+    return _nest("cdd_nested", orders, [(lab, _HALF, True) for lab in labels])
 
 
 def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
     """Nested UDD: the last MOOS element at the outermost UDD timing, each
-    level's free intervals recursively subdivided at the rescaled Uhrig
-    fractions of the inner levels.
+    level's free intervals subdivided at the rescaled Uhrig fractions of the
+    inner levels.
 
     Inner orders must be even (the symmetry hypothesis under which nesting
     is guaranteed) unless ``allow_odd_inner`` is set for counterexample
     studies.
     An odd inner level leaves one leftover pulse at the end of each of its
     blocks; those compose with the outer pulses at shared boundaries, and the
-    one at time 1 goes to the closing list.
+    one at time 1 goes to the closing list.  The outermost level keeps no
+    leftover, as in ``udd_schedule``.
     """
     orders = tuple(int(x) for x in orders)
     if len(orders) != len(moos):
@@ -252,33 +258,11 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
     intervals = math.prod(n + 1 for n in orders)
     if intervals > MAX_INTERVALS:
         raise _too_many_intervals("nudd", intervals)
-    labels = moos.labels
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-    def build(level: int, a: float, b: float):
-        """Columns of the events inside (a, b) and the pulses left at the
-        right edge b."""
-        if level == 0:
-            return [], [], ()
-        lab = labels[level - 1]
-        n = orders[level - 1]
-        bounds = [a] + [a + (b - a) * f for f in udd_times(n)] + [b]
-        times: list[float] = []
-        ops: list[tuple[str, ...]] = []
-        for i in range(n + 1):
-            sub_times, sub_ops, edge = build(level - 1, bounds[i], bounds[i + 1])
-            times += sub_times
-            ops += sub_ops
-            if i < n:
-                times.append(bounds[i + 1])
-                pulse = edge + (lab,)
-                ops.append(shared.setdefault(pulse, pulse))
-        if n % 2 == 1 and level < len(labels):
-            edge += (lab,)
-        return times, ops, edge
-
-    times, ops, edge = build(len(labels), 0.0, 1.0)
-    return Schedule("nudd", orders, _events(times, ops), edge, intervals)
+    outer = len(orders) - 1
+    return _nest("nudd", orders, [
+        (lab, udd_times(n), n % 2 == 1 and l < outer)
+        for l, (lab, n) in enumerate(zip(moos.labels, orders))
+    ])
 
 
 def compose_pulses(labels, moos: Moos) -> np.ndarray:

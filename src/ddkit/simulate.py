@@ -156,6 +156,15 @@ class Program:
     net: Operator
 
 
+def _check_dims(ops, moos: Moos) -> None:
+    for op in ops:
+        if op is not None and op.acts_on != moos.dim:
+            raise PreconditionError(
+                f"operator {op.label!r} acts on dimension {op.acts_on}, "
+                f"MOOS dimension is {moos.dim}"
+            )
+
+
 def compile_program(
     schedule: Schedule,
     moos: Moos,
@@ -165,12 +174,7 @@ def compile_program(
     """Segment program of ``schedule``; ``interval_conj`` conjugates every
     free block by a system operator, ``wrap`` puts a Hahn echo of a system
     operator around the whole run (see the module docstring)."""
-    for op in (interval_conj, wrap):
-        if op is not None and op.acts_on != moos.dim:
-            raise PreconditionError(
-                f"operator {op.label!r} acts on dimension {op.acts_on}, "
-                f"MOOS dimension is {moos.dim}"
-            )
+    _check_dims((interval_conj, wrap), moos)
     eye = np.eye(moos.dim, dtype=complex)
     pulses = {}  # one system matrix per distinct pulse
     steps = []
@@ -347,6 +351,7 @@ def order_scan(
     """
     if operators is None:
         operators = list(moos.elements)
+    _check_dims(operators, moos)
     work = schedule.intervals * len(config.t_grid) * len(config.seeds)
     if work > MAX_EXPONENTIALS:
         raise PreconditionError(

@@ -198,6 +198,25 @@ def test_pulse_design_rect_exit_3(capsys):
     assert "residual" in err
 
 
+@pytest.mark.parametrize("family, tau_p, code, needle", [
+    ("sym3", "0", 2, "pulse duration must be positive"),
+    ("rect", "0", 2, "pulse duration must be positive"),
+    ("sym3", "-1", 2, "pulse duration must be positive"),
+    ("sym3", "1e-160", 0, "area = "),
+    ("rect", "1e-160", 3, "residual |eta_12| = 3.183e-161"),
+    ("sym3", "1e200", 0, "area = "),
+    ("rect", "1e200", 3, "residual |eta_12| = 3.183e+199"),
+    ("sym3", "1e-320", 2, "must be finite"),
+])
+def test_pulse_design_tau_p_never_ends_in_a_traceback(capsys, family, tau_p, code, needle):
+    # zero, tiny and huge durations used to end in ZeroDivisionError or
+    # OverflowError tracebacks
+    got, out, err = run(["pulse", "design", "--family", family, "--tau-p", tau_p], capsys)
+    assert got == code
+    assert needle in out + err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc, needle", [
     ({"seeds": "ab"}, "'seeds' must be a list, got str"),
     ({"seeds": None}, "'seeds' must be a list, got NoneType"),

@@ -1,17 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from ddkit.errors import PreconditionError
 from ddkit.linalg import kron, spectral_norm
-from ddkit.model import (
-    HamiltonianModel,
-    decompose,
-    model_descriptor,
-    model_from_descriptor,
-    random_model,
-)
+from ddkit.model import HamiltonianModel, decompose, random_model
 from ddkit.operators import Operator, pauli
 
 SZ = pauli("z", 1, 1)
@@ -135,38 +127,15 @@ def test_decompose_residuals_and_projection_pair():
     assert spectral_norm(a2) <= 1e-12
 
 
-def test_descriptor_round_trip():
-    m = random_model("qdd_counterexample", 2, 4, 0.5, 9)
-    text = model_descriptor(m)
-    doc = json.loads(text)
-    assert doc == {
-        "structure": "qdd_counterexample",
-        "sys_dim": 2,
-        "bath_dim": 4,
-        "norm_bound": 0.5,
-        "seed": 9,
-    }
-    again = model_from_descriptor(text)
-    assert np.array_equal(again.h_total, m.h_total)
-
-
-_GOOD_DESCRIPTOR = {"structure": "general", "sys_dim": 2, "bath_dim": 4, "norm_bound": 1.0, "seed": 0}
-
-
-@pytest.mark.parametrize("text, needle", [
-    ('{"structure": "general"', "malformed model descriptor JSON"),
-    ("null", "must be an object, got NoneType"),
-    (json.dumps({k: v for k, v in _GOOD_DESCRIPTOR.items() if k != "seed"}), "missing key 'seed'"),
-    (json.dumps({**_GOOD_DESCRIPTOR, "sys_dim": "2"}), "'sys_dim' must be an integer"),
-    (json.dumps({**_GOOD_DESCRIPTOR, "seed": False}), "'seed' must be an integer"),
-    (json.dumps({**_GOOD_DESCRIPTOR, "structure": ["general"]}), "'structure' must be a string"),
-    (json.dumps({**_GOOD_DESCRIPTOR, "sys_dim": -2}), "sys_dim and bath_dim must be >= 1"),
-    (json.dumps({**_GOOD_DESCRIPTOR, "seed": -1}), "seed must lie in [0, 2^128)"),
-    (json.dumps({**_GOOD_DESCRIPTOR, "norm_bound": -1.0}), "norm_bound must be finite and >= 0"),
-], ids=["truncated", "null", "no_seed", "sys_dim_str", "seed_bool", "structure_list",
-        "sys_dim_negative", "seed_negative", "norm_bound_negative"])
-def test_model_from_descriptor_rejects_bad_input(text, needle):
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"sys_dim": -2}, "sys_dim and bath_dim must be >= 1"),
+    ({"seed": -1}, "seed must lie in [0, 2^128)"),
+    ({"norm_bound": -1.0}, "norm_bound must be finite and >= 0"),
+], ids=["sys_dim_negative", "seed_negative", "norm_bound_negative"])
+def test_random_model_rejects_bad_input(kwargs, needle):
+    args = {"structure": "general", "sys_dim": 2, "bath_dim": 4, "norm_bound": 1.0, "seed": 0}
     with pytest.raises(PreconditionError) as err:
-        model_from_descriptor(text)
+        random_model(**{**args, **kwargs})
     assert needle in str(err.value)
+
 

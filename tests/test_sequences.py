@@ -9,6 +9,7 @@ from ddkit.errors import PreconditionError
 from ddkit.linalg import spectral_norm
 from ddkit.operators import Moos, pauli, qubit_full_moos
 from ddkit.sequences import (
+    MAX_INTERVALS,
     Event,
     Schedule,
     cdd_nested,
@@ -97,6 +98,15 @@ def test_first_order_closing_net_pulse_is_identity():
         s = first_order_schedule(moos, include_closing=True)
         net = net_pulse_operator(s, moos)
         assert spectral_norm(net.matrix - np.eye(moos.dim)) <= 1e-12
+
+
+def test_sdd_interval_count_checked_before_building():
+    # SDD doubles the intervals of its inner schedule; an empty schedule
+    # carries the count without building any events.
+    assert sdd_schedule(Schedule("free", (), (), (), MAX_INTERVALS // 2)).intervals == MAX_INTERVALS
+    with pytest.raises(PreconditionError) as err:
+        sdd_schedule(Schedule("free", (), (), (), MAX_INTERVALS // 2 + 1))
+    assert f"sdd would have {MAX_INTERVALS + 2} control intervals" in str(err.value)
 
 
 def test_first_order_size_cap():

@@ -216,6 +216,17 @@ def test_order_scan_budget_cap():
         order_scan(big, MOOS1, GENERAL, cfg, operators=[SZ])
 
 
+def test_order_scan_rejects_operator_of_wrong_dimension(monkeypatch):
+    # used to realize and propagate every model, then fail inside numpy
+    def realize(self, seed):
+        raise AssertionError("a model was realized before the check")
+
+    monkeypatch.setattr(ModelSpec, "realize", realize)
+    with pytest.raises(PreconditionError) as err:
+        order_scan(udd_schedule("Z1", 2), MOOS1, ModelSpec(), operators=[pauli("z", 1, 2)])
+    assert "operator 'Z1' acts on dimension 4, MOOS dimension is 2" in str(err.value)
+
+
 def test_moos_partner_conjugation_preserves_slope():
     # conjugating every free block by an MOOS partner of the protected
     # operator must not change the fitted order
