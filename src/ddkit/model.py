@@ -82,6 +82,12 @@ def check_norm_bound(norm_bound: float) -> None:
         raise PreconditionError(f"norm_bound must be finite and >= 0, got {norm_bound}")
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed the Philox generator cannot take as its key."""
+    if not (0 <= seed < 2**128):
+        raise PreconditionError(f"seed must lie in [0, 2^128), got {seed}")
+
+
 def _random_hermitian(rng: np.random.Generator, dim: int, norm: float) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (a + a.conj().T) / 2
@@ -113,8 +119,7 @@ def random_model(
             f"sys_dim and bath_dim must be >= 1, got {sys_dim} and {bath_dim}"
         )
     check_norm_bound(norm_bound)
-    if not (0 <= seed < 2**128):
-        raise PreconditionError(f"seed must lie in [0, 2^128), got {seed}")
+    check_seed(seed)
     dim = sys_dim * bath_dim
     if dim > MAX_DIM:
         raise PreconditionError(f"total dimension {dim} exceeds {MAX_DIM}")

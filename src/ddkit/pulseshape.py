@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DDKitError, PreconditionError
 from .jsonio import get_field, get_list, load_object
 from .linalg import expm_i, require_hermitian
-from .model import HamiltonianModel
+from .model import HamiltonianModel, check_seed
 from .operators import Operator
 from .simulate import Program, RunConfig, ScalingResult, _propagators, fit_operator
 
@@ -224,6 +224,7 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0, seed: int = 0) -> Pul
     """
     if not 0.0 < tau_p < math.inf:
         raise PreconditionError(f"pulse duration must be positive and finite, got {tau_p}")
+    check_seed(seed)
     if family == "rect":
         shape = rectangular_pulse(tau_p)
         _, eta12 = eta_integrals(shape)

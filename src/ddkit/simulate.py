@@ -18,11 +18,20 @@ multiply by exp(-i frac T lambda), a driven step one batched ``eigh`` of
 frac T diag(lambda) + angle V^dag (A x I) V, a pulse one batched product with
 V^dag (P x I) V, and the result is rotated back as V W V^dag.  Sweep points
 (T x seed) are independent, so results never depend on how a sweep is batched.
+
+The steps run as a Re-Pair grammar (``_grammar``, built once per program): a
+rule is a repeated pair of adjacent symbols, built bottom-up as one batched
+product of its two matrices, and a rule symbol in the top sequence is one
+batched product; a step of the top sequence runs as above.  A program whose
+repeats do not pay has no rules.  A sweep may form at most MAX_PRODUCTS
+grammar products over all its points.
 """
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.median imports it on its first call; load it with the module
@@ -50,10 +59,17 @@ __all__ = [
 
 DEFAULT_T_GRID = np.geomspace(0.02, 0.6, 12)
 DEFAULT_SEEDS = tuple(range(8))
-MAX_EXPONENTIALS = 10**6
+# Products a sweep may form: grammar products x total times x seeds.
+MAX_PRODUCTS = 10**6
+# The kernel's work in units of one step of the top sequence (a phase
+# multiply and one product per model): forming a leaf matrix of a rule, and
+# one batched [model, time, d, d] product, as measured at d = 4 and 8.
+LEAF_COST = 1
+PRODUCT_COST = 2
 MIN_FIT_POINTS = 4
 MAX_FIT_RESIDUAL = 0.1
-# Bytes of propagators a sweep holds at once; larger sweeps run in chunks.
+# Bytes of propagators and rule matrices a sweep holds at once; larger
+# sweeps run in chunks.
 BATCH_BYTES = 2**25
 
 
@@ -155,6 +171,11 @@ class Program:
     pulses: dict
     net: Operator
 
+    @cached_property
+    def grammar(self):
+        """``_grammar`` of the steps, built once per program."""
+        return _grammar(self.steps)
+
 
 def _check_dims(ops, moos: Moos) -> None:
     for op in ops:
@@ -211,6 +232,69 @@ def compile_program(
     return Program(tuple(steps), pulses, Operator("net", net, moos.dim))
 
 
+def _grammar(steps):
+    """Re-Pair grammar of a step sequence: (top, rules).
+
+    A symbol is a step or the index of a rule; rule i is (earlier, later)
+    and refers only to steps and to rules before it.  Each round counts the
+    adjacent pairs of symbols, without overlaps, and replaces every pair that
+    occurs more than half as often as the most frequent one by a new rule,
+    most frequent first, skipping a pair that shares a symbol with one
+    already taken (so no two replaced pairs overlap), until no pair occurs
+    twice.  Of the grammars the rounds pass through, the flat one included,
+    the cheapest by the kernel's work is kept: LEAF_COST for each step a rule
+    uses, PRODUCT_COST for each rule and for each rule symbol of the top
+    sequence, and 1 for each step in it.  The rounds stop early once the
+    rules alone cost more than that cheapest grammar.
+    """
+    if len(set(zip(steps, steps[1:]))) == len(steps) - 1:
+        return tuple(steps), ()  # no adjacent pair repeats
+    code = {}
+    seq = np.array([code.setdefault(step, len(code)) for step in steps], dtype=np.int64)
+    terms = list(code)
+    n_terms, base = len(terms), len(terms) + len(steps)
+    rules, leaves = [], set()
+    best_cost, best = len(seq), (seq, 0)
+    while len(seq) > 1 and len(rules) * PRODUCT_COST < best_cost:
+        keys = seq[:-1] * base + seq[1:]
+        pos = np.arange(len(keys))
+        # In a run a a a a, count and replace the pairs at even offsets only.
+        run_start = np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], pos, 0))
+        pos = pos[(pos - run_start) % 2 == 0]
+        pairs, counts = np.unique(keys[pos], return_counts=True)
+        order = np.argsort(-counts, kind="stable")
+        if counts[order[0]] < 2:
+            break
+        chosen, used = [], set()
+        for k in order:
+            if 2 * counts[k] <= counts[order[0]]:
+                break
+            a, b = divmod(int(pairs[k]), base)
+            if a not in used and b not in used:
+                used.update((a, b))
+                chosen.append(pairs[k])
+        chosen = np.sort(chosen)
+        hit = pos[np.isin(keys[pos], chosen)]
+        ids = n_terms + len(rules) + np.searchsorted(chosen, keys[hit])
+        new = [divmod(int(c), base) for c in chosen]
+        leaves.update(s for rule in new for s in rule if s < n_terms)
+        rules += new
+        seq = np.delete(seq, hit + 1)
+        seq[hit - np.arange(len(hit))] = ids
+        n_steps = np.count_nonzero(seq < n_terms)
+        cost = (len(leaves) * LEAF_COST + n_steps
+                + (len(rules) + len(seq) - n_steps) * PRODUCT_COST)
+        if cost < best_cost:
+            best_cost, best = cost, (seq, len(rules))
+    seq, n_rules = best
+
+    def symbol(s):
+        return terms[s] if s < n_terms else s - n_terms
+
+    return (tuple(symbol(s) for s in seq.tolist()),
+            tuple((symbol(a), symbol(b)) for a, b in rules[:n_rules]))
+
+
 def _propagators(program: Program, models, times) -> np.ndarray:
     """Propagators of ``program`` for every model and total time, as an
     array indexed [model, time] of full-space matrices."""
@@ -223,21 +307,52 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     vecs = np.stack([m.eig()[1] for m in models])
     vecs_h = vecs.conj().swapaxes(-1, -2)
     eye_b = np.eye(bath_dim)
-    # The eigenbasis propagators are held as w[model, row, time, column], so
-    # that one pulse is one product per model over every time at once.
     n_models, dim = vecs.shape[:2]
     energy = evals[:, :, None] * np.asarray(times, dtype=float)
+    lifted = {key: vecs_h @ kron(p, eye_b) @ vecs for key, p in program.pulses.items()}
+
+    def driven(frac, drive):
+        axis, angle = drive
+        diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(dim)
+        vals, q = np.linalg.eigh(angle * lifted[axis][:, None] + diag)
+        return (q * np.exp(-1j * vals)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+
+    def leaf(step):
+        frac, drive, key = step
+        if drive is not None:
+            m = driven(frac, drive)
+            return m if key is None else lifted[key][:, None] @ m
+        phase = np.exp(-1j * frac * energy).swapaxes(1, 2)[:, :, None, :]
+        return phase * (np.eye(dim) if key is None else lifted[key][:, None])
+
+    # Rule matrices, indexed [model, time, row, column], are built bottom-up
+    # and each one, like each leaf, is freed after its last use.
+    top, rules = program.grammar
+    uses = Counter(s for rule in rules for s in rule)
+    uses.update(s for s in top if isinstance(s, int))
+    mats = {}
+
+    def operand(s):
+        m = mats.pop(s) if s in mats else leaf(s)
+        uses[s] -= 1
+        if uses[s]:
+            mats[s] = m
+        return m
+
+    for i, (a, b) in enumerate(rules):
+        mats[i] = operand(b) @ operand(a)
+    # The eigenbasis propagators are held as w[model, row, time, column], so
+    # that one pulse is one product per model over every time at once.
     w = np.zeros((n_models, dim, len(times), dim), dtype=complex)
     w[:, np.arange(dim), :, np.arange(dim)] = 1.0
-    lifted = {key: vecs_h @ kron(p, eye_b) @ vecs for key, p in program.pulses.items()}
     phases = {}
-    for frac, drive, key in program.steps:
+    for s in top:
+        if isinstance(s, int):
+            w = (operand(s) @ w.swapaxes(1, 2)).swapaxes(1, 2)
+            continue
+        frac, drive, key = s
         if drive is not None:
-            axis, angle = drive
-            diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(dim)
-            vals, q = np.linalg.eigh(angle * lifted[axis][:, None] + diag)
-            step = (q * np.exp(-1j * vals)[..., None, :]) @ q.conj().swapaxes(-1, -2)
-            w = (step @ w.swapaxes(1, 2)).swapaxes(1, 2)
+            w = (driven(frac, drive) @ w.swapaxes(1, 2)).swapaxes(1, 2)
         elif frac:
             if frac not in phases:
                 phases[frac] = np.exp(-1j * frac * energy)[..., None]
@@ -285,8 +400,9 @@ def propagate_wrapped(
 
 
 def preservation_error(u: np.ndarray, omega: Operator, net_pulse: Operator, bath_dim: int):
-    """Spectral norm of U^dag (Omega x I) U - P^dag (Omega x I) P with
-    P = net_pulse (x) I, compensating the known leftover rotation.
+    """Spectral norm of D = U^dag (Omega x I) U - P^dag (Omega x I) P with
+    P = net_pulse (x) I, compensating the known leftover rotation.  D is
+    Hermitian, so its norm is the largest |eigenvalue|.
 
     ``u`` is one propagator (the result is a float) or a stack of them
     indexed [..., row, column] (the result is an array of the stack's shape).
@@ -295,7 +411,7 @@ def preservation_error(u: np.ndarray, omega: Operator, net_pulse: Operator, bath
     q = kron(omega.matrix, eye_b)
     p = kron(net_pulse.matrix, eye_b)
     diff = u.conj().swapaxes(-1, -2) @ q @ u - p.conj().T @ q @ p
-    norm = np.linalg.norm(diff, ord=2, axis=(-2, -1))
+    norm = np.abs(np.linalg.eigvalsh(diff)[..., [0, -1]]).max(axis=-1)
     return float(norm) if u.ndim == 2 else norm
 
 
@@ -352,11 +468,6 @@ def order_scan(
     if operators is None:
         operators = list(moos.elements)
     _check_dims(operators, moos)
-    work = schedule.intervals * len(config.t_grid) * len(config.seeds)
-    if work > MAX_EXPONENTIALS:
-        raise PreconditionError(
-            f"sweep budget exceeded: {work} exponentials > {MAX_EXPONENTIALS}"
-        )
     if config.threads > 1:
         warnings.warn(
             "RunConfig.threads is deprecated and ignored: the sweep is batched",
@@ -364,10 +475,20 @@ def order_scan(
             stacklevel=2,
         )
     program = compile_program(schedule, moos, interval_conj, wrap_op)
+    top, rules = program.grammar
+    # A boundary the schedule declares but the program merges (SDD's silent
+    # midpoint) is charged as one product.
+    silent = schedule.intervals - len(schedule.events) - 1
+    work = (len(top) + len(rules) + silent) * len(config.t_grid) * len(config.seeds)
+    if work > MAX_PRODUCTS:
+        raise PreconditionError(f"sweep budget exceeded: {work} products > {MAX_PRODUCTS}")
 
     n_t, n_s = len(config.t_grid), len(config.seeds)
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}
-    point_bytes = 16 * (model_spec.sys_dim * model_spec.bath_dim) ** 2
+    # The propagators, and at most every rule and leaf matrix besides them.
+    leaves = {s for rule in rules for s in rule if not isinstance(s, int)}
+    point_bytes = 16 * (model_spec.sys_dim * model_spec.bath_dim) ** 2 * (
+        1 + len(rules) + len(leaves))
     t_step = max(1, min(n_t, BATCH_BYTES // point_bytes))
     s_step = max(1, BATCH_BYTES // (point_bytes * t_step))
     for j in range(0, n_s, s_step):

@@ -217,6 +217,16 @@ def test_pulse_design_tau_p_never_ends_in_a_traceback(capsys, family, tau_p, cod
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("family", ["sym3", "rect"])
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_pulse_design_bad_seed_exit_2(capsys, family, seed):
+    # a negative seed used to end in a ValueError traceback from the generator
+    got, _, err = run(["pulse", "design", "--family", family, "--seed", seed], capsys)
+    assert got == 2
+    assert "seed must lie in [0, 2^128)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc, needle", [
     ({"seeds": "ab"}, "'seeds' must be a list, got str"),
     ({"seeds": None}, "'seeds' must be a list, got NoneType"),

@@ -18,7 +18,14 @@ from ddkit.operators import (
     qubit_full_moos,
 )
 from ddkit.sequences import cdd_nested, nudd
-from ddkit.simulate import ModelSpec, RunConfig, order_scan, propagate, propagate_wrapped
+from ddkit.simulate import (
+    ModelSpec,
+    RunConfig,
+    compile_program,
+    order_scan,
+    propagate,
+    propagate_wrapped,
+)
 
 TOL = 1e-12
 CONFIG = RunConfig(t_grid=(0.05, 0.2, 0.7), seeds=(0, 3))
@@ -120,3 +127,12 @@ def test_order_scan_rerun_rows_identical(mode):
     kwargs = _mode_kwargs(mode, moos)
     first = order_scan(schedule, moos, spec, CONFIG, **kwargs).rows()
     assert first == order_scan(schedule, moos, spec, CONFIG, **kwargs).rows()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cdd_case_runs_through_grammar_rules(mode):
+    # so the oracle tests above check the compressed path as well as the flat one
+    schedule, moos, _ = CASES["cdd_nested(qubit_full(2),(2,2,2,2))"]
+    kwargs = _mode_kwargs(mode, moos)
+    program = compile_program(schedule, moos, kwargs.get("interval_conj"), kwargs.get("wrap_op"))
+    assert program.grammar[1]

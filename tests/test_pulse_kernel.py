@@ -10,17 +10,20 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from ddkit import simulate
 from ddkit.errors import PreconditionError
 from ddkit.linalg import expm_i, kron
 from ddkit.model import random_model
 from ddkit.operators import Operator, pauli
 from ddkit.pulseshape import (
     PulseShape,
+    _pulse_program,
     design_pulse,
     propagate_pulse,
     pulse_error_scan,
     rectangular_pulse,
 )
+from ddkit.simulate import Program, _propagators
 
 SZ = pauli("z", 1, 1)
 SX = pauli("x", 1, 1)
@@ -154,3 +157,23 @@ def test_batched_propagator_equals_scalar_calls_bitwise():
     for i in range(2):
         for k in range(3):
             assert np.array_equal(stack[i, k], m.propagator(float(ts[i, k])))
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_pulse_program_runs_flat(name, reference):
+    # no adjacent pair of steps repeats, so the kernel runs every step in turn
+    program = _pulse_program(SHAPES[name], random_model("general", 2, 4, 1.0, 0), SZ, reference)
+    assert program.grammar == (program.steps, ())
+
+
+def test_pulse_train_grammar_matches_the_flat_program(monkeypatch):
+    # eight back-to-back shaped pulses compress, so driven steps run as leaves of rules
+    m = random_model("general", 2, 4, 1.0, 0)
+    one = _pulse_program(SHAPES["sym3"], m, SX, reference=True)
+    train = Program(one.steps * 8, one.pulses, one.net)
+    assert train.grammar[1]
+    compressed = _propagators(train, [m], [0.01, 0.05])
+    monkeypatch.setattr(simulate, "_grammar", lambda steps: (steps, ()))
+    flat = _propagators(Program(train.steps, train.pulses, train.net), [m], [0.01, 0.05])
+    assert np.abs(compressed - flat).max() <= 1e-12

@@ -3,16 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddkit import simulate
 from ddkit.errors import PreconditionError, UnfittableError
 from ddkit.linalg import expm_i, kron, spectral_norm
 from ddkit.model import HamiltonianModel, random_model
 from ddkit.operators import Moos, Operator, pauli, qubit_full_moos
-from ddkit.sequences import Schedule, first_order_schedule, nudd, udd_schedule
+from ddkit.sequences import Schedule, cdd_uniform, first_order_schedule, nudd, udd_schedule
 from ddkit.simulate import (
     ModelSpec,
     RunConfig,
+    _grammar,
+    compile_program,
     fit_loglog,
     order_scan,
     preservation_error,
@@ -214,6 +218,76 @@ def test_order_scan_budget_cap():
     big = Schedule("udd", (99,), tuple(), (), 100)
     with pytest.raises(PreconditionError):
         order_scan(big, MOOS1, GENERAL, cfg, operators=[SZ])
+
+
+def test_order_scan_budget_counts_grammar_products():
+    # 65,536 intervals x 96 points used to exceed the budget; the grammar
+    # runs them as a few dozen products
+    moos = qubit_full_moos(2)
+    res = order_scan(cdd_uniform(moos, 4), moos, ModelSpec("general", 4, 4, 1.0), RunConfig())
+    assert all(np.isfinite(err).all() for err in res.errors.values())
+
+
+def _expand(grammar):
+    top, rules = grammar
+    for i, rule in enumerate(rules):
+        assert all(not isinstance(s, int) or s < i for s in rule), "rule refers forward"
+
+    def expand(s):
+        return [s] if not isinstance(s, int) else expand(rules[s][0]) + expand(rules[s][1])
+
+    return [step for s in top for step in expand(s)]
+
+
+_STEPS = st.sampled_from([
+    (0.25, None, None),
+    (0.25, None, ("X1",)),
+    (0.125, None, ("X1",)),
+    (0.125, None, ("Z1", "X1")),
+    (0.5, ("A", 0.3), None),
+    (0.5, ("A", 0.3), "P"),
+    (-0.25, None, None),
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(_STEPS, min_size=1, max_size=4), st.integers(1, 6)),
+                max_size=8))
+def test_grammar_expands_to_the_steps(blocks):
+    # blocks repeated in runs (a a a a, a b a b ...): expanding the grammar
+    # gives the steps back, and it never costs more products than they do
+    steps = tuple(step for block, n in blocks for step in block * n)
+    top, rules = _grammar(steps)
+    assert _expand((top, rules)) == list(steps)
+    assert len(top) + len(rules) <= len(steps)
+
+
+@pytest.mark.parametrize("schedule", [udd_schedule("Z1", 4), nudd(MOOS1, (2, 3))],
+                         ids=["udd(4)", "nudd(2,3)"])
+def test_programs_without_repeats_run_flat(schedule):
+    program = compile_program(schedule, MOOS1)
+    assert program.grammar == (program.steps, ())
+
+
+def test_cdd_program_runs_as_a_few_products():
+    moos = qubit_full_moos(2)
+    program = compile_program(cdd_uniform(moos, 3), moos)
+    top, rules = program.grammar
+    assert len(program.steps) == 4096
+    assert len(top) + len(rules) <= 32
+    assert _expand(program.grammar) == list(program.steps)
+
+
+def test_deep_cdd_grammar_matches_the_flat_program(monkeypatch):
+    # 4,096 steps run as a few dozen products give the step-by-step errors
+    moos = qubit_full_moos(2)
+    args = (cdd_uniform(moos, 3), moos, ModelSpec("general", 4, 4, 1.0),
+            RunConfig(t_grid=(0.1, 0.4), seeds=(0, 5)))
+    compressed = order_scan(*args)
+    monkeypatch.setattr(simulate, "_grammar", lambda steps: (steps, ()))
+    flat = order_scan(*args)
+    for label, err in flat.errors.items():
+        assert np.abs(compressed.errors[label] - err).max() <= 1e-12
 
 
 def test_order_scan_rejects_operator_of_wrong_dimension(monkeypatch):
