@@ -33,7 +33,9 @@ from .pulseshape import (
 from .sequences import (
     cdd_nested,
     cdd_uniform,
+    conjugated,
     first_order_schedule,
+    hahn_echo,
     nudd,
     sdd_schedule,
     udd_schedule,
@@ -289,14 +291,14 @@ def criterion_conjugation_robustness() -> CriterionResult:
     sched_z = udd_schedule("Z1", 2)
     base = order_scan(sched_z, moos, _GENERAL_2x4, _DEFAULT_CFG, operators=[z]).fits["Z1"]
     conj = order_scan(
-        sched_z, moos, _GENERAL_2x4, _DEFAULT_CFG, operators=[z], interval_conj=x
+        conjugated(sched_z, x.label), moos, _GENERAL_2x4, _DEFAULT_CFG, operators=[z]
     ).fits["Z1"]
     leg1 = base.ok and conj.ok and abs(base.slope - conj.slope) <= 0.3
 
     sched_x = udd_schedule("X1", 2)
     cfg = RunConfig(t_grid=tuple(np.geomspace(0.002, 0.06, 12)))
     deg = order_scan(
-        sched_x, moos, _GENERAL_2x4, cfg, operators=[x], wrap_op=skew
+        hahn_echo(sched_x, skew.label), moos, _GENERAL_2x4, cfg, operators=[x], extra=(skew,)
     ).fits["X1"]
     leg2 = deg.ok and deg.slope <= 1.5
     return CriterionResult(

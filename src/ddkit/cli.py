@@ -45,7 +45,7 @@ from .sequences import (
     sdd_schedule,
     udd_schedule,
 )
-from .simulate import ModelSpec, RunConfig, ScalingResult, order_scan
+from .simulate import ModelSpec, RunConfig, ScalingResult, check_sweep_budget, order_scan
 
 __all__ = ["main", "load_config"]
 
@@ -73,7 +73,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _geomspace(start, stop, num) -> tuple[float, ...]:
     """Geometric grid from ``start`` to ``stop``; numpy's complaint about the
-    bounds becomes a violated precondition."""
+    bounds becomes a violated precondition.  Each point costs a product, so
+    more than MAX_PRODUCTS points are rejected before the grid is made."""
+    check_sweep_budget(num)
     try:
         return tuple(np.geomspace(start, stop, num))
     except ValueError as exc:
@@ -132,13 +134,14 @@ def _parse_orders(text: str | None) -> tuple[int, ...]:
 def parse_model_spec(text: str, norm_bound: float) -> ModelSpec:
     """'structure:SYSxBATH' -> ModelSpec, e.g. 'general:2x4'."""
     structure, _, dims = text.partition(":")
+    sys_dim, _, bath_dim = dims.partition("x")
     try:
-        sys_dim, _, bath_dim = dims.partition("x")
-        return ModelSpec(structure, int(sys_dim), int(bath_dim), norm_bound)
+        sys_dim, bath_dim = int(sys_dim), int(bath_dim)
     except ValueError:
         raise PreconditionError(
             f"malformed model spec {text!r}, want 'structure:SYSxBATH'"
         )
+    return ModelSpec(structure, sys_dim, bath_dim, norm_bound)
 
 
 def build_schedule(scheme, orders, moos: Moos, op=None, allow_odd_inner=False,

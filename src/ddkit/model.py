@@ -82,6 +82,23 @@ def check_norm_bound(norm_bound: float) -> None:
         raise PreconditionError(f"norm_bound must be finite and >= 0, got {norm_bound}")
 
 
+def check_model(structure: str, sys_dim: int, bath_dim: int, norm_bound: float) -> None:
+    """Reject an ensemble ``random_model`` cannot draw: an unknown structure,
+    a dimension below 1, a total dimension above MAX_DIM, a bad norm bound."""
+    if structure not in STRUCTURES or structure == "custom":
+        raise PreconditionError(
+            f"unknown model structure {structure!r}; choose from "
+            f"{[s for s in STRUCTURES if s != 'custom']}"
+        )
+    if sys_dim < 1 or bath_dim < 1:
+        raise PreconditionError(
+            f"sys_dim and bath_dim must be >= 1, got {sys_dim} and {bath_dim}"
+        )
+    if sys_dim * bath_dim > MAX_DIM:
+        raise PreconditionError(f"total dimension {sys_dim * bath_dim} exceeds {MAX_DIM}")
+    check_norm_bound(norm_bound)
+
+
 def check_seed(seed: int) -> None:
     """Reject a seed the Philox generator cannot take as its key."""
     if not (0 <= seed < 2**128):
@@ -109,20 +126,9 @@ def random_model(
     qdd_counterexample: I (x) J0 + Z (x) J1 + X (x) J2 + ZX (x) iJ12 with
     independent random bath blocks of norm norm_bound/4 each.
     """
-    if structure not in STRUCTURES or structure == "custom":
-        raise PreconditionError(
-            f"unknown model structure {structure!r}; choose from "
-            f"{[s for s in STRUCTURES if s != 'custom']}"
-        )
-    if sys_dim < 1 or bath_dim < 1:
-        raise PreconditionError(
-            f"sys_dim and bath_dim must be >= 1, got {sys_dim} and {bath_dim}"
-        )
-    check_norm_bound(norm_bound)
+    check_model(structure, sys_dim, bath_dim, norm_bound)
     check_seed(seed)
     dim = sys_dim * bath_dim
-    if dim > MAX_DIM:
-        raise PreconditionError(f"total dimension {dim} exceeds {MAX_DIM}")
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     if structure == "general":

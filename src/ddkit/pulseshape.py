@@ -19,7 +19,14 @@ from .jsonio import get_field, get_list, load_object
 from .linalg import expm_i, require_hermitian
 from .model import HamiltonianModel, check_seed
 from .operators import Operator
-from .simulate import Program, RunConfig, ScalingResult, _propagators, fit_operator
+from .simulate import (
+    Program,
+    RunConfig,
+    ScalingResult,
+    _propagators,
+    check_sweep_budget,
+    fit_operator,
+)
 
 __all__ = [
     "PulseShape",
@@ -322,11 +329,14 @@ def pulse_error_scan(
     exp(-i tau_s H) with P = exp(-i * area * Omega).  The program runs the
     shape and then U_ref^dag, by backward free evolution, for the whole grid
     in one batch; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|.
-    The fit window is (ERROR_FLOOR, ERROR_CEILING).
+    The fit window is (ERROR_FLOOR, ERROR_CEILING).  Each step at each
+    duration is charged against ``check_sweep_budget``.
     """
     config = RunConfig(t_grid=tau_grid, seeds=(model.seed,),
                        error_floor=ERROR_FLOOR, error_ceiling=ERROR_CEILING)
-    u = _propagators(_pulse_program(shape, model, omega, True), [model], config.t_grid)[0]
+    program = _pulse_program(shape, model, omega, True)
+    check_sweep_budget(len(program.steps) * len(config.t_grid))
+    u = _propagators(program, [model], config.t_grid)[0]
     errs = np.linalg.norm(u - np.eye(model.dim), ord=2, axis=(-2, -1))
 
     fit = fit_operator(omega.label, config.t_grid, errs, ERROR_FLOOR, ERROR_CEILING)

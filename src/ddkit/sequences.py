@@ -3,7 +3,9 @@ SDD mirror symmetrization, both CDD recursions, and NUDD nesting.
 
 All but SDD are one construction, ``_nest``: layers nested in each other's
 free intervals, UDD layers for UDD and NUDD, order-1 layers at the midpoint
-for CDD and the first-order scheme.
+for CDD and the first-order scheme.  Two transforms make new schedules from
+old: ``conjugated`` conjugates every free interval by one pulse, and
+``hahn_echo`` runs a schedule twice, each run closed by an echo pulse.
 
 Schedules live on the normalized time axis [0, 1]; the physical total time T
 is applied at simulation time.  Pulses at a common instant are stored as one
@@ -13,7 +15,7 @@ first label acts first).
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -34,6 +36,8 @@ __all__ = [
     "cdd_uniform",
     "cdd_nested",
     "nudd",
+    "conjugated",
+    "hahn_echo",
     "compose_pulses",
     "net_pulse_operator",
     "schedule_to_json",
@@ -265,13 +269,38 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
     ])
 
 
-def compose_pulses(labels, moos: Moos) -> np.ndarray:
-    """Product of the MOOS pulses ``labels``, the first label acting first:
-    the matrix product runs latest-applied leftmost."""
+def conjugated(schedule: Schedule, label: str) -> Schedule:
+    """Every free interval conjugated by the pulse ``label`` (C): each
+    event's pulses become (C, *ops, C) and the closing (C, *closing).  The
+    leading C is left out: it is a right factor of the propagator and of the
+    net pulse, so every preservation error is unchanged."""
+    times, ops = _columns(schedule.events)
+    own = {o: (label, *o, label) for o in ops}
+    return replace(schedule, events=_events(times, map(own.__getitem__, ops)),
+                   closing_ops=(label, *schedule.closing_ops))
+
+
+def hahn_echo(schedule: Schedule, label: str) -> Schedule:
+    """Hahn echo of the pulse ``label`` (W): the schedule in each half of
+    [0, 1], each half closed by its closing pulses and then W."""
+    if 2 * schedule.intervals > MAX_INTERVALS:
+        raise _too_many_intervals("hahn_echo", 2 * schedule.intervals)
+    times, ops = _columns(schedule.events)
+    half, echo = [0.5 * t for t in times], (*schedule.closing_ops, label)
+    return replace(schedule, events=_events(half + [0.5] + [0.5 + t for t in half],
+                                            ops + [echo] + ops),
+                   closing_ops=echo, intervals=2 * schedule.intervals)
+
+
+def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:
+    """Product of the pulses ``labels``, each one of the ``extra`` system
+    operators or else a MOOS element, the first label acting first: the
+    matrix product runs latest-applied leftmost."""
+    named = {op.label: op for op in extra}
     product = np.eye(moos.dim, dtype=complex)
     for lab in labels:
         try:
-            op = moos.by_label(lab)
+            op = named[lab] if lab in named else moos.by_label(lab)
         except KeyError:
             raise PreconditionError(
                 f"schedule references label {lab!r} not present in the MOOS"

@@ -7,10 +7,10 @@ the total time T, freely by exp(-i frac T H) or, with a drive (axis A,
 angle), by exp(-i (frac T H + angle A x I)); then one system pulse acts, or
 none.  A negative fraction runs time backwards.  ``compile_program`` turns a
 schedule into undriven steps, each pulse the product of all pulses of that
-instant.  Conjugating every free block by C turns each pulse P into C P C and
-adds a leading C; a Hahn echo of W runs two half-time copies of the program,
-each closed by W.  The product of the pulses is the net pulse the
-preservation error compensates.
+instant, each a MOOS element or one of the ``extra`` named system
+operators.  It has no other mode: a conjugated run and a Hahn echo are
+schedules (``sequences.conjugated``, ``sequences.hahn_echo``).  The product
+of the pulses is the net pulse the preservation error compensates.
 
 The kernel runs a program for a batch of models and total times at once, in
 each model's eigenbasis H = V diag(lambda) V^dag: a free step is a phase
@@ -24,7 +24,7 @@ rule is a repeated pair of adjacent symbols, built bottom-up as one batched
 product of its two matrices, and a rule symbol in the top sequence is one
 batched product; a step of the top sequence runs as above.  A program whose
 repeats do not pay has no rules.  A sweep may form at most MAX_PRODUCTS
-grammar products over all its points.
+grammar products over all its points (``check_sweep_budget``).
 """
 
 import math
@@ -38,9 +38,9 @@ import numpy.ma  # noqa: F401  np.median imports it on its first call; load it w
 
 from .errors import PreconditionError, UnfittableError
 from .linalg import kron
-from .model import HamiltonianModel, random_model
+from .model import HamiltonianModel, check_model, random_model
 from .operators import Moos, Operator
-from .sequences import Schedule, compose_pulses
+from .sequences import Schedule, compose_pulses, hahn_echo
 
 __all__ = [
     "RunConfig",
@@ -118,6 +118,9 @@ class ModelSpec:
     bath_dim: int = 4
     norm_bound: float = 1.0
 
+    def __post_init__(self):
+        check_model(self.structure, self.sys_dim, self.bath_dim, self.norm_bound)
+
     def realize(self, seed: int) -> HamiltonianModel:
         return random_model(
             self.structure, self.sys_dim, self.bath_dim, self.norm_bound, seed
@@ -179,56 +182,42 @@ class Program:
 
 def _check_dims(ops, moos: Moos) -> None:
     for op in ops:
-        if op is not None and op.acts_on != moos.dim:
+        if op.acts_on != moos.dim:
             raise PreconditionError(
                 f"operator {op.label!r} acts on dimension {op.acts_on}, "
                 f"MOOS dimension is {moos.dim}"
             )
 
 
-def compile_program(
-    schedule: Schedule,
-    moos: Moos,
-    interval_conj: Operator | None = None,
-    wrap: Operator | None = None,
-) -> Program:
-    """Segment program of ``schedule``; ``interval_conj`` conjugates every
-    free block by a system operator, ``wrap`` puts a Hahn echo of a system
-    operator around the whole run (see the module docstring)."""
-    _check_dims((interval_conj, wrap), moos)
-    eye = np.eye(moos.dim, dtype=complex)
+def check_sweep_budget(products: int) -> None:
+    """Reject a sweep that would form more than MAX_PRODUCTS products."""
+    if products > MAX_PRODUCTS:
+        raise PreconditionError(f"sweep budget exceeded: {products} products > {MAX_PRODUCTS}")
+
+
+def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
+    """Segment program of ``schedule``: one free step per interval, closed
+    by the product of the pulses at its end.  A pulse label names one of the
+    ``extra`` system operators, else a MOOS element; an extra operator may
+    share a MOOS element's label only with the same matrix."""
+    _check_dims(extra, moos)
+    named = {op.label: op.matrix for op in moos.elements}
+    for op in extra:
+        if not np.array_equal(named.setdefault(op.label, op.matrix), op.matrix):
+            raise PreconditionError(f"two different operators are labelled {op.label!r}")
     pulses = {}  # one system matrix per distinct pulse
     steps = []
     prev = 0.0
+    net = np.eye(moos.dim, dtype=complex)
     stops = [(e.time, e.ops) for e in schedule.events] + [(1.0, schedule.closing_ops)]
     for time, ops in stops:
         key = tuple(ops) or None
-        if key is not None and key not in pulses:
-            pulses[key] = compose_pulses(key, moos)
+        if key is not None:
+            if key not in pulses:
+                pulses[key] = compose_pulses(key, moos, extra)
+            net = pulses[key] @ net
         steps.append((time - prev, None, key))
         prev = time
-
-    if interval_conj is not None:
-        c, last = interval_conj.matrix, len(steps) - 1
-        pulses["C"] = c
-        conj_steps = [(0.0, None, "C")]
-        for i, (frac, _, key) in enumerate(steps):
-            # The C closing this block, the pulse, then the C opening the next.
-            p = eye if key is None else pulses[key]
-            pulses.setdefault(("C", key, i == last), p @ c if i == last else c @ p @ c)
-            conj_steps.append((frac, None, ("C", key, i == last)))
-        steps = conj_steps
-
-    if wrap is not None:
-        *body, (frac, _, key) = [(frac / 2, None, key) for frac, _, key in steps]
-        pulses["W", key] = wrap.matrix @ (eye if key is None else pulses[key])
-        steps = 2 * (body + [(frac, None, ("W", key))])
-
-    pulses = {key: pulses[key] for _, _, key in steps if key is not None}  # each one is lifted
-    net = eye
-    for _, _, key in steps:
-        if key is not None:
-            net = pulses[key] @ net
     return Program(tuple(steps), pulses, Operator("net", net, moos.dim))
 
 
@@ -367,18 +356,14 @@ def propagate(
     model: HamiltonianModel,
     moos: Moos,
     total_time: float,
-    interval_conj: Operator | None = None,
     return_net_pulse: bool = False,
 ):
     """Propagator of the scheduled evolution over physical time ``total_time``.
 
     Pulses are instantaneous MOOS operators lifted as Omega (x) I_bath and
     composed in event list order; closing pulses are applied at the end.
-    ``interval_conj`` conjugates every free-evolution block by the given
-    system operator (used for the MOOS-compatibility property checks); the
-    conjugating pulses then also enter the net pulse product.
     """
-    program = compile_program(schedule, moos, interval_conj)
+    program = compile_program(schedule, moos)
     u = _propagators(program, [model], (total_time,))[0, 0]
     return (u, program.net) if return_net_pulse else u
 
@@ -390,12 +375,11 @@ def propagate_wrapped(
     total_time: float,
     wrap: Operator,
 ):
-    """Hahn echo of ``wrap`` around the scheduled evolution: the schedule run
-    over each half of the total time with a wrap pulse at the midpoint and at
-    the end.  ``wrap`` need not belong to the MOOS; when it neither commutes
-    nor anticommutes with the protected operators, the outer echo interferes
-    with the inner protection."""
-    program = compile_program(schedule, moos, wrap=wrap)
+    """Propagator and net pulse of ``sequences.hahn_echo`` of ``wrap`` around
+    the schedule.  ``wrap`` need not belong to the MOOS; when it neither
+    commutes nor anticommutes with the protected operators, the outer echo
+    interferes with the inner protection."""
+    program = compile_program(hahn_echo(schedule, wrap.label), moos, (wrap,))
     return _propagators(program, [model], (total_time,))[0, 0], program.net
 
 
@@ -453,17 +437,15 @@ def order_scan(
     model_spec: ModelSpec,
     config: RunConfig = RunConfig(),
     operators: list[Operator] | None = None,
-    interval_conj: Operator | None = None,
-    wrap_op: Operator | None = None,
+    extra=(),
 ) -> ScalingResult:
     """Sweep total time T over a seeded model ensemble, measure the
     preservation error of each protected operator, and fit the slope of
     log(median error) vs log(T).
 
     The fitted slope estimates the decoupling order plus one; the status is
-    ``fit_operator``'s.
-    ``interval_conj`` and ``wrap_op`` act as in ``propagate`` and
-    ``propagate_wrapped``.
+    ``fit_operator``'s.  ``extra`` names system operators the schedule's
+    pulses may use besides the MOOS, as in ``compile_program``.
     """
     if operators is None:
         operators = list(moos.elements)
@@ -474,14 +456,12 @@ def order_scan(
             DeprecationWarning,
             stacklevel=2,
         )
-    program = compile_program(schedule, moos, interval_conj, wrap_op)
+    program = compile_program(schedule, moos, extra)
     top, rules = program.grammar
     # A boundary the schedule declares but the program merges (SDD's silent
     # midpoint) is charged as one product.
     silent = schedule.intervals - len(schedule.events) - 1
-    work = (len(top) + len(rules) + silent) * len(config.t_grid) * len(config.seeds)
-    if work > MAX_PRODUCTS:
-        raise PreconditionError(f"sweep budget exceeded: {work} products > {MAX_PRODUCTS}")
+    check_sweep_budget((len(top) + len(rules) + silent) * len(config.t_grid) * len(config.seeds))
 
     n_t, n_s = len(config.t_grid), len(config.seeds)
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ddkit
@@ -475,3 +476,51 @@ def test_pulse_scan_non_utf8_pulse_file_exit_2(tmp_path, capsys):
                        capsys)
     assert code == 2
     assert "malformed pulse JSON" in err
+
+
+@pytest.mark.parametrize("model, needle", [
+    ("general:2x0", "sys_dim and bath_dim must be >= 1, got 2 and 0"),
+    ("nonsense:2x4", "unknown model structure 'nonsense'"),
+    ("general:64x64", "total dimension 4096 exceeds"),
+], ids=["zero_bath", "unknown_structure", "too_large"])
+def test_scan_bad_model_spec_exit_2(tmp_path, capsys, model, needle):
+    # general:2x0 used to end in a ZeroDivisionError traceback from the
+    # sweep's chunk sizing
+    code, _, err = run(
+        ["scan", "--scheme", "udd", "--orders", "2", "--model", model,
+         "--out", str(tmp_path / "x.csv")], capsys,
+    )
+    assert code == 2
+    assert needle in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.fixture
+def no_geomspace(monkeypatch):
+    """np.geomspace that fails the test if it is called at all."""
+    def geomspace(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "geomspace", geomspace)
+
+
+def test_pulse_scan_huge_tau_grid_exit_2(tmp_path, capsys, no_geomspace):
+    # used to end in an ArrayMemoryError traceback
+    code, _, err = run(
+        ["pulse", "scan", "--pulse", "rect", "--tau-points", "100000000000",
+         "--out", str(tmp_path / "ps.csv")], capsys,
+    )
+    assert code == 2
+    assert "sweep budget exceeded: 100000000000 products > 1000000" in err
+
+
+def test_config_huge_t_grid_exit_2(tmp_path, capsys, no_geomspace):
+    # used to end in an ArrayMemoryError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_points": 100000000000}))
+    code, _, err = run(
+        ["--config", str(cfg), "scan", "--scheme", "udd", "--orders", "2",
+         "--out", str(tmp_path / "x.csv")], capsys,
+    )
+    assert code == 2
+    assert "sweep budget exceeded: 100000000000 products > 1000000" in err

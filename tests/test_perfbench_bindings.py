@@ -39,10 +39,13 @@ def test_layertrace_boundaries_bind_and_restore():
         assert simulate.order_scan is not original_scan
         simulate.order_scan(udd_schedule("Z1", 2), moos, simulate.ModelSpec(), config)
         simulate.propagate(udd_schedule("Z1", 2), simulate.ModelSpec().realize(0), moos, 0.1)
+        # the wrap hook reads the bound "model" argument
+        simulate.propagate_wrapped(udd_schedule("Z1", 2), simulate.ModelSpec().realize(0),
+                                   moos, 0.1, moos.by_label("X1"))
     for owner, attr, fn in originals:
         assert getattr(owner, attr) is fn, f"{attr} not restored"
     metrics = tracer.metrics()
-    assert metrics["simulate.propagate_calls"] == 1
+    assert metrics["simulate.propagate_calls"] == 2
     assert metrics["simulate.fit_points_offered"] == 2 * len(moos)
     assert np.isfinite(metrics["simulate.scan_self_s"])
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddkit import pulseshape
 from ddkit.errors import PreconditionError
 from ddkit.linalg import expm_i, kron, spectral_norm
 from ddkit.model import HamiltonianModel, random_model
@@ -242,3 +243,13 @@ def test_pulse_from_json_rejects_bad_input(text, needle):
         pulse_from_json(text)
     assert needle in str(err.value)
 
+
+
+def test_pulse_error_scan_budget_counts_steps_times_durations(monkeypatch):
+    # three steps (the segment, the ideal pulse, the backward free step) at
+    # each of 400,000 durations exceed MAX_PRODUCTS before anything is run
+    monkeypatch.setattr(pulseshape, "_propagators", None)
+    m = random_model("general", 2, 4, 1.0, 0)
+    grid = np.geomspace(1e-3, 1e-1, 400_000)
+    with pytest.raises(PreconditionError, match="sweep budget exceeded: 1200000 products"):
+        pulse_error_scan(rectangular_pulse(), m, SZ, grid)

@@ -1,4 +1,5 @@
-"""Property tests of every schedule builder and of the schedule JSON writer.
+"""Property tests of every schedule builder, of the two schedule transforms
+and of the schedule JSON writer.
 
 The builders work on flat columns and the writer assembles its text by
 hand, so both are checked against independent references: per-event
@@ -17,13 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddkit.cli import main
+from ddkit.errors import PreconditionError
 from ddkit.operators import Moos, qubit_full_moos
 from ddkit.sequences import (
+    MAX_INTERVALS,
     Event,
     Schedule,
     cdd_nested,
     cdd_uniform,
+    conjugated,
     first_order_schedule,
+    hahn_echo,
     net_pulse_operator,
     nudd,
     schedule_from_json,
@@ -267,6 +272,43 @@ def test_writer_formats_float_subclasses_as_json_does():
 def test_events_with_the_same_pulses_share_one_label_tuple(sched):
     for s in (sched, schedule_from_json(schedule_to_json(sched))):
         assert len({id(e.ops) for e in s.events}) == len({e.ops for e in s.events})
+
+
+# ---------------------------------------------------------------------------
+# The transforms: plain schedules that keep the JSON round trip, with the
+# interval counts and net pulses their constructions imply.
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(*SCHEMES.values()), st.data())
+def test_transforms_intervals_and_net_pulses(case, data):
+    sched, moos = case[:2]
+    c, w = (moos.by_label(data.draw(st.sampled_from(moos.labels))) for _ in range(2))
+    conj, echo = conjugated(sched, c.label), hahn_echo(sched, w.label)
+    assert conj.intervals == sched.intervals
+    assert echo.intervals == 2 * sched.intervals
+    net = net_pulse_operator(sched, moos).matrix
+    assert np.abs(net_pulse_operator(conj, moos).matrix - net @ c.matrix).max() <= 1e-12
+    want = w.matrix @ net @ w.matrix @ net
+    assert np.abs(net_pulse_operator(echo, moos).matrix - want).max() <= 1e-12
+    for s in (conj, echo):
+        assert schedule_from_json(schedule_to_json(s)) == s
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hand_built(), st.text(max_size=4))
+def test_transforms_round_trip_any_text(sched, label):
+    for s in (conjugated(sched, label), hahn_echo(sched, label)):
+        text = schedule_to_json(s)
+        assert text == _dict_form(s)
+        assert schedule_from_json(text) == s
+
+
+def test_hahn_echo_rejects_more_than_max_intervals():
+    half = Schedule("free", (0,), (), (), MAX_INTERVALS // 2)
+    assert hahn_echo(half, "Z1").intervals == MAX_INTERVALS
+    with pytest.raises(PreconditionError, match="hahn_echo would have"):
+        hahn_echo(Schedule("free", (0,), (), (), MAX_INTERVALS // 2 + 1), "Z1")
 
 
 # ---------------------------------------------------------------------------

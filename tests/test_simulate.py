@@ -11,7 +11,15 @@ from ddkit.errors import PreconditionError, UnfittableError
 from ddkit.linalg import expm_i, kron, spectral_norm
 from ddkit.model import HamiltonianModel, random_model
 from ddkit.operators import Moos, Operator, pauli, qubit_full_moos
-from ddkit.sequences import Schedule, cdd_uniform, first_order_schedule, nudd, udd_schedule
+from ddkit.sequences import (
+    Schedule,
+    cdd_uniform,
+    conjugated,
+    first_order_schedule,
+    hahn_echo,
+    nudd,
+    udd_schedule,
+)
 from ddkit.simulate import (
     ModelSpec,
     RunConfig,
@@ -63,12 +71,16 @@ def test_propagate_dimension_mismatch():
 
 
 def test_propagate_wrapped_is_hahn_echo_of_wrap():
+    # SX is the MOOS element X1 itself: an extra operator with a MOOS label
+    # and the same matrix is accepted
     m = random_model("general", 2, 4, 1.0, 1)
     u, net = propagate_wrapped(EMPTY, m, MOOS1, 0.6, SX)
     w = m.lift(SX)
     half = m.propagator(0.3)
     assert np.allclose(u, w @ half @ w @ half, atol=1e-13)
     assert np.array_equal(net.matrix, np.eye(2))
+    echo, echo_net = propagate(hahn_echo(EMPTY, "X1"), m, MOOS1, 0.6, return_net_pulse=True)
+    assert np.array_equal(u, echo) and np.array_equal(net.matrix, echo_net.matrix)
 
 
 def test_preservation_error_exact_cases():
@@ -290,23 +302,43 @@ def test_deep_cdd_grammar_matches_the_flat_program(monkeypatch):
         assert np.abs(compressed.errors[label] - err).max() <= 1e-12
 
 
-def test_order_scan_rejects_operator_of_wrong_dimension(monkeypatch):
-    # used to realize and propagate every model, then fail inside numpy
+def _no_realize(monkeypatch):
     def realize(self, seed):
         raise AssertionError("a model was realized before the check")
 
     monkeypatch.setattr(ModelSpec, "realize", realize)
+
+
+def test_order_scan_rejects_operator_of_wrong_dimension(monkeypatch):
+    # used to realize and propagate every model, then fail inside numpy
+    _no_realize(monkeypatch)
     with pytest.raises(PreconditionError) as err:
         order_scan(udd_schedule("Z1", 2), MOOS1, ModelSpec(), operators=[pauli("z", 1, 2)])
     assert "operator 'Z1' acts on dimension 4, MOOS dimension is 2" in str(err.value)
+
+
+def test_order_scan_rejects_extra_operator_of_wrong_dimension(monkeypatch):
+    _no_realize(monkeypatch)
+    wide = Operator("D", pauli("x", 1, 2).matrix, 4)
+    with pytest.raises(PreconditionError) as err:
+        order_scan(hahn_echo(udd_schedule("Z1", 2), "D"), MOOS1, ModelSpec(), extra=(wide,))
+    assert "operator 'D' acts on dimension 4, MOOS dimension is 2" in str(err.value)
+
+
+def test_order_scan_rejects_extra_operator_that_relabels_a_moos_element(monkeypatch):
+    # X1 would mean sigma_y in the echo and sigma_x everywhere else
+    _no_realize(monkeypatch)
+    fake = Operator("X1", pauli("y", 1, 1).matrix, 2)
+    with pytest.raises(PreconditionError) as err:
+        order_scan(hahn_echo(udd_schedule("Z1", 2), "X1"), MOOS1, ModelSpec(), extra=(fake,))
+    assert "two different operators are labelled 'X1'" in str(err.value)
 
 
 def test_moos_partner_conjugation_preserves_slope():
     # conjugating every free block by an MOOS partner of the protected
     # operator must not change the fitted order
     base = order_scan(udd_schedule("Z1", 2), MOOS1, GENERAL, operators=[SZ])
-    conj = order_scan(udd_schedule("Z1", 2), MOOS1, GENERAL,
-                      operators=[SZ], interval_conj=SX)
+    conj = order_scan(conjugated(udd_schedule("Z1", 2), "X1"), MOOS1, GENERAL, operators=[SZ])
     assert abs(base.fits["Z1"].slope - conj.fits["Z1"].slope) <= 0.3
 
 
@@ -322,8 +354,8 @@ def test_non_moos_wrap_degrades_protection():
     # anticommuting with sigma_x -- wrapped around a sigma_x-protecting UDD-2
     # run interferes with the inner sequence and drops the order to ~1
     skew = Operator("D", (SX.matrix + pauli("y", 1, 1).matrix) / np.sqrt(2), 2)
-    res = order_scan(udd_schedule("X1", 2), MOOS1, GENERAL, SMALL_T,
-                     operators=[SX], wrap_op=skew)
+    res = order_scan(hahn_echo(udd_schedule("X1", 2), "D"), MOOS1, GENERAL, SMALL_T,
+                     operators=[SX], extra=(skew,))
     fit = res.fits["X1"]
     assert fit.ok
     assert 0.8 <= fit.slope <= 1.2
