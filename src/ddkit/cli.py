@@ -268,6 +268,9 @@ def cmd_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
             f"MOOS dimension {moos.dim} != model system dimension {spec.sys_dim}"
         )
     if args.seeds is not None:
+        # Each seed x T point forms at least one product: bound the count
+        # before the seed tuple is made.
+        check_sweep_budget(args.seeds * len(run_cfg.t_grid))
         run_cfg = replace(run_cfg, seeds=tuple(range(args.seeds)))
     operators = [moos.by_label(args.op)] if args.op else None
     result = order_scan(sched, moos, spec, run_cfg, operators=operators)

@@ -11,10 +11,19 @@ Schedules live on the normalized time axis [0, 1]; the physical total time T
 is applied at simulation time.  Pulses at a common instant are stored as one
 event carrying an ordered label list and are composed in that order (the
 first label acts first).
+
+Building events and loading a schedule pause the cyclic garbage collector.
+An ``Event`` is a tuple subclass, which the collector never untracks as it
+does exact tuples, and json makes a dict and a list per event, so without
+the pause a 2^16-event schedule sets off hundreds of collections, and each
+full one walks every event made so far.  None of this data has cycles:
+reference counting frees all of it.
 """
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, repeat
@@ -112,9 +121,25 @@ def udd_times(n: int) -> list[float]:
 # builder turns the columns into Event tuples once, at the end.
 
 
+@contextmanager
+def _gc_paused():
+    """Disable the cyclic collector for the block and restore its previous
+    state, so nested use and a caller's own ``gc.disable()`` both hold."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def _events(times, ops) -> tuple[Event, ...]:
     # tuple.__new__ is the constructor Event's own __new__ calls, minus one
-    # Python frame per event.
+    # Python frame per event.  The collector is paused: it would walk every
+    # Event made so far (a tuple subclass stays tracked), and they hold no
+    # cycles.
     return tuple(map(tuple.__new__, repeat(Event), zip(times, ops)))
 
 
@@ -340,7 +365,10 @@ def schedule_to_json(schedule: Schedule) -> str:
     )
 
 
+@_gc_paused()
 def schedule_from_json(text: str) -> Schedule:
+    """Inverse of ``schedule_to_json``; the parsed document and the events
+    are acyclic, so the cyclic collector is paused while they are made."""
     doc = load_object(text, "schedule")
     items = get_list(doc, "events", dict, "schedule")
     try:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -524,3 +525,21 @@ def test_config_huge_t_grid_exit_2(tmp_path, capsys, no_geomspace):
     )
     assert code == 2
     assert "sweep budget exceeded: 100000000000 products > 1000000" in err
+
+
+def test_scan_huge_seed_count_exit_2_before_allocating(tmp_path, capsys):
+    # used to build tuple(range(--seeds)) before the budget check: 2,000,000
+    # seeds peaked at 97 MB traced, and a larger count would exhaust memory
+    tracemalloc.start()
+    try:
+        code, _, err = run(
+            ["scan", "--scheme", "udd", "--orders", "2", "--op", "Z1",
+             "--seeds", "2000000", "--out", str(tmp_path / "x.csv")], capsys,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "sweep budget exceeded" in err
+    assert peak < 5 * 2**20
+    assert not (tmp_path / "x.csv").exists()

@@ -518,3 +518,94 @@ def test_lie_closure_matches_modified_gram_schmidt(name, moos):
     assert np.max(np.abs(got @ got.T - np.eye(len(got)))) <= 1e-12
     n = len(moos)
     assert np.max(np.abs(got[:n] - want[:n])) <= 1e-12
+
+
+def _hermitian_phases(rng, perm):
+    """Phases of a unitary Hermitian monomial on the involution ``perm``:
+    a 2-cycle (r, s) gets v[r] in {+-1, +-i} and v[s] = conj(v[r]), a fixed
+    point +-1."""
+    vals = np.array([1, -1, 1j, -1j])[rng.integers(4, size=len(perm))]
+    fixed = perm == np.arange(len(perm))
+    vals[fixed] = vals[fixed].real + vals[fixed].imag
+    low = np.arange(len(perm)) < perm
+    vals[perm[low]] = vals[low].conj()
+    return vals
+
+
+@st.composite
+def _phased_permutation_sets(draw, n=6):
+    """Sets of d = 2^n phased permutations with entries +-1 and +-i: signed
+    Pauli strings (which pairwise commute or anticommute), a string's
+    permutation with fresh Hermitian phases, or a random involution with
+    them or with every entry 1.  One element may be moved by 0.1 or 10
+    HERM_TOL: at one nonzero entry, at a zero entry, or by a phase on a
+    2-cycle that keeps it exactly unitary Hermitian."""
+    d = 2**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["pauli"] * 3 + ["rephased", "involution"]),
+                          min_size=2, max_size=6))
+    ops = []
+    for k, kind in enumerate(kinds):
+        m = _pauli_string("".join(rng.choice(list("IXYZ"), size=n))) * rng.choice([1, -1])
+        if kind != "pauli":
+            perm = np.abs(m).argmax(axis=1)
+            if kind == "involution":
+                order = rng.permutation(d)
+                cut = 2 * rng.integers(d // 2 + 1)
+                perm = np.arange(d)
+                perm[order[:cut:2]], perm[order[1:cut:2]] = order[1:cut:2], order[:cut:2]
+            m = np.zeros((d, d), dtype=complex)
+            plain = kind == "involution" and draw(st.booleans())
+            m[np.arange(d), perm] = 1 if plain else _hermitian_phases(rng, perm)
+        ops.append((f"{kind[0].upper()}{k}", m))
+    scale = draw(st.sampled_from([None, 0.1, 10.0]))
+    if scale is not None:
+        m = ops[draw(st.integers(0, len(ops) - 1))][1]
+        cols = np.abs(m).argmax(axis=1)
+        where = draw(st.sampled_from(["entry", "zero", "cycle"]))
+        cycle = np.flatnonzero(cols != np.arange(d))
+        if where == "cycle" and len(cycle):
+            r = rng.choice(cycle)
+            phase = np.exp(1j * scale * HERM_TOL)
+            m[r, cols[r]] *= phase
+            m[cols[r], r] *= phase.conjugate()
+        else:
+            r = rng.integers(d)
+            c = cols[r] if where == "entry" else (cols[r] + 1) % d
+            m[r, c] += scale * HERM_TOL * draw(st.sampled_from([1, -1, 1j, -1j]))
+    return tuple(Operator(label, m, d) for label, m in ops)
+
+
+def _validation_outcome(ops):
+    try:
+        return Moos(ops).signature.tolist()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phased_permutation_sets())
+def test_monomial_pair_relation_matches_blas_path(ops):
+    got = _validation_outcome(ops)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "GATHER_MIN_DIM", ops[0].acts_on + 1)
+        assert _validation_outcome(ops) == got
+
+
+def test_monomial_pairs_run_no_norm_check(monkeypatch):
+    # the 13-element 8-qubit set: its 78 pairs are decided from the monomial
+    # entries, so the norm checks are the square and the Hermiticity check
+    # of each element
+    ops = tuple(pauli("z", q, 8) for q in range(1, 9)) + tuple(
+        pauli("x", q, 8) for q in range(1, 6)
+    )
+    calls = []
+    real = operators.spectral_norm_le
+
+    def counting(m, tol):
+        calls.append(m.shape)
+        return real(m, tol)
+
+    monkeypatch.setattr(operators, "spectral_norm_le", counting)
+    assert len(Moos(ops)) == 13
+    assert len(calls) == 2 * 13

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from collections import Counter
@@ -378,3 +379,56 @@ def test_event_is_a_named_tuple():
     assert (e.time, e.ops) == (0.5, ("Z1", "X1")) == tuple(e)
     assert e == Event(0.5, ("Z1", "X1")) != Event(0.5, ("X1", "Z1"))
     assert nudd(MOOS1, (2, 2)).op_labels.count("X1") == 2
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's state after a test that switches it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+_SMALL_TEXT = schedule_to_json(nudd(MOOS1, (2, 3)))
+
+
+@pytest.mark.parametrize("call, raises", [
+    (lambda: schedule_from_json(_SMALL_TEXT), False),
+    (lambda: schedule_from_json('{"scheme": "x", "events": [{"t": 0.5}]}'), True),
+    (lambda: cdd_uniform(MOOS1, 3), False),
+    (lambda: cdd_uniform(MOOS1, 0), True),
+], ids=["load", "load_malformed", "build", "build_rejected"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_gc_state_is_restored(gc_state, call, raises, enabled):
+    # loading and building pause the cyclic collector; the caller's state,
+    # on or off, holds afterwards whether the call returns or raises
+    (gc.enable if enabled else gc.disable)()
+    if raises:
+        with pytest.raises(PreconditionError):
+            call()
+    else:
+        call()
+    assert gc.isenabled() == enabled
+
+
+def test_large_schedule_round_trip_sets_off_no_per_event_collections():
+    # 65,535 Event tuples (a tuple subclass stays tracked) and a dict and a
+    # list per parsed event used to set off hundreds of collections
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()  # empty young generations: only the calls below count
+    gc.callbacks.append(count)
+    try:
+        sched = cdd_uniform(MOOS1, 8)
+        back = schedule_from_json(schedule_to_json(sched))
+    finally:
+        gc.callbacks.remove(count)
+    assert back == sched and len(sched.events) == 2**16 - 1
+    assert len(starts) <= 2, starts
