@@ -278,7 +278,7 @@ def cmd_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
 
 
 def cmd_pulse_design(args, run_cfg: RunConfig, norm_bound: float) -> int:
-    shape = design_pulse(args.family, args.tau_p, args.seed)
+    shape = design_pulse(args.family, args.tau_p)
     e11, e12 = eta_integrals(shape)
     print(f"family {args.family}: amplitudes {[a for _, a in shape.segments]}")
     print(f"area = {shape.area!r} (target pi/2), eta11 = {e11:.3e}, eta12 = {e12:.3e}")
@@ -357,7 +357,6 @@ def _build_parser() -> _Parser:
     pd = psub.add_parser("design", help="solve for a first-order-corrected envelope")
     pd.add_argument("--family", default="sym3", choices=("sym3", "sym5", "rect"))
     pd.add_argument("--tau-p", type=float, default=1.0)
-    pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--out", help="pulse JSON output path")
     pd.set_defaults(func=cmd_pulse_design)
 

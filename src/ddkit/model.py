@@ -17,7 +17,7 @@ from .operators import Operator, pauli
 
 __all__ = ["HamiltonianModel", "random_model", "decompose"]
 
-STRUCTURES = ("general", "pure_dephasing", "qdd_counterexample", "custom")
+STRUCTURES = ("general", "pure_dephasing", "qdd_counterexample")
 DEFAULT_BATH_DIM = 4
 DEFAULT_NORM_BOUND = 1.0
 
@@ -85,10 +85,9 @@ def check_norm_bound(norm_bound: float) -> None:
 def check_model(structure: str, sys_dim: int, bath_dim: int, norm_bound: float) -> None:
     """Reject an ensemble ``random_model`` cannot draw: an unknown structure,
     a dimension below 1, a total dimension above MAX_DIM, a bad norm bound."""
-    if structure not in STRUCTURES or structure == "custom":
+    if structure not in STRUCTURES:
         raise PreconditionError(
-            f"unknown model structure {structure!r}; choose from "
-            f"{[s for s in STRUCTURES if s != 'custom']}"
+            f"unknown model structure {structure!r}; choose from {list(STRUCTURES)}"
         )
     if sys_dim < 1 or bath_dim < 1:
         raise PreconditionError(

@@ -107,8 +107,18 @@ class Operator:
             spectral_norm(m - m.conj().T),
         )
 
-    def is_unitary_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return _is_unitary_hermitian(self.matrix, None, np.empty_like(self.matrix), tol)
+    def is_unitary_hermitian(self) -> bool:
+        return _is_unitary_hermitian(self.matrix, None, np.empty_like(self.matrix))
+
+
+def check_labels(ops) -> None:
+    """Reject two different operators under one label.  A label may repeat
+    with the same matrix; matrices are compared only when a label repeats."""
+    named = {}
+    for op in ops:
+        prev = named.setdefault(op.label, op.matrix)
+        if prev is not op.matrix and not np.array_equal(prev, op.matrix):
+            raise PreconditionError(f"two different operators are labelled {op.label!r}")
 
 
 def _monomial(m: np.ndarray):
@@ -139,18 +149,18 @@ def _right_mul(m: np.ndarray, mono, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, inv_vals, out=out)
 
 
-def _is_unitary_hermitian(m: np.ndarray, mono, out: np.ndarray, tol: float = HERM_TOL) -> bool:
-    """Whether |m^2 - I| <= tol and |m - m^dag| <= tol, with m^2 formed in
+def _is_unitary_hermitian(m: np.ndarray, mono, out: np.ndarray) -> bool:
+    """Whether |m^2 - I| and |m - m^dag| are at most HERM_TOL, with m^2 formed in
     ``out`` by a row gather when ``mono`` describes m, else by BLAS."""
     sq = np.matmul(m, m, out=out) if mono is None else _left_mul(mono, m, out)
     diag = np.arange(len(m))
     sq[diag, diag] -= 1
-    return spectral_norm_le(sq, tol) and spectral_norm_le(m - m.conj().T, tol)
+    return spectral_norm_le(sq, HERM_TOL) and spectral_norm_le(m - m.conj().T, HERM_TOL)
 
 
-def _pair_relation(a: Operator, b: Operator, monos, work: np.ndarray, tol: float = HERM_TOL):
+def _pair_relation(a: Operator, b: Operator, monos, work: np.ndarray):
     """Return (+1, None) for a commuting pair, (-1, None) for an
-    anticommuting one, or (0, residuals) if neither holds to tolerance, with
+    anticommuting one, or (0, residuals) if neither holds to HERM_TOL, with
     the residual norms (|[A,B]|, |{A,B}|) computed for that case only.
 
     ``monos`` holds the ``_monomial`` descriptions of A and B (or None).
@@ -176,9 +186,9 @@ def _pair_relation(a: Operator, b: Operator, monos, work: np.ndarray, tol: float
         if np.array_equal(src_b[src_a], src_a[src_b]):
             x = vals_a[:, 0] * vals_b[src_a, 0]
             y = vals_b[:, 0] * vals_a[src_b, 0]
-            if np.abs(x - y).max() <= tol:
+            if np.abs(x - y).max() <= HERM_TOL:
                 return 1, None
-            if np.abs(x + y).max() <= tol:
+            if np.abs(x + y).max() <= HERM_TOL:
                 return -1, None
     if mono_a is not None:
         _left_mul(mono_a, b.matrix, ab)
@@ -189,9 +199,9 @@ def _pair_relation(a: Operator, b: Operator, monos, work: np.ndarray, tol: float
     else:
         np.matmul(a.matrix, b.matrix, out=ab)
         np.matmul(b.matrix, a.matrix, out=ba)
-    if spectral_norm_le(np.subtract(ab, ba, out=res), tol):
+    if spectral_norm_le(np.subtract(ab, ba, out=res), HERM_TOL):
         return 1, None
-    if spectral_norm_le(np.add(ab, ba, out=res), tol):
+    if spectral_norm_le(np.add(ab, ba, out=res), HERM_TOL):
         return -1, None
     return 0, (spectral_norm(ab - ba), spectral_norm(ab + ba))
 
@@ -201,9 +211,10 @@ class Moos:
     """A validated mutually-orthogonal operation set.
 
     ``signature[i, j]`` is +1 if elements i and j commute and -1 if they
-    anticommute.  Validation enforces the unitary-Hermitian property of every
-    element, the pairwise (anti)commutation property, and tracelessness of
-    both members of every anticommuting pair.
+    anticommute.  Validation enforces one matrix per label
+    (``check_labels``), the unitary-Hermitian property of every element, the
+    pairwise (anti)commutation property, and tracelessness of both members
+    of every anticommuting pair.
     """
 
     elements: tuple[Operator, ...]
@@ -229,6 +240,7 @@ class Moos:
                     f"operator {op.label!r} is not unitary Hermitian: "
                     f"|Omega^2 - I| = {d_sq:.3e}, |Omega - Omega^dag| = {d_h:.3e}"
                 )
+        check_labels(elements)
         n = len(elements)
         sig = np.ones((n, n), dtype=int)
         for i in range(n):
@@ -397,9 +409,9 @@ def composed_pulse(ops) -> Operator:
     for op in ops:
         p = op.matrix @ p
     label = "*".join(op.label for op in ops)
-    if spectral_norm_le(p - p.conj().T, 1e-10):
+    if spectral_norm_le(p - p.conj().T, HERM_TOL):
         return Operator(label, p, dim)
-    if spectral_norm_le(p + p.conj().T, 1e-10):
+    if spectral_norm_le(p + p.conj().T, HERM_TOL):
         return Operator(label, 1j * p, dim)
     raise PreconditionError(
         f"composed pulse {label!r} is neither Hermitian nor anti-Hermitian"

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DDKitError, PreconditionError
 from .jsonio import get_field, get_list, load_object
 from .linalg import expm_i, require_hermitian
-from .model import HamiltonianModel, check_seed
+from .model import HamiltonianModel
 from .operators import Operator
 from .simulate import (
     Program,
@@ -219,19 +219,20 @@ def eta_integrals_quadrature(shape: PulseShape, tol: float = 1e-12):
 _FAMILIES = ("sym3", "sym5", "rect")
 
 
-def design_pulse(family: str = "sym3", tau_p: float = 1.0, seed: int = 0) -> PulseShape:
+def design_pulse(family: str = "sym3", tau_p: float = 1.0) -> PulseShape:
     """Solve for an envelope with area pi/2 and eta_11 = eta_12 = 0.
 
     Symmetric families ('sym3', 'sym5': mirrored equal-length segments) have
     eta_11 = 0 by parity, leaving the area constraint and the eta_12 root.
-    Damped Newton with a finite-difference Jacobian, 200 iterations and 20
-    random restarts; 'rect' has no free parameter and reports its residual.
-    The moments scale as tau_p at a fixed area, so the solve runs at
-    tau_p = 1 and the root found there is stretched to ``tau_p``.
+    Damped Newton with a finite-difference Jacobian and at most 200
+    iterations, from one start: negative outer wings, the known qualitative
+    solution.  There are no restarts and nothing random, so the result
+    depends on the family alone; 'rect' has no free parameter and reports
+    its residual.  The moments scale as tau_p at a fixed area, so the solve
+    runs at tau_p = 1 and the root found there is stretched to ``tau_p``.
     """
     if not 0.0 < tau_p < math.inf:
         raise PreconditionError(f"pulse duration must be positive and finite, got {tau_p}")
-    check_seed(seed)
     if family == "rect":
         shape = rectangular_pulse(tau_p)
         _, eta12 = eta_integrals(shape)
@@ -249,43 +250,38 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0, seed: int = 0) -> Pul
         _, eta12 = eta_integrals(shape)
         return np.array([shape.area - TARGET_AREA, eta12])
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    x = np.full(n_amps, TARGET_AREA)
+    x[0] = -x[0]
     best = math.inf
-    for restart in range(20):
-        if restart == 0:
-            x = np.full(n_amps, TARGET_AREA)
-            x[0] = -x[0]  # negative wings, the known qualitative solution
+    for _ in range(200):
+        r = residual(x)
+        nrm = float(np.linalg.norm(r))
+        best = min(best, nrm)
+        if nrm < 1e-13:
+            shape = _symmetric_shape(x)
+            eta11, eta12 = eta_integrals(shape)
+            if abs(eta11) <= ETA_TOL and abs(eta12) <= ETA_TOL:
+                return shape.rescaled(tau_p)
+            break
+        jac = np.zeros((2, n_amps))
+        h = 1e-7 * max(1.0, float(np.max(np.abs(x))))
+        for k in range(n_amps):
+            xp = x.copy()
+            xp[k] += h
+            jac[:, k] = (residual(xp) - r) / h
+        try:
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        while lam > 1e-6:
+            xn = x + lam * step
+            if float(np.linalg.norm(residual(xn))) < nrm:
+                x = xn
+                break
+            lam /= 2
         else:
-            x = rng.uniform(-4.0, 4.0, n_amps) * TARGET_AREA
-        for _ in range(200):
-            r = residual(x)
-            nrm = float(np.linalg.norm(r))
-            best = min(best, nrm)
-            if nrm < 1e-13:
-                shape = _symmetric_shape(x)
-                eta11, eta12 = eta_integrals(shape)
-                if abs(eta11) <= ETA_TOL and abs(eta12) <= ETA_TOL:
-                    return shape.rescaled(tau_p)
-                break
-            jac = np.zeros((2, n_amps))
-            h = 1e-7 * max(1.0, float(np.max(np.abs(x))))
-            for k in range(n_amps):
-                xp = x.copy()
-                xp[k] += h
-                jac[:, k] = (residual(xp) - r) / h
-            try:
-                step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            while lam > 1e-6:
-                xn = x + lam * step
-                if float(np.linalg.norm(residual(xn))) < nrm:
-                    x = xn
-                    break
-                lam /= 2
-            else:
-                break
+            break
     raise PulseDesignError(
         f"no root found for family {family!r}; best residual {best:.3e}", best
     )

@@ -21,8 +21,9 @@ V^dag (P x I) V, and the result is rotated back as V W V^dag.  Sweep points
 
 The steps run as a Re-Pair grammar (``_grammar``, built once per program): a
 rule is a repeated pair of adjacent symbols, built bottom-up as one batched
-product of its two matrices, and a rule symbol in the top sequence is one
-batched product; a step of the top sequence runs as above.  A program whose
+product of its two matrices, and a rule symbol or a driven step in the top
+sequence is one batched product with a matrix formed once however often it
+occurs; a free step of the top sequence runs as above.  A program whose
 repeats do not pay has no rules.  A sweep may form at most MAX_PRODUCTS
 grammar products over all its points (``check_sweep_budget``).
 """
@@ -39,7 +40,7 @@ import numpy.ma  # noqa: F401  np.median imports it on its first call; load it w
 from .errors import PreconditionError, UnfittableError
 from .linalg import kron
 from .model import HamiltonianModel, check_model, random_model
-from .operators import Moos, Operator
+from .operators import Moos, Operator, check_labels
 from .sequences import Schedule, compose_pulses, hahn_echo
 
 __all__ = [
@@ -201,10 +202,7 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
     ``extra`` system operators, else a MOOS element; an extra operator may
     share a MOOS element's label only with the same matrix."""
     _check_dims(extra, moos)
-    named = {op.label: op.matrix for op in moos.elements}
-    for op in extra:
-        if not np.array_equal(named.setdefault(op.label, op.matrix), op.matrix):
-            raise PreconditionError(f"two different operators are labelled {op.label!r}")
+    check_labels((*moos.elements, *extra))
     pulses = {}  # one system matrix per distinct pulse
     steps = []
     prev = 0.0
@@ -300,25 +298,25 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     energy = evals[:, :, None] * np.asarray(times, dtype=float)
     lifted = {key: vecs_h @ kron(p, eye_b) @ vecs for key, p in program.pulses.items()}
 
-    def driven(frac, drive):
-        axis, angle = drive
-        diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(dim)
-        vals, q = np.linalg.eigh(angle * lifted[axis][:, None] + diag)
-        return (q * np.exp(-1j * vals)[..., None, :]) @ q.conj().swapaxes(-1, -2)
-
     def leaf(step):
         frac, drive, key = step
         if drive is not None:
-            m = driven(frac, drive)
+            axis, angle = drive
+            diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(dim)
+            vals, q = np.linalg.eigh(angle * lifted[axis][:, None] + diag)
+            m = (q * np.exp(-1j * vals)[..., None, :]) @ q.conj().swapaxes(-1, -2)
             return m if key is None else lifted[key][:, None] @ m
         phase = np.exp(-1j * frac * energy).swapaxes(1, 2)[:, :, None, :]
         return phase * (np.eye(dim) if key is None else lifted[key][:, None])
 
     # Rule matrices, indexed [model, time, row, column], are built bottom-up
-    # and each one, like each leaf, is freed after its last use.
+    # and each one, like each leaf, is freed after its last use.  A rule
+    # symbol or a driven step of the top sequence is an operand too, so
+    # identical driven steps are exponentiated once.
     top, rules = program.grammar
+    operands = {s for s in top if isinstance(s, int) or s[1] is not None}
     uses = Counter(s for rule in rules for s in rule)
-    uses.update(s for s in top if isinstance(s, int))
+    uses.update(s for s in top if s in operands)
     mats = {}
 
     def operand(s):
@@ -336,13 +334,11 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     w[:, np.arange(dim), :, np.arange(dim)] = 1.0
     phases = {}
     for s in top:
-        if isinstance(s, int):
+        if s in operands:
             w = (operand(s) @ w.swapaxes(1, 2)).swapaxes(1, 2)
             continue
-        frac, drive, key = s
-        if drive is not None:
-            w = (driven(frac, drive) @ w.swapaxes(1, 2)).swapaxes(1, 2)
-        elif frac:
+        frac, _, key = s
+        if frac:
             if frac not in phases:
                 phases[frac] = np.exp(-1j * frac * energy)[..., None]
             w *= phases[frac]
@@ -351,21 +347,14 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     return vecs[:, None] @ w.transpose(0, 2, 1, 3) @ vecs_h[:, None]
 
 
-def propagate(
-    schedule: Schedule,
-    model: HamiltonianModel,
-    moos: Moos,
-    total_time: float,
-    return_net_pulse: bool = False,
-):
+def propagate(schedule: Schedule, model: HamiltonianModel, moos: Moos, total_time: float):
     """Propagator of the scheduled evolution over physical time ``total_time``.
 
     Pulses are instantaneous MOOS operators lifted as Omega (x) I_bath and
-    composed in event list order; closing pulses are applied at the end.
+    composed in event list order; closing pulses are applied at the end.  The
+    net pulse is ``compile_program(schedule, moos).net``.
     """
-    program = compile_program(schedule, moos)
-    u = _propagators(program, [model], (total_time,))[0, 0]
-    return (u, program.net) if return_net_pulse else u
+    return _propagators(compile_program(schedule, moos), [model], (total_time,))[0, 0]
 
 
 def propagate_wrapped(
@@ -450,6 +439,7 @@ def order_scan(
     if operators is None:
         operators = list(moos.elements)
     _check_dims(operators, moos)
+    check_labels(operators)
     if config.threads > 1:
         warnings.warn(
             "RunConfig.threads is deprecated and ignored: the sweep is batched",

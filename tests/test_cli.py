@@ -219,13 +219,42 @@ def test_pulse_design_tau_p_never_ends_in_a_traceback(capsys, family, tau_p, cod
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("family", ["sym3", "rect"])
+@pytest.mark.parametrize("pulse", ["rect"])
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
-def test_pulse_design_bad_seed_exit_2(capsys, family, seed):
-    # a negative seed used to end in a ValueError traceback from the generator
-    got, _, err = run(["pulse", "design", "--family", family, "--seed", seed], capsys)
+def test_pulse_design_bad_seed_exit_2(tmp_path, capsys, pulse, seed):
+    # pulse design has no seed (its result depends on the family alone);
+    # the model seed of pulse scan is the one seed option left, and a bad
+    # one must not end in a ValueError traceback from the generator
+    got, _, err = run(["pulse", "scan", "--pulse", pulse, "--seed", seed,
+                       "--out", str(tmp_path / "x.csv")], capsys)
     assert got == 2
     assert "seed must lie in [0, 2^128)" in err
+    assert "Traceback" not in err
+
+
+def test_pulse_design_seed_option_removed_exit_1(capsys):
+    code, _, err = run(["pulse", "design", "--family", "sym3", "--seed", "0"], capsys)
+    assert code == 1
+    assert "unrecognized arguments: --seed 0" in err
+
+
+def test_accept_passes_every_criterion(capsys):
+    code, out, _ = run(["accept"], capsys)
+    assert code == 0
+    assert sum(line.startswith("[PASS]") for line in out.splitlines()) == 11
+    assert "[FAIL]" not in out
+    assert "11/11 criteria passed" in out
+
+
+@pytest.mark.parametrize("scheme, orders, needle", [
+    ("udd", "2,3", "udd takes exactly one order"),
+    ("cdd", "1,2", "cdd takes exactly one order"),
+    ("udd", "2,x", "malformed orders '2,x', want e.g. '2' or '2,3'"),
+], ids=["udd_two_orders", "cdd_two_orders", "orders_not_int"])
+def test_sequence_bad_orders_exit_2(capsys, scheme, orders, needle):
+    code, _, err = run(["sequence", "--scheme", scheme, "--orders", orders], capsys)
+    assert code == 2
+    assert needle in err
     assert "Traceback" not in err
 
 
@@ -479,16 +508,20 @@ def test_pulse_scan_non_utf8_pulse_file_exit_2(tmp_path, capsys):
     assert "malformed pulse JSON" in err
 
 
-@pytest.mark.parametrize("model, needle", [
-    ("general:2x0", "sys_dim and bath_dim must be >= 1, got 2 and 0"),
-    ("nonsense:2x4", "unknown model structure 'nonsense'"),
-    ("general:64x64", "total dimension 4096 exceeds"),
-], ids=["zero_bath", "unknown_structure", "too_large"])
-def test_scan_bad_model_spec_exit_2(tmp_path, capsys, model, needle):
+@pytest.mark.parametrize("moos, model, needle", [
+    ("qubit_full:1", "general:2x0", "sys_dim and bath_dim must be >= 1, got 2 and 0"),
+    ("qubit_full:1", "nonsense:2x4",
+     "unknown model structure 'nonsense'; choose from "
+     "['general', 'pure_dephasing', 'qdd_counterexample']"),
+    ("qubit_full:1", "general:64x64", "total dimension 4096 exceeds"),
+    ("qubit_full:1", "general:2by4", "malformed model spec 'general:2by4'"),
+    ("qubit_full:2", "general:2x4", "MOOS dimension 4 != model system dimension 2"),
+], ids=["zero_bath", "unknown_structure", "too_large", "malformed", "moos_dim_mismatch"])
+def test_scan_bad_model_spec_exit_2(tmp_path, capsys, moos, model, needle):
     # general:2x0 used to end in a ZeroDivisionError traceback from the
     # sweep's chunk sizing
     code, _, err = run(
-        ["scan", "--scheme", "udd", "--orders", "2", "--model", model,
+        ["scan", "--scheme", "udd", "--orders", "2", "--moos", moos, "--model", model,
          "--out", str(tmp_path / "x.csv")], capsys,
     )
     assert code == 2

@@ -97,6 +97,12 @@ def test_model_rejects_norm_violation():
         HamiltonianModel("general", 2, 1, 1.0, 0, h)
 
 
+def test_model_rejects_matrix_of_the_wrong_dimension():
+    with pytest.raises(PreconditionError) as err:
+        HamiltonianModel("general", 2, 4, 1.0, 0, np.zeros((6, 6), dtype=complex))
+    assert "h_total dimension 6 != sys_dim*bath_dim 8" in str(err.value)
+
+
 def test_decompose_commuting_hamiltonian():
     h = kron(SZ.matrix, np.diag([0.3, -0.1]))
     m = HamiltonianModel("general", 2, 2, 1.0, 0, h)

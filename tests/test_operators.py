@@ -142,6 +142,40 @@ def test_moos_rejects_non_unitary_hermitian():
         Moos((Operator("H", np.array([[1.0, 1.0], [1.0, 0.0]]), 2),))
 
 
+@pytest.mark.parametrize("build, needle", [
+    (lambda: Moos(()), "an MOOS must contain at least one operator"),
+    (lambda: Moos((pauli("z", 1, 1), pauli("x", 1, 2))),
+     "operator 'X1' acts on dimension 4, expected 2"),
+    (lambda: pauli("x", 1, 9), "num_qubits must be in 1..8"),
+    (lambda: sigma_z_level(3, 4), "level-bit index 3 out of range 1..2"),
+    (lambda: sigma_z_level(0, 4), "level-bit index 0 out of range 1..2"),
+], ids=["moos_empty", "moos_mixed_dimension", "pauli_nine_qubits", "sz_level_above",
+        "sz_level_zero"])
+def test_operator_builders_reject_bad_input(build, needle):
+    with pytest.raises(PreconditionError) as err:
+        build()
+    assert needle in str(err.value)
+
+
+def test_moos_rejects_two_operators_under_one_label():
+    # used to validate; nudd then resolved both layers' pulses to Z
+    # through by_label, and a scan reported one silently wrong fit
+    with pytest.raises(PreconditionError) as err:
+        Moos((Operator("A", SZ, 2), Operator("A", SX, 2)))
+    assert str(err.value) == "two different operators are labelled 'A'"
+    doc = json.loads(moos_to_json(qubit_full_moos(1)))
+    doc["elements"][1]["label"] = "Z1"
+    with pytest.raises(PreconditionError, match="two different operators are labelled 'Z1'"):
+        moos_from_json(json.dumps(doc))
+
+
+def test_moos_label_may_repeat_with_the_same_matrix():
+    z1 = pauli("z", 1, 1)
+    moos = Moos((z1, Operator("Z1", SZ.copy(), 2)))
+    assert moos.labels == ("Z1", "Z1")
+    assert np.array_equal(moos.signature, np.ones((2, 2)))
+
+
 def test_moos_anticommuting_members_traceless():
     for moos in (qubit_full_moos(2), mlevel_full_moos(4), mlevel_full_moos(6)):
         n = len(moos)

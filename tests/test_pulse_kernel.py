@@ -177,3 +177,20 @@ def test_pulse_train_grammar_matches_the_flat_program(monkeypatch):
     monkeypatch.setattr(simulate, "_grammar", lambda steps: (steps, ()))
     flat = _propagators(Program(train.steps, train.pulses, train.net), [m], [0.01, 0.05])
     assert np.abs(compressed - flat).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family, calls", [("sym3", 3), ("sym5", 4), ("rect", 2)])
+def test_identical_driven_steps_are_exponentiated_once(monkeypatch, family, calls):
+    # sym3's mirrored outer segments, and sym5's two mirrored pairs, are one
+    # batched eigh each; the reference pulse's expm_i is one more
+    m = random_model("general", 2, 4, 1.0, 0)
+    m.eig()
+    eigh, counted = np.linalg.eigh, []
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    pulse_error_scan(SHAPES[family], m, SZ, np.geomspace(0.003, 0.1, 10))
+    assert len(counted) == calls

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import json
 import math
 import os
@@ -38,6 +40,17 @@ def test_pulse_shape_validation():
         PulseShape(1.0, 2.0, ((1.0, 1.0),))
     with pytest.raises(PreconditionError):
         PulseShape(1.0, 0.5, ((0.5, 1.0), (0.4, 1.0)))  # fractions != 1
+
+
+@pytest.mark.parametrize("build, needle", [
+    (lambda: PulseShape(1.0, 0.5, ((0.0, 1.0), (1.0, 1.0))), "segment fractions must be positive"),
+    (lambda: PulseShape(1.0, 0.5, ()), "segment fractions must be positive"),
+    (lambda: design_pulse("sym7"), "unknown family 'sym7'; choose from ('sym3', 'sym5', 'rect')"),
+], ids=["zero_fraction", "no_segments", "unknown_family"])
+def test_pulse_inputs_rejected(build, needle):
+    with pytest.raises(PreconditionError) as err:
+        build()
+    assert needle in str(err.value)
 
 
 _INF, _NAN = math.inf, math.nan
@@ -112,6 +125,16 @@ def test_eta_closed_form_matches_blind_quadrature():
         assert cf[1] == pytest.approx(quad[1], abs=1e-11)
 
 
+def test_eta_closed_form_skips_a_zero_amplitude_segment():
+    # a zero segment adds nothing to either moment but still moves psi's
+    # start for the segments after it
+    shape = PulseShape(1.0, 0.5, ((0.25, 2.0), (0.5, 0.0), (0.25, math.pi - 2)))
+    cf = eta_integrals(shape)
+    quad = eta_integrals_quadrature(shape)
+    assert cf[0] == pytest.approx(quad[0], abs=1e-14)
+    assert cf[1] == pytest.approx(quad[1], abs=1e-14)
+
+
 def test_eta_zero_duration_limit_linear():
     base = rectangular_pulse(1.0)
     etas = [abs(eta_integrals(base.rescaled(tau))[1]) for tau in (0.1, 0.05, 0.025)]
@@ -158,6 +181,17 @@ def test_design_pulse_deterministic():
     a = design_pulse("sym3")
     b = design_pulse("sym3")
     assert a == b
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("sym3", "4156d5dce791f17c79f3f1b8badbf30455109b4b2ad0b8851beca874876a7dd1"),
+    ("sym5", "1bd6727885216ffc309fba4a7610b1463f4503a4d7d0852f38a30c1273dd4a78"),
+])
+def test_design_pulse_is_pinned_bit_for_bit(family, digest):
+    # one Newton start, no restarts and nothing random: the design depends
+    # on the family alone, and its JSON is the same to the last bit
+    assert hashlib.sha256(pulse_to_json(design_pulse(family)).encode()).hexdigest() == digest
+    assert "seed" not in inspect.signature(design_pulse).parameters
 
 
 def test_composed_pulse_hermitizing_phase():

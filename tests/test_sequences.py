@@ -374,6 +374,18 @@ def test_cdd_nested_rejects_negative_orders():
     assert cdd_nested(MOOS1, (0, 0)) == Schedule("cdd_nested", (0, 0), (), (), 1)
 
 
+@pytest.mark.parametrize("build, needle", [
+    (lambda: nudd(MOOS1, (2,)), "got 1 orders for an MOOS of size 2"),
+    (lambda: nudd(MOOS1, (2, 2, 2)), "got 3 orders for an MOOS of size 2"),
+    (lambda: cdd_nested(MOOS1, (2,)), "got 1 orders for an MOOS of size 2"),
+    (lambda: udd_schedule("Z1", -1), "UDD order must be >= 0"),
+], ids=["nudd_too_few", "nudd_too_many", "cdd_nested_too_few", "udd_negative"])
+def test_builders_reject_bad_orders(build, needle):
+    with pytest.raises(PreconditionError) as err:
+        build()
+    assert needle in str(err.value)
+
+
 def test_event_is_a_named_tuple():
     e = Event(0.5, ("Z1", "X1"))
     assert (e.time, e.ops) == (0.5, ("Z1", "X1")) == tuple(e)

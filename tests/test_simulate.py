@@ -52,7 +52,8 @@ def test_propagate_hahn_echo_pure_sigma_z_is_exact():
     m = HamiltonianModel("general", 2, 1, 1.0, 0, h)
     moos = MOOS1
     for t in (0.1, 1.0, 7.3):
-        u, net = propagate(udd_schedule("X1", 1), m, moos, t, return_net_pulse=True)
+        u = propagate(udd_schedule("X1", 1), m, moos, t)
+        net = compile_program(udd_schedule("X1", 1), moos).net
         assert spectral_norm(u - SX.matrix) <= 1e-12
         assert np.array_equal(net.matrix, SX.matrix)
 
@@ -79,7 +80,8 @@ def test_propagate_wrapped_is_hahn_echo_of_wrap():
     half = m.propagator(0.3)
     assert np.allclose(u, w @ half @ w @ half, atol=1e-13)
     assert np.array_equal(net.matrix, np.eye(2))
-    echo, echo_net = propagate(hahn_echo(EMPTY, "X1"), m, MOOS1, 0.6, return_net_pulse=True)
+    echo = propagate(hahn_echo(EMPTY, "X1"), m, MOOS1, 0.6)
+    echo_net = compile_program(hahn_echo(EMPTY, "X1"), MOOS1).net
     assert np.array_equal(u, echo) and np.array_equal(net.matrix, echo_net.matrix)
 
 
@@ -202,26 +204,34 @@ def test_order_scan_chunking_is_invisible(monkeypatch, batch_bytes):
     assert order_scan(nudd(MOOS1, (2, 2)), MOOS1, GENERAL).rows() == whole
 
 
+_POSITIVE = "every total time in t_grid must be positive and finite"
+_INCREASING = "t_grid must be strictly increasing"
+
+
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, needle",
     [
-        {"t_grid": ()},
-        {"t_grid": (0.0, 0.1)},
-        {"t_grid": (-0.2, -0.1)},
-        {"t_grid": (0.1, math.inf)},
-        {"seeds": ()},
-        {"error_floor": 1e-2, "error_ceiling": 1e-2},
-        {"error_floor": 1e-1, "error_ceiling": 1e-2},
-        {"threads": 0},
+        ({"t_grid": ()}, "t_grid must not be empty"),
+        ({"t_grid": (0.0, 0.1)}, _POSITIVE),
+        ({"t_grid": (-0.2, -0.1)}, _POSITIVE),
+        ({"t_grid": (0.1, math.inf)}, _POSITIVE),
+        ({"seeds": ()}, "seeds must not be empty"),
+        ({"error_floor": 1e-2, "error_ceiling": 1e-2}, "must be below error_ceiling"),
+        ({"error_floor": 1e-1, "error_ceiling": 1e-2}, "must be below error_ceiling"),
+        ({"threads": 0}, "threads must be >= 1, got 0"),
+        ({"t_grid": (0.2, 0.1)}, _INCREASING),
+        ({"t_grid": (0.1, 0.1)}, _INCREASING),
     ],
     ids=["empty_grid", "zero_time", "negative_times", "infinite_time",
-         "empty_seeds", "floor_equals_ceiling", "floor_above_ceiling", "zero_threads"],
+         "empty_seeds", "floor_equals_ceiling", "floor_above_ceiling", "zero_threads",
+         "decreasing_grid", "repeated_time"],
 )
-def test_run_config_rejects_invalid(kwargs):
+def test_run_config_rejects_invalid(kwargs, needle):
     # each of these used to be accepted and end in a silent "exact" fit, an
     # "unfittable" exit, a crash inside the sweep, or a silent serial run
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as err:
         RunConfig(**kwargs)
+    assert needle in str(err.value)
 
 
 def test_order_scan_budget_cap():
@@ -332,6 +342,21 @@ def test_order_scan_rejects_extra_operator_that_relabels_a_moos_element(monkeypa
     with pytest.raises(PreconditionError) as err:
         order_scan(hahn_echo(udd_schedule("Z1", 2), "X1"), MOOS1, ModelSpec(), extra=(fake,))
     assert "two different operators are labelled 'X1'" in str(err.value)
+
+
+def test_order_scan_rejects_two_scanned_operators_under_one_label(monkeypatch):
+    # their errors used to share one row of the result: one fit for two operators
+    _no_realize(monkeypatch)
+    ops = [Operator("A", SZ.matrix, 2), Operator("A", SX.matrix, 2)]
+    with pytest.raises(PreconditionError) as err:
+        order_scan(udd_schedule("Z1", 2), MOOS1, ModelSpec(), operators=ops)
+    assert "two different operators are labelled 'A'" in str(err.value)
+
+
+def test_order_scan_scans_a_repeated_label_with_the_same_matrix_once():
+    config = RunConfig(t_grid=(0.1, 0.2), seeds=(0,))
+    res = order_scan(udd_schedule("Z1", 2), MOOS1, GENERAL, config, operators=[SX, SX])
+    assert list(res.errors) == ["X1"] and len(res.rows()) == 2
 
 
 def test_moos_partner_conjugation_preserves_slope():
