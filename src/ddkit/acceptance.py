@@ -40,7 +40,7 @@ from .sequences import (
     sdd_schedule,
     udd_schedule,
 )
-from .simulate import ModelSpec, RunConfig, order_scan
+from .simulate import ModelSpec, RunConfig, median, order_scan
 from .model import random_model
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all"]
@@ -268,7 +268,7 @@ def criterion_pulse_shaping() -> CriterionResult:
         e_design = pulse_error_scan(shape, m, z, [0.01]).medians["Z1"][0]
         e_rect = pulse_error_scan(rect, m, z, [0.01]).medians["Z1"][0]
         ratios.append(e_rect / e_design)
-    med = float(np.median(ratios))
+    med = float(median(ratios))
     ok &= med >= 10.0
     parts.append(f"rect/designed error ratio at tau_p|H| = 0.01: median {med:.1f} (want >= 10)")
     return CriterionResult(10, "pulse shaping", ok, "; ".join(parts))

@@ -18,6 +18,13 @@ does exact tuples, and json makes a dict and a list per event, so without
 the pause a 2^16-event schedule sets off hundreds of collections, and each
 full one walks every event made so far.  None of this data has cycles:
 reference counting frees all of it.
+
+The JSON codec works on columns too, so that a 2^16-event schedule costs
+little more than the json module's own work: the writer encodes the time
+column with one ``json.dumps`` and each distinct label tuple once, and the
+reader takes the time and label columns with ``map`` and checks the labels
+once per distinct tuple.  ``Schedule`` checks its times on one float64
+array.
 """
 
 import gc
@@ -27,6 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -57,8 +65,10 @@ MAX_FIRST_ORDER_SIZE = 12
 # Most control intervals a builder makes; each checks before building a list.
 _LOG2_MAX_INTERVALS = 20
 MAX_INTERVALS = 2**_LOG2_MAX_INTERVALS
+_MORE_THAN_MAX = f"more than MAX_INTERVALS = 2^{_LOG2_MAX_INTERVALS}"
 _TIME_TOL = 1e-12
 _HALF = (0.5,)  # exact; udd_times(1) is 0.49999999999999994
+_time, _ops = itemgetter(0), itemgetter(1)  # an Event's fields, at C speed
 
 
 class Event(NamedTuple):
@@ -77,6 +87,10 @@ class Schedule:
     ``intervals`` is the number of control intervals of the scheme: at least
     ``len(events) + 1``, and more for SDD, whose midpoint boundary is silent
     when the inner schedule has no closing pulses.
+
+    The event times are checked on one array, float64 for float times: each
+    must lie in (0, 1), the first that does not is named as given, and each
+    must exceed the one before it by more than 1e-12.
     """
 
     scheme: str
@@ -86,11 +100,12 @@ class Schedule:
     intervals: int
 
     def __post_init__(self):
-        times = [e.time for e in self.events]
-        for t in times:
-            if not (0.0 < t < 1.0):
-                raise PreconditionError(f"event time {t} outside the open interval (0, 1)")
-        if any(t2 - t1 <= _TIME_TOL for t1, t2 in zip(times, times[1:])):
+        times = np.array(list(map(_time, self.events)))
+        inside = (times > 0.0) & (times < 1.0)  # False for NaN
+        if not inside.all():
+            t = self.events[inside.argmin()].time
+            raise PreconditionError(f"event time {t} outside the open interval (0, 1)")
+        if (np.diff(times) <= _TIME_TOL).any():
             raise PreconditionError("event times must be strictly increasing")
         if self.intervals < len(self.events) + 1:
             raise PreconditionError(
@@ -144,14 +159,11 @@ def _events(times, ops) -> tuple[Event, ...]:
 
 
 def _columns(events) -> tuple[list, list]:
-    return [e.time for e in events], [e.ops for e in events]
+    return list(map(_time, events)), list(map(_ops, events))
 
 
 def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
-    return PreconditionError(
-        f"{scheme} would have {intervals} control intervals, more than "
-        f"MAX_INTERVALS = 2^{_LOG2_MAX_INTERVALS}"
-    )
+    return PreconditionError(f"{scheme} would have {intervals} control intervals, {_MORE_THAN_MAX}")
 
 
 def _nest(scheme: str, orders, layers) -> Schedule:
@@ -340,6 +352,7 @@ def net_pulse_operator(schedule: Schedule, moos: Moos) -> Operator:
 
 
 _dumps = partial(json.dumps, separators=(",", ":"))
+_NEXT = ',{"t":'  # what follows an event's labels when another event follows
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -349,49 +362,69 @@ def schedule_to_json(schedule: Schedule) -> str:
          "closing": [...], "intervals": ...}
 
     with ``separators=(",", ":")``.  The events are written without building
-    that dict: each time as ``float.__repr__`` (how json writes a float) and
-    each distinct label tuple encoded once."""
+    that dict, as columns: one ``json.dumps`` of the time column writes every
+    time as json does (``float.__repr__``) and is split at its commas, and
+    each distinct label tuple is encoded once, with the text that closes its
+    event and opens the next.  The events are the times and these tails,
+    interleaved."""
     times, ops = _columns(schedule.events)
-    encoded = {o: _dumps(o) for o in set(ops)}
-    events = ",".join(map(
-        '{{"t":{},"ops":{}}}'.format,
-        map(float.__repr__, times),
-        map(encoded.__getitem__, ops),
-    ))
-    return (
+    head = (
         f'{{"scheme":{_dumps(schedule.scheme)},"orders":{_dumps(list(schedule.orders))},'
-        f'"events":[{events}],"closing":{_dumps(list(schedule.closing_ops))},'
+        f'"events":['
+    )
+    end = (
+        f'],"closing":{_dumps(list(schedule.closing_ops))},'
         f'"intervals":{_dumps(schedule.intervals)}}}'
     )
+    if not ops:
+        return head + end
+    tails = {o: f',"ops":{_dumps(o)}}}{_NEXT}' for o in set(ops)}
+    # One join makes the whole text: the head, each event's time and tail,
+    # and the end, which the last tail opens instead of a next event.
+    pieces = [None] * (2 * len(ops) + 1)
+    pieces[0] = head + '{"t":'
+    pieces[1::2] = _dumps(times)[1:-1].split(",")
+    pieces[2::2] = map(tails.__getitem__, ops)
+    pieces[-1] = pieces[-1][:-len(_NEXT)] + end
+    return "".join(pieces)
 
 
 @_gc_paused()
 def schedule_from_json(text: str) -> Schedule:
-    """Inverse of ``schedule_to_json``; the parsed document and the events
-    are acyclic, so the cyclic collector is paused while they are made."""
+    """Inverse of ``schedule_to_json``.
+
+    The header keys are read first, and a schedule of more than
+    ``MAX_INTERVALS`` intervals is rejected before any per-event work.  The
+    time and label columns are then taken with ``map``; equal label lists
+    share one tuple, and the labels are checked once per distinct tuple.
+    When any column check fails, the events are walked in order to name the
+    first bad key.  The parsed document and the events are acyclic, so the
+    cyclic collector is paused while they are made."""
     doc = load_object(text, "schedule")
-    items = get_list(doc, "events", dict, "schedule")
-    try:
-        times = [e["t"] for e in items]
-        labels = [e["ops"] for e in items]
-        valid = (
-            all_of_kind(times, float)
-            and all_of_kind(labels, list)
-            and all_of_kind(list(chain.from_iterable(labels)), str)
-        )
-    except KeyError:
-        valid = False
-    if not valid:  # walk the events in order to name the first bad key
-        times, labels = [], []
-        for e in items:
-            times.append(get_field(e, "t", float, "schedule event"))
-            labels.append(get_list(e, "ops", str, "schedule event"))
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-    ops = [shared.setdefault(o, o) for o in map(tuple, labels)]
     scheme = get_field(doc, "scheme", str, "schedule")
     orders = tuple(get_list(doc, "orders", int, "schedule"))
     closing = tuple(get_list(doc, "closing", str, "schedule"))
     intervals = get_field(doc, "intervals", int, "schedule")
+    if intervals > MAX_INTERVALS:
+        raise PreconditionError(
+            f"schedule JSON has {intervals} control intervals, {_MORE_THAN_MAX}"
+        )
+    items = get_list(doc, "events", dict, "schedule")
+    shared: dict[tuple, tuple] = {}
+    try:
+        times = list(map(itemgetter("t"), items))
+        labels = list(map(itemgetter("ops"), items))
+        valid = all_of_kind(times, float) and all_of_kind(labels, list)
+        if valid:
+            ops = [shared.setdefault(o, o) for o in map(tuple, labels)]
+            valid = all_of_kind(list(chain.from_iterable(shared)), str)
+    except (KeyError, TypeError):  # a missing key; an unhashable label
+        valid = False
+    if not valid:  # a column check fails only when an event does: name it
+        for e in items:
+            get_field(e, "t", float, "schedule event")
+            get_list(e, "ops", str, "schedule event")
+        raise AssertionError("the column checks rejected valid events")
     # Drop the parsed document before the events are made, so that the two
     # are not held at once: it is the larger of them.
     del doc, items, labels

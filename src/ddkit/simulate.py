@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.median imports it on its first call; load it with the module
 
 from .errors import PreconditionError, UnfittableError
 from .linalg import kron
@@ -56,6 +55,7 @@ __all__ = [
     "fit_loglog",
     "fit_operator",
     "order_scan",
+    "median",
 ]
 
 DEFAULT_T_GRID = np.geomspace(0.02, 0.6, 12)
@@ -420,6 +420,17 @@ def fit_operator(label: str, t_grid, errors, floor: float, ceiling: float) -> Op
     return OperatorFit(label, slope, intercept, rms, n_used, "ok" if ok else "unfittable")
 
 
+def median(values) -> np.ndarray:
+    """``np.median`` over the last axis, from a sort: the middle value of
+    each row, or the mean of the two middle values, and NaN for a row that
+    holds NaN (a sort puts it last).  ``np.median`` itself imports
+    ``numpy.ma`` on its first call, 10-15 ms of start-up."""
+    s = np.sort(values, axis=-1)
+    n = s.shape[-1]
+    mid = s[..., n // 2] if n % 2 else (s[..., n // 2 - 1] + s[..., n // 2]) / 2
+    return np.where(np.isnan(s[..., -1]), s[..., -1], mid)
+
+
 def order_scan(
     schedule: Schedule,
     moos: Moos,
@@ -469,7 +480,7 @@ def order_scan(
                 err = preservation_error(u, op, program.net, model_spec.bath_dim)
                 errors[op.label][i:i + t_step, j:j + s_step] = err.T
 
-    medians = {label: np.median(err, axis=1) for label, err in errors.items()}
+    medians = {label: median(err) for label, err in errors.items()}
     fits = {
         label: fit_operator(label, config.t_grid, med, config.error_floor, config.error_ceiling)
         for label, med in medians.items()

@@ -357,3 +357,12 @@ def test_sequence_out_golden_sha256(tmp_path, capsys, args, digest):
     assert main(["sequence", *args.split(), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_writer_matches_json_dumps_on_a_2_to_the_16_interval_schedule():
+    # the hypothesis writer tests reach only 30 events
+    sched = cdd_uniform(qubit_full_moos(1), 8)
+    text = schedule_to_json(sched)
+    assert len(sched.events) == 2**16 - 1
+    assert text == _dict_form(sched)
+    assert schedule_from_json(text) == sched

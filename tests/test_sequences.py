@@ -444,3 +444,50 @@ def test_large_schedule_round_trip_sets_off_no_per_event_collections():
         gc.callbacks.remove(count)
     assert back == sched and len(sched.events) == 2**16 - 1
     assert len(starts) <= 2, starts
+
+
+def test_schedule_from_json_rejects_more_than_max_intervals():
+    # used to load, and only sdd_schedule of it failed
+    doc = {"scheme": "x", "orders": [], "events": [], "closing": [], "intervals": 10**30}
+    with pytest.raises(PreconditionError) as err:
+        schedule_from_json(json.dumps(doc))
+    assert str(err.value) == (
+        f"schedule JSON has {10**30} control intervals, more than MAX_INTERVALS = 2^20")
+    assert schedule_from_json(json.dumps(dict(doc, intervals=MAX_INTERVALS))).intervals == (
+        MAX_INTERVALS)
+    # checked from the header keys, before any event is looked at
+    doc.update(events=[{"t": "bad"}] * 3, intervals=MAX_INTERVALS + 1)
+    with pytest.raises(PreconditionError, match="more than MAX_INTERVALS = 2"):
+        schedule_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("label, kind", [(["Z1"], "list"), ({}, "dict")])
+@pytest.mark.parametrize("count", [1, 10000])
+def test_schedule_from_json_names_unhashable_labels(label, kind, count):
+    # a label list that cannot be a dict key falls back to the per-event walk
+    events = [{"t": (k + 1) / (count + 1), "ops": ["Z1"]} for k in range(count)]
+    events[-1]["ops"] = ["X1", label]
+    with pytest.raises(PreconditionError) as err:
+        schedule_from_json(_events_text(events))
+    assert f"'ops': every item must be a string, got {kind}" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, np.float64(1.0)],
+                         ids=["nan", "inf", "-inf", "zero", "one", "negative", "float64_one"])
+def test_schedule_names_the_first_time_outside_the_unit_interval(bad):
+    for times in ([bad], [0.25, bad, 2.0], [0.1, 0.2, 0.3, bad]):
+        events = tuple(Event(t, ("Z1",)) for t in times)
+        with pytest.raises(PreconditionError) as err:
+            Schedule("udd", (len(times),), events, (), len(times) + 1)
+        assert str(err.value) == f"event time {bad} outside the open interval (0, 1)"
+
+
+@pytest.mark.parametrize("times", [
+    (0.5, 0.5), (0.25, 0.5, 0.5 + 1e-13), (0.1, 0.3, 0.2), (0.75, 0.25),
+], ids=["repeated", "within_tolerance", "out_of_order", "decreasing"])
+def test_schedule_rejects_times_that_do_not_increase(times):
+    events = tuple(Event(t, ("Z1",)) for t in times)
+    with pytest.raises(PreconditionError, match="event times must be strictly increasing"):
+        Schedule("udd", (len(times),), events, (), len(times) + 1)
+    spaced = tuple(Event(t, ("Z1",)) for t in (0.25, 0.25 + 2e-12, 0.5))
+    assert len(Schedule("udd", (3,), spaced, (), 4).events) == 3

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,3 +397,36 @@ def test_unknown_pulse_label_is_a_precondition_for_scan_and_propagate():
         order_scan(sched, MOOS1, GENERAL)
     with pytest.raises(PreconditionError, match=needle):
         propagate(sched, random_model("general", 2, 4, 1.0, 0), MOOS1, 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 12])
+def test_median_is_bit_equal_to_numpy_median(n):
+    rng = np.random.default_rng(n)
+    rows = rng.lognormal(-8.0, 3.0, (6, n))
+    rows[1, n // 2] = np.nan  # a NaN anywhere in a row makes its median NaN
+    rows[2, :] = np.nan
+    rows[3, 0] = rows[3, -1] = np.inf
+    for values in (rows, rows[0], list(rows[0])):
+        assert simulate.median(values).tobytes() == np.median(values, axis=-1).tobytes()
+
+
+def test_scan_and_pulse_criterion_do_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call, 10-15 ms of start-up
+    # that `import ddkit` used to pay by importing it up front.
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    code = (
+        "import sys, ddkit\n"
+        "from ddkit.acceptance import criterion_pulse_shaping\n"
+        "from ddkit.operators import qubit_full_moos\n"
+        "from ddkit.sequences import udd_schedule\n"
+        "from ddkit.simulate import ModelSpec, RunConfig, order_scan\n"
+        "moos = qubit_full_moos(1)\n"
+        "order_scan(udd_schedule('Z1', 2), moos, ModelSpec('general', 2, 2),\n"
+        "           RunConfig(seeds=(0, 1, 2)), [moos.by_label('Z1')])\n"
+        "assert criterion_pulse_shaping().passed\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
