@@ -4,7 +4,7 @@ finite-amplitude pulses approximating ideal pulses to second order."""
 
 from .errors import DDKitError, PreconditionError, UnfittableError
 from .linalg import expm_i, kron, spectral_norm
-from .model import HamiltonianModel, decompose, random_model
+from .model import HamiltonianModel, random_model
 from .operators import (
     Moos,
     Operator,
@@ -30,7 +30,6 @@ from .sequences import (
     cdd_nested,
     cdd_uniform,
     first_order_schedule,
-    net_pulse_operator,
     nudd,
     sdd_schedule,
     udd_schedule,

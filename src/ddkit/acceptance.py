@@ -106,7 +106,7 @@ def criterion_cdd() -> CriterionResult:
     """Second-order CDD on one qubit: slopes >= 2.7 and 2^(N*L) intervals."""
     moos = qubit_full_moos(1)
     sched = cdd_uniform(moos, 2)
-    count_ok = sched.intervals == 2 ** (2 * len(moos)) == len(sched.events) + 1
+    count_ok = sched.intervals == 2 ** (2 * len(moos)) == len(sched.times) + 1
     res = order_scan(sched, moos, _GENERAL_2x4, _DEFAULT_CFG)
     checks = [_fit_ok(res.fits[lab], 2.7, math.inf) for lab in ("Z1", "X1")]
     ok = count_ok and all(c for c, _ in checks)
@@ -146,24 +146,24 @@ def criterion_pulse_counts() -> CriterionResult:
 
     for moos in (moos2, moos4):
         s = first_order_schedule(moos)
-        good = s.intervals == 2 ** len(moos) == len(s.events) + 1
+        good = s.intervals == 2 ** len(moos) == len(s.times) + 1
         ok &= good
         parts.append(f"first_order L={len(moos)}: {s.intervals}")
     for n in (1, 2, 3):
         s = cdd_uniform(moos2, n)
-        ok &= s.intervals == 2 ** (n * len(moos2)) == len(s.events) + 1
+        ok &= s.intervals == 2 ** (n * len(moos2)) == len(s.times) + 1
         parts.append(f"cdd N={n}: {s.intervals}")
     for orders in ((1,), (2, 3), (3, 4), (2, 2)):
         moos = moos2 if len(orders) == 2 else Moos((pauli("z", 1, 1),))
         s = cdd_nested(moos, orders)
-        ok &= s.intervals == 2 ** sum(orders) == len(s.events) + 1
+        ok &= s.intervals == 2 ** sum(orders) == len(s.times) + 1
         parts.append(f"cdd_nested {orders}: {s.intervals}")
     for orders in ((2, 2), (2, 3), (4, 4), (1, 2), (2, 3, 2)):
         moos = moos4 if len(orders) == 3 else moos2
         moos = Moos(moos.elements[: len(orders)])
         s = nudd(moos, orders, allow_odd_inner=True)
         want = math.prod(n + 1 for n in orders)
-        ok &= s.intervals == want == len(s.events) + 1
+        ok &= s.intervals == want == len(s.times) + 1
         parts.append(f"nudd {orders}: {s.intervals}")
     return CriterionResult(7, "pulse-count formulas", ok, "; ".join(parts))
 

@@ -229,7 +229,11 @@ def cmd_sequence(args, run_cfg: RunConfig, norm_bound: float) -> int:
         args.scheme, _parse_orders(args.orders), moos, op=args.op,
         allow_odd_inner=args.allow_odd_inner, include_closing=args.include_closing,
     )
-    counts = Counter(sched.op_labels)
+    # The pulse multiset, counted once per distinct label tuple.
+    counts = Counter(sched.closing_ops)
+    for ops, n in zip(sched.ops_table, np.bincount(sched.codes).tolist()):
+        for label in ops if n else ():
+            counts[label] += n
     print(f"scheme {sched.scheme}, orders {list(sched.orders)}")
     print(f"intervals: {sched.intervals}")
     print("pulse multiset: " + (

@@ -15,7 +15,7 @@ from .errors import PreconditionError
 from .linalg import MAX_DIM, kron, require_hermitian, spectral_norm
 from .operators import Operator, pauli
 
-__all__ = ["HamiltonianModel", "random_model", "decompose"]
+__all__ = ["HamiltonianModel", "random_model"]
 
 STRUCTURES = ("general", "pure_dephasing", "qdd_counterexample")
 DEFAULT_BATH_DIM = 4
@@ -159,14 +159,3 @@ def random_model(
             + kron(z @ x, 1j * j12)
         )
     return HamiltonianModel(structure, sys_dim, bath_dim, norm_bound, seed, h)
-
-
-def decompose(model: HamiltonianModel, omega: Operator):
-    """Split H into the part commuting with Omega (x) I and the part
-    anticommuting with it: C = (H + WHW)/2, A = (H - WHW)/2."""
-    w = model.lift(omega)
-    whw = w @ model.h_total @ w
-    c_part = (model.h_total + whw) / 2
-    a_part = (model.h_total - whw) / 2
-    return c_part, a_part
-

@@ -33,7 +33,6 @@ __all__ = [
     "PulseDesignError",
     "rectangular_pulse",
     "eta_integrals",
-    "eta_integrals_quadrature",
     "design_pulse",
     "propagate_pulse",
     "pulse_error_scan",
@@ -181,39 +180,6 @@ def eta_integrals(shape: PulseShape) -> tuple[float, float]:
         eta11 += amp * (f_cos(t1) - f_cos(t0))
         eta12 += amp * (f_sin(t1) - f_sin(t0))
     return eta11 * tau_p, eta12 * tau_p
-
-
-def eta_integrals_quadrature(shape: PulseShape, tol: float = 1e-12):
-    """Blind adaptive-quadrature evaluation of the same two integrals,
-    independent of the closed form; used as a cross-check."""
-    from scipy import integrate  # here, so that `import ddkit` does not load scipy
-
-    edges = shape.boundaries()
-
-    def psi(t):
-        lo, hi = min(shape.tau_s, t), max(shape.tau_s, t)
-        total = 0.0
-        for j, (_, amp) in enumerate(shape.segments):
-            a, b = max(edges[j], lo), min(edges[j + 1], hi)
-            if b > a:
-                total += amp * (b - a)
-        return 2.0 * math.copysign(1.0, t - shape.tau_s) * total if t != shape.tau_s else 0.0
-
-    phi0 = psi(shape.tau_p) / 2 + psi(0.0) / 2  # int_s^p v - int_0^s v
-
-    def integrand(t, trig):
-        return (t - shape.tau_s) * shape.envelope(t) * trig(phi0 - psi(t))
-
-    pts = edges[1:-1]
-    eta11, _ = integrate.quad(
-        integrand, 0.0, shape.tau_p, args=(math.cos,), points=pts,
-        epsabs=tol, epsrel=0.0, limit=200,
-    )
-    eta12, _ = integrate.quad(
-        integrand, 0.0, shape.tau_p, args=(math.sin,), points=pts,
-        epsabs=tol, epsrel=0.0, limit=200,
-    )
-    return eta11, eta12
 
 
 _FAMILIES = ("sym3", "sym5", "rect")

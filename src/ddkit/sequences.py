@@ -12,28 +12,30 @@ is applied at simulation time.  Pulses at a common instant are stored as one
 event carrying an ordered label list and are composed in that order (the
 first label acts first).
 
-Building events and loading a schedule pause the cyclic garbage collector.
-An ``Event`` is a tuple subclass, which the collector never untracks as it
-does exact tuples, and json makes a dict and a list per event, so without
-the pause a 2^16-event schedule sets off hundreds of collections, and each
-full one walks every event made so far.  None of this data has cycles:
-reference counting frees all of it.
+A ``Schedule`` holds its events as columns: a float64 array of the event
+times, a tuple of the distinct label tuples, and one integer code per event
+into that tuple.  The builders, the transforms and the JSON codec work on
+the columns with array operations and make no Python object per event;
+``Schedule.events`` makes ``Event`` tuples only when it is read.
 
-The JSON codec works on columns too, so that a 2^16-event schedule costs
-little more than the json module's own work: the writer encodes the time
-column with one ``json.dumps`` and each distinct label tuple once, and the
-reader takes the time and label columns with ``map`` and checks the labels
-once per distinct tuple.  ``Schedule`` checks its times on one float64
-array.
+The JSON writer encodes the time column with one ``json.dumps`` and each
+distinct label tuple once.  The reader takes the time and label columns
+with ``map``, codes the label tuples in first-appearance order and checks
+the labels once per distinct tuple.  It pauses the cyclic garbage
+collector: ``json.loads`` makes a dict and a list per event, all tracked by
+the collector, so a 2^16-event document sets off 186 collections per load,
+each full one walking every object made so far, and the pause takes about a
+quarter off the load.  None of this data has cycles: reference counting
+frees all of it.
 """
 
 import gc
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .jsonio import all_of_kind, get_field, get_list, load_object
-from .operators import Moos, Operator
+from .operators import Moos
 
 __all__ = [
     "Event",
@@ -56,7 +58,6 @@ __all__ = [
     "conjugated",
     "hahn_echo",
     "compose_pulses",
-    "net_pulse_operator",
     "schedule_to_json",
     "schedule_from_json",
 ]
@@ -68,7 +69,6 @@ MAX_INTERVALS = 2**_LOG2_MAX_INTERVALS
 _MORE_THAN_MAX = f"more than MAX_INTERVALS = 2^{_LOG2_MAX_INTERVALS}"
 _TIME_TOL = 1e-12
 _HALF = (0.5,)  # exact; udd_times(1) is 0.49999999999999994
-_time, _ops = itemgetter(0), itemgetter(1)  # an Event's fields, at C speed
 
 
 class Event(NamedTuple):
@@ -78,49 +78,102 @@ class Event(NamedTuple):
     ops: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Schedule:
-    """An ordered pulse schedule on normalized time [0, 1].
+    """An ordered pulse schedule on normalized time [0, 1], held as columns.
 
+    ``times`` is a read-only float64 array of the event times, and event i
+    applies the labels ``ops_table[codes[i]]``: ``ops_table`` holds each
+    distinct label tuple once, and ``codes`` is a read-only integer array.
     ``closing_ops`` are the pulses applied at time 1: the leftover labels of
     the nested layers (CDD brackets, odd inner NUDD levels).
     ``intervals`` is the number of control intervals of the scheme: at least
-    ``len(events) + 1``, and more for SDD, whose midpoint boundary is silent
+    ``len(times) + 1``, and more for SDD, whose midpoint boundary is silent
     when the inner schedule has no closing pulses.
 
-    The event times are checked on one array, float64 for float times: each
-    must lie in (0, 1), the first that does not is named as given, and each
-    must exceed the one before it by more than 1e-12.
+    ``Schedule(scheme, orders, events, closing_ops, intervals)`` makes the
+    columns from (time, ops) pairs such as ``Event``s; the builders make
+    them directly.  Either way each time must lie in (0, 1), the first that
+    does not is named as given, and each must exceed the one before it by
+    more than 1e-12.
+
+    Two schedules are equal when their scheme, orders, times (bit for bit),
+    labels per event, closing and intervals are, in whatever order their
+    tables list the label tuples.  A schedule is not hashable.
     """
 
     scheme: str
     orders: tuple[int, ...]
-    events: tuple[Event, ...]
+    times: np.ndarray
+    ops_table: tuple[tuple[str, ...], ...]
+    codes: np.ndarray
     closing_ops: tuple[str, ...]
     intervals: int
 
-    def __post_init__(self):
-        times = np.array(list(map(_time, self.events)))
+    __hash__ = None
+
+    def __init__(self, scheme, orders, events, closing_ops, intervals):
+        table: dict[tuple, int] = {}
+        codes = [table.setdefault(tuple(ops), len(table)) for _, ops in events]
+        self._set(scheme, orders, [t for t, _ in events], tuple(table), codes,
+                  closing_ops, intervals)
+
+    @classmethod
+    def _of(cls, scheme, orders, times, ops_table, codes, closing_ops, intervals):
+        """A schedule from its columns, checked as one made from events."""
+        self = object.__new__(cls)
+        self._set(scheme, orders, times, ops_table, codes, closing_ops, intervals)
+        return self
+
+    def _set(self, scheme, orders, given, ops_table, codes, closing_ops, intervals):
+        try:
+            times = np.asarray(given, dtype=float)
+        except OverflowError:  # an integer beyond the float range, so outside
+            times = np.array(given, dtype=object)
         inside = (times > 0.0) & (times < 1.0)  # False for NaN
         if not inside.all():
-            t = self.events[inside.argmin()].time
+            t = given[inside.argmin()]
             raise PreconditionError(f"event time {t} outside the open interval (0, 1)")
-        if (np.diff(times) <= _TIME_TOL).any():
+        if (times[1:] - times[:-1] <= _TIME_TOL).any():
             raise PreconditionError("event times must be strictly increasing")
-        if self.intervals < len(self.events) + 1:
+        if intervals < len(times) + 1:
             raise PreconditionError(
-                f"intervals {self.intervals} is fewer than len(events) + 1 = "
-                f"{len(self.events) + 1}"
+                f"intervals {intervals} is fewer than len(events) + 1 = {len(times) + 1}"
             )
+        codes = np.asarray(codes, dtype=np.intp)
+        index: dict[tuple, int] = {}
+        merged = [index.setdefault(o, len(index)) for o in ops_table]
+        if len(index) < len(ops_table):  # one entry per distinct tuple
+            codes, ops_table = np.array(merged, dtype=np.intp)[codes], tuple(index)
+        times.flags.writeable = codes.flags.writeable = False
+        vars(self).update(scheme=scheme, orders=orders, times=times, ops_table=ops_table,
+                          codes=codes, closing_ops=closing_ops, intervals=intervals)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        if ((self.scheme, self.orders, self.closing_ops, self.intervals)
+                != (other.scheme, other.orders, other.closing_ops, other.intervals)
+                or not np.array_equal(self.times, other.times)):
+            return False
+        # Each tuple of this table as a code of the other's, -1 if it has none.
+        index = {o: i for i, o in enumerate(other.ops_table)}
+        remap = np.array([index.get(o, -1) for o in self.ops_table], dtype=np.intp)
+        return np.array_equal(remap[self.codes], other.codes)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """The events as ``Event`` tuples, made from the columns on each read."""
+        ops = map(self.ops_table.__getitem__, self.codes.tolist())
+        # tuple.__new__ is the constructor Event's own __new__ calls, minus
+        # one Python frame per event.
+        return tuple(map(tuple.__new__, repeat(Event), zip(self.times.tolist(), ops)))
 
     @property
     def op_labels(self) -> tuple[str, ...]:
         """All pulse labels in chronological order, closing pulses last."""
-        out: list[str] = []
-        for e in self.events:
-            out.extend(e.ops)
-        out.extend(self.closing_ops)
-        return tuple(out)
+        ops = map(self.ops_table.__getitem__, self.codes.tolist())
+        return (*chain.from_iterable(ops), *self.closing_ops)
 
 
 def udd_times(n: int) -> list[float]:
@@ -128,12 +181,6 @@ def udd_times(n: int) -> list[float]:
     if n < 0:
         raise PreconditionError("UDD order must be >= 0")
     return [math.sin(k * math.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
-
-
-# ---------------------------------------------------------------------------
-# The builders work on two columns: a list of times and a list of label
-# tuples, where events with the same pulses share one tuple.  Each public
-# builder turns the columns into Event tuples once, at the end.
 
 
 @contextmanager
@@ -149,19 +196,6 @@ def _gc_paused():
             gc.enable()
 
 
-@_gc_paused()
-def _events(times, ops) -> tuple[Event, ...]:
-    # tuple.__new__ is the constructor Event's own __new__ calls, minus one
-    # Python frame per event.  The collector is paused: it would walk every
-    # Event made so far (a tuple subclass stays tracked), and they hold no
-    # cycles.
-    return tuple(map(tuple.__new__, repeat(Event), zip(times, ops)))
-
-
-def _columns(events) -> tuple[list, list]:
-    return list(map(_time, events)), list(map(_ops, events))
-
-
 def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
     return PreconditionError(f"{scheme} would have {intervals} control intervals, {_MORE_THAN_MAX}")
 
@@ -173,28 +207,30 @@ def _nest(scheme: str, orders, layers) -> Schedule:
     inner layers' leftover labels followed by its own; a layer with
     ``leftover`` appends its label to them, and what is left after the
     outermost layer is the closing."""
-    ops: list[tuple[str, ...]] = []
+    table: list[tuple[str, ...]] = []
+    codes = np.empty(0, dtype=np.intp)
     leftover: tuple[str, ...] = ()
     for label, fracs, keep in layers:
-        # The inner layers' pattern in each of this layer's intervals, with
-        # this layer's pulse between them.
-        ops = [*ops, leftover + (label,)] * (len(fracs) + 1)
-        ops.pop()
+        if fracs:
+            # The inner layers' pattern in each of this layer's intervals,
+            # with this layer's pulse between them.
+            codes = np.tile(np.append(codes, len(table)), len(fracs) + 1)[:-1]
+            table.append(leftover + (label,))
         if keep:
             leftover += (label,)
     times = _boundaries([fracs for _, fracs, _ in layers])
-    return Schedule(scheme, orders, _events(times, ops), leftover, len(times) + 1)
+    return Schedule._of(scheme, orders, times, tuple(table), codes, leftover, len(times) + 1)
 
 
-def _boundaries(fractions) -> list[float]:
+def _boundaries(fractions) -> np.ndarray:
     # _nest's boundary times, outermost layer first and all intervals of a
-    # layer at once; the arrays are freed on return.
+    # layer at once.
     edges = np.array([0.0, 1.0])
     for fracs in reversed(fractions):
         if fracs:
             a = edges[:-1, None]
             edges = np.append(np.hstack((a, a + (edges[1:, None] - a) * fracs)), 1.0)
-    return edges[1:-1].tolist()
+    return edges[1:-1]
 
 
 def udd_schedule(op_label: str, n: int) -> Schedule:
@@ -225,18 +261,16 @@ def sdd_schedule(inner: Schedule) -> Schedule:
     mirror's opening bracket at the midpoint and the two compose in order."""
     if 2 * inner.intervals > MAX_INTERVALS:
         raise _too_many_intervals("sdd", 2 * inner.intervals)
-    times, ops = _columns(inner.events)
-    closing = tuple(inner.closing_ops)
+    half, closing, n = 0.5 * inner.times, tuple(inner.closing_ops), len(inner.ops_table)
     mid = [closing + closing[::-1]] if closing else []
-    own = {o: o for o in ops}
-    mirrored = {o: own.get(o[::-1], o[::-1]) for o in own}
-    return Schedule(
+    # The mirror's tuples are the table's reversed, coded n on; the
+    # constructor merges those that read the same both ways.
+    return Schedule._of(
         "sdd",
         inner.orders,
-        _events(
-            [0.5 * t for t in times] + [0.5] * len(mid) + [1.0 - 0.5 * t for t in reversed(times)],
-            ops + mid + [mirrored[o] for o in reversed(ops)],
-        ),
+        np.concatenate((half, _HALF * len(mid), 1.0 - half[::-1])),
+        (*inner.ops_table, *(o[::-1] for o in inner.ops_table), *mid),
+        np.concatenate((inner.codes, np.full(len(mid), 2 * n), inner.codes[::-1] + n)),
         (),
         2 * inner.intervals,
     )
@@ -311,10 +345,9 @@ def conjugated(schedule: Schedule, label: str) -> Schedule:
     event's pulses become (C, *ops, C) and the closing (C, *closing).  The
     leading C is left out: it is a right factor of the propagator and of the
     net pulse, so every preservation error is unchanged."""
-    times, ops = _columns(schedule.events)
-    own = {o: (label, *o, label) for o in ops}
-    return replace(schedule, events=_events(times, map(own.__getitem__, ops)),
-                   closing_ops=(label, *schedule.closing_ops))
+    return Schedule._of(schedule.scheme, schedule.orders, schedule.times,
+                        tuple((label, *o, label) for o in schedule.ops_table),
+                        schedule.codes, (label, *schedule.closing_ops), schedule.intervals)
 
 
 def hahn_echo(schedule: Schedule, label: str) -> Schedule:
@@ -322,11 +355,12 @@ def hahn_echo(schedule: Schedule, label: str) -> Schedule:
     [0, 1], each half closed by its closing pulses and then W."""
     if 2 * schedule.intervals > MAX_INTERVALS:
         raise _too_many_intervals("hahn_echo", 2 * schedule.intervals)
-    times, ops = _columns(schedule.events)
-    half, echo = [0.5 * t for t in times], (*schedule.closing_ops, label)
-    return replace(schedule, events=_events(half + [0.5] + [0.5 + t for t in half],
-                                            ops + [echo] + ops),
-                   closing_ops=echo, intervals=2 * schedule.intervals)
+    half, echo, codes = 0.5 * schedule.times, (*schedule.closing_ops, label), schedule.codes
+    return Schedule._of(schedule.scheme, schedule.orders,
+                        np.concatenate((half, _HALF, 0.5 + half)),
+                        (*schedule.ops_table, echo),
+                        np.concatenate((codes, [len(schedule.ops_table)], codes)),
+                        echo, 2 * schedule.intervals)
 
 
 def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:
@@ -346,11 +380,6 @@ def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:
     return product
 
 
-def net_pulse_operator(schedule: Schedule, moos: Moos) -> Operator:
-    """Ordered product of all pulse operators (closing pulses included)."""
-    return Operator("net", compose_pulses(schedule.op_labels, moos), moos.dim)
-
-
 _dumps = partial(json.dumps, separators=(",", ":"))
 _NEXT = ',{"t":'  # what follows an event's labels when another event follows
 
@@ -367,7 +396,7 @@ def schedule_to_json(schedule: Schedule) -> str:
     each distinct label tuple is encoded once, with the text that closes its
     event and opens the next.  The events are the times and these tails,
     interleaved."""
-    times, ops = _columns(schedule.events)
+    codes = schedule.codes.tolist()
     head = (
         f'{{"scheme":{_dumps(schedule.scheme)},"orders":{_dumps(list(schedule.orders))},'
         f'"events":['
@@ -376,15 +405,15 @@ def schedule_to_json(schedule: Schedule) -> str:
         f'],"closing":{_dumps(list(schedule.closing_ops))},'
         f'"intervals":{_dumps(schedule.intervals)}}}'
     )
-    if not ops:
+    if not codes:
         return head + end
-    tails = {o: f',"ops":{_dumps(o)}}}{_NEXT}' for o in set(ops)}
+    tails = [f',"ops":{_dumps(o)}}}{_NEXT}' for o in schedule.ops_table]
     # One join makes the whole text: the head, each event's time and tail,
     # and the end, which the last tail opens instead of a next event.
-    pieces = [None] * (2 * len(ops) + 1)
+    pieces = [None] * (2 * len(codes) + 1)
     pieces[0] = head + '{"t":'
-    pieces[1::2] = _dumps(times)[1:-1].split(",")
-    pieces[2::2] = map(tails.__getitem__, ops)
+    pieces[1::2] = _dumps(schedule.times.tolist())[1:-1].split(",")
+    pieces[2::2] = map(tails.__getitem__, codes)
     pieces[-1] = pieces[-1][:-len(_NEXT)] + end
     return "".join(pieces)
 
@@ -395,11 +424,11 @@ def schedule_from_json(text: str) -> Schedule:
 
     The header keys are read first, and a schedule of more than
     ``MAX_INTERVALS`` intervals is rejected before any per-event work.  The
-    time and label columns are then taken with ``map``; equal label lists
-    share one tuple, and the labels are checked once per distinct tuple.
-    When any column check fails, the events are walked in order to name the
-    first bad key.  The parsed document and the events are acyclic, so the
-    cyclic collector is paused while they are made."""
+    time and label columns are then taken with ``map``, the label lists are
+    coded in first-appearance order, and the labels are checked once per
+    distinct tuple.  When any column check fails, the events are walked in
+    order to name the first bad key.  The parsed document is acyclic, so the
+    cyclic collector is paused while it is made and read."""
     doc = load_object(text, "schedule")
     scheme = get_field(doc, "scheme", str, "schedule")
     orders = tuple(get_list(doc, "orders", int, "schedule"))
@@ -410,14 +439,17 @@ def schedule_from_json(text: str) -> Schedule:
             f"schedule JSON has {intervals} control intervals, {_MORE_THAN_MAX}"
         )
     items = get_list(doc, "events", dict, "schedule")
-    shared: dict[tuple, tuple] = {}
     try:
         times = list(map(itemgetter("t"), items))
         labels = list(map(itemgetter("ops"), items))
         valid = all_of_kind(times, float) and all_of_kind(labels, list)
         if valid:
-            ops = [shared.setdefault(o, o) for o in map(tuple, labels)]
-            valid = all_of_kind(list(chain.from_iterable(shared)), str)
+            # Each event's label tuple is a key of ``table``, whose value is
+            # the index of the first event with those labels.
+            table: dict[tuple, int] = {}
+            firsts = np.fromiter(map(table.setdefault, map(tuple, labels), count()),
+                                 dtype=np.intp, count=len(labels))
+            valid = all_of_kind(list(chain.from_iterable(table)), str)
     except (KeyError, TypeError):  # a missing key; an unhashable label
         valid = False
     if not valid:  # a column check fails only when an event does: name it
@@ -425,7 +457,10 @@ def schedule_from_json(text: str) -> Schedule:
             get_field(e, "t", float, "schedule event")
             get_list(e, "ops", str, "schedule event")
         raise AssertionError("the column checks rejected valid events")
-    # Drop the parsed document before the events are made, so that the two
-    # are not held at once: it is the larger of them.
+    # The table is in order of first appearance, so its values increase and
+    # each event's code is the rank of its first event among them.
+    codes = np.searchsorted(np.fromiter(table.values(), dtype=np.intp, count=len(table)), firsts)
+    # Drop the parsed document before the columns are checked, so that the
+    # two are not held at once: it is the larger of them.
     del doc, items, labels
-    return Schedule(scheme, orders, _events(times, ops), closing, intervals)
+    return Schedule._of(scheme, orders, times, tuple(table), codes, closing, intervals)

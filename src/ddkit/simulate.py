@@ -10,7 +10,8 @@ schedule into undriven steps, each pulse the product of all pulses of that
 instant, each a MOOS element or one of the ``extra`` named system
 operators.  It has no other mode: a conjugated run and a Hahn echo are
 schedules (``sequences.conjugated``, ``sequences.hahn_echo``).  The product
-of the pulses is the net pulse the preservation error compensates.
+of the pulses is the net pulse the preservation error compensates;
+``compile_program`` takes it from the program's grammar.
 
 The kernel runs a program for a batch of models and total times at once, in
 each model's eigenbasis H = V diag(lambda) V^dag: a free step is a phase
@@ -32,7 +33,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -169,16 +169,21 @@ class Program:
     of T, driven when ``drive`` is (axis key, angle) and free when it is
     None, then the system pulse ``pulses[key]`` unless the key is None.
     ``pulses`` also holds the drive axes.  ``net`` is the ordered product of
-    the pulses of all steps."""
+    the pulses of all steps.  ``grammar`` is ``_grammar`` of the steps; when
+    it is not given, it is built from the steps coded in first-appearance
+    order."""
 
     steps: tuple[tuple[float, object, object], ...]
     pulses: dict
     net: Operator
+    grammar: tuple = None
 
-    @cached_property
-    def grammar(self):
-        """``_grammar`` of the steps, built once per program."""
-        return _grammar(self.steps)
+    def __post_init__(self):
+        if self.grammar is None:
+            code = {}
+            codes = [code.setdefault(step, len(code)) for step in self.steps]
+            object.__setattr__(self, "grammar",
+                               _grammar(np.array(codes, dtype=np.intp), list(code)))
 
 
 def _check_dims(ops, moos: Moos) -> None:
@@ -200,29 +205,88 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
     """Segment program of ``schedule``: one free step per interval, closed
     by the product of the pulses at its end.  A pulse label names one of the
     ``extra`` system operators, else a MOOS element; an extra operator may
-    share a MOOS element's label only with the same matrix."""
+    share a MOOS element's label only with the same matrix.
+
+    The program is made from the schedule's columns: the fractions are the
+    differences of the times, each distinct step is one tuple however often
+    it occurs, and the net pulse comes from the grammar (``_net``)."""
     _check_dims(extra, moos)
     check_labels((*moos.elements, *extra))
+    # One pulse key per distinct label tuple, None for no pulse; the
+    # closing's is listed last.
+    key_code = {}
+    table_keys = np.array([key_code.setdefault(tuple(ops) or None, len(key_code))
+                           for ops in (*schedule.ops_table, schedule.closing_ops)], dtype=np.intp)
+    step_keys = table_keys[np.append(schedule.codes, len(schedule.ops_table))]
+    bounds = np.concatenate(((0.0,), schedule.times, (1.0,)))
+    fracs = bounds[1:] - bounds[:-1]
+    # Each distinct (fraction, key) pair is one step.
+    codes, firsts = _first_appearance(fracs, step_keys)
+    keys = list(key_code)
+    terms = [(frac, None, keys[k])
+             for frac, k in zip(fracs[firsts].tolist(), step_keys[firsts].tolist())]
     pulses = {}  # one system matrix per distinct pulse
-    steps = []
-    prev = 0.0
-    net = np.eye(moos.dim, dtype=complex)
-    stops = [(e.time, e.ops) for e in schedule.events] + [(1.0, schedule.closing_ops)]
-    for time, ops in stops:
-        key = tuple(ops) or None
-        if key is not None:
-            if key not in pulses:
-                pulses[key] = compose_pulses(key, moos, extra)
-            net = pulses[key] @ net
-        steps.append((time - prev, None, key))
-        prev = time
-    return Program(tuple(steps), pulses, Operator("net", net, moos.dim))
+    for _, _, key in terms:
+        if key is not None and key not in pulses:
+            pulses[key] = compose_pulses(key, moos, extra)
+    grammar = _grammar(codes, terms)
+    net = Operator("net", _net(grammar, pulses, moos.dim), moos.dim)
+    return Program(tuple(map(terms.__getitem__, codes.tolist())), pulses, net, grammar)
 
 
-def _grammar(steps):
+def _first_appearance(*columns):
+    """Codes of the rows of equal-length 1-D arrays, equal rows sharing one,
+    numbered in order of first appearance; and the row where each code first
+    appears.  From one stable sort (``np.unique`` would import ``numpy.ma``,
+    10-15 ms of start-up)."""
+    order = np.lexsort(columns[::-1])
+    new = np.zeros(len(order), dtype=bool)  # a row unlike the one sorted before it
+    new[:1] = True
+    for column in columns:
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    firsts = order[new]  # stable: each group's earliest row
+    by_appearance = np.argsort(firsts)
+    number = np.empty_like(by_appearance)
+    number[by_appearance] = np.arange(len(firsts))
+    codes = np.empty_like(order)
+    codes[order] = number[np.cumsum(new) - 1]
+    return codes, firsts[by_appearance]
+
+
+def _net(grammar, pulses, dim) -> np.ndarray:
+    """The ordered product of the pulses of a grammar's steps: each rule's
+    product once, from its two symbols', then the top sequence's, O(rules +
+    top) products.  The products group the factors differently from a
+    step-by-step product, so they agree exactly when the pulses' products
+    are exact, as for signed permutations with entries 0, +-1 and +-i."""
+    top, rules = grammar
+    nets = []  # per rule, None for no pulse
+
+    def net(s):
+        if isinstance(s, int):
+            return nets[s]
+        return None if s[2] is None else pulses[s[2]]
+
+    def then(earlier, later):
+        if earlier is None or later is None:
+            return later if earlier is None else earlier
+        return later @ earlier
+
+    for a, b in rules:
+        nets.append(then(net(a), net(b)))
+    product = np.eye(dim, dtype=complex)
+    for s in top:
+        product = then(product, net(s))
+    return product
+
+
+def _grammar(codes, terms):
     """Re-Pair grammar of a step sequence: (top, rules).
 
-    A symbol is a step or the index of a rule; rule i is (earlier, later)
+    ``codes`` is the sequence as an integer array, each step numbered by its
+    first appearance, and ``terms`` the distinct steps in that order.  A
+    symbol is a step or the index of a rule; rule i is (earlier, later)
     and refers only to steps and to rules before it.  Each round counts the
     adjacent pairs of symbols, without overlaps, and replaces every pair that
     occurs more than half as often as the most frequent one by a new rule,
@@ -234,12 +298,12 @@ def _grammar(steps):
     sequence, and 1 for each step in it.  The rounds stop early once the
     rules alone cost more than that cheapest grammar.
     """
-    if len(set(zip(steps, steps[1:]))) == len(steps) - 1:
-        return tuple(steps), ()  # no adjacent pair repeats
-    code = {}
-    seq = np.array([code.setdefault(step, len(code)) for step in steps], dtype=np.int64)
-    terms = list(code)
-    n_terms, base = len(terms), len(terms) + len(steps)
+    n_terms, base = len(terms), len(terms) + len(codes)
+    if len(codes) - 1 <= n_terms**2:  # else more pairs than kinds of pair
+        flat = codes.tolist()
+        if len(set(zip(flat, flat[1:]))) == len(flat) - 1:  # no adjacent pair repeats
+            return tuple(map(terms.__getitem__, flat)), ()
+    seq = codes
     rules, leaves = [], set()
     best_cost, best = len(seq), (seq, 0)
     while len(seq) > 1 and len(rules) * PRODUCT_COST < best_cost:
@@ -461,7 +525,7 @@ def order_scan(
     top, rules = program.grammar
     # A boundary the schedule declares but the program merges (SDD's silent
     # midpoint) is charged as one product.
-    silent = schedule.intervals - len(schedule.events) - 1
+    silent = schedule.intervals - len(schedule.times) - 1
     check_sweep_budget((len(top) + len(rules) + silent) * len(config.t_grid) * len(config.seeds))
 
     n_t, n_s = len(config.t_grid), len(config.seeds)

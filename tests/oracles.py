@@ -1,0 +1,50 @@
+"""Oracles the tests check the library against, kept out of the library
+because no library path needs them: blind adaptive quadrature of the pulse
+moment integrals (scipy) and the split of a Hamiltonian into the parts that
+commute and anticommute with a pulse."""
+
+import math
+
+from scipy import integrate
+
+
+def eta_integrals_quadrature(shape, tol: float = 1e-12):
+    """Blind adaptive-quadrature evaluation of the two moment integrals of
+    ``pulseshape.eta_integrals``, independent of its closed form."""
+    edges = shape.boundaries()
+
+    def psi(t):
+        lo, hi = min(shape.tau_s, t), max(shape.tau_s, t)
+        total = 0.0
+        for j, (_, amp) in enumerate(shape.segments):
+            a, b = max(edges[j], lo), min(edges[j + 1], hi)
+            if b > a:
+                total += amp * (b - a)
+        return 2.0 * math.copysign(1.0, t - shape.tau_s) * total if t != shape.tau_s else 0.0
+
+    phi0 = psi(shape.tau_p) / 2 + psi(0.0) / 2  # int_s^p v - int_0^s v
+
+    def integrand(t, trig):
+        return (t - shape.tau_s) * shape.envelope(t) * trig(phi0 - psi(t))
+
+    pts = edges[1:-1]
+    eta11, _ = integrate.quad(
+        integrand, 0.0, shape.tau_p, args=(math.cos,), points=pts,
+        epsabs=tol, epsrel=0.0, limit=200,
+    )
+    eta12, _ = integrate.quad(
+        integrand, 0.0, shape.tau_p, args=(math.sin,), points=pts,
+        epsabs=tol, epsrel=0.0, limit=200,
+    )
+    return eta11, eta12
+
+
+def decompose(model, omega):
+    """Split H into the part commuting with Omega (x) I and the part
+    anticommuting with it: C = (H + WHW)/2, A = (H - WHW)/2."""
+    w = model.lift(omega)
+    whw = w @ model.h_total @ w
+    c_part = (model.h_total + whw) / 2
+    a_part = (model.h_total - whw) / 2
+    return c_part, a_part
+

@@ -576,3 +576,40 @@ def test_scan_huge_seed_count_exit_2_before_allocating(tmp_path, capsys):
     assert "sweep budget exceeded" in err
     assert peak < 5 * 2**20
     assert not (tmp_path / "x.csv").exists()
+
+
+# Runs ddkit's CLI with every import of scipy refused.
+_WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from ddkit.cli import main
+try:
+    import scipy
+except ImportError:
+    sys.exit(main(sys.argv[1:]))
+sys.exit("scipy was imported")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: no command may import it
+    src = Path(__file__).resolve().parent.parent / "src"
+    pulse = tmp_path / "pulse.json"
+    commands = [
+        ["accept"],
+        ["sequence", "--scheme", "nudd", "--orders", "2,3", "--out", str(tmp_path / "s.json")],
+        ["scan", "--scheme", "cdd", "--orders", "2", "--out", str(tmp_path / "scan.csv")],
+        ["pulse", "design", "--family", "sym3", "--out", str(pulse)],
+        ["pulse", "scan", "--pulse", str(pulse), "--out", str(tmp_path / "pulse.csv")],
+    ]
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={"PYTHONPATH": str(src)})
+        assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)

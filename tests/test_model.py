@@ -3,8 +3,9 @@ import pytest
 
 from ddkit.errors import PreconditionError
 from ddkit.linalg import kron, spectral_norm
-from ddkit.model import HamiltonianModel, decompose, random_model
+from ddkit.model import HamiltonianModel, random_model
 from ddkit.operators import Operator, pauli
+from oracles import decompose
 
 SZ = pauli("z", 1, 1)
 SX = pauli("x", 1, 1)

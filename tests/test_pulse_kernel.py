@@ -174,7 +174,8 @@ def test_pulse_train_grammar_matches_the_flat_program(monkeypatch):
     train = Program(one.steps * 8, one.pulses, one.net)
     assert train.grammar[1]
     compressed = _propagators(train, [m], [0.01, 0.05])
-    monkeypatch.setattr(simulate, "_grammar", lambda steps: (steps, ()))
+    monkeypatch.setattr(simulate, "_grammar", lambda codes, terms: (
+        tuple(terms[c] for c in codes.tolist()), ()))
     flat = _propagators(Program(train.steps, train.pulses, train.net), [m], [0.01, 0.05])
     assert np.abs(compressed - flat).max() <= 1e-12
 

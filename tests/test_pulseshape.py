@@ -20,13 +20,13 @@ from ddkit.pulseshape import (
     PulseShape,
     design_pulse,
     eta_integrals,
-    eta_integrals_quadrature,
     propagate_pulse,
     pulse_error_scan,
     pulse_from_json,
     pulse_to_json,
     rectangular_pulse,
 )
+from oracles import eta_integrals_quadrature
 
 SZ = pauli("z", 1, 1)
 SX = pauli("x", 1, 1)

@@ -1,11 +1,13 @@
-"""Property tests of every schedule builder, of the two schedule transforms
-and of the schedule JSON writer.
+"""Property tests of every schedule builder, of the two schedule transforms,
+of the schedule JSON writer and of the net pulse.
 
-The builders work on flat columns and the writer assembles its text by
-hand, so both are checked against independent references: per-event
-versions of the recursions written out below (times must agree bit for
-bit), ``json.dumps`` of the documented dict form (the byte oracle of the
-writer), and SHA-256 digests of ``ddkit sequence --out`` files.
+The builders work on columns and the writer assembles its text by hand, so
+both are checked against independent references: per-event versions of the
+recursions written out below (times must agree bit for bit), ``json.dumps``
+of the documented dict form (the byte oracle of the writer), and SHA-256
+digests of ``ddkit sequence --out`` files.  The net pulse, which
+``compile_program`` takes from its grammar, is checked against the product
+of the pulses event by event.
 """
 
 import functools
@@ -17,19 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddkit import acceptance
 from ddkit.cli import main
 from ddkit.errors import PreconditionError
-from ddkit.operators import Moos, qubit_full_moos
+from ddkit.operators import Moos, Operator, pauli, qubit_full_moos
 from ddkit.sequences import (
     MAX_INTERVALS,
     Event,
     Schedule,
     cdd_nested,
     cdd_uniform,
+    compose_pulses,
     conjugated,
     first_order_schedule,
     hahn_echo,
-    net_pulse_operator,
     nudd,
     schedule_from_json,
     schedule_to_json,
@@ -37,6 +40,7 @@ from ddkit.sequences import (
     udd_schedule,
     udd_times,
 )
+from ddkit.simulate import ModelSpec, RunConfig, compile_program, order_scan
 
 MOOS3 = qubit_full_moos(3)  # Z1, X1, Z2, X2, Z3, X3 (8x8)
 
@@ -203,6 +207,16 @@ def _dict_form(s: Schedule) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _net_reference(s: Schedule, moos: Moos, extra=()) -> np.ndarray:
+    """The net pulse event by event, left to right: each event's pulses
+    composed, then multiplied onto the product so far, the closing last."""
+    net = np.eye(moos.dim, dtype=complex)
+    for ops in [e.ops for e in s.events] + [s.closing_ops]:
+        if ops:
+            net = compose_pulses(ops, moos, extra) @ net
+    return net
+
+
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_scheme_properties(scheme):
     @settings(max_examples=40, deadline=None)
@@ -217,8 +231,9 @@ def test_scheme_properties(scheme):
         assert [(e.time, e.ops) for e in sched.events] == ref_events
         assert sched.closing_ops == ref_closing
         assert all(type(e) is Event and type(e.ops) is tuple for e in sched.events)
+        net = compile_program(sched, moos).net.matrix
+        assert np.array_equal(net, _net_reference(sched, moos))
         if net_identity:
-            net = net_pulse_operator(sched, moos).matrix
             assert np.abs(net - np.eye(moos.dim)).max() <= 1e-12
         text = schedule_to_json(sched)
         assert text == _dict_form(sched)
@@ -287,12 +302,13 @@ def test_transforms_intervals_and_net_pulses(case, data):
     conj, echo = conjugated(sched, c.label), hahn_echo(sched, w.label)
     assert conj.intervals == sched.intervals
     assert echo.intervals == 2 * sched.intervals
-    net = net_pulse_operator(sched, moos).matrix
-    assert np.abs(net_pulse_operator(conj, moos).matrix - net @ c.matrix).max() <= 1e-12
+    net = compile_program(sched, moos).net.matrix
+    assert np.abs(compile_program(conj, moos).net.matrix - net @ c.matrix).max() <= 1e-12
     want = w.matrix @ net @ w.matrix @ net
-    assert np.abs(net_pulse_operator(echo, moos).matrix - want).max() <= 1e-12
+    assert np.abs(compile_program(echo, moos).net.matrix - want).max() <= 1e-12
     for s in (conj, echo):
         assert schedule_from_json(schedule_to_json(s)) == s
+        assert np.array_equal(compile_program(s, moos).net.matrix, _net_reference(s, moos))
 
 
 @settings(max_examples=100, deadline=None)
@@ -366,3 +382,101 @@ def test_writer_matches_json_dumps_on_a_2_to_the_16_interval_schedule():
     assert len(sched.events) == 2**16 - 1
     assert text == _dict_form(sched)
     assert schedule_from_json(text) == sched
+
+
+# ---------------------------------------------------------------------------
+# The net pulse from the grammar, against the product event by event.
+
+SCAN_SCHEDULES = {  # perfbench's scan cases
+    "udd(4)": (udd_schedule("Z1", 4), qubit_full_moos(1)),
+    "nudd(2,3)": (nudd(qubit_full_moos(1), (2, 3)), qubit_full_moos(1)),
+    "cdd_uniform(3)": (cdd_uniform(qubit_full_moos(1), 3), qubit_full_moos(1)),
+    "nudd(2,2,2,3)": (nudd(qubit_full_moos(2), (2, 2, 2, 3)), qubit_full_moos(2)),
+    "cdd_nested(2,2,2,2)": (cdd_nested(qubit_full_moos(2), (2, 2, 2, 2)), qubit_full_moos(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SCHEDULES))
+def test_grammar_net_is_the_per_event_product_on_scan_schedules(name):
+    sched, moos = SCAN_SCHEDULES[name]
+    assert np.array_equal(compile_program(sched, moos).net.matrix, _net_reference(sched, moos))
+
+
+def test_grammar_net_of_the_skew_echo_within_roundoff():
+    # criterion 11's echo of (X+Y)/sqrt2 is not a signed permutation, so
+    # grouping the products differently may move the last bits
+    moos = qubit_full_moos(1)
+    skew = Operator("D", (pauli("x", 1, 1).matrix + pauli("y", 1, 1).matrix) / np.sqrt(2), 2)
+    echo = hahn_echo(udd_schedule("X1", 2), skew.label)
+    net = compile_program(echo, moos, (skew,)).net.matrix
+    assert np.abs(net - _net_reference(echo, moos, (skew,))).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Columns: equality, the events view, and no library path reading it.
+
+
+def test_schedules_compare_by_their_columns_not_their_tables():
+    # the SDD builder lists the mirrored tuples before the midpoint's; the
+    # reader and the constructor list them in order of first appearance
+    sched = sdd_schedule(first_order_schedule(qubit_full_moos(2), include_closing=True))
+    back = schedule_from_json(schedule_to_json(sched))
+    by_hand = Schedule(sched.scheme, sched.orders, sched.events, sched.closing_ops,
+                       sched.intervals)
+    assert back.ops_table == by_hand.ops_table != sched.ops_table
+    assert sched == back == by_hand and by_hand == sched
+    events = list(sched.events)
+    last_bit = events[:3] + [Event(np.nextafter(events[3].time, 1.0), events[3].ops)] + events[4:]
+    one_label = events[:3] + [Event(events[3].time, events[3].ops[:-1] + ("Y9",))] + events[4:]
+    for changed in (last_bit, one_label):
+        other = Schedule(sched.scheme, sched.orders, tuple(changed), sched.closing_ops,
+                         sched.intervals)
+        assert other != sched and sched != other and other != back
+    with pytest.raises(TypeError):
+        hash(sched)
+
+
+def test_events_view_is_the_event_tuples():
+    assert nudd(qubit_full_moos(1), (2, 3)).events == (
+        Event(0.03661165235168155, ("Z1",)),
+        Event(0.10983495705504466, ("Z1",)),
+        Event(0.14644660940672624, ("X1",)),
+        Event(0.23483495705504465, ("Z1",)),
+        Event(0.4116116523516814, ("Z1",)),
+        Event(0.4999999999999999, ("X1",)),
+        Event(0.5883883476483184, ("Z1",)),
+        Event(0.7651650429449552, ("Z1",)),
+        Event(0.8535533905932737, ("X1",)),
+        Event(0.8901650429449552, ("Z1",)),
+        Event(0.9633883476483184, ("Z1",)),
+    )
+
+
+def test_no_library_path_reads_the_events_view(monkeypatch, tmp_path, capsys):
+    def walked(self):
+        raise AssertionError("a library path walked the events")
+
+    monkeypatch.setattr(Schedule, "events", property(walked))
+    monkeypatch.setattr(Schedule, "op_labels", property(walked))
+    moos1, moos2 = qubit_full_moos(1), qubit_full_moos(2)
+    built = [
+        (udd_schedule("Z1", 3), moos1),
+        (first_order_schedule(moos2), moos2),
+        (first_order_schedule(moos2, include_closing=True), moos2),
+        (sdd_schedule(first_order_schedule(moos1)), moos1),
+        (sdd_schedule(first_order_schedule(moos1, include_closing=True)), moos1),
+        (cdd_uniform(moos1, 2), moos1),
+        (cdd_nested(moos2, (1, 2, 0, 1)), moos2),
+        (nudd(moos1, (2, 3)), moos1),
+        (nudd(moos1, (1, 2), allow_odd_inner=True), moos1),
+    ]
+    built += [(f(s, "X1"), m) for s, m in built[:4] for f in (conjugated, hahn_echo)]
+    for s, moos in built:
+        assert schedule_from_json(schedule_to_json(s)) == s
+        compile_program(s, moos)
+    config = RunConfig(t_grid=(0.1, 0.2), seeds=(0,))
+    order_scan(nudd(moos1, (2, 3)), moos1, ModelSpec(), config)
+    out = tmp_path / "s.json"
+    assert main(["sequence", "--scheme", "sdd", "--moos", "qubit_full:2", "--out", str(out)]) == 0
+    assert "pulse multiset: X1 x8, X2 x2, Z1 x16, Z2 x4" in capsys.readouterr().out
+    assert acceptance.criterion_pulse_counts().passed

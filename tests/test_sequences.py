@@ -16,7 +16,6 @@ from ddkit.sequences import (
     cdd_nested,
     cdd_uniform,
     first_order_schedule,
-    net_pulse_operator,
     nudd,
     schedule_from_json,
     schedule_to_json,
@@ -24,6 +23,7 @@ from ddkit.sequences import (
     udd_schedule,
     udd_times,
 )
+from ddkit.simulate import compile_program
 
 MOOS1 = qubit_full_moos(1)  # {Z1, X1}
 MOOS2 = qubit_full_moos(2)
@@ -97,7 +97,7 @@ def test_first_order_l3_matches_unrolled_oracle():
 def test_first_order_closing_net_pulse_is_identity():
     for moos in (MOOS1, MOOS2):
         s = first_order_schedule(moos, include_closing=True)
-        net = net_pulse_operator(s, moos)
+        net = compile_program(s, moos).net
         assert spectral_norm(net.matrix - np.eye(moos.dim)) <= 1e-12
 
 
@@ -150,7 +150,7 @@ def test_cdd_l1_n2_unrolled():
     assert [e.time for e in s.events] == pytest.approx([0.25, 0.5, 0.75])
     # midpoint pulse is the inner closing bracket composed with the outer pulse
     assert [e.ops for e in s.events] == [("Z1",), ("Z1", "Z1"), ("Z1",)]
-    net = net_pulse_operator(s, Moos((pauli("z", 1, 1),)))
+    net = compile_program(s, Moos((pauli("z", 1, 1),))).net
     assert spectral_norm(net.matrix - np.eye(2)) <= 1e-12
 
 
@@ -236,17 +236,17 @@ def test_nudd_inner_block_self_similarity():
 
 def test_net_pulse_operator_examples():
     z = Moos((pauli("z", 1, 1),))
-    hahn = net_pulse_operator(udd_schedule("Z1", 1), z)
+    hahn = compile_program(udd_schedule("Z1", 1), z).net
     assert np.array_equal(hahn.matrix, pauli("z", 1, 1).matrix)
-    udd2 = net_pulse_operator(udd_schedule("Z1", 2), z)
+    udd2 = compile_program(udd_schedule("Z1", 2), z).net
     assert np.array_equal(udd2.matrix, np.eye(2))
-    nudd22 = net_pulse_operator(nudd(MOOS1, (2, 2)), MOOS1)
+    nudd22 = compile_program(nudd(MOOS1, (2, 2)), MOOS1).net
     assert spectral_norm(nudd22.matrix - np.eye(2)) <= 1e-12
 
 
 def test_net_pulse_unknown_label():
     with pytest.raises(PreconditionError):
-        net_pulse_operator(udd_schedule("Q9", 1), MOOS1)
+        compile_program(udd_schedule("Q9", 1), MOOS1)
 
 
 def test_schedule_validation():
@@ -415,8 +415,9 @@ _SMALL_TEXT = schedule_to_json(nudd(MOOS1, (2, 3)))
 ], ids=["load", "load_malformed", "build", "build_rejected"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
 def test_gc_state_is_restored(gc_state, call, raises, enabled):
-    # loading and building pause the cyclic collector; the caller's state,
-    # on or off, holds afterwards whether the call returns or raises
+    # loading pauses the cyclic collector (building makes no per-event
+    # object and leaves it alone); the caller's state, on or off, holds
+    # afterwards whether the call returns or raises
     (gc.enable if enabled else gc.disable)()
     if raises:
         with pytest.raises(PreconditionError):
@@ -472,8 +473,10 @@ def test_schedule_from_json_names_unhashable_labels(label, kind, count):
     assert f"'ops': every item must be a string, got {kind}" in str(err.value)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, np.float64(1.0)],
-                         ids=["nan", "inf", "-inf", "zero", "one", "negative", "float64_one"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, np.float64(1.0),
+                                 10**400],
+                         ids=["nan", "inf", "-inf", "zero", "one", "negative", "float64_one",
+                              "int_beyond_float"])
 def test_schedule_names_the_first_time_outside_the_unit_interval(bad):
     for times in ([bad], [0.25, bad, 2.0], [0.1, 0.2, 0.3, bad]):
         events = tuple(Event(t, ("Z1",)) for t in times)

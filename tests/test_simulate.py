@@ -253,6 +253,18 @@ def test_order_scan_budget_counts_grammar_products():
     assert all(np.isfinite(err).all() for err in res.errors.values())
 
 
+def _coded_grammar(steps):
+    """``_grammar`` of a step tuple, the steps coded in first-appearance order."""
+    code = {}
+    codes = np.array([code.setdefault(step, len(code)) for step in steps], dtype=np.intp)
+    return _grammar(codes, list(code))
+
+
+def _flat(codes, terms):
+    """The grammar with no rules: every step in turn."""
+    return tuple(terms[c] for c in codes.tolist()), ()
+
+
 def _expand(grammar):
     top, rules = grammar
     for i, rule in enumerate(rules):
@@ -282,7 +294,7 @@ def test_grammar_expands_to_the_steps(blocks):
     # blocks repeated in runs (a a a a, a b a b ...): expanding the grammar
     # gives the steps back, and it never costs more products than they do
     steps = tuple(step for block, n in blocks for step in block * n)
-    top, rules = _grammar(steps)
+    top, rules = _coded_grammar(steps)
     assert _expand((top, rules)) == list(steps)
     assert len(top) + len(rules) <= len(steps)
 
@@ -309,7 +321,7 @@ def test_deep_cdd_grammar_matches_the_flat_program(monkeypatch):
     args = (cdd_uniform(moos, 3), moos, ModelSpec("general", 4, 4, 1.0),
             RunConfig(t_grid=(0.1, 0.4), seeds=(0, 5)))
     compressed = order_scan(*args)
-    monkeypatch.setattr(simulate, "_grammar", lambda steps: (steps, ()))
+    monkeypatch.setattr(simulate, "_grammar", _flat)
     flat = order_scan(*args)
     for label, err in flat.errors.items():
         assert np.abs(compressed.errors[label] - err).max() <= 1e-12
