@@ -60,9 +60,13 @@ def herm_deviation(m) -> float:
 
 
 def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
+    """The input as a complex128 stack, if it is finite and Hermitian to
+    ``tol``; a NaN entry makes the deviation NaN, which no bound passes."""
     a = _as_stack(m)
     dev = herm_deviation(a)
-    if dev > tol:
+    if not dev <= tol:
+        if not np.isfinite(a).all():
+            raise PreconditionError("matrix has non-finite (nan or inf) entries")
         raise PreconditionError(
             f"matrix is not Hermitian: max-abs deviation {dev:.3e} exceeds {tol:.1e}"
         )
@@ -106,5 +110,11 @@ def spectral_norm_le(m, tol: float) -> bool:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with a's index slowest (leftmost factor)."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with a's index slowest (leftmost factor).
+
+    The same elementwise products ``np.kron`` forms, bit for bit, without
+    its general-rank axis bookkeeping.
+    """
+    a, b = as_matrix(a), as_matrix(b)
+    dim = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, dim)

@@ -4,8 +4,16 @@ Random matrices are drawn from the Philox counter-based generator keyed by
 the model seed, so every model is bit-reproducible regardless of how a sweep
 is scheduled across threads.  The system is the slow (leftmost) Kronecker
 factor throughout.
+
+``random_model`` realizes each distinct argument tuple once per process and
+hands the same ``HamiltonianModel``, with its cached eigendecomposition, to
+every later caller; its least recently used entries are dropped beyond
+``MODEL_CACHE_SIZE``.  A shared model is immutable: its ``h_total`` and the
+arrays ``eig()`` returns are read-only.  A model built directly keeps its
+own ``h_total`` writable.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +28,9 @@ __all__ = ["HamiltonianModel", "random_model"]
 STRUCTURES = ("general", "pure_dephasing", "qdd_counterexample")
 DEFAULT_BATH_DIM = 4
 DEFAULT_NORM_BOUND = 1.0
+# Realized models kept per process: four 8-seed ensembles, as many as one
+# acceptance run (24) or one benchmark scan pass (16) draws.
+MODEL_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -53,10 +64,13 @@ class HamiltonianModel:
         return self.sys_dim * self.bath_dim
 
     def eig(self):
-        """Cached Hermitian eigendecomposition of h_total, reused across the
-        many exponentials of a time sweep."""
+        """Cached Hermitian eigendecomposition (evals, vecs) of h_total,
+        reused across the many exponentials of a time sweep; both arrays are
+        read-only."""
         if self._eig is None:
-            object.__setattr__(self, "_eig", np.linalg.eigh(self.h_total))
+            evals, vecs = np.linalg.eigh(self.h_total)
+            evals.flags.writeable = vecs.flags.writeable = False
+            object.__setattr__(self, "_eig", (evals, vecs))
         return self._eig
 
     def propagator(self, t) -> np.ndarray:
@@ -111,6 +125,7 @@ def _random_hermitian(rng: np.random.Generator, dim: int, norm: float) -> np.nda
     return h * (norm / s) if s > 0 else h
 
 
+@functools.lru_cache(maxsize=MODEL_CACHE_SIZE, typed=True)
 def random_model(
     structure: str,
     sys_dim: int,
@@ -124,6 +139,9 @@ def random_model(
     pure_dephasing: sum_l sigma_z^(l) (x) B_l + I (x) H_B, rescaled.
     qdd_counterexample: I (x) J0 + Z (x) J1 + X (x) J2 + ZX (x) iJ12 with
     independent random bath blocks of norm norm_bound/4 each.
+
+    Cached: equal arguments of equal types return the same object, whose
+    ``h_total`` is read-only.  Rejected arguments raise on every call.
     """
     check_model(structure, sys_dim, bath_dim, norm_bound)
     check_seed(seed)
@@ -158,4 +176,6 @@ def random_model(
             + kron(x, j2)
             + kron(z @ x, 1j * j12)
         )
-    return HamiltonianModel(structure, sys_dim, bath_dim, norm_bound, seed, h)
+    model = HamiltonianModel(structure, sys_dim, bath_dim, norm_bound, seed, h)
+    model.h_total.flags.writeable = False
+    return model

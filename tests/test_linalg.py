@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ddkit.errors import PreconditionError
 from ddkit.linalg import expm_i, kron, spectral_norm, spectral_norm_le
@@ -82,6 +85,17 @@ def test_expm_i_rejects_non_hermitian():
         expm_i(bad, 1.0)
 
 
+@pytest.mark.parametrize("entry", [math.nan, complex(0.0, math.nan), math.inf],
+                         ids=["nan", "imag_nan", "inf_diagonal"])
+def test_expm_i_rejects_non_finite_entries(entry):
+    h = np.zeros((3, 3), dtype=complex)
+    h[1, 1] = entry
+    # inf - inf in the Hermiticity check warns before the rejection
+    with np.errstate(invalid="ignore"), pytest.raises(PreconditionError) as err:
+        expm_i(h, 1.0)
+    assert "non-finite" in str(err.value)
+
+
 def test_spectral_norm_identity():
     assert spectral_norm(np.eye(7)) == pytest.approx(1.0, abs=1e-14)
 
@@ -119,6 +133,28 @@ def test_kron_index_formula():
             for p in range(2):
                 for q in range(2):
                     assert k[i * 2 + p, j * 2 + q] == pytest.approx(a[i, j] * b[p, q])
+
+
+# Any float, with the values whose bits a product can get wrong made common.
+_ENTRY = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _square_matrix(draw):
+    d = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, (d, d), elements=_ENTRY))
+    return draw(arrays(np.complex128, (d, d), elements=st.builds(complex, _ENTRY, _ENTRY)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_square_matrix(), b=_square_matrix())
+def test_kron_is_numpy_kron_byte_for_byte(a, b):
+    with np.errstate(all="ignore"):
+        got = kron(a, b)
+        want = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_kron_mixed_product():

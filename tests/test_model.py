@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from ddkit import simulate
 from ddkit.errors import PreconditionError
 from ddkit.linalg import kron, spectral_norm
-from ddkit.model import HamiltonianModel, random_model
-from ddkit.operators import Operator, pauli
+from ddkit.model import MODEL_CACHE_SIZE, HamiltonianModel, random_model
+from ddkit.operators import Operator, pauli, qubit_full_moos
+from ddkit.sequences import cdd_nested, nudd
 from oracles import decompose
 
 SZ = pauli("z", 1, 1)
@@ -12,9 +14,81 @@ SX = pauli("x", 1, 1)
 
 
 def test_random_model_deterministic():
+    # one cached draw against one draw that bypasses the cache
     a = random_model("general", 2, 4, 1.0, 7)
-    b = random_model("general", 2, 4, 1.0, 7)
+    b = random_model.__wrapped__("general", 2, 4, 1.0, 7)
+    assert a is not b
     assert np.array_equal(a.h_total, b.h_total)
+
+
+def test_random_model_returns_one_object_per_argument_tuple():
+    a = random_model("general", 2, 4, 1.0, 11)
+    assert random_model("general", 2, 4, 1.0, 11) is a
+    assert random_model("general", 2, 4, 1.0, 12) is not a
+
+
+def test_random_model_cache_keys_on_argument_types():
+    random_model.cache_clear()
+    a = random_model("general", 2, 4, 1, 0)
+    b = random_model("general", 2, 4, 1.0, 0)
+    assert a is not b
+    assert random_model.cache_info().currsize == 2
+    assert np.array_equal(a.h_total, b.h_total)
+
+
+def test_random_model_rejections_are_never_cached():
+    random_model.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            random_model("bogus", 2, 4, 1.0, 0)
+        with pytest.raises(PreconditionError):
+            random_model("general", 2, 4, 1.0, -1)
+    assert random_model.cache_info().currsize == 0
+
+
+def test_shared_model_arrays_are_read_only():
+    m = random_model("qdd_counterexample", 2, 4, 1.0, 3)
+    evals, vecs = m.eig()
+    for write in (lambda: m.h_total.__setitem__((0, 0), 0.0),
+                  lambda: evals.__setitem__(0, 0.0),
+                  lambda: vecs.__setitem__((0, 0), 0.0)):
+        with pytest.raises(ValueError):
+            write()
+    assert m.eig()[0] is evals
+
+
+def test_user_built_model_keeps_its_array_writable():
+    h = kron(SZ.matrix, np.diag([0.3, -0.1]))
+    m = HamiltonianModel("general", 2, 2, 1.0, 0, h)
+    assert m.h_total is h and h.flags.writeable
+    assert not m.eig()[1].flags.writeable
+
+
+def test_random_model_cache_is_bounded():
+    for seed in range(40):
+        random_model("general", 2, 2, 1.0, 1000 + seed)
+    assert random_model.cache_info().currsize <= MODEL_CACHE_SIZE == 32
+
+
+@pytest.mark.parametrize("sched", [
+    nudd(qubit_full_moos(2), (2, 2, 2, 3)),
+    cdd_nested(qubit_full_moos(2), (2, 2, 2, 2)),
+], ids=["nudd2223", "cdd_nested2222"])
+def test_order_scan_is_the_same_for_every_source_of_models(monkeypatch, sched):
+    spec = simulate.ModelSpec("general", 4, 4, 1.0)
+
+    def errors():
+        res = simulate.order_scan(sched, qubit_full_moos(2), spec)
+        return {k: v.copy() for k, v in res.errors.items()}
+
+    random_model.cache_clear()
+    cold = errors()
+    warm = errors()
+    monkeypatch.setattr(simulate, "random_model", random_model.__wrapped__)
+    uncached = errors()
+    for label, e in cold.items():
+        assert np.array_equal(e, warm[label])
+        assert np.array_equal(e, uncached[label])
 
 
 def test_random_model_seed_sensitivity():
@@ -96,6 +170,14 @@ def test_model_rejects_norm_violation():
     h = np.diag([2.0, -2.0]).astype(complex)
     with pytest.raises(PreconditionError):
         HamiltonianModel("general", 2, 1, 1.0, 0, h)
+
+
+def test_model_rejects_nan_entries():
+    h = np.zeros((8, 8), dtype=complex)
+    h[2, 5] = np.nan
+    with pytest.raises(PreconditionError) as err:
+        HamiltonianModel("general", 2, 4, 1.0, 0, h)
+    assert "non-finite" in str(err.value)
 
 
 def test_model_rejects_matrix_of_the_wrong_dimension():

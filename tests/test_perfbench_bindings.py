@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ddkit import pulseshape, simulate
+from ddkit import acceptance, model, pulseshape, simulate
 from ddkit.model import random_model
 from ddkit.operators import qubit_full_moos
 from ddkit.sequences import udd_schedule
@@ -71,3 +71,32 @@ def test_layertrace_records_the_pulse_path_and_restores():
     # one exponential, the ideal pulse of the scan; the kernel does the rest
     assert metrics["linalg.expm_calls"] == 1
     assert metrics["model.exponentials"] == 0
+
+
+def test_layertrace_wraps_and_restores_the_cached_random_model():
+    layertrace = _load_layertrace()
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        traced = model.random_model
+        assert traced is not random_model and traced.__wrapped__ is random_model
+        assert simulate.random_model is traced and acceptance.random_model is traced
+        # a cache hit is still one realize span
+        traced("general", 2, 4, 1.0, 0)
+        traced("general", 2, 4, 1.0, 0)
+    assert model.random_model is simulate.random_model is random_model
+    assert acceptance.random_model is random_model
+    assert random_model.cache_info().maxsize == model.MODEL_CACHE_SIZE
+    assert tracer.metrics()["model.realize_calls"] == 2
+
+
+def test_traced_accept_passes_on_a_warm_cache_count_alike():
+    layertrace = _load_layertrace()
+    acceptance.run_all()
+    signatures = []
+    for _ in range(2):
+        tracer = layertrace.Tracer()
+        with tracer.installed():
+            acceptance.run_all()
+        signatures.append(layertrace.count_signature(tracer.metrics()))
+    assert signatures[0] == signatures[1]
+    assert signatures[0]["model.eigh_calls"] == 0
