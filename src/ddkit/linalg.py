@@ -61,12 +61,13 @@ def herm_deviation(m) -> float:
 
 def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     """The input as a complex128 stack, if it is finite and Hermitian to
-    ``tol``; a NaN entry makes the deviation NaN, which no bound passes."""
+    ``tol``.  Finiteness is checked first: the deviation of a matrix with an
+    inf entry subtracts inf from inf, which numpy warns about."""
     a = _as_stack(m)
+    if not np.isfinite(a).all():
+        raise PreconditionError("matrix has non-finite (nan or inf) entries")
     dev = herm_deviation(a)
-    if not dev <= tol:
-        if not np.isfinite(a).all():
-            raise PreconditionError("matrix has non-finite (nan or inf) entries")
+    if dev > tol:
         raise PreconditionError(
             f"matrix is not Hermitian: max-abs deviation {dev:.3e} exceeds {tol:.1e}"
         )

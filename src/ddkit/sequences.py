@@ -19,14 +19,21 @@ the columns with array operations and make no Python object per event;
 ``Schedule.events`` makes ``Event`` tuples only when it is read.
 
 The JSON writer encodes the time column with one ``json.dumps`` and each
-distinct label tuple once.  The reader takes the time and label columns
-with ``map``, codes the label tuples in first-appearance order and checks
-the labels once per distinct tuple.  It pauses the cyclic garbage
-collector: ``json.loads`` makes a dict and a list per event, all tracked by
-the collector, so a 2^16-event document sets off 186 collections per load,
-each full one walking every object made so far, and the pause takes about a
-quarter off the load.  None of this data has cycles: reference counting
-frees all of it.
+distinct label tuple once.  The reader takes text in the writer's layout
+apart at the writer's fixed separators: one ``json.loads`` for each half of
+the header, one for the time column and one per distinct label list, with no
+dict or list per event.  It does so only where the parts show that
+``json.loads`` of the whole text gives the same document and every event is
+valid; other text (another spacing or key order, an extra key, a bad event,
+malformed text) is parsed whole by ``json.loads``, and the reader takes the
+columns from the parsed events.  Both ways end in the same header checks
+and the same ``Schedule`` checks, so a text reads the same either way, to
+the schedule or the message.  The reader codes the label tuples in
+first-appearance order and checks the labels once per distinct tuple.  It
+pauses the cyclic garbage collector: ``json.loads`` makes a dict and a list
+per event, all tracked by the collector, so a 2^16-event document parsed
+whole sets off 186 collections, each full one walking every object made so
+far.  None of this data has cycles: reference counting frees all of it.
 """
 
 import gc
@@ -381,7 +388,12 @@ def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:
 
 
 _dumps = partial(json.dumps, separators=(",", ":"))
-_NEXT = ',{"t":'  # what follows an event's labels when another event follows
+# The writer's fixed separators, at which the reader splits its text.
+_EVENTS = ',"events":['  # after the orders, opening the event list
+_FIRST = '{"t":'  # opening the first event
+_OPS = ',"ops":'  # between an event's time and its labels
+_NEXT = '},{"t":'  # between an event's labels and the next event's time
+_CLOSING = '],"closing":'  # closing the event list
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -397,39 +409,131 @@ def schedule_to_json(schedule: Schedule) -> str:
     event and opens the next.  The events are the times and these tails,
     interleaved."""
     codes = schedule.codes.tolist()
-    head = (
-        f'{{"scheme":{_dumps(schedule.scheme)},"orders":{_dumps(list(schedule.orders))},'
-        f'"events":['
-    )
+    head = f'{{"scheme":{_dumps(schedule.scheme)},"orders":{_dumps(list(schedule.orders))}{_EVENTS}'
     end = (
-        f'],"closing":{_dumps(list(schedule.closing_ops))},'
+        f'{_CLOSING}{_dumps(list(schedule.closing_ops))},'
         f'"intervals":{_dumps(schedule.intervals)}}}'
     )
     if not codes:
         return head + end
-    tails = [f',"ops":{_dumps(o)}}}{_NEXT}' for o in schedule.ops_table]
+    tails = [f"{_OPS}{_dumps(o)}{_NEXT}" for o in schedule.ops_table]
     # One join makes the whole text: the head, each event's time and tail,
     # and the end, which the last tail opens instead of a next event.
     pieces = [None] * (2 * len(codes) + 1)
-    pieces[0] = head + '{"t":'
+    pieces[0] = head + _FIRST
     pieces[1::2] = _dumps(schedule.times.tolist())[1:-1].split(",")
     pieces[2::2] = map(tails.__getitem__, codes)
-    pieces[-1] = pieces[-1][:-len(_NEXT)] + end
+    pieces[-1] = pieces[-1][: -len(_NEXT)] + "}" + end
     return "".join(pieces)
+
+
+def _first_appearance_codes(keys, n: int):
+    """The distinct ``keys`` in order of first appearance, and each of the
+    ``n`` keys' index among them."""
+    table: dict = {}
+    firsts = np.fromiter(map(table.setdefault, keys, count()), dtype=np.intp, count=n)
+    # The table's values, the index of each key's first appearance, increase,
+    # so a key's code is the rank of its first appearance among them.
+    codes = np.searchsorted(np.fromiter(table.values(), dtype=np.intp, count=len(table)), firsts)
+    return tuple(table), codes
+
+
+def _split_columns(text):
+    """The header and the columns of ``text`` split at the writer's
+    separators, or None unless the split shows that ``json.loads(text)``
+    gives the same document and every event is valid.
+
+    The text must be the object's opening keys, ``_EVENTS``, the events,
+    ``_CLOSING`` and the object's closing keys.  Each part is parsed on its
+    own, and together they show the whole document: the opening part closed
+    by "}" parses to an object with the keys scheme and orders only, so the
+    split is at the top level, and the closing part opened by "{" parses to
+    one with the keys closing and intervals only.  The events are split at
+    ``_OPS`` and ``_NEXT`` into times and label lists, which must alternate
+    as written: the events are rebuilt from the parts and compared with the
+    text.  The times must parse, joined by commas, to one finite number per
+    event (a number holds no comma, so each part is one number), and each
+    distinct label text must parse to a list of strings (such a list holds
+    neither separator).  ``json.loads`` reads what this rejects."""
+    if not isinstance(text, str):
+        return None
+    i, j = text.find(_EVENTS), text.rfind(_CLOSING)
+    first = i + len(_EVENTS)
+    if i < 0 or j < first:
+        return None
+    try:
+        head = json.loads(text[:i] + "}")
+        tail = json.loads("{" + text[j:].removeprefix("],"))
+    except ValueError:
+        return None
+    # Text that parses and ends with "}" (or starts with "{") is an object.
+    if list(head) != ["scheme", "orders"] or list(tail) != ["closing", "intervals"]:
+        return None
+    start, stop = first + len(_FIRST), j - 1
+    if not (text.startswith(_FIRST, first) and text.endswith("}", start, j)):
+        return None
+    parts = text[start:stop].replace(_NEXT, _OPS).split(_OPS)
+    times, labels = parts[::2], parts[1::2]
+    n = len(labels)
+    if len(times) != n:
+        return None
+    rebuilt = [_NEXT] * (4 * n - 1)
+    rebuilt[::4], rebuilt[1::4], rebuilt[2::4] = times, [_OPS] * n, labels
+    rebuilt = "".join(rebuilt)
+    if len(rebuilt) != stop - start or not text.startswith(rebuilt, start):
+        return None
+    del parts, rebuilt
+    table, codes = _first_appearance_codes(labels, n)
+    try:
+        times, ops = json.loads(f"[{','.join(times)}]"), list(map(json.loads, table))
+    except ValueError:
+        return None
+    if not (len(times) == n and all_of_kind(times, float) and all_of_kind(ops, list)
+            and all_of_kind(list(chain.from_iterable(ops)), str)):
+        return None
+    return head | tail, times, tuple(map(tuple, ops)), codes
+
+
+def _event_columns(items):
+    """The time column, the label table and the codes of parsed events; an
+    invalid event is named by a walk over the events in order."""
+    try:
+        times = list(map(itemgetter("t"), items))
+        labels = list(map(itemgetter("ops"), items))
+        if all_of_kind(times, float) and all_of_kind(labels, list):
+            table, codes = _first_appearance_codes(map(tuple, labels), len(labels))
+            if all_of_kind(list(chain.from_iterable(table)), str):
+                return times, table, codes
+    except (KeyError, TypeError):  # a missing key; an unhashable label
+        pass
+    # a column check fails only when an event does: name it
+    for e in items:
+        get_field(e, "t", float, "schedule event")
+        get_list(e, "ops", str, "schedule event")
+    raise AssertionError("the column checks rejected valid events")
 
 
 @_gc_paused()
 def schedule_from_json(text: str) -> Schedule:
     """Inverse of ``schedule_to_json``.
 
-    The header keys are read first, and a schedule of more than
-    ``MAX_INTERVALS`` intervals is rejected before any per-event work.  The
-    time and label columns are then taken with ``map``, the label lists are
-    coded in first-appearance order, and the labels are checked once per
-    distinct tuple.  When any column check fails, the events are walked in
-    order to name the first bad key.  The parsed document is acyclic, so the
-    cyclic collector is paused while it is made and read."""
-    doc = load_object(text, "schedule")
+    Text in the writer's layout is split at its fixed separators, and its
+    header, time column and distinct label lists are each parsed once, with
+    no object per event (``_split_columns``).  That is done only where it
+    shows that ``json.loads`` of the whole text gives the same document, and
+    every event is valid; any other input is parsed by ``json.loads``.
+    Either way the same header checks follow, so a result or a message does
+    not depend on the way taken.
+
+    A schedule of more than ``MAX_INTERVALS`` intervals is rejected from the
+    header keys, before the events of a parsed document are read.  These
+    are read as columns: the label lists are coded in first-appearance
+    order and checked once per distinct tuple, and when any column check
+    fails, the events are walked in order to name the first bad key.  The
+    parsed document is acyclic, so the cyclic collector is paused while it
+    is made and read."""
+    split = _split_columns(text)
+    doc = load_object(text, "schedule") if split is None else split[0]
     scheme = get_field(doc, "scheme", str, "schedule")
     orders = tuple(get_list(doc, "orders", int, "schedule"))
     closing = tuple(get_list(doc, "closing", str, "schedule"))
@@ -438,29 +542,11 @@ def schedule_from_json(text: str) -> Schedule:
         raise PreconditionError(
             f"schedule JSON has {intervals} control intervals, {_MORE_THAN_MAX}"
         )
-    items = get_list(doc, "events", dict, "schedule")
-    try:
-        times = list(map(itemgetter("t"), items))
-        labels = list(map(itemgetter("ops"), items))
-        valid = all_of_kind(times, float) and all_of_kind(labels, list)
-        if valid:
-            # Each event's label tuple is a key of ``table``, whose value is
-            # the index of the first event with those labels.
-            table: dict[tuple, int] = {}
-            firsts = np.fromiter(map(table.setdefault, map(tuple, labels), count()),
-                                 dtype=np.intp, count=len(labels))
-            valid = all_of_kind(list(chain.from_iterable(table)), str)
-    except (KeyError, TypeError):  # a missing key; an unhashable label
-        valid = False
-    if not valid:  # a column check fails only when an event does: name it
-        for e in items:
-            get_field(e, "t", float, "schedule event")
-            get_list(e, "ops", str, "schedule event")
-        raise AssertionError("the column checks rejected valid events")
-    # The table is in order of first appearance, so its values increase and
-    # each event's code is the rank of its first event among them.
-    codes = np.searchsorted(np.fromiter(table.values(), dtype=np.intp, count=len(table)), firsts)
+    if split is None:
+        times, table, codes = _event_columns(get_list(doc, "events", dict, "schedule"))
+    else:
+        times, table, codes = split[1:]
     # Drop the parsed document before the columns are checked, so that the
     # two are not held at once: it is the larger of them.
-    del doc, items, labels
-    return Schedule._of(scheme, orders, times, tuple(table), codes, closing, intervals)
+    del doc, split
+    return Schedule._of(scheme, orders, times, table, codes, closing, intervals)

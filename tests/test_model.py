@@ -173,11 +173,13 @@ def test_model_rejects_norm_violation():
 
 
 def test_model_rejects_nan_entries():
-    h = np.zeros((8, 8), dtype=complex)
-    h[2, 5] = np.nan
-    with pytest.raises(PreconditionError) as err:
-        HamiltonianModel("general", 2, 4, 1.0, 0, h)
-    assert "non-finite" in str(err.value)
+    # an inf on the diagonal too, without numpy's inf - inf warning on the way
+    for row, col, entry in ((2, 5, np.nan), (5, 5, np.inf)):
+        h = np.zeros((8, 8), dtype=complex)
+        h[row, col] = entry
+        with pytest.raises(PreconditionError) as err:
+            HamiltonianModel("general", 2, 4, 1.0, 0, h)
+        assert "non-finite" in str(err.value)
 
 
 def test_model_rejects_matrix_of_the_wrong_dimension():

@@ -1,11 +1,13 @@
 """Property tests of every schedule builder, of the two schedule transforms,
-of the schedule JSON writer and of the net pulse.
+of the schedule JSON writer and reader, and of the net pulse.
 
 The builders work on columns and the writer assembles its text by hand, so
 both are checked against independent references: per-event versions of the
 recursions written out below (times must agree bit for bit), ``json.dumps``
 of the documented dict form (the byte oracle of the writer), and SHA-256
-digests of ``ddkit sequence --out`` files.  The net pulse, which
+digests of ``ddkit sequence --out`` files.  The reader's split of the
+writer's text is checked against ``json.loads`` of the whole text, on
+mutated and on crafted text.  The net pulse, which
 ``compile_program`` takes from its grammar, is checked against the product
 of the pulses event by event.
 """
@@ -13,13 +15,14 @@ of the pulses event by event.
 import functools
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddkit import acceptance
+from ddkit import acceptance, sequences
 from ddkit.cli import main
 from ddkit.errors import PreconditionError
 from ddkit.operators import Moos, Operator, pauli, qubit_full_moos
@@ -243,19 +246,18 @@ def test_scheme_properties(scheme):
 
 
 @st.composite
-def _hand_built(draw):
+def _hand_built(draw, label=st.text(max_size=4), scheme=st.text(max_size=6)):
     """Schedules built directly, with arbitrary text for scheme and labels."""
     raw = sorted(draw(st.lists(st.floats(1e-9, 1 - 1e-9), max_size=30)))
     times = []
     for t in raw:
         if not times or t - times[-1] > 1e-11:
             times.append(t)
-    label = st.text(max_size=4)
     events = tuple(
         Event(t, tuple(draw(st.lists(label, max_size=3)))) for t in times
     )
     return Schedule(
-        draw(st.text(max_size=6)),
+        draw(scheme),
         tuple(draw(st.lists(st.integers(-5, 2**70), max_size=3))),
         events,
         tuple(draw(st.lists(label, max_size=3))),
@@ -269,6 +271,90 @@ def test_writer_matches_json_dumps_on_any_text(sched):
     text = schedule_to_json(sched)
     assert text == _dict_form(sched)
     assert schedule_from_json(text) == sched
+
+
+# Text that json writes escaped (a quote, a backslash, non-ASCII, a lone
+# surrogate) and the writer's own separators, which must stay inside strings.
+_JSON_TEXT = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(['"', "\\", "é", "\u2028", "\ud800", '},{"t":', ',"ops":',
+                     ',"events":[', '],"closing":', '"},{"t":0.5,"ops":["']),
+)
+# Characters that make or break JSON structure, and two that make none.
+_MUTANTS = list('{}[],:"\\ \n0123456789.-+eEINaflnrstu') + ["Z", "é"]
+
+
+def _read(text):
+    """What ``schedule_from_json`` returns for ``text``, or the type and
+    message of what it raises."""
+    try:
+        return schedule_from_json(text)
+    except Exception as exc:  # compared with the other way's, never hidden
+        return type(exc), str(exc)
+
+
+def _same_reading(got, want):
+    if isinstance(want, Schedule):
+        return (isinstance(got, Schedule) and got == want and got.ops_table == want.ops_table
+                and np.array_equal(got.codes, want.codes))
+    return got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hand_built(_JSON_TEXT, _JSON_TEXT))
+def test_writer_text_reads_back_in_any_layout(sched):
+    text = schedule_to_json(sched)
+    for layout in (text, text + "\n", json.dumps(json.loads(text))):
+        assert schedule_from_json(layout) == sched
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
+def test_split_reading_is_the_json_loads_reading_of_mutated_text(sched, data):
+    # one character inserted, deleted or replaced anywhere in the writer's
+    # text: the reader's split must give what json.loads of the whole text
+    # gives, the same schedule or the same message
+    text = schedule_to_json(sched)
+    at = data.draw(st.integers(0, len(text) - 1))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = "" if edit == "delete" else data.draw(st.sampled_from(_MUTANTS))
+    mutated = text[:at] + char + text[at + (edit != "insert"):]
+    with mock.patch.object(sequences, "_split_columns", return_value=None):
+        want = _read(mutated)
+    assert _same_reading(_read(mutated), want)
+
+
+def _events_between(events, closing='"closing":[],"intervals":3'):
+    return '{"scheme":"x","orders":[2],"events":[' + events + "]," + closing + "}"
+
+
+_ONE = '{"t":0.5,"ops":["Z1"]}'
+
+
+@pytest.mark.parametrize("text", [
+    # the separators out of turn: the first event has no labels
+    _events_between('{"t":0.25},{"t":["Z1"],"ops":0.5,"ops":["X1"]}'),
+    # two numbers where one time belongs
+    _events_between('{"t":0.25,0.5,"ops":["Z1"]}'),
+    # a second events key after the closing one
+    _events_between(_ONE, '"closing":[],"events":5,"intervals":3'),
+    # a separator inside a nested value of the header, or of the labels
+    '{"scheme":"x","orders":[{"a":1,"events":[' + _ONE + '],"closing":2}]},'
+    '{"closing":[],"intervals":3}',
+    _events_between('{"t":0.5,"ops":[{"a":[1],"ops":2}]}'),
+    # duplicate header keys, read as json reads them: the last one counts
+    '{"scheme":"a","scheme":"b","orders":[2],"events":[' + _ONE + '],"closing":[],'
+    '"closing":["Z1"],"intervals":2}',
+    _events_between('{"t":NaN,"ops":["Z1"]}'),
+    "\ufeff" + _events_between(_ONE),
+    _events_between('{"t":0.5, "ops":["Z1"]}'),
+    _events_between("").replace(',"events":[]', ""),
+], ids=["out_of_turn", "two_times", "events_key_after", "nested_header", "nested_label",
+        "duplicate_keys", "nan_time", "byte_order_mark", "spaced_event", "no_events_key"])
+def test_split_reading_is_the_json_loads_reading_of_crafted_text(text):
+    with mock.patch.object(sequences, "_split_columns", return_value=None):
+        want = _read(text)
+    assert _same_reading(_read(text), want)
 
 
 def test_writer_formats_float_subclasses_as_json_does():

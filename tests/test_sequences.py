@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ddkit.errors import PreconditionError
 from ddkit.linalg import spectral_norm
+from ddkit import sequences
 from ddkit.operators import Moos, pauli, qubit_full_moos
 from ddkit.sequences import (
     MAX_INTERVALS,
@@ -307,9 +309,7 @@ def _schedule_text(**changes):
     "intervals_too_few", "intervals_float", "intervals_bool",
 ])
 def test_schedule_from_json_rejects_bad_input(text, needle):
-    with pytest.raises(PreconditionError) as err:
-        schedule_from_json(text)
-    assert needle in str(err.value)
+    assert needle in _rejection_in_both_layouts(text)
 
 
 def test_schedule_from_json_accepts_silent_sdd_midpoints():
@@ -326,6 +326,30 @@ def test_schedule_from_json_accepts_silent_sdd_midpoints():
 def _events_text(events):
     doc = dict(_GOOD_SCHEDULE, events=events, intervals=len(events) + 1)
     return json.dumps(doc)
+
+
+def _compact(text):
+    """``text`` as written by json.dumps with its default separators, in the
+    compact layout of ``schedule_to_json`` (no test text has ", " or ": "
+    inside a string)."""
+    return text.replace(", ", ",").replace(": ", ":")
+
+
+def _rejection(text):
+    with pytest.raises(PreconditionError) as err:
+        schedule_from_json(text)
+    return str(err.value)
+
+
+def _rejection_in_both_layouts(text):
+    """The message for ``text`` and for its compact layout, which text in
+    the writer's layout reaches through the reader's split.  The two must
+    be equal, but for the character position json names in a decode
+    error, which moves with the layout."""
+    spaced, compact = _rejection(text), _rejection(_compact(text))
+    position = re.compile(r": line \d+ column \d+ \(char \d+\)$")
+    assert position.sub("", spaced) == position.sub("", compact)
+    return spaced
 
 
 @pytest.mark.parametrize("text, needle", [
@@ -345,9 +369,7 @@ def _events_text(events):
 ], ids=["event_not_object", "time_nan", "time_int_beyond_float", "time_bool",
         "ops_string", "first_bad_event_named", "missing_time_before_missing_ops"])
 def test_schedule_from_json_names_the_bad_event_key(text, needle):
-    with pytest.raises(PreconditionError) as err:
-        schedule_from_json(text)
-    assert needle in str(err.value)
+    assert needle in _rejection_in_both_layouts(text)
 
 
 @pytest.mark.parametrize("bad, needle", [
@@ -358,11 +380,11 @@ def test_schedule_from_json_names_the_bad_event_key(text, needle):
 ], ids=["label", "time", "missing_ops", "not_object"])
 def test_schedule_from_json_finds_one_bad_event_among_10000(bad, needle):
     events = [{"t": (k + 1) / 10001, "ops": ["Z1"]} for k in range(9999)] + [bad]
-    with pytest.raises(PreconditionError) as err:
-        schedule_from_json(_events_text(events))
-    assert needle in str(err.value)
+    assert needle in _rejection_in_both_layouts(_events_text(events))
     events[-1] = {"t": 0.9999, "ops": ["Z1"]}
-    assert len(schedule_from_json(_events_text(events)).events) == 10000
+    text = _events_text(events)
+    assert len(schedule_from_json(text).events) == 10000
+    assert schedule_from_json(_compact(text)) == schedule_from_json(text)
 
 
 def test_cdd_nested_rejects_negative_orders():
@@ -450,16 +472,14 @@ def test_large_schedule_round_trip_sets_off_no_per_event_collections():
 def test_schedule_from_json_rejects_more_than_max_intervals():
     # used to load, and only sdd_schedule of it failed
     doc = {"scheme": "x", "orders": [], "events": [], "closing": [], "intervals": 10**30}
-    with pytest.raises(PreconditionError) as err:
-        schedule_from_json(json.dumps(doc))
-    assert str(err.value) == (
+    assert _rejection_in_both_layouts(json.dumps(doc)) == (
         f"schedule JSON has {10**30} control intervals, more than MAX_INTERVALS = 2^20")
-    assert schedule_from_json(json.dumps(dict(doc, intervals=MAX_INTERVALS))).intervals == (
-        MAX_INTERVALS)
+    text = json.dumps(dict(doc, intervals=MAX_INTERVALS))
+    for layout in (text, _compact(text)):
+        assert schedule_from_json(layout).intervals == MAX_INTERVALS
     # checked from the header keys, before any event is looked at
     doc.update(events=[{"t": "bad"}] * 3, intervals=MAX_INTERVALS + 1)
-    with pytest.raises(PreconditionError, match="more than MAX_INTERVALS = 2"):
-        schedule_from_json(json.dumps(doc))
+    assert "more than MAX_INTERVALS = 2" in _rejection_in_both_layouts(json.dumps(doc))
 
 
 @pytest.mark.parametrize("label, kind", [(["Z1"], "list"), ({}, "dict")])
@@ -468,9 +488,28 @@ def test_schedule_from_json_names_unhashable_labels(label, kind, count):
     # a label list that cannot be a dict key falls back to the per-event walk
     events = [{"t": (k + 1) / (count + 1), "ops": ["Z1"]} for k in range(count)]
     events[-1]["ops"] = ["X1", label]
-    with pytest.raises(PreconditionError) as err:
-        schedule_from_json(_events_text(events))
-    assert f"'ops': every item must be a string, got {kind}" in str(err.value)
+    assert (f"'ops': every item must be a string, got {kind}"
+            in _rejection_in_both_layouts(_events_text(events)))
+
+
+@pytest.mark.parametrize("sched", [
+    udd_schedule("Z1", 1),
+    nudd(MOOS1, (2, 3)),
+    sdd_schedule(first_order_schedule(MOOS1)),
+    cdd_uniform(MOOS1, 8),
+], ids=["one_event", "nudd", "sdd_silent_midpoints", "cdd_2_to_the_16"])
+def test_writer_layout_is_read_without_parsing_the_whole_text(monkeypatch, sched):
+    # the header, the time column and each distinct label list are parsed on
+    # their own; only text in another layout is parsed whole
+    whole = []
+    monkeypatch.setattr(sequences, "load_object", lambda *a: whole.append(a) or {})
+    text = schedule_to_json(sched)
+    for layout in (text, text + "\n", f" \t{text}\r\n"):
+        assert schedule_from_json(layout) == sched
+    assert not whole
+    with pytest.raises(PreconditionError):
+        schedule_from_json(json.dumps(json.loads(text)))
+    assert len(whole) == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, np.float64(1.0),
