@@ -54,20 +54,24 @@ def as_matrix(m) -> np.ndarray:
 
 def herm_deviation(m) -> float:
     """Max-abs entry deviation from the Hermitian conjugate over a matrix or a
-    stack (..., d, d); 0 for an empty stack."""
+    stack (..., d, d); 0 for an empty stack, inf for input with an inf entry
+    and nan for input with a nan entry.  Non-finite input is caught before
+    the subtraction, where an inf diagonal entry would form inf - inf."""
     a = _as_stack(m)
+    if not np.isfinite(a).all():
+        return math.nan if np.isnan(a).any() else math.inf
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
 
 
 def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     """The input as a complex128 stack, if it is finite and Hermitian to
-    ``tol``.  Finiteness is checked first: the deviation of a matrix with an
-    inf entry subtracts inf from inf, which numpy warns about."""
+    ``tol``.  Finiteness decides the message: an input that is not finite
+    is reported as such, whatever its deviation."""
     a = _as_stack(m)
-    if not np.isfinite(a).all():
-        raise PreconditionError("matrix has non-finite (nan or inf) entries")
     dev = herm_deviation(a)
-    if dev > tol:
+    if not dev <= tol:
+        if not np.isfinite(a).all():
+            raise PreconditionError("matrix has non-finite (nan or inf) entries")
         raise PreconditionError(
             f"matrix is not Hermitian: max-abs deviation {dev:.3e} exceeds {tol:.1e}"
         )

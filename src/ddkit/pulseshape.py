@@ -293,13 +293,25 @@ def pulse_error_scan(
     in one batch; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|.
     The fit window is (ERROR_FLOOR, ERROR_CEILING).  Each step at each
     duration is charged against ``check_sweep_budget``.
+
+    The norm of A = U_ref^dag U - I is sqrt(lambda_max(A^dag A)), from one
+    batched product and one batched ``eigvalsh`` instead of an SVD.  The
+    Gram matrix loses only the small singular values; the largest keeps a
+    relative error of O(eps).  Each A is first scaled by the exact power of
+    two that brings its largest |entry| into [1/2, 1), so the squares cannot
+    underflow (an error of 1e-200 would square to 0), and the scale is put
+    back on the norm.  ``linalg.spectral_norm`` keeps its SVD: a model's
+    normalisation that moved by one ulp would reshuffle near-floor errors.
     """
     config = RunConfig(t_grid=tau_grid, seeds=(model.seed,),
                        error_floor=ERROR_FLOOR, error_ceiling=ERROR_CEILING)
     program = _pulse_program(shape, model, omega, True)
     check_sweep_budget(len(program.steps) * len(config.t_grid))
-    u = _propagators(program, [model], config.t_grid)[0]
-    errs = np.linalg.norm(u - np.eye(model.dim), ord=2, axis=(-2, -1))
+    a = _propagators(program, [model], config.t_grid)[0] - np.eye(model.dim)
+    _, exp = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    a = np.ldexp(a.view(float), -exp[:, None, None]).view(complex)
+    lam = np.linalg.eigvalsh(a.conj().swapaxes(-1, -2) @ a)[:, -1]
+    errs = np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exp)
 
     fit = fit_operator(omega.label, config.t_grid, errs, ERROR_FLOOR, ERROR_CEILING)
     label = omega.label

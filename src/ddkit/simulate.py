@@ -454,19 +454,33 @@ def preservation_error(u: np.ndarray, omega: Operator, net_pulse: Operator, bath
 
 def fit_loglog(points, floor: float, ceiling: float):
     """Ordinary least squares of log(error) vs log(T) on points surviving the
-    floor/ceiling filter; returns (slope, intercept, rms_residual, n_used)."""
-    kept = [(t, e) for t, e in points if floor < e < ceiling]
-    if len(kept) < 2:
+    floor/ceiling filter; returns (slope, intercept, rms_residual, n_used).
+
+    The line is the closed form on the centred x = log T - mean(log T) and
+    y = log e - mean(log e): slope = x.y / x.x and intercept =
+    mean(log e) - slope * mean(log T), the least-squares solution of the
+    two-column Vandermonde system without building or factoring it.  Kept
+    points that all share one T fix no slope and raise ``UnfittableError``.
+    """
+    t, e = np.array(points, dtype=float).reshape(-1, 2).T
+    keep = (floor < e) & (e < ceiling)
+    n = int(np.count_nonzero(keep))
+    if n < 2:
         raise UnfittableError(
-            f"only {len(kept)} of {len(points)} points inside "
-            f"({floor:.1e}, {ceiling:.1e})"
+            f"only {n} of {len(points)} points inside ({floor:.1e}, {ceiling:.1e})"
         )
-    log_t = np.log([t for t, _ in kept])
-    log_e = np.log([e for _, e in kept])
-    slope, intercept = np.polyfit(log_t, log_e, 1)
-    resid = log_e - (slope * log_t + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return float(slope), float(intercept), rms, len(kept)
+    log_t = np.log(t[keep])
+    log_e = np.log(e[keep])
+    if log_t.min() == log_t.max():
+        raise UnfittableError(f"all {n} points inside the fit window share one T")
+    mean_t = log_t.sum() / n
+    mean_e = log_e.sum() / n
+    x = log_t - mean_t
+    y = log_e - mean_e
+    slope = (x @ y) / (x @ x)
+    resid = y - slope * x
+    rms = math.sqrt((resid @ resid) / n)
+    return float(slope), float(mean_e - slope * mean_t), rms, n
 
 
 def fit_operator(label: str, t_grid, errors, floor: float, ceiling: float) -> OperatorFit:

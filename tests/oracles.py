@@ -1,10 +1,12 @@
 """Oracles the tests check the library against, kept out of the library
 because no library path needs them: blind adaptive quadrature of the pulse
-moment integrals (scipy) and the split of a Hamiltonian into the parts that
-commute and anticommute with a pulse."""
+moment integrals (scipy), the split of a Hamiltonian into the parts that
+commute and anticommute with a pulse, the spectral norm from an SVD, and a
+log-log line from ``np.polyfit``."""
 
 import math
 
+import numpy as np
 from scipy import integrate
 
 
@@ -48,3 +50,21 @@ def decompose(model, omega):
     a_part = (model.h_total - whw) / 2
     return c_part, a_part
 
+
+
+def spectral_norm_svd(a):
+    """Largest singular value of each matrix of a stack (..., d, d), from a
+    batched SVD."""
+    return np.linalg.norm(a, ord=2, axis=(-2, -1))
+
+
+def fit_loglog_polyfit(points, floor, ceiling):
+    """(slope, intercept, rms_residual, n_used) of log(error) vs log(T) on
+    the points inside (floor, ceiling), from ``np.polyfit``'s least-squares
+    solve of the Vandermonde system."""
+    kept = [(t, e) for t, e in points if floor < e < ceiling]
+    log_t = np.log([t for t, _ in kept])
+    log_e = np.log([e for _, e in kept])
+    slope, intercept = np.polyfit(log_t, log_e, 1)
+    resid = log_e - (slope * log_t + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2))), len(kept)

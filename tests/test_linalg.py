@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ddkit.errors import PreconditionError
-from ddkit.linalg import expm_i, kron, spectral_norm, spectral_norm_le
+from ddkit.linalg import (
+    expm_i,
+    herm_deviation,
+    kron,
+    require_hermitian,
+    spectral_norm,
+    spectral_norm_le,
+)
 
 
 def _rng(seed=0):
@@ -93,6 +100,24 @@ def test_expm_i_rejects_non_finite_entries(entry):
     with pytest.raises(PreconditionError) as err:
         expm_i(h, 1.0)
     assert "non-finite" in str(err.value)
+
+
+@pytest.mark.parametrize("entry, want", [
+    (math.inf, math.inf), (complex(0.0, -math.inf), math.inf), (math.nan, math.nan),
+], ids=["inf_diagonal", "imag_inf_diagonal", "nan_diagonal"])
+def test_herm_deviation_of_non_finite_input(entry, want):
+    # inf - inf on the diagonal would be nan, with numpy's invalid-value warning
+    got = herm_deviation(np.diag([entry, 0.0]))
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_require_hermitian_messages():
+    with pytest.raises(PreconditionError,
+                       match=r"^matrix has non-finite \(nan or inf\) entries$"):
+        require_hermitian(np.diag([math.inf, 0.0]))
+    with pytest.raises(PreconditionError, match=r"^matrix is not Hermitian: max-abs deviation "
+                       r"1\.000e\+00 exceeds 1\.0e-10$"):
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_spectral_norm_identity():

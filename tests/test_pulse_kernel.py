@@ -2,8 +2,8 @@
 
 ``propagate_pulse`` is checked against an ODE integration of the
 Schroedinger equation, ``pulse_error_scan`` against a per-duration loop of
-2-D exponentials, and the batched ``expm_i`` and ``propagator`` against
-their 2-D calls, bit for bit.
+2-D exponentials and its norms against an SVD, and the batched ``expm_i``
+and ``propagator`` against their 2-D calls, bit for bit.
 """
 
 import numpy as np
@@ -13,9 +13,10 @@ from scipy.integrate import solve_ivp
 from ddkit import simulate
 from ddkit.errors import PreconditionError
 from ddkit.linalg import expm_i, kron
-from ddkit.model import random_model
+from ddkit.model import HamiltonianModel, random_model
 from ddkit.operators import Operator, pauli
 from ddkit.pulseshape import (
+    DEFAULT_TAU_GRID,
     PulseShape,
     _pulse_program,
     design_pulse,
@@ -24,6 +25,7 @@ from ddkit.pulseshape import (
     rectangular_pulse,
 )
 from ddkit.simulate import Program, _propagators
+from oracles import spectral_norm_svd
 
 SZ = pauli("z", 1, 1)
 SX = pauli("x", 1, 1)
@@ -90,6 +92,39 @@ def test_pulse_error_scan_matches_per_tau_loop(family):
         res = pulse_error_scan(SHAPES[family], m, omega, tau_grid)
         want = _loop_errors(SHAPES[family], m, omega, tau_grid)
         assert np.max(np.abs(res.errors[omega.label][:, 0] - want)) <= 1e-12
+
+
+def _error_stack(shape, model, omega, tau_grid):
+    """U_ref^dag U - I over the grid, from the same kernel call
+    ``pulse_error_scan`` makes."""
+    program = _pulse_program(shape, model, omega, reference=True)
+    return _propagators(program, [model], tau_grid)[0] - np.eye(model.dim)
+
+
+@pytest.mark.parametrize("family", ["rect", "sym3", "sym5"])
+def test_pulse_errors_match_the_svd_norm(family):
+    # the largest eigenvalue of the Gram matrix gives the largest singular
+    # value to a relative O(eps)
+    shape = SHAPES[family]
+    for seed in range(8):
+        m = random_model("general", 2, 4, 1.0, seed)
+        for omega in (SZ, SX):
+            errs = pulse_error_scan(shape, m, omega, DEFAULT_TAU_GRID).errors[omega.label][:, 0]
+            want = spectral_norm_svd(_error_stack(shape, m, omega, DEFAULT_TAU_GRID))
+            assert np.max(np.abs(errs - want) / want) <= 1e-13
+
+
+def test_pulse_errors_far_below_the_square_root_of_the_smallest_double():
+    # errors near 1e-202 square to below the smallest double; the scan scales
+    # each matrix by a power of two first, so they keep the SVD's values
+    h = np.diag([1e-200, -1e-200, 3e-201, 0.0]).astype(complex)
+    m = HamiltonianModel("general", 2, 2, 1.0, 0, h)
+    shape = rectangular_pulse()
+    errs = pulse_error_scan(shape, m, SZ, DEFAULT_TAU_GRID).errors["Z1"][:, 0]
+    want = spectral_norm_svd(_error_stack(shape, m, SZ, DEFAULT_TAU_GRID))
+    assert want[0] == pytest.approx(1.5e-203, rel=1e-6)
+    assert want[-1] == pytest.approx(5.0e-202, rel=1e-6)
+    assert np.max(np.abs(errs - want) / want) <= 1e-13
 
 
 def test_non_hermitian_omega_rejected():

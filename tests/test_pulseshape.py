@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,9 +221,14 @@ def test_propagate_pulse_zero_hamiltonian_exact():
 
 
 def test_pulse_error_scan_zero_hamiltonian_reports_exact():
-    # the same status rule as order_scan: every error at the floor is "exact"
+    # the same status rule as order_scan: every error at the floor is "exact";
+    # the errors are exactly +0.0, with no warning on the way
     m = HamiltonianModel("general", 2, 2, 1.0, 0, np.zeros((4, 4), dtype=complex))
-    res = pulse_error_scan(rectangular_pulse(), m, SZ, np.geomspace(0.003, 0.1, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pulse_error_scan(rectangular_pulse(), m, SZ, np.geomspace(0.003, 0.1, 10))
+    errs = res.errors["Z1"][:, 0]
+    assert np.all(errs == 0.0) and not np.any(np.signbit(errs))
     assert res.fits["Z1"].status == "exact"
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddkit import simulate
@@ -34,6 +34,7 @@ from ddkit.simulate import (
     propagate,
     propagate_wrapped,
 )
+from oracles import fit_loglog_polyfit
 
 MOOS1 = qubit_full_moos(1)
 SZ = pauli("z", 1, 1)
@@ -115,8 +116,40 @@ def test_fit_loglog_exact_cubic():
 
 
 def test_fit_loglog_floor_filter_error():
-    with pytest.raises(UnfittableError):
-        fit_loglog([(1.0, 1e-20), (2.0, 1e-19)], 1e-12, 1e-2)
+    msg = r"^only 1 of 3 points inside \(1\.0e-12, 1\.0e-02\)$"
+    with pytest.raises(UnfittableError, match=msg):
+        fit_loglog([(1.0, 1e-20), (2.0, 1e-5), (3.0, 1.0)], 1e-12, 1e-2)
+
+
+def test_fit_loglog_points_at_one_t_are_unfittable():
+    # no slope through points that share one T; numpy's lstsq used to warn
+    # and then fail to converge here
+    with pytest.raises(UnfittableError, match="all 3 points"):
+        fit_loglog([(1.0, 1e-5), (1.0, 2e-5), (1.0, 3e-5)], 1e-12, 1e-2)
+    with pytest.raises(UnfittableError, match="all 2 points"):
+        fit_loglog([(0.1, 1e-5), (0.1, 2e-5), (0.2, 1e-20)], 1e-12, 1e-2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_ts=st.lists(st.floats(-5.0, 3.0), min_size=2, max_size=30),
+    slope=st.floats(-6.0, 6.0),
+    intercept=st.floats(-30.0, 5.0),
+    noise_seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-3, 0.3]),
+)
+def test_fit_loglog_matches_polyfit(log_ts, slope, intercept, noise_seed, noise):
+    rng = np.random.Generator(np.random.Philox(key=noise_seed))
+    log_es = slope * np.array(log_ts) + intercept + noise * rng.standard_normal(len(log_ts))
+    points = list(zip(np.exp(log_ts), np.exp(log_es)))
+    floor, ceiling = math.exp(intercept - 10.0), math.exp(intercept + 10.0)
+    kept = [math.log(t) for t, e in points if floor < e < ceiling]
+    # points closer than this to one T condition neither fit well
+    assume(len(kept) >= 2 and np.ptp(kept) >= 0.1)
+    got = fit_loglog(points, floor, ceiling)
+    want = fit_loglog_polyfit(points, floor, ceiling)
+    assert got[3] == want[3]
+    assert got[:3] == pytest.approx(want[:3], rel=1e-10, abs=1e-10)
 
 
 def test_fit_loglog_noisy_power_law():
