@@ -55,12 +55,15 @@ def as_matrix(m) -> np.ndarray:
 def herm_deviation(m) -> float:
     """Max-abs entry deviation from the Hermitian conjugate over a matrix or a
     stack (..., d, d); 0 for an empty stack, inf for input with an inf entry
-    and nan for input with a nan entry.  Non-finite input is caught before
-    the subtraction, where an inf diagonal entry would form inf - inf."""
+    or a deviation beyond the float range, and nan for input with a nan
+    entry.  Non-finite input is caught before the subtraction, where an inf
+    diagonal entry would form inf - inf; a finite difference that overflows
+    (1e308 - -1e308) is inf without a warning."""
     a = _as_stack(m)
     if not np.isfinite(a).all():
         return math.nan if np.isnan(a).any() else math.inf
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
 
 
 def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:

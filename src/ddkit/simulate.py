@@ -9,7 +9,10 @@ none.  A negative fraction runs time backwards.  ``compile_program`` turns a
 schedule into undriven steps, each pulse the product of all pulses of that
 instant, each a MOOS element or one of the ``extra`` named system
 operators.  It has no other mode: a conjugated run and a Hahn echo are
-schedules (``sequences.conjugated``, ``sequences.hahn_echo``).  The product
+schedules (``sequences.conjugated``, ``sequences.hahn_echo``).  A step's
+fraction is the difference of two event times, so one interval length at
+two offsets can differ by an ulp; fractions within FRACTION_TOL of each
+other are merged into one, and equal lengths are equal steps.  The product
 of the pulses is the net pulse the preservation error compensates;
 ``compile_program`` takes it from the program's grammar.
 
@@ -21,22 +24,25 @@ V^dag (P x I) V, and the result is rotated back as V W V^dag.  Sweep points
 (T x seed) are independent, so results never depend on how a sweep is batched.
 
 The steps run as a Re-Pair grammar (``_grammar``, built once per program): a
-rule is a repeated pair of adjacent symbols, built bottom-up as one batched
-product of its two matrices, and a rule symbol or a driven step in the top
-sequence is one batched product with a matrix formed once however often it
-occurs; a free step of the top sequence runs as above.  A program whose
-repeats do not pay has no rules.  A sweep may form at most MAX_PRODUCTS
-grammar products over all its points (``check_sweep_budget``).
+rule is a repeated pair of adjacent symbols.  The matrix of a rule that
+occurs more than once is formed on its first use, by running its symbols
+from its first one's matrix, and freed after its last use; a rule that
+occurs once runs symbol by symbol where it occurs (``kernel.Plan``).  So
+NUDD's nested blocks, CDD's self-similar ones and the two halves of a Hahn
+echo run once each.  A program whose repeats do not pay has no rules.
+``order_scan`` runs a sweep in chunks so that the kernel's matrices take no
+more memory than a flat program's would.  A sweep may form at most
+MAX_PRODUCTS grammar products over all its points (``check_sweep_budget``).
 """
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, UnfittableError
+from .kernel import Plan, Run
 from .linalg import kron
 from .model import HamiltonianModel, check_model, random_model
 from .operators import Moos, Operator, check_labels
@@ -62,16 +68,28 @@ DEFAULT_T_GRID = np.geomspace(0.02, 0.6, 12)
 DEFAULT_SEEDS = tuple(range(8))
 # Products a sweep may form: grammar products x total times x seeds.
 MAX_PRODUCTS = 10**6
-# The kernel's work in units of one step of the top sequence (a phase
-# multiply and one product per model): forming a leaf matrix of a rule, and
-# one batched [model, time, d, d] product, as measured at d = 4 and 8.
-LEAF_COST = 1
-PRODUCT_COST = 2
+# The kernel's work in units of one free step (a phase multiply and one
+# product per model over all total times): forming a rule's first matrix
+# from a step, and one batched [model, time, d, d] product.  Measured at
+# d = 16 (0.40 and 1.07 of a step) and d = 32 (0.29 and 0.96); at d = 8 a
+# product costs 1.4 steps.
+LEAF_COST = 0.5
+PRODUCT_COST = 1
+# Step fractions at most this far apart are one length.  A fraction is the
+# difference of two event times in [0, 1], so one length at two offsets
+# differs by at most ~1 eps; distinct lengths of the built-in schedules lie
+# >= 2.9e-7 apart.
+FRACTION_TOL = 4 * np.finfo(float).eps
 MIN_FIT_POINTS = 4
 MAX_FIT_RESIDUAL = 0.1
-# Bytes of propagators and rule matrices a sweep holds at once; larger
-# sweeps run in chunks.
+# Bytes of the kernel's matrices a sweep holds at once; larger sweeps run in
+# chunks (``order_scan``).
 BATCH_BYTES = 2**25
+# Bytes of one matrix of a chunk, below which splitting a sweep costs more in
+# per-call overhead than it saves: at d = 16 on the default grid, chunks of
+# one seed (12 points, 48 KB) run 1.7x slower than the whole sweep, chunks of
+# two or more seeds as fast.
+MIN_CHUNK_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -208,8 +226,10 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
     share a MOOS element's label only with the same matrix.
 
     The program is made from the schedule's columns: the fractions are the
-    differences of the times, each distinct step is one tuple however often
-    it occurs, and the net pulse comes from the grammar (``_net``)."""
+    differences of the times, with fractions within FRACTION_TOL of each
+    other merged (``_first_appearance``), each distinct step is one tuple
+    however often it occurs, and the net pulse comes from the grammar
+    (``_net``)."""
     _check_dims(extra, moos)
     check_labels((*moos.elements, *extra))
     # One pulse key per distinct label tuple, None for no pulse; the
@@ -219,9 +239,8 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
                            for ops in (*schedule.ops_table, schedule.closing_ops)], dtype=np.intp)
     step_keys = table_keys[np.append(schedule.codes, len(schedule.ops_table))]
     bounds = np.concatenate(((0.0,), schedule.times, (1.0,)))
-    fracs = bounds[1:] - bounds[:-1]
     # Each distinct (fraction, key) pair is one step.
-    codes, firsts = _first_appearance(fracs, step_keys)
+    codes, firsts, fracs = _first_appearance(bounds[1:] - bounds[:-1], step_keys)
     keys = list(key_code)
     terms = [(frac, None, keys[k])
              for frac, k in zip(fracs[firsts].tolist(), step_keys[firsts].tolist())]
@@ -234,24 +253,45 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
     return Program(tuple(map(terms.__getitem__, codes.tolist())), pulses, net, grammar)
 
 
-def _first_appearance(*columns):
-    """Codes of the rows of equal-length 1-D arrays, equal rows sharing one,
-    numbered in order of first appearance; and the row where each code first
-    appears.  From one stable sort (``np.unique`` would import ``numpy.ma``,
-    10-15 ms of start-up)."""
-    order = np.lexsort(columns[::-1])
-    new = np.zeros(len(order), dtype=bool)  # a row unlike the one sorted before it
-    new[:1] = True
-    for column in columns:
-        ranked = column[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
+def _first_appearance(fracs, keys):
+    """Codes of the steps (fracs[i], keys[i]), equal steps sharing one,
+    numbered in order of first appearance; the row where each code first
+    appears; and the fractions with each cluster of close ones merged.
+
+    A cluster starts at the smallest fraction not yet taken and holds every
+    fraction at most FRACTION_TOL above it, which all become that smallest
+    one: so no fraction moves by more than FRACTION_TOL, fractions farther
+    apart than that stay distinct, and merging again changes nothing.  The
+    clusters are read from the stable sort that groups the steps, which is
+    redone only when a cluster holds two different fractions (never for
+    dyadic times, whose differences are exact).  No ``np.unique``, which
+    would import ``numpy.ma``, 10-15 ms of start-up."""
+    order = np.lexsort((keys, fracs))
+    ranked = fracs[order]
+    gaps = ranked[1:] - ranked[:-1]
+    if ((0 < gaps) & (gaps <= FRACTION_TOL)).any():
+        pos = np.arange(len(ranked))
+        start = np.concatenate(((True,), gaps > FRACTION_TOL))
+        while True:
+            first = np.maximum.accumulate(np.where(start, pos, 0))
+            far = ranked - ranked[first] > FRACTION_TOL
+            if not far.any():
+                break
+            start[1:] |= far[1:] & ~far[:-1]  # each cluster's first far member
+        fracs = np.empty_like(fracs)
+        fracs[order] = ranked[first]
+        order = np.lexsort((keys, fracs))
+        ranked = fracs[order]
+        gaps = ranked[1:] - ranked[:-1]
+    ranked_keys = keys[order]
+    new = np.concatenate(((True,), (gaps != 0) | (ranked_keys[1:] != ranked_keys[:-1])))
     firsts = order[new]  # stable: each group's earliest row
     by_appearance = np.argsort(firsts)
     number = np.empty_like(by_appearance)
     number[by_appearance] = np.arange(len(firsts))
     codes = np.empty_like(order)
     codes[order] = number[np.cumsum(new) - 1]
-    return codes, firsts[by_appearance]
+    return codes, firsts[by_appearance], fracs
 
 
 def _net(grammar, pulses, dim) -> np.ndarray:
@@ -293,10 +333,11 @@ def _grammar(codes, terms):
     most frequent first, skipping a pair that shares a symbol with one
     already taken (so no two replaced pairs overlap), until no pair occurs
     twice.  Of the grammars the rounds pass through, the flat one included,
-    the cheapest by the kernel's work is kept: LEAF_COST for each step a rule
-    uses, PRODUCT_COST for each rule and for each rule symbol of the top
-    sequence, and 1 for each step in it.  The rounds stop early once the
-    rules alone cost more than that cheapest grammar.
+    the cheapest by the kernel's work is kept.  A rule costs its formation:
+    LEAF_COST when its earlier symbol is a step, plus 1 when its later one
+    is a step and PRODUCT_COST when that is a rule; a symbol of the top
+    sequence costs 1 for a step and PRODUCT_COST for a rule.  The rounds
+    stop early once the rules alone cost more than that cheapest grammar.
     """
     n_terms, base = len(terms), len(terms) + len(codes)
     if len(codes) - 1 <= n_terms**2:  # else more pairs than kinds of pair
@@ -304,15 +345,19 @@ def _grammar(codes, terms):
         if len(set(zip(flat, flat[1:]))) == len(flat) - 1:  # no adjacent pair repeats
             return tuple(map(terms.__getitem__, flat)), ()
     seq = codes
-    rules, leaves = [], set()
+    rules, rules_cost = [], 0
     best_cost, best = len(seq), (seq, 0)
-    while len(seq) > 1 and len(rules) * PRODUCT_COST < best_cost:
+    while len(seq) > 1 and rules_cost < best_cost:
         keys = seq[:-1] * base + seq[1:]
         pos = np.arange(len(keys))
         # In a run a a a a, count and replace the pairs at even offsets only.
-        run_start = np.maximum.accumulate(np.where(np.r_[True, keys[1:] != keys[:-1]], pos, 0))
+        starts = np.concatenate(((True,), keys[1:] != keys[:-1]))
+        run_start = np.maximum.accumulate(np.where(starts, pos, 0))
         pos = pos[(pos - run_start) % 2 == 0]
-        pairs, counts = np.unique(keys[pos], return_counts=True)
+        counted = keys[pos]
+        ranked = np.sort(counted)
+        firsts = np.flatnonzero(np.concatenate(((True,), ranked[1:] != ranked[:-1])))
+        pairs, counts = ranked[firsts], np.diff(np.append(firsts, len(ranked)))
         order = np.argsort(-counts, kind="stable")
         if counts[order[0]] < 2:
             break
@@ -325,16 +370,19 @@ def _grammar(codes, terms):
                 used.update((a, b))
                 chosen.append(pairs[k])
         chosen = np.sort(chosen)
-        hit = pos[np.isin(keys[pos], chosen)]
-        ids = n_terms + len(rules) + np.searchsorted(chosen, keys[hit])
+        slot = np.minimum(np.searchsorted(chosen, counted), len(chosen) - 1)
+        taken = chosen[slot] == counted
+        hit = pos[taken]
         new = [divmod(int(c), base) for c in chosen]
-        leaves.update(s for rule in new for s in rule if s < n_terms)
+        rules_cost += sum((LEAF_COST if a < n_terms else 0) + (1 if b < n_terms else PRODUCT_COST)
+                          for a, b in new)
+        keep = np.ones(len(seq), dtype=bool)
+        keep[hit + 1] = False
+        seq = seq[keep]
+        seq[hit - np.arange(len(hit))] = n_terms + len(rules) + slot[taken]
         rules += new
-        seq = np.delete(seq, hit + 1)
-        seq[hit - np.arange(len(hit))] = ids
         n_steps = np.count_nonzero(seq < n_terms)
-        cost = (len(leaves) * LEAF_COST + n_steps
-                + (len(rules) + len(seq) - n_steps) * PRODUCT_COST)
+        cost = rules_cost + n_steps + (len(seq) - n_steps) * PRODUCT_COST
         if cost < best_cost:
             best_cost, best = cost, (seq, len(rules))
     seq, n_rules = best
@@ -358,57 +406,11 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     vecs = np.stack([m.eig()[1] for m in models])
     vecs_h = vecs.conj().swapaxes(-1, -2)
     eye_b = np.eye(bath_dim)
-    n_models, dim = vecs.shape[:2]
-    energy = evals[:, :, None] * np.asarray(times, dtype=float)
     lifted = {key: vecs_h @ kron(p, eye_b) @ vecs for key, p in program.pulses.items()}
-
-    def leaf(step):
-        frac, drive, key = step
-        if drive is not None:
-            axis, angle = drive
-            diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(dim)
-            vals, q = np.linalg.eigh(angle * lifted[axis][:, None] + diag)
-            m = (q * np.exp(-1j * vals)[..., None, :]) @ q.conj().swapaxes(-1, -2)
-            return m if key is None else lifted[key][:, None] @ m
-        phase = np.exp(-1j * frac * energy).swapaxes(1, 2)[:, :, None, :]
-        return phase * (np.eye(dim) if key is None else lifted[key][:, None])
-
-    # Rule matrices, indexed [model, time, row, column], are built bottom-up
-    # and each one, like each leaf, is freed after its last use.  A rule
-    # symbol or a driven step of the top sequence is an operand too, so
-    # identical driven steps are exponentiated once.
-    top, rules = program.grammar
-    operands = {s for s in top if isinstance(s, int) or s[1] is not None}
-    uses = Counter(s for rule in rules for s in rule)
-    uses.update(s for s in top if s in operands)
-    mats = {}
-
-    def operand(s):
-        m = mats.pop(s) if s in mats else leaf(s)
-        uses[s] -= 1
-        if uses[s]:
-            mats[s] = m
-        return m
-
-    for i, (a, b) in enumerate(rules):
-        mats[i] = operand(b) @ operand(a)
-    # The eigenbasis propagators are held as w[model, row, time, column], so
-    # that one pulse is one product per model over every time at once.
-    w = np.zeros((n_models, dim, len(times), dim), dtype=complex)
-    w[:, np.arange(dim), :, np.arange(dim)] = 1.0
-    phases = {}
-    for s in top:
-        if s in operands:
-            w = (operand(s) @ w.swapaxes(1, 2)).swapaxes(1, 2)
-            continue
-        frac, _, key = s
-        if frac:
-            if frac not in phases:
-                phases[frac] = np.exp(-1j * frac * energy)[..., None]
-            w *= phases[frac]
-        if key is not None:
-            w = (lifted[key] @ w.reshape(n_models, dim, -1)).reshape(w.shape)
-    return vecs[:, None] @ w.transpose(0, 2, 1, 3) @ vecs_h[:, None]
+    # The run, and with it every other matrix, is freed before the rotation.
+    w = Run(program.grammar, evals[:, :, None] * np.asarray(times, dtype=float), lifted).product
+    u = vecs[:, None] @ w.transpose(0, 2, 1, 3)
+    return np.matmul(u, vecs_h[:, None], out=w.reshape(u.shape))  # V W V^dag, over W
 
 
 def propagate(schedule: Schedule, model: HamiltonianModel, moos: Moos, total_time: float):
@@ -544,12 +546,17 @@ def order_scan(
 
     n_t, n_s = len(config.t_grid), len(config.seeds)
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}
-    # The propagators, and at most every rule and leaf matrix besides them.
-    leaves = {s for rule in rules for s in rule if not isinstance(s, int)}
-    point_bytes = 16 * (model_spec.sys_dim * model_spec.bath_dim) ** 2 * (
-        1 + len(rules) + len(leaves))
-    t_step = max(1, min(n_t, BATCH_BYTES // point_bytes))
-    s_step = max(1, BATCH_BYTES // (point_bytes * t_step))
+    # Rules must not make the kernel hold more memory than a flat program,
+    # whose run holds two matrices a point (the running product and the
+    # next).  So the kernel's matrices for one chunk number at most two a
+    # point of the whole sweep, unless that makes a matrix smaller than
+    # MIN_CHUNK_BYTES, and take at most BATCH_BYTES.
+    n_mats = Plan(program.grammar).size
+    point_bytes = 16 * (model_spec.sys_dim * model_spec.bath_dim) ** 2
+    points = max(2 * n_t * n_s // n_mats, MIN_CHUNK_BYTES // point_bytes)
+    points = max(1, min(points, BATCH_BYTES // (point_bytes * n_mats)))
+    t_step = min(n_t, points)
+    s_step = points // t_step
     for j in range(0, n_s, s_step):
         models = [model_spec.realize(seed) for seed in config.seeds[j:j + s_step]]
         for i in range(0, n_t, t_step):

@@ -46,6 +46,10 @@ CASES = {
         nudd(_D2, (2, 3)), _D2, ModelSpec("pure_dephasing", 4, 4, 1.0)),
     "nudd(mlevel_full(4),(2,2,2,2))": (
         nudd(_M4, (2, 2, 2, 2)), _M4, ModelSpec("general", 4, 4, 1.0)),
+    # its 108 intervals compile to 8 merged lengths and a grammar with
+    # rules; the oracle takes the raw differences of the event times
+    "nudd(qubit_full(2),(2,2,2,3))": (
+        nudd(_Q2, (2, 2, 2, 3)), _Q2, ModelSpec("general", 4, 4, 1.0)),
 }
 # The schedule as it is, conjugated by the first MOOS element, and inside a
 # Hahn echo of SKEW; the ids are the names of the propagation modes the two

@@ -120,6 +120,16 @@ def test_require_hermitian_messages():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_require_hermitian_rejects_a_deviation_beyond_the_float_range():
+    # 1e308 - (-1e308) overflows: numpy's overflow warning used to be raised
+    # (an error under the suite's settings) instead of the PreconditionError
+    m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    assert herm_deviation(m) == math.inf
+    with pytest.raises(PreconditionError,
+                       match=r"^matrix is not Hermitian: max-abs deviation inf exceeds 1\.0e-10$"):
+        require_hermitian(m)
+
+
 def test_spectral_norm_identity():
     assert spectral_norm(np.eye(7)) == pytest.approx(1.0, abs=1e-14)
 

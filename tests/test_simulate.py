@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from ddkit.model import HamiltonianModel, random_model
 from ddkit.operators import Moos, Operator, pauli, qubit_full_moos
 from ddkit.sequences import (
     Schedule,
+    cdd_nested,
     cdd_uniform,
     conjugated,
     first_order_schedule,
@@ -24,9 +26,13 @@ from ddkit.sequences import (
     udd_schedule,
 )
 from ddkit.simulate import (
+    FRACTION_TOL,
     ModelSpec,
+    Program,
     RunConfig,
+    _first_appearance,
     _grammar,
+    _propagators,
     compile_program,
     fit_loglog,
     order_scan,
@@ -332,11 +338,125 @@ def test_grammar_expands_to_the_steps(blocks):
     assert len(top) + len(rules) <= len(steps)
 
 
-@pytest.mark.parametrize("schedule", [udd_schedule("Z1", 4), nudd(MOOS1, (2, 3))],
-                         ids=["udd(4)", "nudd(2,3)"])
+@pytest.mark.parametrize("schedule", [udd_schedule("Z1", 4), udd_schedule("Z1", 9)],
+                         ids=["udd(4)", "udd(9)"])
 def test_programs_without_repeats_run_flat(schedule):
+    # a UDD mirror's second half runs the first one's lengths backwards
     program = compile_program(schedule, MOOS1)
     assert program.grammar == (program.steps, ())
+
+
+MOOS2 = qubit_full_moos(2)
+GENERAL2 = ModelSpec("general", 4, 4, 1.0)
+
+
+def _raw_program(schedule, moos, extra=()):
+    """``compile_program``'s program with each fraction the difference of
+    the two event times, unmerged."""
+    program = compile_program(schedule, moos, extra)
+    bounds = np.concatenate(((0.0,), schedule.times, (1.0,)))
+    steps = tuple((frac, None, key) for frac, (_, _, key)
+                  in zip((bounds[1:] - bounds[:-1]).tolist(), program.steps))
+    return Program(steps, program.pulses, program.net)
+
+
+_DYADIC = {
+    "cdd_uniform(1,3)": (cdd_uniform(MOOS1, 3), MOOS1, GENERAL),
+    "cdd_uniform(2,2)": (cdd_uniform(MOOS2, 2), MOOS2, GENERAL2),
+    "cdd_nested(2,2,2,2)": (cdd_nested(MOOS2, (2, 2, 2, 2)), MOOS2, GENERAL2),
+    "first_order(2)": (first_order_schedule(MOOS2), MOOS2, GENERAL2),
+    "first_order(2,closing)": (first_order_schedule(MOOS2, True), MOOS2, GENERAL2),
+}
+
+
+@pytest.mark.parametrize("form", ["plain", "conjugated", "hahn_echo"])
+@pytest.mark.parametrize("case", sorted(_DYADIC))
+def test_dyadic_programs_keep_their_raw_fractions(case, form):
+    # dyadic times have exact differences, so merging close fractions
+    # leaves these programs, their grammars and their propagators as they were
+    schedule, moos, spec = _DYADIC[case]
+    if form == "conjugated":
+        schedule = conjugated(schedule, moos.labels[0])
+    elif form == "hahn_echo":
+        schedule = hahn_echo(schedule, moos.labels[-1])
+    program, raw = compile_program(schedule, moos), _raw_program(schedule, moos)
+    assert program.steps == raw.steps
+    assert program.grammar == raw.grammar
+    models = [spec.realize(seed) for seed in (0, 5)]
+    times = (0.05, 0.3)
+    assert np.array_equal(_propagators(program, models, times), _propagators(raw, models, times))
+
+
+def test_nudd_equal_intervals_compile_to_one_step():
+    # 108 intervals of 8 lengths, held by 33 different differences of event
+    # times; merged, the nested blocks repeat and the grammar finds them
+    schedule = nudd(MOOS2, (2, 2, 2, 3))
+    program, raw = compile_program(schedule, MOOS2), _raw_program(schedule, MOOS2)
+    assert len({frac for frac, _, _ in raw.steps}) == 33
+    assert len({frac for frac, _, _ in program.steps}) == 8
+    assert max(abs(a[0] - b[0]) for a, b in zip(program.steps, raw.steps)) <= FRACTION_TOL
+    top, rules = program.grammar
+    assert rules and len(top) < len(program.steps)
+    assert _expand(program.grammar) == list(program.steps)
+
+
+_ULP = np.finfo(float).eps / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.3, 0.3 + 3 * _ULP, 0.9, -0.4]),
+                          st.integers(-20, 20), st.integers(0, 2)), min_size=1, max_size=40))
+def test_merged_fractions_move_at_most_the_tolerance(rows):
+    # fractions near a few lengths, some within a few ulps of each other and
+    # some chained farther than the tolerance
+    fracs = np.array([base + k * _ULP for base, k, _ in rows])
+    keys = np.array([key for _, _, key in rows], dtype=np.intp)
+    codes, firsts, merged = _first_appearance(fracs, keys)
+    assert np.abs(merged - fracs).max() <= FRACTION_TOL
+    # order is kept, and sorted neighbours farther apart than the tolerance
+    # stay distinct
+    order = np.argsort(fracs, kind="stable")
+    assert np.all(np.diff(merged[order]) >= 0)
+    apart = np.diff(fracs[order]) > FRACTION_TOL
+    assert np.all(np.diff(merged[order])[apart] > 0)
+    # equal steps share a code, numbered by first appearance
+    steps = list(zip(merged.tolist(), keys.tolist()))
+    first_rows = {}
+    for row, step in enumerate(steps):
+        first_rows.setdefault(step, row)
+    assert firsts.tolist() == list(first_rows.values())
+    assert codes.tolist() == [list(first_rows).index(step) for step in steps]
+    # a second merge changes nothing
+    again = _first_appearance(merged, keys)
+    assert np.array_equal(again[0], codes) and np.array_equal(again[1], firsts)
+    assert np.array_equal(again[2], merged)
+
+
+def test_order_scan_holds_no_more_memory_than_a_flat_program():
+    # nudd(2,2,2,3) ran flat before its equal intervals were merged; its
+    # rules must not raise the scan's peak above the flat run's 2.22 MB,
+    # about 5.6 arrays of its [8 seeds, 12 T, 16, 16] propagators
+    schedule = nudd(MOOS2, (2, 2, 2, 3))
+    order_scan(schedule, MOOS2, GENERAL2)  # realizes the models once per process
+    tracemalloc.start()
+    try:
+        order_scan(schedule, MOOS2, GENERAL2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.6 * 16 * 8 * 12 * 16 * 16
+
+
+@pytest.mark.parametrize("bounds", [(2**40, 2**40), (1, 1), (2**16 * 5, 2**25)],
+                         ids=["one_chunk", "one_point_per_chunk", "uneven_chunks"])
+def test_order_scan_chunking_of_rules_is_invisible(monkeypatch, bounds):
+    # the rule matrices are formed once per chunk; the rows stay bit-identical
+    schedule = nudd(MOOS2, (2, 2, 2, 3))
+    whole = order_scan(schedule, MOOS2, GENERAL2).rows()
+    min_chunk, batch = bounds
+    monkeypatch.setattr(simulate, "MIN_CHUNK_BYTES", min_chunk)
+    monkeypatch.setattr(simulate, "BATCH_BYTES", batch)
+    assert order_scan(schedule, MOOS2, GENERAL2).rows() == whole
 
 
 def test_cdd_program_runs_as_a_few_products():
