@@ -1,5 +1,6 @@
-"""The propagation kernel: a program's grammar (``simulate._grammar``) run
-on numbered matrices, for a batch of models and total times at once.
+"""The propagation kernel: a program's grammar (``simulate.Program``, read
+from a schedule's nesting by ``simulate._nested_grammar``) run on numbered
+matrices, for a batch of models and total times at once.
 
 ``Plan`` decides the order of the work and how many matrices it holds;
 ``Run`` does that work in the models' eigenbasis.  ``simulate._propagators``

@@ -270,7 +270,7 @@ def _pulse_program(shape: PulseShape, model: HamiltonianModel, omega: Operator,
         pulses["P"] = expm_i(omega.matrix, -shape.area)  # P^dag
         steps += [(s - 1, None, "P"), (-s, None, None)]
     net = pulses["P"] if reference else np.eye(omega.acts_on)
-    return Program(tuple(steps), pulses, Operator("net", net, omega.acts_on))
+    return Program((tuple(steps), ()), pulses, Operator("net", net, omega.acts_on))
 
 
 def propagate_pulse(shape: PulseShape, model: HamiltonianModel, omega: Operator) -> np.ndarray:
@@ -306,7 +306,7 @@ def pulse_error_scan(
     config = RunConfig(t_grid=tau_grid, seeds=(model.seed,),
                        error_floor=ERROR_FLOOR, error_ceiling=ERROR_CEILING)
     program = _pulse_program(shape, model, omega, True)
-    check_sweep_budget(len(program.steps) * len(config.t_grid))
+    check_sweep_budget(len(program.grammar[0]) * len(config.t_grid))
     a = _propagators(program, [model], config.t_grid)[0] - np.eye(model.dim)
     _, exp = np.frexp(np.abs(a).max(axis=(-2, -1)))
     a = np.ldexp(a.view(float), -exp[:, None, None]).view(complex)

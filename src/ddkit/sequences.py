@@ -7,6 +7,10 @@ for CDD and the first-order scheme.  Two transforms make new schedules from
 old: ``conjugated`` conjugates every free interval by one pulse, and
 ``hahn_echo`` runs a schedule twice, each run closed by an echo pulse.
 
+The builders and the transforms record the nesting they build
+(``Schedule.nesting``, ``Layer``), from which ``simulate.compile_program``
+reads its grammar; its UDD lengths are in closed form (``udd_lengths``).
+
 Schedules live on the normalized time axis [0, 1]; the physical total time T
 is applied at simulation time.  Pulses at a common instant are stored as one
 event carrying an ordered label list and are composed in that order (the
@@ -55,7 +59,9 @@ from .operators import Moos
 __all__ = [
     "Event",
     "Schedule",
+    "Layer",
     "udd_times",
+    "udd_lengths",
     "udd_schedule",
     "first_order_schedule",
     "sdd_schedule",
@@ -76,6 +82,7 @@ MAX_INTERVALS = 2**_LOG2_MAX_INTERVALS
 _MORE_THAN_MAX = f"more than MAX_INTERVALS = 2^{_LOG2_MAX_INTERVALS}"
 _TIME_TOL = 1e-12
 _HALF = (0.5,)  # exact; udd_times(1) is 0.49999999999999994
+_HALVES = (0.5, 0.5)
 
 
 class Event(NamedTuple):
@@ -83,6 +90,16 @@ class Event(NamedTuple):
 
     time: float
     ops: tuple[str, ...]
+
+
+class Layer(NamedTuple):
+    """A block of a nesting: intervals of ``lengths`` (fractions of it), the
+    pulses ``key`` between them, and per interval the index of the block in
+    it, or None.  Blocks follow the blocks in them; the last is the whole."""
+
+    lengths: tuple[float, ...]
+    key: tuple[str, ...]
+    inner: tuple[int | None, ...]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -106,7 +123,8 @@ class Schedule:
 
     Two schedules are equal when their scheme, orders, times (bit for bit),
     labels per event, closing and intervals are, in whatever order their
-    tables list the label tuples.  A schedule is not hashable.
+    tables list the label tuples; ``nesting`` (None unless a builder or a
+    transform made the schedule) is not compared.  A schedule is not hashable.
     """
 
     scheme: str
@@ -116,6 +134,7 @@ class Schedule:
     codes: np.ndarray
     closing_ops: tuple[str, ...]
     intervals: int
+    nesting: tuple[Layer, ...] | None = None
 
     __hash__ = None
 
@@ -126,10 +145,12 @@ class Schedule:
                   closing_ops, intervals)
 
     @classmethod
-    def _of(cls, scheme, orders, times, ops_table, codes, closing_ops, intervals):
+    def _of(cls, scheme, orders, times, ops_table, codes, closing_ops, intervals,
+            nesting=None):
         """A schedule from its columns, checked as one made from events."""
         self = object.__new__(cls)
         self._set(scheme, orders, times, ops_table, codes, closing_ops, intervals)
+        vars(self)["nesting"] = nesting
         return self
 
     def _set(self, scheme, orders, given, ops_table, codes, closing_ops, intervals):
@@ -190,6 +211,16 @@ def udd_times(n: int) -> list[float]:
     return [math.sin(k * math.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
 
 
+def udd_lengths(n: int) -> list[float]:
+    """The N+1 UDD interval lengths sin((2j+1) theta) sin(theta), theta =
+    pi / (2N+2), whose first k sum to sin^2(k theta); length j is computed
+    at min(j, N-j), so mirrored lengths are equal bit for bit."""
+    if n < 0:
+        raise PreconditionError("UDD order must be >= 0")
+    theta = math.pi / (2 * n + 2)
+    return [math.sin((2 * min(j, n - j) + 1) * theta) * math.sin(theta) for j in range(n + 1)]
+
+
 @contextmanager
 def _gc_paused():
     """Disable the cyclic collector for the block and restore its previous
@@ -208,25 +239,30 @@ def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
 
 
 def _nest(scheme: str, orders, layers) -> Schedule:
-    """``layers`` are (label, interior fractions, leftover) triples,
-    innermost first.  Each layer puts boundaries at a + (b - a) * f inside
-    every interval (a, b) of the layers outside it.  A layer's pulse is the
-    inner layers' leftover labels followed by its own; a layer with
-    ``leftover`` appends its label to them, and what is left after the
-    outermost layer is the closing."""
+    """``layers`` are (label, interior fractions, interval lengths,
+    leftover) tuples, innermost first.  Each layer puts boundaries at
+    a + (b - a) * f inside every interval (a, b) of the layers outside it.
+    A layer's pulse is the inner layers' leftover labels followed by its
+    own; a layer with ``leftover`` appends its label to them, and what is
+    left after the outermost layer is the closing.  Each layer with
+    fractions is a ``Layer`` of the nesting."""
     table: list[tuple[str, ...]] = []
+    nesting: list[Layer] = []
     codes = np.empty(0, dtype=np.intp)
     leftover: tuple[str, ...] = ()
-    for label, fracs, keep in layers:
+    for label, fracs, lengths, keep in layers:
         if fracs:
             # The inner layers' pattern in each of this layer's intervals,
             # with this layer's pulse between them.
             codes = np.tile(np.append(codes, len(table)), len(fracs) + 1)[:-1]
             table.append(leftover + (label,))
+            inner = len(nesting) - 1 if nesting else None
+            nesting.append(Layer(tuple(lengths), table[-1], (inner,) * len(lengths)))
         if keep:
             leftover += (label,)
-    times = _boundaries([fracs for _, fracs, _ in layers])
-    return Schedule._of(scheme, orders, times, tuple(table), codes, leftover, len(times) + 1)
+    times = _boundaries([fracs for _, fracs, _, _ in layers])
+    return Schedule._of(scheme, orders, times, tuple(table), codes, leftover, len(times) + 1,
+                        tuple(nesting) or None)
 
 
 def _boundaries(fractions) -> np.ndarray:
@@ -245,7 +281,7 @@ def udd_schedule(op_label: str, n: int) -> Schedule:
     not emitted as a closing pulse (the error metric compensates for it)."""
     if n + 1 > MAX_INTERVALS:
         raise _too_many_intervals("udd", n + 1)
-    return _nest("udd", (n,), [(op_label, udd_times(n), False)])
+    return _nest("udd", (n,), [(op_label, udd_times(n), udd_lengths(n), False)])
 
 
 def first_order_schedule(moos: Moos, include_closing: bool = False) -> Schedule:
@@ -258,18 +294,25 @@ def first_order_schedule(moos: Moos, include_closing: bool = False) -> Schedule:
     size = len(moos)
     if size > MAX_FIRST_ORDER_SIZE:
         raise PreconditionError(f"MOOS size {size} exceeds {MAX_FIRST_ORDER_SIZE}")
-    layers = [(lab, _HALF, include_closing) for lab in moos.labels]
+    layers = [(lab, _HALF, _HALVES, include_closing) for lab in moos.labels]
     return _nest("first_order", (1,) * size, layers)
 
 
 def sdd_schedule(inner: Schedule) -> Schedule:
     """Mirror symmetrization: the inner schedule compressed into [0, 1/2]
     followed by its time mirror.  An inner closing bracket collides with the
-    mirror's opening bracket at the midpoint and the two compose in order."""
+    mirror's opening bracket at the midpoint and the two compose in order.
+    The nesting adds each inner block mirrored: every tuple reversed."""
     if 2 * inner.intervals > MAX_INTERVALS:
         raise _too_many_intervals("sdd", 2 * inner.intervals)
     half, closing, n = 0.5 * inner.times, tuple(inner.closing_ops), len(inner.ops_table)
     mid = [closing + closing[::-1]] if closing else []
+    nesting = inner.nesting
+    if nesting is not None:  # the mirrors are numbered k on
+        k = len(nesting)
+        nesting += (*(Layer(b.lengths[::-1], b.key[::-1], tuple(
+            None if i is None else i + k for i in b.inner[::-1])) for b in nesting),
+            Layer(_HALVES, closing + closing[::-1], (k - 1, 2 * k - 1)))
     # The mirror's tuples are the table's reversed, coded n on; the
     # constructor merges those that read the same both ways.
     return Schedule._of(
@@ -280,6 +323,7 @@ def sdd_schedule(inner: Schedule) -> Schedule:
         np.concatenate((inner.codes, np.full(len(mid), 2 * n), inner.codes[::-1] + n)),
         (),
         2 * inner.intervals,
+        nesting,
     )
 
 
@@ -292,7 +336,7 @@ def cdd_uniform(moos: Moos, n: int) -> Schedule:
         raise PreconditionError("CDD order must be >= 1")
     if n * size > _LOG2_MAX_INTERVALS:
         raise _too_many_intervals("cdd", f"2^{n * size}")
-    return _nest("cdd", (n,) * size, [(lab, _HALF, True) for lab in moos.labels * n])
+    return _nest("cdd", (n,) * size, [(lab, _HALF, _HALVES, True) for lab in moos.labels * n])
 
 
 def cdd_nested(moos: Moos, orders) -> Schedule:
@@ -308,7 +352,7 @@ def cdd_nested(moos: Moos, orders) -> Schedule:
     if sum(orders) > _LOG2_MAX_INTERVALS:
         raise _too_many_intervals("cdd_nested", f"2^{sum(orders)}")
     labels = chain.from_iterable(map(repeat, moos.labels, orders))
-    return _nest("cdd_nested", orders, [(lab, _HALF, True) for lab in labels])
+    return _nest("cdd_nested", orders, [(lab, _HALF, _HALVES, True) for lab in labels])
 
 
 def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
@@ -342,7 +386,7 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
         raise _too_many_intervals("nudd", intervals)
     outer = len(orders) - 1
     return _nest("nudd", orders, [
-        (lab, udd_times(n), n % 2 == 1 and l < outer)
+        (lab, udd_times(n), udd_lengths(n), n % 2 == 1 and l < outer)
         for l, (lab, n) in enumerate(zip(moos.labels, orders))
     ])
 
@@ -351,23 +395,56 @@ def conjugated(schedule: Schedule, label: str) -> Schedule:
     """Every free interval conjugated by the pulse ``label`` (C): each
     event's pulses become (C, *ops, C) and the closing (C, *closing).  The
     leading C is left out: it is a right factor of the propagator and of the
-    net pulse, so every preservation error is unchanged."""
+    net pulse, so every preservation error is unchanged.  The nesting's
+    pulses are conjugated alike."""
+    nesting = schedule.nesting and tuple(
+        b._replace(key=b.key and (label, *b.key, label)) for b in schedule.nesting)
     return Schedule._of(schedule.scheme, schedule.orders, schedule.times,
                         tuple((label, *o, label) for o in schedule.ops_table),
-                        schedule.codes, (label, *schedule.closing_ops), schedule.intervals)
+                        schedule.codes, (label, *schedule.closing_ops), schedule.intervals,
+                        nesting)
 
 
 def hahn_echo(schedule: Schedule, label: str) -> Schedule:
     """Hahn echo of the pulse ``label`` (W): the schedule in each half of
-    [0, 1], each half closed by its closing pulses and then W."""
+    [0, 1], each half closed by its closing pulses and then W; the nesting
+    adds that block of two."""
     if 2 * schedule.intervals > MAX_INTERVALS:
         raise _too_many_intervals("hahn_echo", 2 * schedule.intervals)
     half, echo, codes = 0.5 * schedule.times, (*schedule.closing_ops, label), schedule.codes
+    nesting = schedule.nesting
+    if nesting is not None:
+        nesting += (Layer(_HALVES, echo, (len(nesting) - 1,) * 2),)
     return Schedule._of(schedule.scheme, schedule.orders,
                         np.concatenate((half, _HALF, 0.5 + half)),
                         (*schedule.ops_table, echo),
                         np.concatenate((codes, [len(schedule.ops_table)], codes)),
-                        echo, 2 * schedule.intervals)
+                        echo, 2 * schedule.intervals, nesting)
+
+
+def _rebuilt_nesting(schedule: Schedule, moos: Moos):
+    """The nesting of the builder's schedule of ``schedule``'s scheme and
+    orders over the MOOS labels (UDD: over its label), if the two are equal;
+    a read-back transform keeps its inner scheme, so it never is."""
+    s, orders = schedule, schedule.orders
+    if not (orders and s.ops_table):
+        return None  # one interval, or not a builder's
+    builders = {
+        "udd": lambda: udd_schedule(s.ops_table[0][-1], orders[0]),
+        "first_order": lambda: first_order_schedule(moos, bool(s.closing_ops)),
+        # the CLI's SDD, whose midpoint is silent without an inner closing
+        "sdd": lambda: sdd_schedule(first_order_schedule(moos, len(s.times) + 1 == s.intervals)),
+        "cdd": lambda: cdd_uniform(moos, orders[0]),
+        "cdd_nested": lambda: cdd_nested(moos, orders),
+        "nudd": lambda: nudd(moos, orders, allow_odd_inner=True),
+    }
+    if s.scheme not in builders:
+        return None
+    try:
+        rebuilt = builders[s.scheme]()
+    except PreconditionError:  # orders this builder rejects
+        return None
+    return rebuilt.nesting if rebuilt == s else None
 
 
 def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:

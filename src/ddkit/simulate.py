@@ -9,10 +9,7 @@ none.  A negative fraction runs time backwards.  ``compile_program`` turns a
 schedule into undriven steps, each pulse the product of all pulses of that
 instant, each a MOOS element or one of the ``extra`` named system
 operators.  It has no other mode: a conjugated run and a Hahn echo are
-schedules (``sequences.conjugated``, ``sequences.hahn_echo``).  A step's
-fraction is the difference of two event times, so one interval length at
-two offsets can differ by an ulp; fractions within FRACTION_TOL of each
-other are merged into one, and equal lengths are equal steps.  The product
+schedules (``sequences.conjugated``, ``sequences.hahn_echo``).  The product
 of the pulses is the net pulse the preservation error compensates;
 ``compile_program`` takes it from the program's grammar.
 
@@ -23,21 +20,22 @@ frac T diag(lambda) + angle V^dag (A x I) V, a pulse one batched product with
 V^dag (P x I) V, and the result is rotated back as V W V^dag.  Sweep points
 (T x seed) are independent, so results never depend on how a sweep is batched.
 
-The steps run as a Re-Pair grammar (``_grammar``, built once per program): a
-rule is a repeated pair of adjacent symbols.  The matrix of a rule that
-occurs more than once is formed on its first use, by running its symbols
-from its first one's matrix, and freed after its last use; a rule that
-occurs once runs symbol by symbol where it occurs (``kernel.Plan``).  So
-NUDD's nested blocks, CDD's self-similar ones and the two halves of a Hahn
-echo run once each.  A program whose repeats do not pay has no rules.
-``order_scan`` runs a sweep in chunks so that the kernel's matrices take no
-more memory than a flat program's would.  A sweep may form at most
-MAX_PRODUCTS grammar products over all its points (``check_sweep_budget``).
+A program's steps are a grammar, read from the schedule's nesting
+(``_nested_grammar``): one rule per block of the nesting that occurs more
+than once at one scale, so NUDD's nested blocks, CDD's self-similar ones
+and the two halves of a Hahn echo run once each.  The kernel forms such a
+rule's matrix on its first use and frees it after its last
+(``kernel.Plan``).  A schedule with no nesting runs flat.  ``order_scan``
+runs a sweep in chunks so that the kernel's matrices take no more memory
+than a flat program's would.  A sweep may form at most MAX_PRODUCTS
+grammar products over all its points (``check_sweep_budget``).
 """
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -46,7 +44,7 @@ from .kernel import Plan, Run
 from .linalg import kron
 from .model import HamiltonianModel, check_model, random_model
 from .operators import Moos, Operator, check_labels
-from .sequences import Schedule, compose_pulses, hahn_echo
+from .sequences import Schedule, _rebuilt_nesting, compose_pulses, hahn_echo
 
 __all__ = [
     "RunConfig",
@@ -68,18 +66,6 @@ DEFAULT_T_GRID = np.geomspace(0.02, 0.6, 12)
 DEFAULT_SEEDS = tuple(range(8))
 # Products a sweep may form: grammar products x total times x seeds.
 MAX_PRODUCTS = 10**6
-# The kernel's work in units of one free step (a phase multiply and one
-# product per model over all total times): forming a rule's first matrix
-# from a step, and one batched [model, time, d, d] product.  Measured at
-# d = 16 (0.40 and 1.07 of a step) and d = 32 (0.29 and 0.96); at d = 8 a
-# product costs 1.4 steps.
-LEAF_COST = 0.5
-PRODUCT_COST = 1
-# Step fractions at most this far apart are one length.  A fraction is the
-# difference of two event times in [0, 1], so one length at two offsets
-# differs by at most ~1 eps; distinct lengths of the built-in schedules lie
-# >= 2.9e-7 apart.
-FRACTION_TOL = 4 * np.finfo(float).eps
 MIN_FIT_POINTS = 4
 MAX_FIT_RESIDUAL = 0.1
 # Bytes of the kernel's matrices a sweep holds at once; larger sweeps run in
@@ -183,25 +169,19 @@ class ScalingResult:
 
 @dataclass(frozen=True)
 class Program:
-    """Steps (fraction of T, drive, pulse key): evolution over that fraction
-    of T, driven when ``drive`` is (axis key, angle) and free when it is
-    None, then the system pulse ``pulses[key]`` unless the key is None.
-    ``pulses`` also holds the drive axes.  ``net`` is the ordered product of
-    the pulses of all steps.  ``grammar`` is ``_grammar`` of the steps; when
-    it is not given, it is built from the steps coded in first-appearance
-    order."""
+    """A step grammar (top, rules), the pulses its steps name, and ``net``,
+    the ordered product of the pulses of all steps.
 
-    steps: tuple[tuple[float, object, object], ...]
+    A step (fraction of T, drive, pulse key) is evolution over that fraction
+    of T, driven when ``drive`` is (axis key, angle) and free when it is
+    None, then the system pulse ``pulses[key]`` unless the key is None;
+    ``pulses`` also holds the drive axes.  A symbol is a step or the index
+    of a rule; rule i is (earlier, later) and refers only to steps and to
+    rules before it.  A flat program is ``Program((steps, ()), ...)``."""
+
+    grammar: tuple
     pulses: dict
     net: Operator
-    grammar: tuple = None
-
-    def __post_init__(self):
-        if self.grammar is None:
-            code = {}
-            codes = [code.setdefault(step, len(code)) for step in self.steps]
-            object.__setattr__(self, "grammar",
-                               _grammar(np.array(codes, dtype=np.intp), list(code)))
 
 
 def _check_dims(ops, moos: Moos) -> None:
@@ -225,73 +205,30 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
     ``extra`` system operators, else a MOOS element; an extra operator may
     share a MOOS element's label only with the same matrix.
 
-    The program is made from the schedule's columns: the fractions are the
-    differences of the times, with fractions within FRACTION_TOL of each
-    other merged (``_first_appearance``), each distinct step is one tuple
-    however often it occurs, and the net pulse comes from the grammar
-    (``_net``)."""
+    The grammar comes from the schedule's nesting.  A schedule without one
+    (made from events, or read from JSON) takes its rebuild's when the two
+    are equal bit for bit (``sequences._rebuilt_nesting``), or runs flat."""
     _check_dims(extra, moos)
     check_labels((*moos.elements, *extra))
-    # One pulse key per distinct label tuple, None for no pulse; the
-    # closing's is listed last.
-    key_code = {}
-    table_keys = np.array([key_code.setdefault(tuple(ops) or None, len(key_code))
-                           for ops in (*schedule.ops_table, schedule.closing_ops)], dtype=np.intp)
-    step_keys = table_keys[np.append(schedule.codes, len(schedule.ops_table))]
-    bounds = np.concatenate(((0.0,), schedule.times, (1.0,)))
-    # Each distinct (fraction, key) pair is one step.
-    codes, firsts, fracs = _first_appearance(bounds[1:] - bounds[:-1], step_keys)
-    keys = list(key_code)
-    terms = [(frac, None, keys[k])
-             for frac, k in zip(fracs[firsts].tolist(), step_keys[firsts].tolist())]
-    pulses = {}  # one system matrix per distinct pulse
-    for _, _, key in terms:
-        if key is not None and key not in pulses:
-            pulses[key] = compose_pulses(key, moos, extra)
-    grammar = _grammar(codes, terms)
-    net = Operator("net", _net(grammar, pulses, moos.dim), moos.dim)
-    return Program(tuple(map(terms.__getitem__, codes.tolist())), pulses, net, grammar)
+    # One pulse per distinct label tuple, keyed by the tuple.
+    pulses = {ops: compose_pulses(ops, moos, extra)
+              for ops in (*schedule.ops_table, schedule.closing_ops) if ops}
+    nesting = schedule.nesting or _rebuilt_nesting(schedule, moos)
+    if nesting is None:
+        grammar = _flat_grammar(schedule)
+    else:
+        grammar = _nested_grammar(nesting, schedule.closing_ops)
+    return Program(grammar, pulses, Operator("net", _net(grammar, pulses, moos.dim), moos.dim))
 
 
-def _first_appearance(fracs, keys):
-    """Codes of the steps (fracs[i], keys[i]), equal steps sharing one,
-    numbered in order of first appearance; the row where each code first
-    appears; and the fractions with each cluster of close ones merged.
-
-    A cluster starts at the smallest fraction not yet taken and holds every
-    fraction at most FRACTION_TOL above it, which all become that smallest
-    one: so no fraction moves by more than FRACTION_TOL, fractions farther
-    apart than that stay distinct, and merging again changes nothing.  The
-    clusters are read from the stable sort that groups the steps, which is
-    redone only when a cluster holds two different fractions (never for
-    dyadic times, whose differences are exact).  No ``np.unique``, which
-    would import ``numpy.ma``, 10-15 ms of start-up."""
-    order = np.lexsort((keys, fracs))
-    ranked = fracs[order]
-    gaps = ranked[1:] - ranked[:-1]
-    if ((0 < gaps) & (gaps <= FRACTION_TOL)).any():
-        pos = np.arange(len(ranked))
-        start = np.concatenate(((True,), gaps > FRACTION_TOL))
-        while True:
-            first = np.maximum.accumulate(np.where(start, pos, 0))
-            far = ranked - ranked[first] > FRACTION_TOL
-            if not far.any():
-                break
-            start[1:] |= far[1:] & ~far[:-1]  # each cluster's first far member
-        fracs = np.empty_like(fracs)
-        fracs[order] = ranked[first]
-        order = np.lexsort((keys, fracs))
-        ranked = fracs[order]
-        gaps = ranked[1:] - ranked[:-1]
-    ranked_keys = keys[order]
-    new = np.concatenate(((True,), (gaps != 0) | (ranked_keys[1:] != ranked_keys[:-1])))
-    firsts = order[new]  # stable: each group's earliest row
-    by_appearance = np.argsort(firsts)
-    number = np.empty_like(by_appearance)
-    number[by_appearance] = np.arange(len(firsts))
-    codes = np.empty_like(order)
-    codes[order] = number[np.cumsum(new) - 1]
-    return codes, firsts[by_appearance], fracs
+def _flat_grammar(schedule: Schedule):
+    """One step per interval: the difference of two event times and the
+    pulses at the later one.  Equal steps share one tuple."""
+    fracs = np.diff(np.concatenate(((0.0,), schedule.times, (1.0,)))).tolist()
+    keys = [ops or None for ops in (*schedule.ops_table, schedule.closing_ops)]
+    codes, distinct = [*schedule.codes.tolist(), len(schedule.ops_table)], {}
+    steps = zip(fracs, repeat(None), map(keys.__getitem__, codes))
+    return tuple(distinct.setdefault(step, step) for step in steps), ()
 
 
 def _net(grammar, pulses, dim) -> np.ndarray:
@@ -301,97 +238,81 @@ def _net(grammar, pulses, dim) -> np.ndarray:
     step-by-step product, so they agree exactly when the pulses' products
     are exact, as for signed permutations with entries 0, +-1 and +-i."""
     top, rules = grammar
-    nets = []  # per rule, None for no pulse
+    eye, nets = np.eye(dim, dtype=complex), []  # nets: per rule
 
     def net(s):
-        if isinstance(s, int):
-            return nets[s]
-        return None if s[2] is None else pulses[s[2]]
-
-    def then(earlier, later):
-        if earlier is None or later is None:
-            return later if earlier is None else earlier
-        return later @ earlier
+        return nets[s] if isinstance(s, int) else eye if s[2] is None else pulses[s[2]]
 
     for a, b in rules:
-        nets.append(then(net(a), net(b)))
-    product = np.eye(dim, dtype=complex)
+        nets.append(net(b) @ net(a))
+    product = eye
     for s in top:
-        product = then(product, net(s))
+        product = net(s) @ product
     return product
 
 
-def _grammar(codes, terms):
-    """Re-Pair grammar of a step sequence: (top, rules).
+def _nested_grammar(nesting, closing):
+    """The grammar of a nesting of ``sequences.Layer`` blocks: one rule per
+    distinct (block, scale) that occurs more than once, counted from the
+    outermost block in.  A scale is the multiset of the lengths of the
+    intervals around a block, and a step's fraction their product with its
+    own length in sorted order, so NUDD's equal orders share blocks.
 
-    ``codes`` is the sequence as an integer array, each step numbered by its
-    first appearance, and ``terms`` the distinct steps in that order.  A
-    symbol is a step or the index of a rule; rule i is (earlier, later)
-    and refers only to steps and to rules before it.  Each round counts the
-    adjacent pairs of symbols, without overlaps, and replaces every pair that
-    occurs more than half as often as the most frequent one by a new rule,
-    most frequent first, skipping a pair that shares a symbol with one
-    already taken (so no two replaced pairs overlap), until no pair occurs
-    twice.  Of the grammars the rounds pass through, the flat one included,
-    the cheapest by the kernel's work is kept.  A rule costs its formation:
-    LEAF_COST when its earlier symbol is a step, plus 1 when its later one
-    is a step and PRODUCT_COST when that is a rule; a symbol of the top
-    sequence costs 1 for a step and PRODUCT_COST for a rule.  The rounds
-    stop early once the rules alone cost more than that cheapest grammar.
-    """
-    n_terms, base = len(terms), len(terms) + len(codes)
-    if len(codes) - 1 <= n_terms**2:  # else more pairs than kinds of pair
-        flat = codes.tolist()
-        if len(set(zip(flat, flat[1:]))) == len(flat) - 1:  # no adjacent pair repeats
-            return tuple(map(terms.__getitem__, flat)), ()
-    seq = codes
-    rules, rules_cost = [], 0
-    best_cost, best = len(seq), (seq, 0)
-    while len(seq) > 1 and rules_cost < best_cost:
-        keys = seq[:-1] * base + seq[1:]
-        pos = np.arange(len(keys))
-        # In a run a a a a, count and replace the pairs at even offsets only.
-        starts = np.concatenate(((True,), keys[1:] != keys[:-1]))
-        run_start = np.maximum.accumulate(np.where(starts, pos, 0))
-        pos = pos[(pos - run_start) % 2 == 0]
-        counted = keys[pos]
-        ranked = np.sort(counted)
-        firsts = np.flatnonzero(np.concatenate(((True,), ranked[1:] != ranked[:-1])))
-        pairs, counts = ranked[firsts], np.diff(np.append(firsts, len(ranked)))
-        order = np.argsort(-counts, kind="stable")
-        if counts[order[0]] < 2:
-            break
-        chosen, used = [], set()
-        for k in order:
-            if 2 * counts[k] <= counts[order[0]]:
-                break
-            a, b = divmod(int(pairs[k]), base)
-            if a not in used and b not in used:
-                used.update((a, b))
-                chosen.append(pairs[k])
-        chosen = np.sort(chosen)
-        slot = np.minimum(np.searchsorted(chosen, counted), len(chosen) - 1)
-        taken = chosen[slot] == counted
-        hit = pos[taken]
-        new = [divmod(int(c), base) for c in chosen]
-        rules_cost += sum((LEAF_COST if a < n_terms else 0) + (1 if b < n_terms else PRODUCT_COST)
-                          for a, b in new)
-        keep = np.ones(len(seq), dtype=bool)
-        keep[hit + 1] = False
-        seq = seq[keep]
-        seq[hit - np.arange(len(hit))] = n_terms + len(rules) + slot[taken]
-        rules += new
-        n_steps = np.count_nonzero(seq < n_terms)
-        cost = rules_cost + n_steps + (len(seq) - n_steps) * PRODUCT_COST
-        if cost < best_cost:
-            best_cost, best = cost, (seq, len(rules))
-    seq, n_rules = best
+    A block is its intervals in turn, each a free step or the block nested
+    in it, with its pulses between them and after it the pulses that follow
+    it.  A pulse rides on the step before it; after a block followed by
+    different pulses at different places it is a step of fraction 0, which
+    makes a rule with the block where it follows it more than once.  A
+    block that occurs once is spliced in, so UDD runs flat.  A rule is a
+    balanced tree of pairs, each of which the kernel runs in place.  The
+    top sequence is the outermost block, followed by ``closing``."""
+    # Per block and scale: how often it occurs before each pulse tuple.
+    seen = [{} for _ in nesting]
+    seen[-1][()] = Counter({closing: 1})
+    for block, at in zip(reversed(nesting), reversed(seen)):
+        for scale, trails in at.items():
+            n = trails.total()
+            for length, inner, after in _intervals(block, trails):
+                if inner is not None:
+                    seen[inner].setdefault(_scaled(scale, length), Counter())[after] += n
+    rules, symbols = [], [{} for _ in nesting]  # per block, scale and pulses after
+    for block, at, made in zip(nesting, seen, symbols):
+        for scale, trails in at.items():
+            seq = []
+            for length, inner, after in _intervals(block, trails):
+                sub = _scaled(scale, length)
+                if inner is None:
+                    seq.append((math.prod(sub), None, after or None))
+                else:
+                    seq += symbols[inner][sub][after]
+            if len(trails) == 1:  # seq ends with the pulses after it
+                made[scale] = {after: seq if trails.total() == 1 else [_pairs(seq, rules)]}
+                continue
+            rule = _pairs(seq, rules)
+            for after, n in trails.items():
+                tail = [rule, (0.0, None, after)] if after else [rule]
+                made.setdefault(scale, {})[after] = [_pairs(tail, rules)] if n > 1 else tail
+    return tuple(symbols[-1][()][closing]), tuple(rules)
 
-    def symbol(s):
-        return terms[s] if s < n_terms else s - n_terms
 
-    return (tuple(symbol(s) for s in seq.tolist()),
-            tuple((symbol(a), symbol(b)) for a, b in rules[:n_rules]))
+def _intervals(block, trails):
+    """(length, inner block, pulses after it) per interval of ``block``; the
+    last is followed by the one tuple in ``trails``, or by none."""
+    trail = next(iter(trails)) if len(trails) == 1 else ()
+    return zip(block.lengths, block.inner, [*repeat(block.key, len(block.lengths) - 1), trail])
+
+
+def _scaled(scale, length):
+    return tuple(sorted((*scale, length)))
+
+
+def _pairs(seq, rules):
+    """One symbol for ``seq``: rules of adjacent pairs, round by round."""
+    while len(seq) > 1:
+        first = len(rules)
+        rules += zip(seq[::2], seq[1::2])
+        seq = [*range(first, len(rules)), *seq[2 * (len(rules) - first):]]
+    return seq[0]
 
 
 def _propagators(program: Program, models, times) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Oracles the tests check the library against, kept out of the library
 because no library path needs them: blind adaptive quadrature of the pulse
 moment integrals (scipy), the split of a Hamiltonian into the parts that
-commute and anticommute with a pulse, the spectral norm from an SVD, and a
-log-log line from ``np.polyfit``."""
+commute and anticommute with a pulse, the spectral norm from an SVD, a
+log-log line from ``np.polyfit``, a schedule's steps event by event, and
+the steps a program's grammar expands to."""
 
 import math
 
@@ -68,3 +69,36 @@ def fit_loglog_polyfit(points, floor, ceiling):
     slope, intercept = np.polyfit(log_t, log_e, 1)
     resid = log_e - (slope * log_t + intercept)
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2))), len(kept)
+
+
+def event_steps(schedule):
+    """The schedule's steps event by event: (difference of two event times,
+    None, the labels at the later one or None), the closing last."""
+    times = [0.0, *(e.time for e in schedule.events), 1.0]
+    ops = [e.ops for e in schedule.events] + [schedule.closing_ops]
+    return [(b - a, None, tuple(o) or None) for a, b, o in zip(times, times[1:], ops)]
+
+
+def expand_grammar(grammar):
+    """The steps a grammar (top, rules) stands for, in order; a rule that
+    refers to itself or to a later rule fails."""
+    top, rules = grammar
+    for i, rule in enumerate(rules):
+        assert all(not isinstance(s, int) or s < i for s in rule), "rule refers forward"
+
+    def expand(s):
+        return [s] if not isinstance(s, int) else expand(rules[s][0]) + expand(rules[s][1])
+
+    return [step for s in top for step in expand(s)]
+
+
+def joined_steps(steps):
+    """Each step without a pulse joined to the next one, their fractions
+    added: an SDD's silent midpoint, or a step of its own for a pulse."""
+    out, frac = [], 0.0
+    for step in steps[:-1]:
+        frac += step[0]
+        if step[2] is not None:
+            out.append((frac, *step[1:]))
+            frac = 0.0
+    return [*out, (frac + steps[-1][0], *steps[-1][1:])]

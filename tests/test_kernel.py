@@ -46,8 +46,8 @@ CASES = {
         nudd(_D2, (2, 3)), _D2, ModelSpec("pure_dephasing", 4, 4, 1.0)),
     "nudd(mlevel_full(4),(2,2,2,2))": (
         nudd(_M4, (2, 2, 2, 2)), _M4, ModelSpec("general", 4, 4, 1.0)),
-    # its 108 intervals compile to 8 merged lengths and a grammar with
-    # rules; the oracle takes the raw differences of the event times
+    # its 108 intervals hold 8 lengths, which the grammar takes in closed
+    # form and runs as rules; the oracle takes the differences of the times
     "nudd(qubit_full(2),(2,2,2,3))": (
         nudd(_Q2, (2, 2, 2, 3)), _Q2, ModelSpec("general", 4, 4, 1.0)),
 }
@@ -168,7 +168,8 @@ def test_order_scan_rerun_rows_identical(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_cdd_case_runs_through_grammar_rules(mode):
-    # so the oracle tests above check the compressed path as well as the flat one
+    # so the oracle tests above check the rules of a nesting, under both
+    # transforms, as well as flat steps
     schedule, moos, _ = CASES["cdd_nested(qubit_full(2),(2,2,2,2))"]
     sched, extra = transformed(schedule, moos, mode)
     assert compile_program(sched, moos, extra).grammar[1]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ddkit import simulate
 from ddkit.errors import PreconditionError
 from ddkit.linalg import expm_i, kron
 from ddkit.model import HamiltonianModel, random_model
@@ -197,22 +196,25 @@ def test_batched_propagator_equals_scalar_calls_bitwise():
 @pytest.mark.parametrize("reference", [False, True])
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_pulse_program_runs_flat(name, reference):
-    # no adjacent pair of steps repeats, so the kernel runs every step in turn
-    program = _pulse_program(SHAPES[name], random_model("general", 2, 4, 1.0, 0), SZ, reference)
-    assert program.grammar == (program.steps, ())
+    # one driven step per segment, and the reference's two, in turn
+    shape = SHAPES[name]
+    program = _pulse_program(shape, random_model("general", 2, 4, 1.0, 0), SZ, reference)
+    top, rules = program.grammar
+    assert rules == () and len(top) == len(shape.segments) + 2 * reference
 
 
-def test_pulse_train_grammar_matches_the_flat_program(monkeypatch):
-    # eight back-to-back shaped pulses compress, so driven steps run as leaves of rules
+def test_pulse_train_grammar_matches_the_flat_program():
+    # eight back-to-back shaped pulses as one rule that occurs eight times:
+    # driven steps run as leaves of a rule, as the flat program runs them
     m = random_model("general", 2, 4, 1.0, 0)
     one = _pulse_program(SHAPES["sym3"], m, SX, reference=True)
-    train = Program(one.steps * 8, one.pulses, one.net)
-    assert train.grammar[1]
-    compressed = _propagators(train, [m], [0.01, 0.05])
-    monkeypatch.setattr(simulate, "_grammar", lambda codes, terms: (
-        tuple(terms[c] for c in codes.tolist()), ()))
-    flat = _propagators(Program(train.steps, train.pulses, train.net), [m], [0.01, 0.05])
-    assert np.abs(compressed - flat).max() <= 1e-12
+    steps = one.grammar[0]
+    rules = [(steps[0], steps[1])]
+    rules += [(i, step) for i, step in enumerate(steps[2:])]
+    train = Program(((len(rules) - 1,) * 8, tuple(rules)), one.pulses, one.net)
+    flat = Program((steps * 8, ()), one.pulses, one.net)
+    times = [0.01, 0.05]
+    assert np.abs(_propagators(train, [m], times) - _propagators(flat, [m], times)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family, calls", [("sym3", 3), ("sym5", 4), ("rect", 2)])

@@ -22,6 +22,7 @@ from ddkit.sequences import (
     schedule_from_json,
     schedule_to_json,
     sdd_schedule,
+    udd_lengths,
     udd_schedule,
     udd_times,
 )
@@ -60,6 +61,20 @@ def test_udd_times_mirror_symmetry():
         ts = udd_times(n)
         for a, b in zip(ts, reversed(ts)):
             assert a + b == pytest.approx(1.0, abs=1e-15)
+
+
+def test_udd_lengths_are_mirror_exact_and_sum_to_udd_times():
+    # each running sum telescopes to sin^2(k theta), to rounding
+    eps = np.finfo(float).eps
+    for n in range(21):
+        lengths = udd_lengths(n)
+        assert len(lengths) == n + 1
+        assert lengths == lengths[::-1]  # bit for bit
+        sums = np.cumsum(lengths)
+        assert np.abs(sums[:-1] - udd_times(n)).max(initial=0.0) <= 4 * eps
+        assert abs(sums[-1] - 1.0) <= 4 * eps
+    with pytest.raises(PreconditionError):
+        udd_lengths(-1)
 
 
 def test_udd_schedule_structure():

@@ -23,15 +23,13 @@ from ddkit.sequences import (
     first_order_schedule,
     hahn_echo,
     nudd,
+    sdd_schedule,
     udd_schedule,
 )
 from ddkit.simulate import (
-    FRACTION_TOL,
     ModelSpec,
     Program,
     RunConfig,
-    _first_appearance,
-    _grammar,
     _propagators,
     compile_program,
     fit_loglog,
@@ -40,7 +38,7 @@ from ddkit.simulate import (
     propagate,
     propagate_wrapped,
 )
-from oracles import fit_loglog_polyfit
+from oracles import event_steps, expand_grammar, fit_loglog_polyfit, joined_steps
 
 MOOS1 = qubit_full_moos(1)
 SZ = pauli("z", 1, 1)
@@ -292,72 +290,57 @@ def test_order_scan_budget_counts_grammar_products():
     assert all(np.isfinite(err).all() for err in res.errors.values())
 
 
-def _coded_grammar(steps):
-    """``_grammar`` of a step tuple, the steps coded in first-appearance order."""
-    code = {}
-    codes = np.array([code.setdefault(step, len(code)) for step in steps], dtype=np.intp)
-    return _grammar(codes, list(code))
+_EPS = np.finfo(float).eps
 
 
-def _flat(codes, terms):
-    """The grammar with no rules: every step in turn."""
-    return tuple(terms[c] for c in codes.tolist()), ()
+def _flat_program(schedule, moos, extra=()):
+    """``compile_program``'s program run flat: the steps event by event."""
+    program = compile_program(schedule, moos, extra)
+    return Program((tuple(event_steps(schedule)), ()), program.pulses, program.net)
 
 
-def _expand(grammar):
-    top, rules = grammar
-    for i, rule in enumerate(rules):
-        assert all(not isinstance(s, int) or s < i for s in rule), "rule refers forward"
-
-    def expand(s):
-        return [s] if not isinstance(s, int) else expand(rules[s][0]) + expand(rules[s][1])
-
-    return [step for s in top for step in expand(s)]
-
-
-_STEPS = st.sampled_from([
-    (0.25, None, None),
-    (0.25, None, ("X1",)),
-    (0.125, None, ("X1",)),
-    (0.125, None, ("Z1", "X1")),
-    (0.5, ("A", 0.3), None),
-    (0.5, ("A", 0.3), "P"),
-    (-0.25, None, None),
-])
+def _transformed(schedule, moos, transforms):
+    for transform in transforms:
+        if transform == "sdd":
+            schedule = sdd_schedule(schedule)
+        elif transform == "conjugated":
+            schedule = conjugated(schedule, moos.labels[0])
+        else:
+            schedule = hahn_echo(schedule, moos.labels[-1])
+    return schedule
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.lists(_STEPS, min_size=1, max_size=4), st.integers(1, 6)),
-                max_size=8))
-def test_grammar_expands_to_the_steps(blocks):
-    # blocks repeated in runs (a a a a, a b a b ...): expanding the grammar
-    # gives the steps back, and it never costs more products than they do
-    steps = tuple(step for block, n in blocks for step in block * n)
-    top, rules = _coded_grammar(steps)
-    assert _expand((top, rules)) == list(steps)
-    assert len(top) + len(rules) <= len(steps)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["nudd", "cdd_nested"]), st.integers(1, 2), st.data())
+def test_grammar_expands_to_the_steps(scheme, n_qubits, data):
+    # nestings of any orders under any stack of transforms: the grammar
+    # expands to the steps event by event, each fraction within 4 eps
+    moos = qubit_full_moos(n_qubits)
+    orders = data.draw(st.lists(st.integers(0, 3), min_size=len(moos), max_size=len(moos)))
+    if scheme == "nudd":
+        schedule = nudd(moos, orders, allow_odd_inner=True)
+    else:
+        schedule = cdd_nested(moos, orders)
+    transforms = data.draw(st.lists(st.sampled_from(["sdd", "conjugated", "hahn_echo"]),
+                                    max_size=3))
+    schedule = _transformed(schedule, moos, transforms)
+    got = joined_steps(expand_grammar(compile_program(schedule, moos).grammar))
+    want = event_steps(schedule)
+    assert [key for _, _, key in got] == [key for _, _, key in want]
+    assert max(abs(a[0] - b[0]) for a, b in zip(got, want)) <= 4 * _EPS
 
 
 @pytest.mark.parametrize("schedule", [udd_schedule("Z1", 4), udd_schedule("Z1", 9)],
                          ids=["udd(4)", "udd(9)"])
 def test_programs_without_repeats_run_flat(schedule):
-    # a UDD mirror's second half runs the first one's lengths backwards
-    program = compile_program(schedule, MOOS1)
-    assert program.grammar == (program.steps, ())
+    # a UDD schedule is one block, which occurs once: its steps in turn
+    top, rules = compile_program(schedule, MOOS1).grammar
+    assert rules == () and len(top) == schedule.intervals
+    assert [key for _, _, key in top] == [key for _, _, key in event_steps(schedule)]
 
 
 MOOS2 = qubit_full_moos(2)
 GENERAL2 = ModelSpec("general", 4, 4, 1.0)
-
-
-def _raw_program(schedule, moos, extra=()):
-    """``compile_program``'s program with each fraction the difference of
-    the two event times, unmerged."""
-    program = compile_program(schedule, moos, extra)
-    bounds = np.concatenate(((0.0,), schedule.times, (1.0,)))
-    steps = tuple((frac, None, key) for frac, (_, _, key)
-                  in zip((bounds[1:] - bounds[:-1]).tolist(), program.steps))
-    return Program(steps, program.pulses, program.net)
 
 
 _DYADIC = {
@@ -372,64 +355,32 @@ _DYADIC = {
 @pytest.mark.parametrize("form", ["plain", "conjugated", "hahn_echo"])
 @pytest.mark.parametrize("case", sorted(_DYADIC))
 def test_dyadic_programs_keep_their_raw_fractions(case, form):
-    # dyadic times have exact differences, so merging close fractions
-    # leaves these programs, their grammars and their propagators as they were
+    # dyadic lengths multiply exactly, so the grammar's steps are the
+    # differences of the event times bit for bit, and its propagators the
+    # flat program's to rounding
     schedule, moos, spec = _DYADIC[case]
-    if form == "conjugated":
-        schedule = conjugated(schedule, moos.labels[0])
-    elif form == "hahn_echo":
-        schedule = hahn_echo(schedule, moos.labels[-1])
-    program, raw = compile_program(schedule, moos), _raw_program(schedule, moos)
-    assert program.steps == raw.steps
-    assert program.grammar == raw.grammar
+    schedule = _transformed(schedule, moos, [form] if form != "plain" else [])
+    program, flat = compile_program(schedule, moos), _flat_program(schedule, moos)
+    assert joined_steps(expand_grammar(program.grammar)) == event_steps(schedule)
     models = [spec.realize(seed) for seed in (0, 5)]
     times = (0.05, 0.3)
-    assert np.array_equal(_propagators(program, models, times), _propagators(raw, models, times))
+    got, want = _propagators(program, models, times), _propagators(flat, models, times)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_nudd_equal_intervals_compile_to_one_step():
     # 108 intervals of 8 lengths, held by 33 different differences of event
-    # times; merged, the nested blocks repeat and the grammar finds them
+    # times; the lengths in closed form are equal bit for bit, and the
+    # grammar runs each repeated block once
     schedule = nudd(MOOS2, (2, 2, 2, 3))
-    program, raw = compile_program(schedule, MOOS2), _raw_program(schedule, MOOS2)
-    assert len({frac for frac, _, _ in raw.steps}) == 33
-    assert len({frac for frac, _, _ in program.steps}) == 8
-    assert max(abs(a[0] - b[0]) for a, b in zip(program.steps, raw.steps)) <= FRACTION_TOL
+    program = compile_program(schedule, MOOS2)
+    steps, raw = joined_steps(expand_grammar(program.grammar)), event_steps(schedule)
+    assert len(steps) == len(raw) == 108
+    assert len({frac for frac, _, _ in raw}) == 33
+    assert len({frac for frac, _, _ in steps}) == 8
+    assert max(abs(a[0] - b[0]) for a, b in zip(steps, raw)) <= 4 * _EPS
     top, rules = program.grammar
-    assert rules and len(top) < len(program.steps)
-    assert _expand(program.grammar) == list(program.steps)
-
-
-_ULP = np.finfo(float).eps / 2
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.3, 0.3 + 3 * _ULP, 0.9, -0.4]),
-                          st.integers(-20, 20), st.integers(0, 2)), min_size=1, max_size=40))
-def test_merged_fractions_move_at_most_the_tolerance(rows):
-    # fractions near a few lengths, some within a few ulps of each other and
-    # some chained farther than the tolerance
-    fracs = np.array([base + k * _ULP for base, k, _ in rows])
-    keys = np.array([key for _, _, key in rows], dtype=np.intp)
-    codes, firsts, merged = _first_appearance(fracs, keys)
-    assert np.abs(merged - fracs).max() <= FRACTION_TOL
-    # order is kept, and sorted neighbours farther apart than the tolerance
-    # stay distinct
-    order = np.argsort(fracs, kind="stable")
-    assert np.all(np.diff(merged[order]) >= 0)
-    apart = np.diff(fracs[order]) > FRACTION_TOL
-    assert np.all(np.diff(merged[order])[apart] > 0)
-    # equal steps share a code, numbered by first appearance
-    steps = list(zip(merged.tolist(), keys.tolist()))
-    first_rows = {}
-    for row, step in enumerate(steps):
-        first_rows.setdefault(step, row)
-    assert firsts.tolist() == list(first_rows.values())
-    assert codes.tolist() == [list(first_rows).index(step) for step in steps]
-    # a second merge changes nothing
-    again = _first_appearance(merged, keys)
-    assert np.array_equal(again[0], codes) and np.array_equal(again[1], firsts)
-    assert np.array_equal(again[2], merged)
+    assert rules and len(top) < 108
 
 
 def test_order_scan_holds_no_more_memory_than_a_flat_program():
@@ -463,21 +414,21 @@ def test_cdd_program_runs_as_a_few_products():
     moos = qubit_full_moos(2)
     program = compile_program(cdd_uniform(moos, 3), moos)
     top, rules = program.grammar
-    assert len(program.steps) == 4096
+    assert len(joined_steps(expand_grammar(program.grammar))) == 4096
     assert len(top) + len(rules) <= 32
-    assert _expand(program.grammar) == list(program.steps)
 
 
-def test_deep_cdd_grammar_matches_the_flat_program(monkeypatch):
+def test_deep_cdd_grammar_matches_the_flat_program():
     # 4,096 steps run as a few dozen products give the step-by-step errors
     moos = qubit_full_moos(2)
-    args = (cdd_uniform(moos, 3), moos, ModelSpec("general", 4, 4, 1.0),
-            RunConfig(t_grid=(0.1, 0.4), seeds=(0, 5)))
-    compressed = order_scan(*args)
-    monkeypatch.setattr(simulate, "_grammar", _flat)
-    flat = order_scan(*args)
-    for label, err in flat.errors.items():
-        assert np.abs(compressed.errors[label] - err).max() <= 1e-12
+    schedule = cdd_uniform(moos, 3)
+    program, flat = compile_program(schedule, moos), _flat_program(schedule, moos)
+    models = [ModelSpec("general", 4, 4, 1.0).realize(seed) for seed in (0, 5)]
+    times = (0.1, 0.4)
+    u, v = _propagators(program, models, times), _propagators(flat, models, times)
+    for op in moos.elements:
+        err = preservation_error(u, op, program.net, 4) - preservation_error(v, op, flat.net, 4)
+        assert np.abs(err).max() <= 1e-12
 
 
 def _no_realize(monkeypatch):
