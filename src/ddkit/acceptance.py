@@ -171,24 +171,11 @@ def criterion_pulse_counts() -> CriterionResult:
 def criterion_moos_suites() -> CriterionResult:
     """All MOOS constructions validate; divisibility and trace obstructions."""
     parts, ok = [], True
-    suites = [
-        qubit_dephasing_moos(2),
-        qubit_full_moos(1),
-        qubit_full_moos(2),
-        mlevel_diagonal_moos(5),
-        mlevel_full_moos(4),
-        mlevel_full_moos(6),
-    ]
-    for moos in suites:
-        for op in moos.elements:
-            ok &= op.is_unitary_hermitian()
-        # anticommuting members traceless
-        n = len(moos)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if moos.signature[i, j] == -1:
-                    ok &= abs(np.trace(moos.elements[i].matrix)) <= 1e-10
-                    ok &= abs(np.trace(moos.elements[j].matrix)) <= 1e-10
+    # Moos() rejects an element that is not unitary Hermitian and an
+    # anticommuting member with a trace, so each suite is validated when built.
+    for make, arg in ((qubit_dephasing_moos, 2), (qubit_full_moos, 1), (qubit_full_moos, 2),
+                      (mlevel_diagonal_moos, 5), (mlevel_full_moos, 4), (mlevel_full_moos, 6)):
+        make(arg)
     parts.append("constructions 1-6 validated")
     labels6 = mlevel_full_moos(6).labels
     six_ok = "Sx1" in labels6 and "Sx2" not in labels6

@@ -1,6 +1,7 @@
 """The propagation kernel: a program's grammar (``simulate.Program``, read
-from a schedule's nesting by ``simulate._nested_grammar``) run on numbered
-matrices, for a batch of models and total times at once.
+from a schedule's nesting by ``simulate._nested_grammar``, each rule a tuple
+of symbols run in turn) run on numbered matrices, for a batch of models and
+total times at once.
 
 ``Plan`` decides the order of the work and how many matrices it holds;
 ``Run`` does that work in the models' eigenbasis.  ``simulate._propagators``
@@ -33,10 +34,7 @@ class Plan:
         uses.update(s for s in top if _is_operand(s))
         self.uses = {s: n for s, n in uses.items() if n > 1 or not isinstance(s, int)}
         self.held, self.free, self.size = {}, [], 0
-        x = self.start(top[0])
-        for s in top[1:]:
-            x = self.advance(x, s)
-        self.result = x
+        self.result = self.chain(top)
 
     def emit(self, op, a, b, c=None):
         """Operation ``op`` on matrices numbered ``a``, ``b``, ``c``: "leaf"
@@ -68,8 +66,9 @@ class Plan:
             if last:
                 self.free.append(m)
         elif isinstance(s, int):
-            a, b = self.rules[s]
-            return self.advance(self.advance(x, a), b)
+            for r in self.rules[s]:
+                x = self.advance(x, r)
+            return x
         else:
             frac, _, key = s
             if frac:
@@ -96,10 +95,17 @@ class Plan:
         self.emit("leaf", x, s[0], s[2])
         return x
 
+    def chain(self, seq):
+        """A matrix of ``seq``'s symbols in turn that the caller may
+        overwrite."""
+        x = self.start(seq[0])
+        for s in seq[1:]:
+            x = self.advance(x, s)
+        return x
+
     def form(self, s):
         if isinstance(s, int):
-            a, b = self.rules[s]
-            return self.advance(self.start(a), b)
+            return self.chain(self.rules[s])
         x = self.new()
         self.emit("driven", x, s)
         return x if s[2] is None else self.advance(x, (0.0, None, s[2]))

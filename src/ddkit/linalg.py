@@ -66,17 +66,17 @@ def herm_deviation(m) -> float:
         return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
 
 
-def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """The input as a complex128 stack, if it is finite and Hermitian to
-    ``tol``.  Finiteness decides the message: an input that is not finite
+    HERM_TOL.  Finiteness decides the message: an input that is not finite
     is reported as such, whatever its deviation."""
     a = _as_stack(m)
     dev = herm_deviation(a)
-    if not dev <= tol:
+    if not dev <= HERM_TOL:
         if not np.isfinite(a).all():
             raise PreconditionError("matrix has non-finite (nan or inf) entries")
         raise PreconditionError(
-            f"matrix is not Hermitian: max-abs deviation {dev:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max-abs deviation {dev:.3e} exceeds {HERM_TOL:.1e}"
         )
     return a
 

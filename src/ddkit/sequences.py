@@ -9,7 +9,8 @@ old: ``conjugated`` conjugates every free interval by one pulse, and
 
 The builders and the transforms record the nesting they build
 (``Schedule.nesting``, ``Layer``), from which ``simulate.compile_program``
-reads its grammar; its UDD lengths are in closed form (``udd_lengths``).
+reads its grammar; its UDD lengths are in closed form (``udd_lengths``).  A
+schedule made from events or read from JSON has no nesting and runs flat.
 
 Schedules live on the normalized time axis [0, 1]; the physical total time T
 is applied at simulation time.  Pulses at a common instant are stored as one
@@ -420,31 +421,6 @@ def hahn_echo(schedule: Schedule, label: str) -> Schedule:
                         (*schedule.ops_table, echo),
                         np.concatenate((codes, [len(schedule.ops_table)], codes)),
                         echo, 2 * schedule.intervals, nesting)
-
-
-def _rebuilt_nesting(schedule: Schedule, moos: Moos):
-    """The nesting of the builder's schedule of ``schedule``'s scheme and
-    orders over the MOOS labels (UDD: over its label), if the two are equal;
-    a read-back transform keeps its inner scheme, so it never is."""
-    s, orders = schedule, schedule.orders
-    if not (orders and s.ops_table):
-        return None  # one interval, or not a builder's
-    builders = {
-        "udd": lambda: udd_schedule(s.ops_table[0][-1], orders[0]),
-        "first_order": lambda: first_order_schedule(moos, bool(s.closing_ops)),
-        # the CLI's SDD, whose midpoint is silent without an inner closing
-        "sdd": lambda: sdd_schedule(first_order_schedule(moos, len(s.times) + 1 == s.intervals)),
-        "cdd": lambda: cdd_uniform(moos, orders[0]),
-        "cdd_nested": lambda: cdd_nested(moos, orders),
-        "nudd": lambda: nudd(moos, orders, allow_odd_inner=True),
-    }
-    if s.scheme not in builders:
-        return None
-    try:
-        rebuilt = builders[s.scheme]()
-    except PreconditionError:  # orders this builder rejects
-        return None
-    return rebuilt.nesting if rebuilt == s else None
 
 
 def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:

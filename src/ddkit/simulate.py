@@ -22,13 +22,15 @@ V^dag (P x I) V, and the result is rotated back as V W V^dag.  Sweep points
 
 A program's steps are a grammar, read from the schedule's nesting
 (``_nested_grammar``): one rule per block of the nesting that occurs more
-than once at one scale, so NUDD's nested blocks, CDD's self-similar ones
-and the two halves of a Hahn echo run once each.  The kernel forms such a
-rule's matrix on its first use and frees it after its last
-(``kernel.Plan``).  A schedule with no nesting runs flat.  ``order_scan``
-runs a sweep in chunks so that the kernel's matrices take no more memory
-than a flat program's would.  A sweep may form at most MAX_PRODUCTS
-grammar products over all its points (``check_sweep_budget``).
+than once at one scale, its symbols in turn, so NUDD's nested blocks, CDD's
+self-similar ones and the two halves of a Hahn echo run once each.  The
+kernel forms such a rule's matrix on its first use and frees it after its
+last (``kernel.Plan``).  A schedule with no nesting (made from events, or
+read from JSON) runs flat.  ``order_scan`` runs a sweep in chunks so that
+the kernel's matrices take no more memory than a flat program's would.  A
+sweep may form at most MAX_PRODUCTS grammar products over all its points
+(``check_sweep_budget``); ``order_scan`` checks a lower bound read from the
+schedule before it compiles, and the grammar's count after.
 """
 
 import math
@@ -44,7 +46,7 @@ from .kernel import Plan, Run
 from .linalg import kron
 from .model import HamiltonianModel, check_model, random_model
 from .operators import Moos, Operator, check_labels
-from .sequences import Schedule, _rebuilt_nesting, compose_pulses, hahn_echo
+from .sequences import Schedule, compose_pulses, hahn_echo
 
 __all__ = [
     "RunConfig",
@@ -176,8 +178,9 @@ class Program:
     of T, driven when ``drive`` is (axis key, angle) and free when it is
     None, then the system pulse ``pulses[key]`` unless the key is None;
     ``pulses`` also holds the drive axes.  A symbol is a step or the index
-    of a rule; rule i is (earlier, later) and refers only to steps and to
-    rules before it.  A flat program is ``Program((steps, ()), ...)``."""
+    of a rule; rule i is a tuple of symbols, which run in turn, and refers
+    only to steps and to rules before it.  A flat program is
+    ``Program((steps, ()), ...)``."""
 
     grammar: tuple
     pulses: dict
@@ -206,18 +209,17 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
     share a MOOS element's label only with the same matrix.
 
     The grammar comes from the schedule's nesting.  A schedule without one
-    (made from events, or read from JSON) takes its rebuild's when the two
-    are equal bit for bit (``sequences._rebuilt_nesting``), or runs flat."""
+    (made from events, or read from JSON) runs flat, one step per
+    interval."""
     _check_dims(extra, moos)
     check_labels((*moos.elements, *extra))
     # One pulse per distinct label tuple, keyed by the tuple.
     pulses = {ops: compose_pulses(ops, moos, extra)
               for ops in (*schedule.ops_table, schedule.closing_ops) if ops}
-    nesting = schedule.nesting or _rebuilt_nesting(schedule, moos)
-    if nesting is None:
+    if schedule.nesting is None:
         grammar = _flat_grammar(schedule)
     else:
-        grammar = _nested_grammar(nesting, schedule.closing_ops)
+        grammar = _nested_grammar(schedule.nesting, schedule.closing_ops)
     return Program(grammar, pulses, Operator("net", _net(grammar, pulses, moos.dim), moos.dim))
 
 
@@ -233,22 +235,23 @@ def _flat_grammar(schedule: Schedule):
 
 def _net(grammar, pulses, dim) -> np.ndarray:
     """The ordered product of the pulses of a grammar's steps: each rule's
-    product once, from its two symbols', then the top sequence's, O(rules +
-    top) products.  The products group the factors differently from a
+    product once, from its symbols' in turn, then the top sequence's, one
+    product per symbol.  The products group the factors differently from a
     step-by-step product, so they agree exactly when the pulses' products
     are exact, as for signed permutations with entries 0, +-1 and +-i."""
     top, rules = grammar
     eye, nets = np.eye(dim, dtype=complex), []  # nets: per rule
 
-    def net(s):
-        return nets[s] if isinstance(s, int) else eye if s[2] is None else pulses[s[2]]
+    def product(seq):
+        out = eye
+        for s in seq:
+            out = (nets[s] if isinstance(s, int) else eye if s[2] is None
+                   else pulses[s[2]]) @ out
+        return out
 
-    for a, b in rules:
-        nets.append(net(b) @ net(a))
-    product = eye
-    for s in top:
-        product = net(s) @ product
-    return product
+    for rule in rules:
+        nets.append(product(rule))
+    return product(top)
 
 
 def _nested_grammar(nesting, closing):
@@ -263,9 +266,9 @@ def _nested_grammar(nesting, closing):
     it.  A pulse rides on the step before it; after a block followed by
     different pulses at different places it is a step of fraction 0, which
     makes a rule with the block where it follows it more than once.  A
-    block that occurs once is spliced in, so UDD runs flat.  A rule is a
-    balanced tree of pairs, each of which the kernel runs in place.  The
-    top sequence is the outermost block, followed by ``closing``."""
+    block that occurs once is spliced in, so UDD runs flat.  A rule is the
+    block's symbols, or the block's rule and the step after it, in turn.
+    The top sequence is the outermost block, followed by ``closing``."""
     # Per block and scale: how often it occurs before each pulse tuple.
     seen = [{} for _ in nesting]
     seen[-1][()] = Counter({closing: 1})
@@ -286,12 +289,13 @@ def _nested_grammar(nesting, closing):
                 else:
                     seq += symbols[inner][sub][after]
             if len(trails) == 1:  # seq ends with the pulses after it
-                made[scale] = {after: seq if trails.total() == 1 else [_pairs(seq, rules)]}
+                made[scale] = {after: seq if trails.total() == 1 else [_rule(seq, rules)]}
                 continue
-            rule = _pairs(seq, rules)
+            rule = _rule(seq, rules)
             for after, n in trails.items():
                 tail = [rule, (0.0, None, after)] if after else [rule]
-                made.setdefault(scale, {})[after] = [_pairs(tail, rules)] if n > 1 else tail
+                made.setdefault(scale, {})[after] = (
+                    [_rule(tail, rules)] if n > 1 and after else tail)
     return tuple(symbols[-1][()][closing]), tuple(rules)
 
 
@@ -306,13 +310,10 @@ def _scaled(scale, length):
     return tuple(sorted((*scale, length)))
 
 
-def _pairs(seq, rules):
-    """One symbol for ``seq``: rules of adjacent pairs, round by round."""
-    while len(seq) > 1:
-        first = len(rules)
-        rules += zip(seq[::2], seq[1::2])
-        seq = [*range(first, len(rules)), *seq[2 * (len(rules) - first):]]
-    return seq[0]
+def _rule(seq, rules):
+    """The index of a new rule of ``seq``'s symbols."""
+    rules.append(tuple(seq))
+    return len(rules) - 1
 
 
 def _propagators(program: Program, models, times) -> np.ndarray:
@@ -458,14 +459,16 @@ def order_scan(
             DeprecationWarning,
             stacklevel=2,
         )
+    n_t, n_s = len(config.t_grid), len(config.seeds)
+    # Checked before compiling, at a lower bound of the grammar's products:
+    # the intervals of a flat program, or those of the outermost block.
+    nesting = schedule.nesting
+    check_sweep_budget((schedule.intervals if nesting is None else len(nesting[-1].lengths))
+                       * n_t * n_s)
     program = compile_program(schedule, moos, extra)
     top, rules = program.grammar
-    # A boundary the schedule declares but the program merges (SDD's silent
-    # midpoint) is charged as one product.
-    silent = schedule.intervals - len(schedule.times) - 1
-    check_sweep_budget((len(top) + len(rules) + silent) * len(config.t_grid) * len(config.seeds))
+    check_sweep_budget((len(top) + sum(len(rule) - 1 for rule in rules)) * n_t * n_s)
 
-    n_t, n_s = len(config.t_grid), len(config.seeds)
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}
     # Rules must not make the kernel hold more memory than a flat program,
     # whose run holds two matrices a point (the running product and the

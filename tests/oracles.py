@@ -87,7 +87,7 @@ def expand_grammar(grammar):
         assert all(not isinstance(s, int) or s < i for s in rule), "rule refers forward"
 
     def expand(s):
-        return [s] if not isinstance(s, int) else expand(rules[s][0]) + expand(rules[s][1])
+        return [s] if not isinstance(s, int) else [step for r in rules[s] for step in expand(r)]
 
     return [step for s in top for step in expand(s)]
 

@@ -1,6 +1,7 @@
 """The grammar ``compile_program`` reads from a schedule's nesting, checked
 against the schedule's events: every builder and transform, schedules read
-back from JSON, and the kernel's work on the benchmark's scan cases.
+back from JSON (which keep no nesting and run flat), the kernel's work and
+the sweep budget's count on the benchmark's scan cases.
 
 Each case's grammar must expand to the steps event by event, its net pulse
 must be the label-by-label product exactly, and its propagators must match
@@ -11,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ddkit import simulate
 from ddkit.errors import PreconditionError
 from ddkit.kernel import Plan
 from ddkit.operators import pauli, qubit_full_moos
@@ -28,7 +30,7 @@ from ddkit.sequences import (
     sdd_schedule,
     udd_schedule,
 )
-from ddkit.simulate import ModelSpec, _propagators, compile_program, order_scan
+from ddkit.simulate import ModelSpec, RunConfig, _propagators, compile_program, order_scan
 from oracles import event_steps, expand_grammar, joined_steps
 from test_kernel import TOL, oracle_propagator
 
@@ -91,16 +93,24 @@ READ_BACK = sorted(BUILT) + ["sdd(first_order(2))", "sdd(first_order(2,closing))
 
 
 @pytest.mark.parametrize("case", READ_BACK)
-def test_read_back_schedule_compiles_to_the_builders_grammar(case):
-    # the reader keeps no nesting; compile_program takes its rebuild's
+def test_read_back_schedule_runs_flat(case):
+    # the reader keeps no nesting, so the program is one step per event and
+    # runs the built schedule's propagators
     schedule, moos, extra = CASES[case]
     back = schedule_from_json(schedule_to_json(schedule))
     assert back.nesting is None and back == schedule
-    assert compile_program(back, moos, extra).grammar == compile_program(schedule, moos, extra).grammar
+    program = compile_program(back, moos, extra)
+    top, rules = program.grammar
+    assert rules == () and list(top) == event_steps(back)
+    model = ModelSpec("general", moos.dim, 4, 1.0).realize(2)
+    times = (0.1, 0.6)
+    built = _propagators(compile_program(schedule, moos, extra), [model], times)
+    assert np.linalg.norm(_propagators(program, [model], times) - built, ord=2,
+                          axis=(-2, -1)).max() <= TOL
 
 
 def test_schedule_unlike_its_rebuild_runs_flat():
-    # one event time an ulp away from the builder's
+    # made from events, one time an ulp away from the builder's: no nesting
     schedule = nudd(Q1, (2, 3))
     events = list(schedule.events)
     events[4] = Event(np.nextafter(events[4].time, 1.0), events[4].ops)
@@ -111,7 +121,7 @@ def test_schedule_unlike_its_rebuild_runs_flat():
 
 
 def test_read_back_transformed_deep_schedule_runs_flat_over_the_budget():
-    # a transformed schedule keeps its inner scheme, so it is not its rebuild
+    # read back, it has no nesting, so it runs flat
     schedule = conjugated(cdd_uniform(Q2, 4), "X1")
     back = schedule_from_json(schedule_to_json(schedule))
     top, rules = compile_program(back, Q2).grammar
@@ -137,21 +147,66 @@ class _Counted(Plan):
 
 
 # perfbench's scan cases, with the dense operations (pulse, product and
-# driven) of the Re-Pair grammar that compiled them before the nesting did.
+# driven) of the Re-Pair grammar that compiled them before the nesting did,
+# and the products the sweep budget charges a point.
 SCAN_CASES = {
-    "udd(4)": (udd_schedule("Z1", 4), Q1, 3),
-    "nudd(2,3)": (nudd(Q1, (2, 3)), Q1, 7),
-    "cdd_uniform(3)": (cdd_uniform(Q1, 3), Q1, 10),
-    "nudd(2,2,2,3)": (nudd(Q2, (2, 2, 2, 3)), Q2, 35),
-    "cdd_nested(2,2,2,2)": (cdd_nested(Q2, (2, 2, 2, 2)), Q2, 14),
+    "udd(4)": (udd_schedule("Z1", 4), Q1, 3, 5),
+    "nudd(2,3)": (nudd(Q1, (2, 3)), Q1, 7, 9),
+    "cdd_uniform(3)": (cdd_uniform(Q1, 3), Q1, 10, 12),
+    "nudd(2,2,2,3)": (nudd(Q2, (2, 2, 2, 3)), Q2, 35, 38),
+    "cdd_nested(2,2,2,2)": (cdd_nested(Q2, (2, 2, 2, 2)), Q2, 14, 16),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_scan_cases_do_no_more_dense_kernel_work(name):
-    schedule, moos, before = SCAN_CASES[name]
+    schedule, moos, before, _ = SCAN_CASES[name]
     ops = _Counted(compile_program(schedule, moos).grammar).ops
     assert ops["pulse"] + ops["product"] + ops["driven"] <= before + 1
+
+
+def _charged(monkeypatch, schedule, moos):
+    """The products ``order_scan`` charges one point of ``schedule``: its
+    last check of the sweep budget, on a grid of one T and one seed."""
+    charged = []
+    monkeypatch.setattr(simulate, "check_sweep_budget", charged.append)
+    order_scan(schedule, moos, ModelSpec("general", moos.dim, 4, 1.0),
+               RunConfig(t_grid=(0.1,), seeds=(0,)))
+    return charged[-1]
+
+
+# The products the budget charges a point: the scan cases', and builder
+# SDD's, whose silent midpoint the nesting runs as a step of its own.
+BUDGET_COUNTS = {
+    **{name: (schedule, moos, n) for name, (schedule, moos, _, n) in SCAN_CASES.items()},
+    "sdd(first_order(1))": (sdd_schedule(first_order_schedule(Q1)), Q1, 8),
+    "sdd(first_order(2))": (sdd_schedule(first_order_schedule(Q2)), Q2, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_COUNTS))
+def test_budget_counts_the_grammar_products(monkeypatch, name):
+    schedule, moos, products = BUDGET_COUNTS[name]
+    assert _charged(monkeypatch, schedule, moos) == products
+
+
+@pytest.mark.parametrize("read_back", [True, False], ids=["read_back_cdd", "udd"])
+def test_over_budget_sweep_is_rejected_before_compiling(monkeypatch, read_back):
+    # 2^20 intervals x 96 points: a flat program's intervals, or those of
+    # the outermost block, bound the products from below
+    if read_back:
+        schedule = schedule_from_json(schedule_to_json(cdd_uniform(Q1, 10)))
+        assert schedule.nesting is None
+    else:
+        schedule = udd_schedule("Z1", 2**20 - 1)
+
+    def fail(*args):
+        raise AssertionError("compiled before the budget was checked")
+
+    monkeypatch.setattr(simulate, "compile_program", fail)
+    with pytest.raises(PreconditionError,
+                       match=r"^sweep budget exceeded: 100663296 products > 1000000$"):
+        order_scan(schedule, Q1, ModelSpec())
 
 
 @pytest.mark.parametrize("n", range(1, 6))
