@@ -6,18 +6,19 @@ M-level constructions, validates custom sets, and computes the Lie-algebra
 closure of an MOOS (the full set of operators that get protected along with
 the MOOS itself).
 
-Validation forms every product of a pair of elements, and the square of
-each element.  Every built-in construction is monomial: one nonzero per row
-and per column, a permutation with phases.  From dimension
-``GATHER_MIN_DIM`` on, a product with a monomial factor is formed as a row
-or column gather of the other factor, scaled by the monomial's entries, in
-O(d^2) instead of a BLAS product in O(d^3); below it BLAS is as fast.  The
-products are the same (exactly, for entries +-1 and +-i), and every
-decision and message is made from them as before.  A pair of two monomial
-elements is decided in O(d) without forming its products: when both
-products put row r's entry in the same column, AB -+ BA is monomial and its
-spectral norm is the largest modulus of its d entries; otherwise, or if the
-pair is neither, the products are formed as above.
+Every built-in construction is monomial: one nonzero per row and per
+column, a permutation with phases.  From dimension ``GATHER_MIN_DIM`` on,
+validation decides a monomial element, and a pair of monomial elements, in
+O(d) from their entries without forming a d x d matrix.  A monomial Omega is
+unitary Hermitian only if its permutation is an involution; then
+Omega^2 - I is diagonal and Omega - Omega^dag is monomial, and the spectral
+norm of either is the largest modulus of its d entries.  When both products
+of a pair put row r's entry in the same column, AB -+ BA is monomial in the
+same way.  Every other element is checked by forming its square, and every
+other pair by forming its products: a row or column gather of the other
+factor, scaled by the monomial's entries, when one factor is monomial
+(O(d^2) instead of a BLAS product in O(d^3)), else BLAS.  Every decision
+and message is that of the spectral-norm rule on the dense matrices.
 
 ``lie_closure`` spans the subset products of the MOOS, which for an MOOS is
 the generated Lie algebra; a basis that could exceed ``MAX_CLOSURE_BYTES``
@@ -30,6 +31,7 @@ factor.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -69,10 +71,11 @@ MAX_LEVELS = 256
 # gather vs BLAS: per pair 37 vs 112 us at d = 64, 152 vs 718 us at d = 128
 # and 0.77 vs 5.9 ms at d = 256; for all of qubit_full(L), 1.6 vs 1.4 ms at
 # d = 32 (detecting a monomial costs ~20 us an element) and 4.3 vs 8.4 ms at
-# d = 64.  From this dimension on, a pair of two monomial elements that
-# (anti)commutes is decided in O(d) from their entries alone (see
-# _pair_relation): on the same VM the 13-element 8-qubit Pauli set
-# validates in 13 ms instead of 65 ms with gathers.
+# d = 64.  From this dimension on, monomial elements and pairs of them that
+# (anti)commute are decided in O(d) from their entries alone (see
+# _is_unitary_hermitian and _pair_relation): on the same VM the 13-element
+# 8-qubit Pauli set validates in 5 ms, against 15 ms with each element's
+# square gathered and 65 ms with every product gathered.
 GATHER_MIN_DIM = 64
 
 # Largest basis lie_closure allocates, in bytes; simulate.BATCH_BYTES's size.
@@ -99,16 +102,22 @@ class Operator:
         object.__setattr__(self, "matrix", m)
 
     def unitary_hermitian_deviation(self) -> tuple[float, float]:
-        """Residual norms of (Omega^2 - I) and (Omega - Omega^dag)."""
+        """Residual norms of (Omega^2 - I) and (Omega - Omega^dag); inf for a
+        residual that overflows."""
         m = self.matrix
-        eye = np.eye(self.acts_on)
-        return (
-            spectral_norm(m @ m - eye),
-            spectral_norm(m - m.conj().T),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (
+                _residual_norm(m @ m - np.eye(self.acts_on)),
+                _residual_norm(m - m.conj().T),
+            )
 
     def is_unitary_hermitian(self) -> bool:
-        return _is_unitary_hermitian(self.matrix, None, np.empty_like(self.matrix))
+        return _is_unitary_hermitian(self.matrix, None)
+
+
+def _residual_norm(m: np.ndarray) -> float:
+    """Spectral norm of m, or inf without an SVD if m has a non-finite entry."""
+    return spectral_norm(m) if np.isfinite(m).all() else math.inf
 
 
 def check_labels(ops) -> None:
@@ -149,16 +158,37 @@ def _right_mul(m: np.ndarray, mono, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, inv_vals, out=out)
 
 
-def _is_unitary_hermitian(m: np.ndarray, mono, out: np.ndarray) -> bool:
-    """Whether |m^2 - I| and |m - m^dag| are at most HERM_TOL, with m^2 formed in
-    ``out`` by a row gather when ``mono`` describes m, else by BLAS."""
-    sq = np.matmul(m, m, out=out) if mono is None else _left_mul(mono, m, out)
-    diag = np.arange(len(m))
-    sq[diag, diag] -= 1
-    return spectral_norm_le(sq, HERM_TOL) and spectral_norm_le(m - m.conj().T, HERM_TOL)
+def _is_unitary_hermitian(m: np.ndarray, mono) -> bool:
+    """Whether |m^2 - I| and |m - m^dag| are at most HERM_TOL; False if m^2
+    overflows.
+
+    When ``mono`` describes m, row r of m^2 holds v[r] v[src[r]] in column
+    src[src[r]].  If src is not an involution, some row of m^2 - I holds -1
+    and an entry of m^2 off the diagonal, so its norm is at least 1.
+    Otherwise m^2 - I is diagonal with entries v v[src] - 1, and m - m^dag
+    is monomial on m's pattern with entries v - conj(v[src]): each norm is
+    the largest modulus of those d entries.  Any other m has its square
+    formed by BLAS.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mono is not None:
+            src, v = mono[0], mono[1][:, 0]
+            return bool(
+                np.array_equal(src[src], np.arange(len(src)))
+                and np.abs(v * v[src] - 1).max() <= HERM_TOL
+                and np.abs(v - v[src].conj()).max() <= HERM_TOL
+            )
+        sq = m @ m
+        diag = np.arange(len(m))
+        sq[diag, diag] -= 1
+        return bool(
+            np.isfinite(sq).all()
+            and spectral_norm_le(sq, HERM_TOL)
+            and spectral_norm_le(m - m.conj().T, HERM_TOL)
+        )
 
 
-def _pair_relation(a: Operator, b: Operator, monos, work: np.ndarray):
+def _pair_relation(a: Operator, b: Operator, monos, work):
     """Return (+1, None) for a commuting pair, (-1, None) for an
     anticommuting one, or (0, residuals) if neither holds to HERM_TOL, with
     the residual norms (|[A,B]|, |{A,B}|) computed for that case only.
@@ -174,12 +204,11 @@ def _pair_relation(a: Operator, b: Operator, monos, work: np.ndarray):
     products below, which give the residuals.
 
     A monomial factor turns both products into gathers of the other factor.
-    ``work`` is a (3, d, d) complex work buffer reused for every pair:
+    ``work()`` returns a (3, d, d) complex work buffer reused for every pair:
     fresh d x d temporaries per pair go back to the operating system and are
     faulted in again, which at d = 256 costs about half as much as the
-    products.
+    products.  It is called only when products are formed.
     """
-    ab, ba, res = work
     mono_a, mono_b = monos
     if mono_a is not None and mono_b is not None:
         (src_a, vals_a, _, _), (src_b, vals_b, _, _) = mono_a, mono_b
@@ -190,6 +219,7 @@ def _pair_relation(a: Operator, b: Operator, monos, work: np.ndarray):
                 return 1, None
             if np.abs(x + y).max() <= HERM_TOL:
                 return -1, None
+    ab, ba, res = work()
     if mono_a is not None:
         _left_mul(mono_a, b.matrix, ab)
         _right_mul(b.matrix, mono_a, ba)
@@ -225,7 +255,7 @@ class Moos:
         if not elements:
             raise PreconditionError("an MOOS must contain at least one operator")
         dim = elements[0].acts_on
-        work = np.empty((3, dim, dim), dtype=complex)
+        work = cache(lambda: np.empty((3, dim, dim), dtype=complex))
         monos = []
         for op in elements:
             if op.acts_on != dim:
@@ -234,7 +264,7 @@ class Moos:
                     f"expected {dim}"
                 )
             monos.append(_monomial(op.matrix) if dim >= GATHER_MIN_DIM else None)
-            if not _is_unitary_hermitian(op.matrix, monos[-1], work[0]):
+            if not _is_unitary_hermitian(op.matrix, monos[-1]):
                 d_sq, d_h = op.unitary_hermitian_deviation()
                 raise PreconditionError(
                     f"operator {op.label!r} is not unitary Hermitian: "

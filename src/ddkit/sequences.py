@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -209,17 +209,20 @@ def udd_times(n: int) -> list[float]:
     """Uhrig pulse fractions sin^2(k pi / (2N+2)) for k = 1..N."""
     if n < 0:
         raise PreconditionError("UDD order must be >= 0")
-    return [math.sin(k * math.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+    angles = np.arange(1, n + 1) * math.pi / (2 * n + 2)
+    return list(map(pow, map(math.sin, angles.tolist()), repeat(2)))
 
 
 def udd_lengths(n: int) -> list[float]:
     """The N+1 UDD interval lengths sin((2j+1) theta) sin(theta), theta =
     pi / (2N+2), whose first k sum to sin^2(k theta); length j is computed
-    at min(j, N-j), so mirrored lengths are equal bit for bit."""
+    at min(j, N-j), once, so mirrored lengths are equal bit for bit."""
     if n < 0:
         raise PreconditionError("UDD order must be >= 0")
     theta = math.pi / (2 * n + 2)
-    return [math.sin((2 * min(j, n - j) + 1) * theta) * math.sin(theta) for j in range(n + 1)]
+    angles = (2 * np.arange(n // 2 + 1) + 1) * theta
+    half = list(map(mul, map(math.sin, angles.tolist()), repeat(math.sin(theta))))
+    return half + half[: (n + 1) // 2][::-1]
 
 
 @contextmanager

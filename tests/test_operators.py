@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -371,10 +372,7 @@ def test_moos_decisions_match_spectral_norm_rule(ops):
 
 
 def test_moos_validation_of_pauli_set_runs_no_svd(monkeypatch):
-    # the 13-element 8-qubit set of test_first_order_size_cap
-    ops = tuple(pauli("z", q, 8) for q in range(1, 9)) + tuple(
-        pauli("x", q, 8) for q in range(1, 6)
-    )
+    ops = _accept_set_8_qubits()
     calls = []
     real = linalg.spectral_norm
 
@@ -570,13 +568,16 @@ def _hermitian_phases(rng, perm):
 def _phased_permutation_sets(draw, n=6):
     """Sets of d = 2^n phased permutations with entries +-1 and +-i: signed
     Pauli strings (which pairwise commute or anticommute), a string's
-    permutation with fresh Hermitian phases, or a random involution with
-    them or with every entry 1.  One element may be moved by 0.1 or 10
-    HERM_TOL: at one nonzero entry, at a zero entry, or by a phase on a
-    2-cycle that keeps it exactly unitary Hermitian."""
+    permutation with fresh Hermitian phases, a random involution with them
+    or with every entry 1, or a 3-cycle (unitary, but neither Hermitian nor
+    an involution).  One element may be moved by k HERM_TOL, k in 0.1, 0.5,
+    0.9, 1.1, 2 and 10: at one nonzero entry, at a zero entry, in the
+    modulus of one nonzero entry, or on both entries of a 2-cycle: by a
+    phase that keeps it exactly unitary Hermitian, in a way that moves only
+    its square, or in one that moves only its Hermiticity."""
     d = 2**n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["pauli"] * 3 + ["rephased", "involution"]),
+    kinds = draw(st.lists(st.sampled_from(["pauli"] * 3 + ["rephased", "involution", "cycle"]),
                           min_size=2, max_size=6))
     ops = []
     for k, kind in enumerate(kinds):
@@ -588,21 +589,33 @@ def _phased_permutation_sets(draw, n=6):
                 cut = 2 * rng.integers(d // 2 + 1)
                 perm = np.arange(d)
                 perm[order[:cut:2]], perm[order[1:cut:2]] = order[1:cut:2], order[:cut:2]
+            if kind == "cycle":
+                perm = np.arange(d)
+                three = rng.choice(d, size=3, replace=False)
+                perm[three] = np.roll(three, 1)
             m = np.zeros((d, d), dtype=complex)
             plain = kind == "involution" and draw(st.booleans())
             m[np.arange(d), perm] = 1 if plain else _hermitian_phases(rng, perm)
         ops.append((f"{kind[0].upper()}{k}", m))
-    scale = draw(st.sampled_from([None, 0.1, 10.0]))
+    scale = draw(st.sampled_from([None, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0]))
     if scale is not None:
         m = ops[draw(st.integers(0, len(ops) - 1))][1]
         cols = np.abs(m).argmax(axis=1)
-        where = draw(st.sampled_from(["entry", "zero", "cycle"]))
+        where = draw(st.sampled_from(
+            ["entry", "zero", "modulus", "cycle", "cycle_square", "cycle_hermitian"]))
         cycle = np.flatnonzero(cols != np.arange(d))
-        if where == "cycle" and len(cycle):
+        if where.startswith("cycle") and len(cycle):
             r = rng.choice(cycle)
-            phase = np.exp(1j * scale * HERM_TOL)
-            m[r, cols[r]] *= phase
-            m[cols[r], r] *= phase.conjugate()
+            half = 1 + scale * HERM_TOL / 2
+            z, w = {
+                "cycle": (np.exp(1j * scale * HERM_TOL), np.exp(-1j * scale * HERM_TOL)),
+                "cycle_square": (half, half),
+                "cycle_hermitian": (half, 1 / half),
+            }[where]
+            m[r, cols[r]] *= z
+            m[cols[r], r] *= w
+        elif where == "modulus":
+            m[rng.integers(d), :] *= 1 + scale * HERM_TOL * draw(st.sampled_from([1, -1]))
         else:
             r = rng.integers(d)
             c = cols[r] if where == "entry" else (cols[r] + 1) % d
@@ -626,13 +639,17 @@ def test_monomial_pair_relation_matches_blas_path(ops):
         assert _validation_outcome(ops) == got
 
 
-def test_monomial_pairs_run_no_norm_check(monkeypatch):
-    # the 13-element 8-qubit set: its 78 pairs are decided from the monomial
-    # entries, so the norm checks are the square and the Hermiticity check
-    # of each element
-    ops = tuple(pauli("z", q, 8) for q in range(1, 9)) + tuple(
+def _accept_set_8_qubits():
+    """The 13-element 8-qubit Pauli set of test_first_order_size_cap."""
+    return tuple(pauli("z", q, 8) for q in range(1, 9)) + tuple(
         pauli("x", q, 8) for q in range(1, 6)
     )
+
+
+def test_monomial_pairs_run_no_norm_check(monkeypatch):
+    # the 13-element 8-qubit set: its elements and its 78 pairs are all
+    # decided from the monomial entries
+    ops = _accept_set_8_qubits()
     calls = []
     real = operators.spectral_norm_le
 
@@ -642,4 +659,40 @@ def test_monomial_pairs_run_no_norm_check(monkeypatch):
 
     monkeypatch.setattr(operators, "spectral_norm_le", counting)
     assert len(Moos(ops)) == 13
-    assert len(calls) == 2 * 13
+    assert calls == []
+
+
+def test_monomial_validation_allocates_no_square_matrix():
+    # with each element's square gathered into a (3, d, d) work buffer and
+    # m - m^dag formed per element, this peaked at 5.6 MB
+    ops = _accept_set_8_qubits()
+    tracemalloc.start()
+    try:
+        assert len(Moos(ops)) == 13
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 16
+
+
+def _overflowing_elements():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    return {
+        "dense": (pauli("z", 1, 3), Operator("H", 1e200 * (a + a.conj().T), 8)),
+        "monomial_d8": (pauli("z", 1, 3), Operator("H", 1e200 * pauli("x", 1, 3).matrix, 8)),
+        "monomial_d64": (pauli("z", 1, 6), Operator("H", 1e200 * pauli("x", 1, 6).matrix, 64)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["dense", "monomial_d8", "monomial_d64"])
+def test_element_whose_square_overflows_is_rejected_quietly(kind, capfd):
+    # used to end in "SVD did not converge", or to print a LAPACK DLASCL
+    # error and report |Omega^2 - I| = nan after an overflow warning
+    with pytest.raises(PreconditionError) as err:
+        Moos(_overflowing_elements()[kind])
+    assert str(err.value) == (
+        "operator 'H' is not unitary Hermitian: "
+        "|Omega^2 - I| = inf, |Omega - Omega^dag| = 0.000e+00"
+    )
+    assert capfd.readouterr() == ("", "")

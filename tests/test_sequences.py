@@ -77,6 +77,16 @@ def test_udd_lengths_are_mirror_exact_and_sum_to_udd_times():
         udd_lengths(-1)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 100, 12345, 2**16 - 1, 2**20 - 1])
+def test_udd_builders_match_the_per_interval_formulas_bit_for_bit(n):
+    theta = math.pi / (2 * n + 2)
+    times = [math.sin(k * math.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+    lengths = [math.sin((2 * min(j, n - j) + 1) * theta) * math.sin(theta) for j in range(n + 1)]
+    for got, want in ((udd_times(n), times), (udd_lengths(n), lengths)):
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_udd_schedule_structure():
     s = udd_schedule("Z1", 3)
     assert [e.time for e in s.events] == pytest.approx(udd_times(3))
