@@ -7,18 +7,16 @@ closure of an MOOS (the full set of operators that get protected along with
 the MOOS itself).
 
 Every built-in construction is monomial: one nonzero per row and per
-column, a permutation with phases.  From dimension ``GATHER_MIN_DIM`` on,
-validation decides a monomial element, and a pair of monomial elements, in
-O(d) from their entries without forming a d x d matrix.  A monomial Omega is
-unitary Hermitian only if its permutation is an involution; then
-Omega^2 - I is diagonal and Omega - Omega^dag is monomial, and the spectral
-norm of either is the largest modulus of its d entries.  When both products
-of a pair put row r's entry in the same column, AB -+ BA is monomial in the
-same way.  Every other element is checked by forming its square, and every
-other pair by forming its products: a row or column gather of the other
-factor, scaled by the monomial's entries, when one factor is monomial
-(O(d^2) instead of a BLAS product in O(d^3)), else BLAS.  Every decision
-and message is that of the spectral-norm rule on the dense matrices.
+column, a permutation with phases.  At every dimension, validation decides
+a monomial element, and a pair of monomial elements, in O(d) from their
+entries without forming a d x d matrix.  A monomial Omega is unitary
+Hermitian only if its permutation is an involution; then Omega^2 - I is
+diagonal and Omega - Omega^dag is monomial, and the spectral norm of either
+is the largest modulus of its d entries.  When both products of a pair put
+row r's entry in the same column, AB -+ BA is monomial in the same way.
+Every other element is checked by forming its square, and every other pair
+by forming its products, with BLAS.  Every decision and message is that of
+the spectral-norm rule on the dense matrices.
 
 ``lie_closure`` spans the subset products of the MOOS, which for an MOOS is
 the generated Lie algebra; a basis that could exceed ``MAX_CLOSURE_BYTES``
@@ -31,7 +29,6 @@ factor.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -65,18 +62,6 @@ _PAULI = {
 
 MAX_QUBITS = 8
 MAX_LEVELS = 256
-
-# Validation forms a product with a monomial factor by gathering from this
-# dimension on.  Measured on a 2-core Xeon VM with OpenBLAS on one thread,
-# gather vs BLAS: per pair 37 vs 112 us at d = 64, 152 vs 718 us at d = 128
-# and 0.77 vs 5.9 ms at d = 256; for all of qubit_full(L), 1.6 vs 1.4 ms at
-# d = 32 (detecting a monomial costs ~20 us an element) and 4.3 vs 8.4 ms at
-# d = 64.  From this dimension on, monomial elements and pairs of them that
-# (anti)commute are decided in O(d) from their entries alone (see
-# _is_unitary_hermitian and _pair_relation): on the same VM the 13-element
-# 8-qubit Pauli set validates in 5 ms, against 15 ms with each element's
-# square gathered and 65 ms with every product gathered.
-GATHER_MIN_DIM = 64
 
 # Largest basis lie_closure allocates, in bytes; simulate.BATCH_BYTES's size.
 MAX_CLOSURE_BYTES = 2**25
@@ -112,7 +97,7 @@ class Operator:
             )
 
     def is_unitary_hermitian(self) -> bool:
-        return _is_unitary_hermitian(self.matrix, None)
+        return _is_unitary_hermitian(self.matrix, _monomial(self.matrix))
 
 
 def _residual_norm(m: np.ndarray) -> float:
@@ -132,30 +117,19 @@ def check_labels(ops) -> None:
 
 def _monomial(m: np.ndarray):
     """Describe a matrix M with exactly one nonzero per row and per column as
-    (src, vals, inv, inv_vals): row r holds vals[r] in column src[r], and
-    column c holds inv_vals[c] in row inv[c].  None for any other matrix."""
+    (src, vals): row r holds vals[r] in column src[r].  None for any other
+    matrix, the empty one included."""
+    d = len(m)
     nz = m != 0
-    if not ((np.count_nonzero(nz, axis=1) == 1).all()
-            and (np.count_nonzero(nz, axis=0) == 1).all()):
+    if not d or np.count_nonzero(nz) != d:
         return None
+    rows = np.arange(d)
     src = nz.argmax(axis=1)
-    vals = m[np.arange(len(m)), src]
-    inv = np.argsort(src)
-    return src, vals[:, None], inv, vals[inv]
-
-
-def _left_mul(mono, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = M m for the monomial M described by ``mono``: a row gather."""
-    src, vals, _, _ = mono
-    np.take(m, src, axis=0, out=out, mode="clip")
-    return np.multiply(out, vals, out=out)
-
-
-def _right_mul(m: np.ndarray, mono, out: np.ndarray) -> np.ndarray:
-    """out = m M for the monomial M described by ``mono``: a column gather."""
-    _, _, inv, inv_vals = mono
-    np.take(m, inv, axis=1, out=out, mode="clip")
-    return np.multiply(out, inv_vals, out=out)
+    # d nonzeros, one at (r, src[r]) in every row, fill every column only if
+    # src is a permutation.
+    if not (nz[rows, src].all() and np.bincount(src, minlength=d).all()):
+        return None
+    return src, m[rows, src]
 
 
 def _is_unitary_hermitian(m: np.ndarray, mono) -> bool:
@@ -172,7 +146,7 @@ def _is_unitary_hermitian(m: np.ndarray, mono) -> bool:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if mono is not None:
-            src, v = mono[0], mono[1][:, 0]
+            src, v = mono
             return bool(
                 np.array_equal(src[src], np.arange(len(src)))
                 and np.abs(v * v[src] - 1).max() <= HERM_TOL
@@ -188,7 +162,7 @@ def _is_unitary_hermitian(m: np.ndarray, mono) -> bool:
         )
 
 
-def _pair_relation(a: Operator, b: Operator, monos, work):
+def _pair_relation(a: Operator, b: Operator, monos):
     """Return (+1, None) for a commuting pair, (-1, None) for an
     anticommuting one, or (0, residuals) if neither holds to HERM_TOL, with
     the residual norms (|[A,B]|, |{A,B}|) computed for that case only.
@@ -200,38 +174,23 @@ def _pair_relation(a: Operator, b: Operator, monos, work):
     is exactly max |x -+ y|, and a commuting or anticommuting pair is
     decided in O(d).  Otherwise some row of AB -+ BA holds two entries of
     modulus ~1 (both factors are unitary), so neither relation holds; that
-    case, and a pair that agrees in its maps but is neither, go on to the
-    products below, which give the residuals.
-
-    A monomial factor turns both products into gathers of the other factor.
-    ``work()`` returns a (3, d, d) complex work buffer reused for every pair:
-    fresh d x d temporaries per pair go back to the operating system and are
-    faulted in again, which at d = 256 costs about half as much as the
-    products.  It is called only when products are formed.
+    case, a pair that agrees in its maps but is neither, and every pair with
+    a factor that is not monomial form both products by BLAS.
     """
     mono_a, mono_b = monos
     if mono_a is not None and mono_b is not None:
-        (src_a, vals_a, _, _), (src_b, vals_b, _, _) = mono_a, mono_b
+        (src_a, vals_a), (src_b, vals_b) = mono_a, mono_b
         if np.array_equal(src_b[src_a], src_a[src_b]):
-            x = vals_a[:, 0] * vals_b[src_a, 0]
-            y = vals_b[:, 0] * vals_a[src_b, 0]
+            x = vals_a * vals_b[src_a]
+            y = vals_b * vals_a[src_b]
             if np.abs(x - y).max() <= HERM_TOL:
                 return 1, None
             if np.abs(x + y).max() <= HERM_TOL:
                 return -1, None
-    ab, ba, res = work()
-    if mono_a is not None:
-        _left_mul(mono_a, b.matrix, ab)
-        _right_mul(b.matrix, mono_a, ba)
-    elif mono_b is not None:
-        _right_mul(a.matrix, mono_b, ab)
-        _left_mul(mono_b, a.matrix, ba)
-    else:
-        np.matmul(a.matrix, b.matrix, out=ab)
-        np.matmul(b.matrix, a.matrix, out=ba)
-    if spectral_norm_le(np.subtract(ab, ba, out=res), HERM_TOL):
+    ab, ba = a.matrix @ b.matrix, b.matrix @ a.matrix
+    if spectral_norm_le(ab - ba, HERM_TOL):
         return 1, None
-    if spectral_norm_le(np.add(ab, ba, out=res), HERM_TOL):
+    if spectral_norm_le(ab + ba, HERM_TOL):
         return -1, None
     return 0, (spectral_norm(ab - ba), spectral_norm(ab + ba))
 
@@ -255,7 +214,6 @@ class Moos:
         if not elements:
             raise PreconditionError("an MOOS must contain at least one operator")
         dim = elements[0].acts_on
-        work = cache(lambda: np.empty((3, dim, dim), dtype=complex))
         monos = []
         for op in elements:
             if op.acts_on != dim:
@@ -263,7 +221,7 @@ class Moos:
                     f"operator {op.label!r} acts on dimension {op.acts_on}, "
                     f"expected {dim}"
                 )
-            monos.append(_monomial(op.matrix) if dim >= GATHER_MIN_DIM else None)
+            monos.append(_monomial(op.matrix))
             if not _is_unitary_hermitian(op.matrix, monos[-1]):
                 d_sq, d_h = op.unitary_hermitian_deviation()
                 raise PreconditionError(
@@ -276,7 +234,7 @@ class Moos:
         for i in range(n):
             for j in range(i + 1, n):
                 rel, residuals = _pair_relation(
-                    elements[i], elements[j], (monos[i], monos[j]), work
+                    elements[i], elements[j], (monos[i], monos[j])
                 )
                 if rel == 0:
                     comm, anti = residuals

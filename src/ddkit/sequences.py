@@ -209,6 +209,8 @@ def udd_times(n: int) -> list[float]:
     """Uhrig pulse fractions sin^2(k pi / (2N+2)) for k = 1..N."""
     if n < 0:
         raise PreconditionError("UDD order must be >= 0")
+    if n + 1 > MAX_INTERVALS:
+        raise _too_many_intervals("udd", n + 1)
     angles = np.arange(1, n + 1) * math.pi / (2 * n + 2)
     return list(map(pow, map(math.sin, angles.tolist()), repeat(2)))
 
@@ -219,6 +221,8 @@ def udd_lengths(n: int) -> list[float]:
     at min(j, N-j), once, so mirrored lengths are equal bit for bit."""
     if n < 0:
         raise PreconditionError("UDD order must be >= 0")
+    if n + 1 > MAX_INTERVALS:
+        raise _too_many_intervals("udd", n + 1)
     theta = math.pi / (2 * n + 2)
     angles = (2 * np.arange(n // 2 + 1) + 1) * theta
     half = list(map(mul, map(math.sin, angles.tolist()), repeat(math.sin(theta))))
@@ -283,8 +287,6 @@ def _boundaries(fractions) -> np.ndarray:
 def udd_schedule(op_label: str, n: int) -> Schedule:
     """Nth-order UDD of a single operator; the leftover Omega^N rotation is
     not emitted as a closing pulse (the error metric compensates for it)."""
-    if n + 1 > MAX_INTERVALS:
-        raise _too_many_intervals("udd", n + 1)
     return _nest("udd", (n,), [(op_label, udd_times(n), udd_lengths(n), False)])
 
 

@@ -397,7 +397,7 @@ def _random_unitary(rng, d):
 
 
 def _validation_sets(n):
-    """The MOOS sets of the gather and BLAS validation paths at d = 2^n."""
+    """Monomial and dense MOOS sets at d = 2^n."""
     rng = np.random.default_rng(n)
     d = 2**n
     paulis = tuple(pauli(a, q, n) for a, q in (("z", 1), ("x", 1), ("y", 2), ("z", n), ("x", n)))
@@ -434,14 +434,8 @@ def test_monomial_structure_check():
     vals = np.exp(2j * np.pi * rng.random(8))
     m = np.zeros((8, 8), dtype=complex)
     m[np.arange(8), perm] = vals
-    src, row_vals, inv, inv_vals = operators._monomial(m)
-    assert np.array_equal(src, perm) and np.array_equal(row_vals[:, 0], vals)
-    assert np.array_equal(m[inv, np.arange(8)], inv_vals)
-    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    mono = operators._monomial(m)
-    out = np.empty_like(b)
-    assert np.allclose(operators._left_mul(mono, b, out), m @ b, rtol=0, atol=1e-14)
-    assert np.allclose(operators._right_mul(b, mono, out), b @ m, rtol=0, atol=1e-14)
+    src, row_vals = operators._monomial(m)
+    assert np.array_equal(src, perm) and np.array_equal(row_vals, vals)
 
     two_in_row = m.copy()
     two_in_row[0, perm[1]] = 1.0
@@ -452,6 +446,13 @@ def test_monomial_structure_check():
     zero_col[perm == 5, 6] = 1.0
     for bad in (two_in_row, zero_row, zero_col):
         assert operators._monomial(bad) is None
+
+
+def test_empty_operator_is_rejected_with_a_message():
+    empty = Operator("E", np.zeros((0, 0)), 0)
+    for check in (empty.is_unitary_hermitian, lambda: Moos((empty,))):
+        with pytest.raises(PreconditionError, match="^matrix dimension must be >= 1$"):
+            check()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)],
@@ -565,20 +566,20 @@ def _hermitian_phases(rng, perm):
 
 
 @st.composite
-def _phased_permutation_sets(draw, n=6):
+def _phased_permutation_sets(draw, n):
     """Sets of d = 2^n phased permutations with entries +-1 and +-i: signed
     Pauli strings (which pairwise commute or anticommute), a string's
     permutation with fresh Hermitian phases, a random involution with them
-    or with every entry 1, or a 3-cycle (unitary, but neither Hermitian nor
-    an involution).  One element may be moved by k HERM_TOL, k in 0.1, 0.5,
-    0.9, 1.1, 2 and 10: at one nonzero entry, at a zero entry, in the
-    modulus of one nonzero entry, or on both entries of a 2-cycle: by a
-    phase that keeps it exactly unitary Hermitian, in a way that moves only
-    its square, or in one that moves only its Hermiticity."""
+    or with every entry 1, or from d = 4 on a 3-cycle (unitary, but neither
+    Hermitian nor an involution).  One element may be moved by k HERM_TOL,
+    k in 0.1, 0.5, 0.9, 1.1, 2 and 10: at one nonzero entry, at a zero
+    entry, in the modulus of one nonzero entry, or on both entries of a
+    2-cycle: by a phase that keeps it exactly unitary Hermitian, in a way
+    that moves only its square, or in one that moves only its Hermiticity."""
     d = 2**n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["pauli"] * 3 + ["rephased", "involution", "cycle"]),
-                          min_size=2, max_size=6))
+    kinds = ["pauli"] * 3 + ["rephased", "involution"] + ["cycle"] * (d >= 3)
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=6))
     ops = []
     for k, kind in enumerate(kinds):
         m = _pauli_string("".join(rng.choice(list("IXYZ"), size=n))) * rng.choice([1, -1])
@@ -630,13 +631,11 @@ def _validation_outcome(ops):
         return str(exc)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_phased_permutation_sets())
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from([1, 2, 3, 6]).flatmap(_phased_permutation_sets))
 def test_monomial_pair_relation_matches_blas_path(ops):
-    got = _validation_outcome(ops)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "GATHER_MIN_DIM", ops[0].acts_on + 1)
-        assert _validation_outcome(ops) == got
+    want_sig, want_msg = _spectral_norm_validation(ops)
+    assert _validation_outcome(ops) == (want_msg or want_sig.tolist())
 
 
 def _accept_set_8_qubits():
@@ -647,18 +646,29 @@ def _accept_set_8_qubits():
 
 
 def test_monomial_pairs_run_no_norm_check(monkeypatch):
-    # the 13-element 8-qubit set: its elements and its 78 pairs are all
-    # decided from the monomial entries
-    ops = _accept_set_8_qubits()
+    # the 13-element 8-qubit set and every built-in construction, at every
+    # dimension: their elements and pairs are all decided from the monomial
+    # entries
     calls = []
-    real = operators.spectral_norm_le
 
-    def counting(m, tol):
-        calls.append(m.shape)
-        return real(m, tol)
+    def counting(name):
+        real = getattr(operators, name)
 
-    monkeypatch.setattr(operators, "spectral_norm_le", counting)
-    assert len(Moos(ops)) == 13
+        def counted(m, *tol):
+            calls.append((name, m.shape))
+            return real(m, *tol)
+
+        return counted
+
+    for name in ("spectral_norm_le", "spectral_norm"):
+        monkeypatch.setattr(operators, name, counting(name))
+    assert len(Moos(_accept_set_8_qubits())) == 13
+    for num_qubits in range(1, 9):
+        assert len(qubit_full_moos(num_qubits)) == 2 * num_qubits
+    assert len(qubit_dephasing_moos(3)) == 3
+    assert len(mlevel_diagonal_moos(5)) == 3
+    for m_levels in (4, 6, 256):
+        assert mlevel_full_moos(m_levels).dim == m_levels
     assert calls == []
 
 

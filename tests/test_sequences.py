@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -85,6 +86,24 @@ def test_udd_builders_match_the_per_interval_formulas_bit_for_bit(n):
     for got, want in ((udd_times(n), times), (udd_lengths(n), lengths)):
         assert all(type(x) is float for x in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("build", [udd_times, udd_lengths, lambda n: udd_schedule("Z1", n)],
+                         ids=["udd_times", "udd_lengths", "udd_schedule"])
+def test_udd_order_above_max_intervals_is_rejected_before_allocating(build):
+    # np.arange(1, n + 1) at n = 2^40 would ask numpy for 8 TiB
+    want = f"udd would have {2**40 + 1} control intervals, more than MAX_INTERVALS = 2^20"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as err:
+            build(2**40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == want
+    assert peak < 2**20
+    with pytest.raises(PreconditionError, match=r"^udd would have 1048577 control intervals"):
+        build(MAX_INTERVALS)
 
 
 def test_udd_schedule_structure():
