@@ -26,12 +26,14 @@ the columns with array operations and make no Python object per event;
 The JSON writer encodes the time column with one ``json.dumps`` and each
 distinct label tuple once.  The reader takes text in the writer's layout
 apart at the writer's fixed separators: one ``json.loads`` for each half of
-the header, one for the time column and one per distinct label list, with no
-dict or list per event.  It does so only where the parts show that
-``json.loads`` of the whole text gives the same document and every event is
-valid; other text (another spacing or key order, an extra key, a bad event,
-malformed text) is parsed whole by ``json.loads``, and the reader takes the
-columns from the parsed events.  Both ways end in the same header checks
+the header, one for the times of each slice of about ``_CHUNK_CHARS``
+characters of events, and one per distinct label list.  It makes no dict or
+list per event, and holds the strings of one slice's events at a time.  It
+does so only where the parts show that ``json.loads`` of the whole text
+gives the same document and every event is valid; other text (another
+spacing or key order, an extra key, a bad event, malformed text) is parsed
+whole by ``json.loads``, and the reader takes the columns from the parsed
+events.  Both ways end in the same header checks
 and the same ``Schedule`` checks, so a text reads the same either way, to
 the schedule or the message.  The reader codes the label tuples in
 first-appearance order and checks the labels once per distinct tuple.  It
@@ -485,15 +487,48 @@ def schedule_to_json(schedule: Schedule) -> str:
     return "".join(pieces)
 
 
-def _first_appearance_codes(keys, n: int):
-    """The distinct ``keys`` in order of first appearance, and each of the
-    ``n`` keys' index among them."""
-    table: dict = {}
-    firsts = np.fromiter(map(table.setdefault, keys, count()), dtype=np.intp, count=n)
+def _first_appearances(table: dict, keys, n: int, counter) -> np.ndarray:
+    """The index of each of the ``n`` keys' first appearance: its value in
+    ``table``, where a key not yet there is stored with the next value of
+    ``counter``."""
+    return np.fromiter(map(table.setdefault, keys, counter), dtype=np.intp, count=n)
+
+
+def _first_appearance_codes(table: dict, firsts: np.ndarray):
+    """The keys of ``table`` in order of first appearance, and the code of
+    each of the indices ``firsts`` of ``_first_appearances``."""
     # The table's values, the index of each key's first appearance, increase,
     # so a key's code is the rank of its first appearance among them.
     codes = np.searchsorted(np.fromiter(table.values(), dtype=np.intp, count=len(table)), firsts)
     return tuple(table), codes
+
+
+# The reader splits the events in slices of about this many characters, so
+# that the strings it makes per event at once stay cache-sized; slices of
+# 2^14 to 2^18 characters read a 2^16-event text alike, and 2^12 a little
+# slower.
+_CHUNK_CHARS = 2**16
+
+
+def _slice_columns(chunk: str):
+    """The times and the label texts of the events ``chunk``, split at
+    ``_OPS`` and ``_NEXT``, or None unless the parts alternate as written
+    and the times parse, joined by commas, to one finite number per event
+    (a number holds no comma, so each part is one number)."""
+    parts = chunk.replace(_NEXT, _OPS).split(_OPS)
+    times, labels = parts[::2], parts[1::2]
+    n = len(labels)
+    if len(times) != n:
+        return None
+    rebuilt = [_NEXT] * (4 * n - 1)
+    rebuilt[::4], rebuilt[1::4], rebuilt[2::4] = times, [_OPS] * n, labels
+    if "".join(rebuilt) != chunk:
+        return None
+    try:
+        times = json.loads(f"[{','.join(times)}]")
+    except ValueError:
+        return None
+    return (times, labels) if len(times) == n and all_of_kind(times, float) else None
 
 
 def _split_columns(text):
@@ -506,13 +541,14 @@ def _split_columns(text):
     own, and together they show the whole document: the opening part closed
     by "}" parses to an object with the keys scheme and orders only, so the
     split is at the top level, and the closing part opened by "{" parses to
-    one with the keys closing and intervals only.  The events are split at
-    ``_OPS`` and ``_NEXT`` into times and label lists, which must alternate
-    as written: the events are rebuilt from the parts and compared with the
-    text.  The times must parse, joined by commas, to one finite number per
-    event (a number holds no comma, so each part is one number), and each
-    distinct label text must parse to a list of strings (such a list holds
-    neither separator).  ``json.loads`` reads what this rejects."""
+    one with the keys closing and intervals only.  The events are read in
+    slices of about ``_CHUNK_CHARS`` characters, each ending at a ``_NEXT``
+    or at the last event, and each must pass ``_slice_columns``.  Slices
+    meet at ``_NEXT``, so together they show that times and label lists
+    alternate as written over all the events.  The label texts are coded in
+    first-appearance order over all the slices, and each distinct one must
+    parse to a list of strings (such a list holds neither separator).
+    ``json.loads`` reads what this rejects."""
     if not isinstance(text, str):
         return None
     i, j = text.find(_EVENTS), text.rfind(_CLOSING)
@@ -530,24 +566,23 @@ def _split_columns(text):
     start, stop = first + len(_FIRST), j - 1
     if not (text.startswith(_FIRST, first) and text.endswith("}", start, j)):
         return None
-    parts = text[start:stop].replace(_NEXT, _OPS).split(_OPS)
-    times, labels = parts[::2], parts[1::2]
-    n = len(labels)
-    if len(times) != n:
-        return None
-    rebuilt = [_NEXT] * (4 * n - 1)
-    rebuilt[::4], rebuilt[1::4], rebuilt[2::4] = times, [_OPS] * n, labels
-    rebuilt = "".join(rebuilt)
-    if len(rebuilt) != stop - start or not text.startswith(rebuilt, start):
-        return None
-    del parts, rebuilt
-    table, codes = _first_appearance_codes(labels, n)
+    table, counter, times, firsts = {}, count(), [], []
+    pos = start
+    while pos <= stop:
+        end = text.find(_NEXT, pos + _CHUNK_CHARS, stop)
+        end = stop if end < 0 else end
+        columns = _slice_columns(text[pos:end])
+        if columns is None:
+            return None
+        times += columns[0]
+        firsts.append(_first_appearances(table, columns[1], len(columns[1]), counter))
+        pos = end + len(_NEXT)
+    table, codes = _first_appearance_codes(table, np.concatenate(firsts))
     try:
-        times, ops = json.loads(f"[{','.join(times)}]"), list(map(json.loads, table))
+        ops = list(map(json.loads, table))
     except ValueError:
         return None
-    if not (len(times) == n and all_of_kind(times, float) and all_of_kind(ops, list)
-            and all_of_kind(list(chain.from_iterable(ops)), str)):
+    if not (all_of_kind(ops, list) and all_of_kind(list(chain.from_iterable(ops)), str)):
         return None
     return head | tail, times, tuple(map(tuple, ops)), codes
 
@@ -559,7 +594,9 @@ def _event_columns(items):
         times = list(map(itemgetter("t"), items))
         labels = list(map(itemgetter("ops"), items))
         if all_of_kind(times, float) and all_of_kind(labels, list):
-            table, codes = _first_appearance_codes(map(tuple, labels), len(labels))
+            table: dict = {}
+            firsts = _first_appearances(table, map(tuple, labels), len(labels), count())
+            table, codes = _first_appearance_codes(table, firsts)
             if all_of_kind(list(chain.from_iterable(table)), str):
                 return times, table, codes
     except (KeyError, TypeError):  # a missing key; an unhashable label
@@ -575,9 +612,10 @@ def _event_columns(items):
 def schedule_from_json(text: str) -> Schedule:
     """Inverse of ``schedule_to_json``.
 
-    Text in the writer's layout is split at its fixed separators, and its
-    header, time column and distinct label lists are each parsed once, with
-    no object per event (``_split_columns``).  That is done only where it
+    Text in the writer's layout is split at its fixed separators, a slice
+    of events at a time, and its header, the times of each slice and its
+    distinct label lists are each parsed once, with no dict or list per
+    event (``_split_columns``).  That is done only where it
     shows that ``json.loads`` of the whole text gives the same document, and
     every event is valid; any other input is parsed by ``json.loads``.
     Either way the same header checks follow, so a result or a message does

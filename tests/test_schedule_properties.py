@@ -7,14 +7,15 @@ recursions written out below (times must agree bit for bit), ``json.dumps``
 of the documented dict form (the byte oracle of the writer), and SHA-256
 digests of ``ddkit sequence --out`` files.  The reader's split of the
 writer's text is checked against ``json.loads`` of the whole text, on
-mutated and on crafted text.  The net pulse, which
-``compile_program`` takes from its grammar, is checked against the product
-of the pulses event by event.
+mutated and on crafted text, at the real slice size and with every event its
+own slice.  The net pulse, which ``compile_program`` takes from its grammar,
+is checked against the product of the pulses event by event.
 """
 
 import functools
 import hashlib
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -308,9 +309,7 @@ def test_writer_text_reads_back_in_any_layout(sched):
         assert schedule_from_json(layout) == sched
 
 
-@settings(max_examples=400, deadline=None)
-@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
-def test_split_reading_is_the_json_loads_reading_of_mutated_text(sched, data):
+def _mutated_text_reads_as_json_loads_reads_it(sched, data):
     # one character inserted, deleted or replaced anywhere in the writer's
     # text: the reader's split must give what json.loads of the whole text
     # gives, the same schedule or the same message
@@ -324,37 +323,72 @@ def test_split_reading_is_the_json_loads_reading_of_mutated_text(sched, data):
     assert _same_reading(_read(mutated), want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
+def test_split_reading_is_the_json_loads_reading_of_mutated_text(sched, data):
+    _mutated_text_reads_as_json_loads_reads_it(sched, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
+def test_one_event_slices_read_mutated_text_as_json_loads_does(sched, data):
+    # every event is its own slice, so slices meet at every separator
+    # between events; the writer's own text is still read split
+    with mock.patch.object(sequences, "_CHUNK_CHARS", 1):
+        split = sequences._split_columns(schedule_to_json(sched))
+        assert (split is None) == (len(sched.times) == 0)
+        _mutated_text_reads_as_json_loads_reads_it(sched, data)
+
+
 def _events_between(events, closing='"closing":[],"intervals":3'):
     return '{"scheme":"x","orders":[2],"events":[' + events + "]," + closing + "}"
 
 
 _ONE = '{"t":0.5,"ops":["Z1"]}'
 
-
-@pytest.mark.parametrize("text", [
+CRAFTED = {
     # the separators out of turn: the first event has no labels
-    _events_between('{"t":0.25},{"t":["Z1"],"ops":0.5,"ops":["X1"]}'),
+    "out_of_turn": _events_between('{"t":0.25},{"t":["Z1"],"ops":0.5,"ops":["X1"]}'),
+    # out of turn across a slice boundary: the second event has no labels
+    # and the third has two, so the events hold as many times as label
+    # lists, but not one of each
+    "out_of_turn_across_slices": _events_between(
+        '{"t":0.25,"ops":["Z1"]},{"t":0.5},{"t":["X1"],"ops":0.75,"ops":["Y1"]}'),
+    # an event with no time, and so an empty last slice
+    "empty_last_event": _events_between(_ONE + ',{"t":}'),
     # two numbers where one time belongs
-    _events_between('{"t":0.25,0.5,"ops":["Z1"]}'),
+    "two_times": _events_between('{"t":0.25,0.5,"ops":["Z1"]}'),
     # a second events key after the closing one
-    _events_between(_ONE, '"closing":[],"events":5,"intervals":3'),
+    "events_key_after": _events_between(_ONE, '"closing":[],"events":5,"intervals":3'),
     # a separator inside a nested value of the header, or of the labels
-    '{"scheme":"x","orders":[{"a":1,"events":[' + _ONE + '],"closing":2}]},'
-    '{"closing":[],"intervals":3}',
-    _events_between('{"t":0.5,"ops":[{"a":[1],"ops":2}]}'),
+    "nested_header": '{"scheme":"x","orders":[{"a":1,"events":[' + _ONE + '],"closing":2}]},'
+                     '{"closing":[],"intervals":3}',
+    "nested_label": _events_between('{"t":0.5,"ops":[{"a":[1],"ops":2}]}'),
     # duplicate header keys, read as json reads them: the last one counts
-    '{"scheme":"a","scheme":"b","orders":[2],"events":[' + _ONE + '],"closing":[],'
-    '"closing":["Z1"],"intervals":2}',
-    _events_between('{"t":NaN,"ops":["Z1"]}'),
-    "\ufeff" + _events_between(_ONE),
-    _events_between('{"t":0.5, "ops":["Z1"]}'),
-    _events_between("").replace(',"events":[]', ""),
-], ids=["out_of_turn", "two_times", "events_key_after", "nested_header", "nested_label",
-        "duplicate_keys", "nan_time", "byte_order_mark", "spaced_event", "no_events_key"])
-def test_split_reading_is_the_json_loads_reading_of_crafted_text(text):
+    "duplicate_keys": '{"scheme":"a","scheme":"b","orders":[2],"events":[' + _ONE
+                      + '],"closing":[],"closing":["Z1"],"intervals":2}',
+    "nan_time": _events_between('{"t":NaN,"ops":["Z1"]}'),
+    "byte_order_mark": "\ufeff" + _events_between(_ONE),
+    "spaced_event": _events_between('{"t":0.5, "ops":["Z1"]}'),
+    "no_events_key": _events_between("").replace(',"events":[]', ""),
+}
+
+
+def _crafted_text_reads_as_json_loads_reads_it(text):
     with mock.patch.object(sequences, "_split_columns", return_value=None):
         want = _read(text)
     assert _same_reading(_read(text), want)
+
+
+@pytest.mark.parametrize("text", CRAFTED.values(), ids=CRAFTED.keys())
+def test_split_reading_is_the_json_loads_reading_of_crafted_text(text):
+    _crafted_text_reads_as_json_loads_reads_it(text)
+
+
+@pytest.mark.parametrize("text", CRAFTED.values(), ids=CRAFTED.keys())
+def test_one_event_slices_read_crafted_text_as_json_loads_does(text):
+    with mock.patch.object(sequences, "_CHUNK_CHARS", 1):
+        _crafted_text_reads_as_json_loads_reads_it(text)
 
 
 def test_writer_formats_float_subclasses_as_json_does():
@@ -468,6 +502,21 @@ def test_writer_matches_json_dumps_on_a_2_to_the_16_interval_schedule():
     assert len(sched.events) == 2**16 - 1
     assert text == _dict_form(sched)
     assert schedule_from_json(text) == sched
+
+
+def test_reader_peak_memory_on_a_2_to_the_16_interval_schedule():
+    # the events are read a slice at a time, so the reader never holds a
+    # string per event of the whole text (split whole, this text peaks at 15.3 MB)
+    sched = cdd_uniform(qubit_full_moos(1), 8)
+    text = schedule_to_json(sched)
+    tracemalloc.start()
+    try:
+        read = schedule_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == sched
+    assert peak <= 6 * 10**6
 
 
 # ---------------------------------------------------------------------------
