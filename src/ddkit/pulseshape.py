@@ -278,6 +278,18 @@ def propagate_pulse(shape: PulseShape, model: HamiltonianModel, omega: Operator)
     return _propagators(_pulse_program(shape, model, omega), [model], [shape.tau_p])[0, 0]
 
 
+def _pulse_errors(shape: PulseShape, models, omega: Operator, tau_grid) -> np.ndarray:
+    """``pulse_error_scan``'s errors, indexed [model, tau], from one kernel
+    call that charges every step of every model against the sweep budget."""
+    program = _pulse_program(shape, models[0], omega, True)
+    check_sweep_budget(len(program.grammar[0]) * len(tau_grid) * len(models))
+    a = _propagators(program, models, tau_grid) - np.eye(models[0].dim)
+    _, exp = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    a = np.ldexp(a.view(float), -exp[..., None, None]).view(complex)
+    lam = np.linalg.eigvalsh(a.conj().swapaxes(-1, -2) @ a)[..., -1]
+    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exp)
+
+
 def pulse_error_scan(
     shape: PulseShape,
     model: HamiltonianModel,
@@ -292,7 +304,8 @@ def pulse_error_scan(
     shape and then U_ref^dag, by backward free evolution, for the whole grid
     in one batch; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|.
     The fit window is (ERROR_FLOOR, ERROR_CEILING).  Each step at each
-    duration is charged against ``check_sweep_budget``.
+    duration is charged against ``check_sweep_budget``.  The errors come from
+    ``_pulse_errors``, which runs a list of models as one kernel call.
 
     The norm of A = U_ref^dag U - I is sqrt(lambda_max(A^dag A)), from one
     batched product and one batched ``eigvalsh`` instead of an SVD.  The
@@ -305,14 +318,7 @@ def pulse_error_scan(
     """
     config = RunConfig(t_grid=tau_grid, seeds=(model.seed,),
                        error_floor=ERROR_FLOOR, error_ceiling=ERROR_CEILING)
-    program = _pulse_program(shape, model, omega, True)
-    check_sweep_budget(len(program.grammar[0]) * len(config.t_grid))
-    a = _propagators(program, [model], config.t_grid)[0] - np.eye(model.dim)
-    _, exp = np.frexp(np.abs(a).max(axis=(-2, -1)))
-    a = np.ldexp(a.view(float), -exp[:, None, None]).view(complex)
-    lam = np.linalg.eigvalsh(a.conj().swapaxes(-1, -2) @ a)[:, -1]
-    errs = np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exp)
-
+    errs = _pulse_errors(shape, [model], omega, config.t_grid)[0]
     fit = fit_operator(omega.label, config.t_grid, errs, ERROR_FLOOR, ERROR_CEILING)
     label = omega.label
     return ScalingResult(config, {label: errs[:, None]}, {label: errs.copy()}, {label: fit})

@@ -2,14 +2,16 @@
 
 ``propagate_pulse`` is checked against an ODE integration of the
 Schroedinger equation, ``pulse_error_scan`` against a per-duration loop of
-2-D exponentials and its norms against an SVD, and the batched ``expm_i``
-and ``propagator`` against their 2-D calls, bit for bit.
+2-D exponentials and its norms against an SVD, and the batched ``expm_i``,
+``propagator`` and model-batched pulse errors against their one-at-a-time
+calls, bit for bit.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from ddkit import pulseshape, simulate
 from ddkit.errors import PreconditionError
 from ddkit.linalg import expm_i, kron
 from ddkit.model import HamiltonianModel, random_model
@@ -17,6 +19,7 @@ from ddkit.operators import Operator, pauli
 from ddkit.pulseshape import (
     DEFAULT_TAU_GRID,
     PulseShape,
+    _pulse_errors,
     _pulse_program,
     design_pulse,
     propagate_pulse,
@@ -91,6 +94,40 @@ def test_pulse_error_scan_matches_per_tau_loop(family):
         res = pulse_error_scan(SHAPES[family], m, omega, tau_grid)
         want = _loop_errors(SHAPES[family], m, omega, tau_grid)
         assert np.max(np.abs(res.errors[omega.label][:, 0] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau_grid", [DEFAULT_TAU_GRID, (0.01,)], ids=["default", "one"])
+@pytest.mark.parametrize("omega", [SZ, SX], ids=["Z1", "X1"])
+@pytest.mark.parametrize("family", sorted(SHAPES))
+def test_batched_pulse_errors_equal_per_model_scans_bitwise(family, omega, tau_grid):
+    # models are independent batch entries of the kernel, and the scaling,
+    # Gram product and eigvalsh take one matrix at a time
+    models = [random_model("general", 2, 4, 1.0, seed) for seed in range(8)]
+    errs = _pulse_errors(SHAPES[family], models, omega, tau_grid)
+    assert errs.shape == (8, len(tau_grid))
+    for k, m in enumerate(models):
+        want = pulse_error_scan(SHAPES[family], m, omega, tau_grid).errors[omega.label][:, 0]
+        assert errs[k].tobytes() == want.tobytes()
+
+
+def test_batched_pulse_errors_charge_every_model_against_the_budget(monkeypatch):
+    # steps x durations x models: a budget one model fills rejects two
+    shape, grid = SHAPES["rect"], DEFAULT_TAU_GRID
+    models = [random_model("general", 2, 4, 1.0, seed) for seed in range(2)]
+    steps = len(_pulse_program(shape, models[0], SZ, reference=True).grammar[0])
+    monkeypatch.setattr(simulate, "MAX_PRODUCTS", steps * len(grid))
+    propagators, calls = pulseshape._propagators, []
+
+    def counting(*args):
+        calls.append(1)
+        return propagators(*args)
+
+    monkeypatch.setattr(pulseshape, "_propagators", counting)
+    with pytest.raises(PreconditionError, match="sweep budget exceeded"):
+        _pulse_errors(shape, models, SZ, grid)
+    assert not calls
+    assert _pulse_errors(shape, models[:1], SZ, grid).shape == (1, len(grid))
+    assert len(calls) == 1
 
 
 def _error_stack(shape, model, omega, tau_grid):
