@@ -96,9 +96,6 @@ class Operator:
                 _residual_norm(m - m.conj().T),
             )
 
-    def is_unitary_hermitian(self) -> bool:
-        return _is_unitary_hermitian(self.matrix, _monomial(self.matrix))
-
 
 def _residual_norm(m: np.ndarray) -> float:
     """Spectral norm of m, or inf without an SVD if m has a non-finite entry."""

@@ -104,6 +104,7 @@ class PulseShape:
 
     def rescaled(self, tau_p: float) -> "PulseShape":
         """Same shape at a new duration; amplitudes scale to preserve area."""
+        _check_duration(tau_p)
         ratio = self.tau_p / tau_p
         return PulseShape(
             tau_p,
@@ -112,8 +113,14 @@ class PulseShape:
         )
 
 
+def _check_duration(tau_p: float) -> None:
+    if not 0.0 < tau_p < math.inf:
+        raise PreconditionError(f"pulse duration must be positive and finite, got {tau_p}")
+
+
 def rectangular_pulse(tau_p: float = 1.0) -> PulseShape:
     """Constant amplitude pi/(2 tau_p), centered: the zero-parameter family."""
+    _check_duration(tau_p)
     return PulseShape(tau_p, tau_p / 2, ((1.0, TARGET_AREA / tau_p),))
 
 
@@ -197,8 +204,7 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0) -> PulseShape:
     its residual.  The moments scale as tau_p at a fixed area, so the solve
     runs at tau_p = 1 and the root found there is stretched to ``tau_p``.
     """
-    if not 0.0 < tau_p < math.inf:
-        raise PreconditionError(f"pulse duration must be positive and finite, got {tau_p}")
+    _check_duration(tau_p)
     if family == "rect":
         shape = rectangular_pulse(tau_p)
         _, eta12 = eta_integrals(shape)

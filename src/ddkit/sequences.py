@@ -19,7 +19,7 @@ first label acts first).
 
 A ``Schedule`` holds its events as columns: a float64 array of the event
 times, a tuple of the distinct label tuples, and one integer code per event
-into that tuple.  The builders, the transforms and the JSON codec work on
+into that tuple.  The builders, the transforms and the JSON writer work on
 the columns with array operations and make no Python object per event;
 ``Schedule.events`` makes ``Event`` tuples only when it is read.
 
@@ -32,25 +32,19 @@ list per event, and holds the strings of one slice's events at a time.  It
 does so only where the parts show that ``json.loads`` of the whole text
 gives the same document and every event is valid; other text (another
 spacing or key order, an extra key, a bad event, malformed text) is parsed
-whole by ``json.loads``, and the reader takes the columns from the parsed
-events.  Both ways end in the same header checks
-and the same ``Schedule`` checks, so a text reads the same either way, to
-the schedule or the message.  The reader codes the label tuples in
-first-appearance order and checks the labels once per distinct tuple.  It
-pauses the cyclic garbage collector: ``json.loads`` makes a dict and a list
-per event, all tracked by the collector, so a 2^16-event document parsed
-whole sets off 186 collections, each full one walking every object made so
-far.  None of this data has cycles: reference counting frees all of it.
+whole by ``json.loads``, and its events are read by one checked walk in
+order into ``Schedule``'s events constructor.  Both ways end in the same
+header checks and the same ``Schedule`` checks, so a text reads the same
+either way, to the schedule or the message.  Either way the label tuples
+are coded in first-appearance order.
 """
 
-import gc
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, repeat
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -229,19 +223,6 @@ def udd_lengths(n: int) -> list[float]:
     angles = (2 * np.arange(n // 2 + 1) + 1) * theta
     half = list(map(mul, map(math.sin, angles.tolist()), repeat(math.sin(theta))))
     return half + half[: (n + 1) // 2][::-1]
-
-
-@contextmanager
-def _gc_paused():
-    """Disable the cyclic collector for the block and restore its previous
-    state, so nested use and a caller's own ``gc.disable()`` both hold."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
@@ -487,22 +468,6 @@ def schedule_to_json(schedule: Schedule) -> str:
     return "".join(pieces)
 
 
-def _first_appearances(table: dict, keys, n: int, counter) -> np.ndarray:
-    """The index of each of the ``n`` keys' first appearance: its value in
-    ``table``, where a key not yet there is stored with the next value of
-    ``counter``."""
-    return np.fromiter(map(table.setdefault, keys, counter), dtype=np.intp, count=n)
-
-
-def _first_appearance_codes(table: dict, firsts: np.ndarray):
-    """The keys of ``table`` in order of first appearance, and the code of
-    each of the indices ``firsts`` of ``_first_appearances``."""
-    # The table's values, the index of each key's first appearance, increase,
-    # so a key's code is the rank of its first appearance among them.
-    codes = np.searchsorted(np.fromiter(table.values(), dtype=np.intp, count=len(table)), firsts)
-    return tuple(table), codes
-
-
 # The reader splits the events in slices of about this many characters, so
 # that the strings it makes per event at once stay cache-sized; slices of
 # 2^14 to 2^18 characters read a 2^16-event text alike, and 2^12 a little
@@ -566,6 +531,8 @@ def _split_columns(text):
     start, stop = first + len(_FIRST), j - 1
     if not (text.startswith(_FIRST, first) and text.endswith("}", start, j)):
         return None
+    # Each label text is stored with the index of its first appearance, and
+    # each event gets the index stored for its text.
     table, counter, times, firsts = {}, count(), [], []
     pos = start
     while pos <= stop:
@@ -575,9 +542,13 @@ def _split_columns(text):
         if columns is None:
             return None
         times += columns[0]
-        firsts.append(_first_appearances(table, columns[1], len(columns[1]), counter))
+        firsts.append(np.fromiter(map(table.setdefault, columns[1], counter), dtype=np.intp,
+                                  count=len(columns[1])))
         pos = end + len(_NEXT)
-    table, codes = _first_appearance_codes(table, np.concatenate(firsts))
+    # The stored indices increase, so a text's code is the rank of its first
+    # appearance among them.
+    codes = np.searchsorted(np.fromiter(table.values(), dtype=np.intp, count=len(table)),
+                            np.concatenate(firsts))
     try:
         ops = list(map(json.loads, table))
     except ValueError:
@@ -587,28 +558,6 @@ def _split_columns(text):
     return head | tail, times, tuple(map(tuple, ops)), codes
 
 
-def _event_columns(items):
-    """The time column, the label table and the codes of parsed events; an
-    invalid event is named by a walk over the events in order."""
-    try:
-        times = list(map(itemgetter("t"), items))
-        labels = list(map(itemgetter("ops"), items))
-        if all_of_kind(times, float) and all_of_kind(labels, list):
-            table: dict = {}
-            firsts = _first_appearances(table, map(tuple, labels), len(labels), count())
-            table, codes = _first_appearance_codes(table, firsts)
-            if all_of_kind(list(chain.from_iterable(table)), str):
-                return times, table, codes
-    except (KeyError, TypeError):  # a missing key; an unhashable label
-        pass
-    # a column check fails only when an event does: name it
-    for e in items:
-        get_field(e, "t", float, "schedule event")
-        get_list(e, "ops", str, "schedule event")
-    raise AssertionError("the column checks rejected valid events")
-
-
-@_gc_paused()
 def schedule_from_json(text: str) -> Schedule:
     """Inverse of ``schedule_to_json``.
 
@@ -622,12 +571,10 @@ def schedule_from_json(text: str) -> Schedule:
     not depend on the way taken.
 
     A schedule of more than ``MAX_INTERVALS`` intervals is rejected from the
-    header keys, before the events of a parsed document are read.  These
-    are read as columns: the label lists are coded in first-appearance
-    order and checked once per distinct tuple, and when any column check
-    fails, the events are walked in order to name the first bad key.  The
-    parsed document is acyclic, so the cyclic collector is paused while it
-    is made and read."""
+    header keys, before the events of a parsed document are read.  Those
+    are then walked in order, each time and label list checked as it is
+    reached so that the first bad key is named, into the ``Schedule``
+    events constructor."""
     split = _split_columns(text)
     doc = load_object(text, "schedule") if split is None else split[0]
     scheme = get_field(doc, "scheme", str, "schedule")
@@ -638,11 +585,9 @@ def schedule_from_json(text: str) -> Schedule:
         raise PreconditionError(
             f"schedule JSON has {intervals} control intervals, {_MORE_THAN_MAX}"
         )
-    if split is None:
-        times, table, codes = _event_columns(get_list(doc, "events", dict, "schedule"))
-    else:
-        times, table, codes = split[1:]
-    # Drop the parsed document before the columns are checked, so that the
-    # two are not held at once: it is the larger of them.
-    del doc, split
-    return Schedule._of(scheme, orders, times, table, codes, closing, intervals)
+    if split is not None:
+        return Schedule._of(scheme, orders, *split[1:], closing, intervals)
+    events = [(get_field(e, "t", float, "schedule event"),
+               tuple(get_list(e, "ops", str, "schedule event")))
+              for e in get_list(doc, "events", dict, "schedule")]
+    return Schedule(scheme, orders, events, closing, intervals)

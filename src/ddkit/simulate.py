@@ -384,9 +384,14 @@ def fit_loglog(points, floor: float, ceiling: float):
     y = log e - mean(log e): slope = x.y / x.x and intercept =
     mean(log e) - slope * mean(log T), the least-squares solution of the
     two-column Vandermonde system without building or factoring it.  Kept
-    points that all share one T fix no slope and raise ``UnfittableError``.
+    points that all share one T fix no slope and raise ``UnfittableError``;
+    a T that is not positive and finite raises ``PreconditionError``.
     """
     t, e = np.array(points, dtype=float).reshape(-1, 2).T
+    bad = ~((0.0 < t) & (t < math.inf))
+    if bad.any():
+        raise PreconditionError(
+            f"fit total time {points[bad.argmax()][0]} must be positive and finite")
     keep = (floor < e) & (e < ceiling)
     n = int(np.count_nonzero(keep))
     if n < 2:

@@ -450,9 +450,8 @@ def test_monomial_structure_check():
 
 def test_empty_operator_is_rejected_with_a_message():
     empty = Operator("E", np.zeros((0, 0)), 0)
-    for check in (empty.is_unitary_hermitian, lambda: Moos((empty,))):
-        with pytest.raises(PreconditionError, match="^matrix dimension must be >= 1$"):
-            check()
+    with pytest.raises(PreconditionError, match="^matrix dimension must be >= 1$"):
+        Moos((empty,))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)],

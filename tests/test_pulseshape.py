@@ -88,6 +88,15 @@ def test_rectangular_pulse_area():
         assert r.tau_s == tau_p / 2
 
 
+@pytest.mark.parametrize("tau_p", [0.0, -0.0], ids=["zero", "negative_zero"])
+def test_zero_pulse_duration_is_rejected_before_dividing(tau_p):
+    # both used to end in ZeroDivisionError
+    for make in (rectangular_pulse, rectangular_pulse().rescaled, design_pulse("sym3").rescaled):
+        with pytest.raises(PreconditionError) as err:
+            make(tau_p)
+        assert str(err.value) == f"pulse duration must be positive and finite, got {tau_p}"
+
+
 def test_rescaled_preserves_area_and_shape():
     shape = design_pulse("sym3")
     small = shape.rescaled(0.01)
@@ -197,7 +206,7 @@ def test_design_pulse_is_pinned_bit_for_bit(family, digest):
 
 def test_composed_pulse_hermitizing_phase():
     zx = composed_pulse([pauli("z", 1, 1), pauli("x", 1, 1)])
-    assert Operator("c", zx.matrix, 2).is_unitary_hermitian()
+    Moos((Operator("c", zx.matrix, 2),))  # a MOOS element must be unitary and Hermitian
     # Z then X applies XZ = -i sigma_y; the Hermitizing factor i gives sigma_y
     assert spectral_norm(zx.matrix - SY.matrix) <= 1e-12
     same = composed_pulse([pauli("z", 1, 1), pauli("z", 1, 1)])

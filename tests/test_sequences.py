@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ddkit.errors import PreconditionError
+from ddkit.jsonio import load_object
 from ddkit.linalg import spectral_norm
 from ddkit import sequences
 from ddkit.operators import Moos, pauli, qubit_full_moos
@@ -481,9 +482,9 @@ _SMALL_TEXT = schedule_to_json(nudd(MOOS1, (2, 3)))
 ], ids=["load", "load_malformed", "build", "build_rejected"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
 def test_gc_state_is_restored(gc_state, call, raises, enabled):
-    # loading pauses the cyclic collector (building makes no per-event
-    # object and leaves it alone); the caller's state, on or off, holds
-    # afterwards whether the call returns or raises
+    # neither loading nor building touches the cyclic collector; the
+    # caller's state, on or off, holds afterwards whether the call returns
+    # or raises
     (gc.enable if enabled else gc.disable)()
     if raises:
         with pytest.raises(PreconditionError):
@@ -511,6 +512,28 @@ def test_large_schedule_round_trip_sets_off_no_per_event_collections():
         gc.callbacks.remove(count)
     assert back == sched and len(sched.events) == 2**16 - 1
     assert len(starts) <= 2, starts
+
+
+def test_other_layout_reads_a_2_to_the_16_interval_schedule(monkeypatch):
+    # json.dumps's spacing is not the writer's, so the text is parsed whole
+    # and its 65,535 events are walked one by one
+    whole = []
+    monkeypatch.setattr(sequences, "load_object", lambda *a: whole.append(a) or load_object(*a))
+    sched = cdd_uniform(MOOS1, 8)
+    assert schedule_from_json(json.dumps(json.loads(schedule_to_json(sched)))) == sched
+    assert len(whole) == 1
+
+
+def test_reading_leaves_the_collector_alone(monkeypatch):
+    def switch():
+        raise AssertionError("the reader switched the cyclic collector")
+
+    monkeypatch.setattr(gc, "disable", switch)
+    monkeypatch.setattr(gc, "enable", switch)
+    sched = nudd(MOOS1, (2, 3))
+    text = schedule_to_json(sched)
+    for layout in (text, json.dumps(json.loads(text))):  # split, then parsed whole
+        assert schedule_from_json(layout) == sched
 
 
 def test_schedule_from_json_rejects_more_than_max_intervals():

@@ -125,6 +125,16 @@ def test_fit_loglog_floor_filter_error():
         fit_loglog([(1.0, 1e-20), (2.0, 1e-5), (3.0, 1.0)], 1e-12, 1e-2)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_fit_loglog_names_the_first_time_that_is_not_positive_and_finite(bad):
+    # T = 0 used to warn of a log of zero, and T = nan to return a nan "fit"
+    points = [(0.1, 1e-5), (bad, 1e-4), (0.3, 1e-3), (-1.0, 1e-3)]
+    with pytest.raises(PreconditionError) as err:
+        fit_loglog(points, 1e-12, 1e-2)
+    assert str(err.value) == f"fit total time {bad} must be positive and finite"
+
+
 def test_fit_loglog_points_at_one_t_are_unfittable():
     # no slope through points that share one T; numpy's lstsq used to warn
     # and then fail to converge here
