@@ -4,8 +4,8 @@ A shaped pulse H(t) = v(t) * Omega replaces an instantaneous pi pulse with an
 error O(tau_p^2) in the pulse duration once the two first-order moment
 integrals eta_11 and eta_12 vanish (together with the pi/2 area constraint).
 Envelopes here are piecewise constant; sign changes are allowed.  A shape
-runs as a segment program of ``simulate``, one driven step per segment, so a
-scan over pulse durations is one batched call of the propagation kernel.
+runs as a segment program of ``simulate``, one driven step per segment, and
+a scan over pulse durations as a sweep of ``simulate._sweep``, in chunks.
 """
 
 import json
@@ -24,7 +24,7 @@ from .simulate import (
     RunConfig,
     ScalingResult,
     _propagators,
-    check_sweep_budget,
+    _sweep,
     fit_operator,
 )
 
@@ -285,15 +285,17 @@ def propagate_pulse(shape: PulseShape, model: HamiltonianModel, omega: Operator)
 
 
 def _pulse_errors(shape: PulseShape, models, omega: Operator, tau_grid) -> np.ndarray:
-    """``pulse_error_scan``'s errors, indexed [model, tau], from one kernel
-    call that charges every step of every model against the sweep budget."""
+    """``pulse_error_scan``'s errors, indexed [model, tau], from one sweep
+    that charges every step of every model against the sweep budget."""
     program = _pulse_program(shape, models[0], omega, True)
-    check_sweep_budget(len(program.grammar[0]) * len(tau_grid) * len(models))
-    a = _propagators(program, models, tau_grid) - np.eye(models[0].dim)
-    _, exp = np.frexp(np.abs(a).max(axis=(-2, -1)))
-    a = np.ldexp(a.view(float), -exp[..., None, None]).view(complex)
-    lam = np.linalg.eigvalsh(a.conj().swapaxes(-1, -2) @ a)[..., -1]
-    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exp)
+    errs = np.empty((len(models), len(tau_grid)))
+    for chunk, span, u in _sweep(program, tau_grid, models, lambda m: m, models[0].dim):
+        a = u - np.eye(u.shape[-1])
+        _, exp = np.frexp(np.abs(a).max(axis=(-2, -1)))
+        a = np.ldexp(a.view(float), -exp[..., None, None]).view(complex)
+        lam = np.linalg.eigvalsh(a.conj().swapaxes(-1, -2) @ a)[..., -1]
+        errs[chunk, span] = np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exp)
+    return errs
 
 
 def pulse_error_scan(
@@ -307,11 +309,11 @@ def pulse_error_scan(
 
     The ideal reference is U_ref = exp(-i (tau_p - tau_s) H) (P (x) I)
     exp(-i tau_s H) with P = exp(-i * area * Omega).  The program runs the
-    shape and then U_ref^dag, by backward free evolution, for the whole grid
-    in one batch; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|.
+    shape and then U_ref^dag, by backward free evolution, over the grid in
+    chunks; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|.
     The fit window is (ERROR_FLOOR, ERROR_CEILING).  Each step at each
-    duration is charged against ``check_sweep_budget``.  The errors come from
-    ``_pulse_errors``, which runs a list of models as one kernel call.
+    duration is charged against the sweep budget.  The errors come from
+    ``_pulse_errors``, which sweeps a list of models at once.
 
     The norm of A = U_ref^dag U - I is sqrt(lambda_max(A^dag A)), from one
     batched product and one batched ``eigvalsh`` instead of an SVD.  The

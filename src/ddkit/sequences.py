@@ -203,10 +203,7 @@ class Schedule:
 
 def udd_times(n: int) -> list[float]:
     """Uhrig pulse fractions sin^2(k pi / (2N+2)) for k = 1..N."""
-    if n < 0:
-        raise PreconditionError("UDD order must be >= 0")
-    if n + 1 > MAX_INTERVALS:
-        raise _too_many_intervals("udd", n + 1)
+    _check_udd_order(n)
     angles = np.arange(1, n + 1) * math.pi / (2 * n + 2)
     return list(map(pow, map(math.sin, angles.tolist()), repeat(2)))
 
@@ -215,18 +212,33 @@ def udd_lengths(n: int) -> list[float]:
     """The N+1 UDD interval lengths sin((2j+1) theta) sin(theta), theta =
     pi / (2N+2), whose first k sum to sin^2(k theta); length j is computed
     at min(j, N-j), once, so mirrored lengths are equal bit for bit."""
-    if n < 0:
-        raise PreconditionError("UDD order must be >= 0")
-    if n + 1 > MAX_INTERVALS:
-        raise _too_many_intervals("udd", n + 1)
+    _check_udd_order(n)
     theta = math.pi / (2 * n + 2)
     angles = (2 * np.arange(n // 2 + 1) + 1) * theta
     half = list(map(mul, map(math.sin, angles.tolist()), repeat(math.sin(theta))))
     return half + half[: (n + 1) // 2][::-1]
 
 
+def _check_udd_order(n: int) -> None:
+    if n < 0:
+        raise PreconditionError("UDD order must be >= 0")
+    if n + 1 > MAX_INTERVALS:
+        raise _too_many_intervals("udd", n + 1)
+
+
 def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
     return PreconditionError(f"{scheme} would have {intervals} control intervals, {_MORE_THAN_MAX}")
+
+
+def _check_orders(moos: Moos, orders, scheme: str) -> tuple[int, ...]:
+    orders = tuple(int(x) for x in orders)
+    if len(orders) != len(moos):
+        raise PreconditionError(
+            f"got {len(orders)} orders for an MOOS of size {len(moos)}"
+        )
+    if any(n < 0 for n in orders):
+        raise PreconditionError(f"{scheme} orders must be >= 0")
+    return orders
 
 
 def _nest(scheme: str, orders, layers) -> Schedule:
@@ -331,13 +343,7 @@ def cdd_uniform(moos: Moos, n: int) -> Schedule:
 def cdd_nested(moos: Moos, orders) -> Schedule:
     """Per-operator CDD recursion: level l halves the intervals N_l times,
     with level 1 (the first MOOS element) innermost; 2^(sum N_l) intervals."""
-    orders = tuple(int(x) for x in orders)
-    if len(orders) != len(moos):
-        raise PreconditionError(
-            f"got {len(orders)} orders for an MOOS of size {len(moos)}"
-        )
-    if any(n < 0 for n in orders):
-        raise PreconditionError("CDD orders must be >= 0")
+    orders = _check_orders(moos, orders, "CDD")
     if sum(orders) > _LOG2_MAX_INTERVALS:
         raise _too_many_intervals("cdd_nested", f"2^{sum(orders)}")
     labels = chain.from_iterable(map(repeat, moos.labels, orders))
@@ -357,13 +363,7 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
     one at time 1 goes to the closing list.  The outermost level keeps no
     leftover, as in ``udd_schedule``.
     """
-    orders = tuple(int(x) for x in orders)
-    if len(orders) != len(moos):
-        raise PreconditionError(
-            f"got {len(orders)} orders for an MOOS of size {len(moos)}"
-        )
-    if any(n < 0 for n in orders):
-        raise PreconditionError("UDD orders must be >= 0")
+    orders = _check_orders(moos, orders, "UDD")
     for l, n_l in enumerate(orders[:-1], start=1):
         if n_l % 2 == 1 and not allow_odd_inner:
             raise PreconditionError(

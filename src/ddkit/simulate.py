@@ -25,24 +25,25 @@ A program's steps are a grammar, read from the schedule's nesting
 than once at one scale, its symbols in turn, so NUDD's nested blocks, CDD's
 self-similar ones and the two halves of a Hahn echo run once each.  The
 kernel forms such a rule's matrix on its first use and frees it after its
-last (``kernel.Plan``).  A schedule with no nesting (made from events, or
-read from JSON) runs flat.  ``order_scan`` runs a sweep in chunks so that
-the kernel's matrices take no more memory than a flat program's would.  A
-sweep may form at most MAX_PRODUCTS grammar products over all its points
-(``check_sweep_budget``); ``order_scan`` checks a lower bound read from the
-schedule before it compiles, and the grammar's count after.
+last (``kernel.Plan``, made once per program).  A schedule with no nesting
+(made from events, or read from JSON) runs flat.  A sweep of T or of pulse
+durations runs in ``_sweep``: at most MAX_PRODUCTS grammar products over all
+its points (``check_sweep_budget``), in chunks whose matrices take no more
+memory than a flat program's would.  ``order_scan`` also checks a lower
+bound read from the schedule before it compiles.
 """
 
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
 from .errors import PreconditionError, UnfittableError
-from .kernel import Plan, Run
+from .kernel import Plan, run
 from .linalg import kron
 from .model import HamiltonianModel, check_model, random_model
 from .operators import Moos, Operator, check_labels
@@ -71,7 +72,7 @@ MAX_PRODUCTS = 10**6
 MIN_FIT_POINTS = 4
 MAX_FIT_RESIDUAL = 0.1
 # Bytes of the kernel's matrices a sweep holds at once; larger sweeps run in
-# chunks (``order_scan``).
+# chunks (``_sweep``).
 BATCH_BYTES = 2**25
 # Bytes of one matrix of a chunk, below which splitting a sweep costs more in
 # per-call overhead than it saves: at d = 16 on the default grid, chunks of
@@ -105,6 +106,7 @@ class RunConfig:
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
             raise PreconditionError("seeds must not be empty")
+        _check_floor(self.error_floor)
         if not self.error_floor < self.error_ceiling:
             raise PreconditionError(
                 f"error_floor {self.error_floor} must be below error_ceiling "
@@ -114,6 +116,12 @@ class RunConfig:
             raise PreconditionError(f"threads must be >= 1, got {self.threads}")
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "seeds", seeds)
+
+
+def _check_floor(floor: float) -> None:
+    """Below zero, an exact error of 0 would enter a fit as log(0)."""
+    if not 0.0 <= floor < math.inf:
+        raise PreconditionError(f"error_floor must be non-negative and finite, got {floor}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +193,10 @@ class Program:
     grammar: tuple
     pulses: dict
     net: Operator
+
+    @cached_property
+    def plan(self) -> Plan:
+        return Plan(self.grammar)
 
 
 def _check_dims(ops, moos: Moos) -> None:
@@ -330,9 +342,34 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     eye_b = np.eye(bath_dim)
     lifted = {key: vecs_h @ kron(p, eye_b) @ vecs for key, p in program.pulses.items()}
     # The run, and with it every other matrix, is freed before the rotation.
-    w = Run(program.grammar, evals[:, :, None] * np.asarray(times, dtype=float), lifted).product
+    w = run(program.plan, evals[:, :, None] * np.asarray(times, dtype=float), lifted)
     u = vecs[:, None] @ w.transpose(0, 2, 1, 3)
     return np.matmul(u, vecs_h[:, None], out=w.reshape(u.shape))  # V W V^dag, over W
+
+
+def _sweep(program: Program, times, seeds, realize, dim: int):
+    """Yields (seed slice, time slice, propagators [model, time]) of
+    ``program``, one chunk of the sweep's points at a time, once the
+    grammar's products at every point are charged; a chunk's models,
+    ``realize(seed)`` of dimension ``dim``, are made when it runs.  A flat
+    program holds two matrices a point (the running product and the next),
+    so a chunk's matrices number at most two a point of the whole sweep,
+    unless one would be under MIN_CHUNK_BYTES, and take at most BATCH_BYTES."""
+    top, rules = program.grammar
+    n_t, n_s = len(times), len(seeds)
+    check_sweep_budget((len(top) + sum(len(rule) - 1 for rule in rules)) * n_t * n_s)
+    n_mats = program.plan.size
+    point_bytes = 16 * dim**2
+    points = max(2 * n_t * n_s // n_mats, MIN_CHUNK_BYTES // point_bytes)
+    points = max(1, min(points, BATCH_BYTES // (point_bytes * n_mats)))
+    t_step = min(n_t, points)
+    s_step = points // t_step
+    for j in range(0, n_s, s_step):
+        chunk = slice(j, j + s_step)
+        models = [realize(seed) for seed in seeds[chunk]]
+        for i in range(0, n_t, t_step):
+            span = slice(i, i + t_step)
+            yield chunk, span, _propagators(program, models, times[span])
 
 
 def propagate(schedule: Schedule, model: HamiltonianModel, moos: Moos, total_time: float):
@@ -385,8 +422,10 @@ def fit_loglog(points, floor: float, ceiling: float):
     mean(log e) - slope * mean(log T), the least-squares solution of the
     two-column Vandermonde system without building or factoring it.  Kept
     points that all share one T fix no slope and raise ``UnfittableError``;
-    a T that is not positive and finite raises ``PreconditionError``.
+    a T not positive and finite, or a floor below 0 or not finite, raises
+    ``PreconditionError``.
     """
+    _check_floor(floor)
     t, e = np.array(points, dtype=float).reshape(-1, 2).T
     bad = ~((0.0 < t) & (t < math.inf))
     if bad.any():
@@ -471,28 +510,12 @@ def order_scan(
     check_sweep_budget((schedule.intervals if nesting is None else len(nesting[-1].lengths))
                        * n_t * n_s)
     program = compile_program(schedule, moos, extra)
-    top, rules = program.grammar
-    check_sweep_budget((len(top) + sum(len(rule) - 1 for rule in rules)) * n_t * n_s)
-
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}
-    # Rules must not make the kernel hold more memory than a flat program,
-    # whose run holds two matrices a point (the running product and the
-    # next).  So the kernel's matrices for one chunk number at most two a
-    # point of the whole sweep, unless that makes a matrix smaller than
-    # MIN_CHUNK_BYTES, and take at most BATCH_BYTES.
-    n_mats = Plan(program.grammar).size
-    point_bytes = 16 * (model_spec.sys_dim * model_spec.bath_dim) ** 2
-    points = max(2 * n_t * n_s // n_mats, MIN_CHUNK_BYTES // point_bytes)
-    points = max(1, min(points, BATCH_BYTES // (point_bytes * n_mats)))
-    t_step = min(n_t, points)
-    s_step = points // t_step
-    for j in range(0, n_s, s_step):
-        models = [model_spec.realize(seed) for seed in config.seeds[j:j + s_step]]
-        for i in range(0, n_t, t_step):
-            u = _propagators(program, models, config.t_grid[i:i + t_step])
-            for op in operators:
-                err = preservation_error(u, op, program.net, model_spec.bath_dim)
-                errors[op.label][i:i + t_step, j:j + s_step] = err.T
+    for chunk, span, u in _sweep(program, config.t_grid, config.seeds, model_spec.realize,
+                                 model_spec.sys_dim * model_spec.bath_dim):
+        for op in operators:
+            err = preservation_error(u, op, program.net, model_spec.bath_dim)
+            errors[op.label][span, chunk] = err.T
 
     medians = {label: median(err) for label, err in errors.items()}
     fits = {

@@ -123,6 +123,19 @@ def test_scan_invalid_config_exit_2(tmp_path, capsys, doc):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_scan_negative_error_floor_exit_2(tmp_path, capsys):
+    # used to warn of a log of zero, write "unfittable" and exit 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"error_floor": -1.0, "norm_bound": 0.0}))
+    code, _, err = run(
+        ["--config", str(cfg), "scan", "--scheme", "udd", "--orders", "2", "--op", "Z1",
+         "--out", str(tmp_path / "x.csv")], capsys,
+    )
+    assert code == 2
+    assert "error_floor must be non-negative and finite, got -1.0" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_scan_zero_seeds_exit_2(tmp_path, capsys):
     # used to exit 3 ("unfittable")
     code, _, err = run(

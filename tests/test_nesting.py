@@ -135,17 +135,6 @@ def test_read_back_transformed_deep_schedule_runs_flat_over_the_budget():
     assert len(top) + len(rules) <= 2 * 16 + 2
 
 
-class _Counted(Plan):
-    """A plan that counts the kernel's operations by kind."""
-
-    def __init__(self, grammar):
-        self.ops = Counter()
-        super().__init__(grammar)
-
-    def emit(self, op, a, b, c=None):
-        self.ops[op] += 1
-
-
 # perfbench's scan cases, with the dense operations (pulse, product and
 # driven) of the Re-Pair grammar that compiled them before the nesting did,
 # and the products the sweep budget charges a point.
@@ -161,8 +150,28 @@ SCAN_CASES = {
 @pytest.mark.parametrize("name", sorted(SCAN_CASES))
 def test_scan_cases_do_no_more_dense_kernel_work(name):
     schedule, moos, before, _ = SCAN_CASES[name]
-    ops = _Counted(compile_program(schedule, moos).grammar).ops
+    ops = Counter(op for op, *_ in Plan(compile_program(schedule, moos).grammar).ops)
     assert ops["pulse"] + ops["product"] + ops["driven"] <= before + 1
+
+
+def test_chunked_order_scan_plans_its_program_once(monkeypatch):
+    # four chunks run one plan: the grammar is walked once, not once to size
+    # the chunks and once more per chunk
+    init, propagators, walks, chunks = Plan.__init__, simulate._propagators, [], []
+
+    def walking(self, grammar):
+        walks.append(grammar)
+        init(self, grammar)
+
+    def counting(*args):
+        chunks.append(1)
+        return propagators(*args)
+
+    monkeypatch.setattr(Plan, "__init__", walking)
+    monkeypatch.setattr(simulate, "_propagators", counting)
+    order_scan(nudd(Q2, (2, 2, 2, 3)), Q2, ModelSpec("general", 4, 4, 1.0))
+    assert len(chunks) == 4
+    assert len(walks) == 1
 
 
 def _charged(monkeypatch, schedule, moos):

@@ -116,18 +116,57 @@ def test_batched_pulse_errors_charge_every_model_against_the_budget(monkeypatch)
     models = [random_model("general", 2, 4, 1.0, seed) for seed in range(2)]
     steps = len(_pulse_program(shape, models[0], SZ, reference=True).grammar[0])
     monkeypatch.setattr(simulate, "MAX_PRODUCTS", steps * len(grid))
-    propagators, calls = pulseshape._propagators, []
+    propagators, calls = simulate._propagators, []
 
     def counting(*args):
         calls.append(1)
         return propagators(*args)
 
-    monkeypatch.setattr(pulseshape, "_propagators", counting)
+    monkeypatch.setattr(simulate, "_propagators", counting)
     with pytest.raises(PreconditionError, match="sweep budget exceeded"):
         _pulse_errors(shape, models, SZ, grid)
     assert not calls
     assert _pulse_errors(shape, models[:1], SZ, grid).shape == (1, len(grid))
     assert len(calls) == 1
+
+
+def test_chunked_pulse_errors_equal_the_whole_sweep_bitwise(monkeypatch):
+    # with chunks capped small, the sweep over eight models runs as several
+    # kernel calls and gives the one call's errors bit for bit
+    shape, grid = SHAPES["sym3"], DEFAULT_TAU_GRID
+    models = [random_model("general", 2, 4, 1.0, seed) for seed in range(8)]
+    whole = _pulse_errors(shape, models, SZ, grid)
+    propagators, calls = simulate._propagators, []
+
+    def counting(program, chunk_models, times):
+        calls.append((len(chunk_models), len(times)))
+        return propagators(program, chunk_models, times)
+
+    monkeypatch.setattr(simulate, "_propagators", counting)
+    monkeypatch.setattr(simulate, "MIN_CHUNK_BYTES", 1)
+    monkeypatch.setattr(simulate, "BATCH_BYTES", 16 * 8 * 8 * 2 * 7)
+    chunked = _pulse_errors(shape, models, SZ, grid)
+    assert len(calls) > 1
+    assert chunked.tobytes() == whole.tobytes()
+
+
+class _Asked(Exception):
+    pass
+
+
+def test_large_pulse_sweep_asks_for_chunks_within_the_batch_bytes(monkeypatch):
+    # 300,000 durations at d = 128 pass the sweep budget (3 steps each); the
+    # kernel used to be asked for one [1, 128, 300000, 128] matrix (78.6 GB)
+    # and to hold two.  The spy stops the sweep before anything is allocated.
+    def asked(program, models, times):
+        raise _Asked(len(models) * len(times) * 16 * 128**2 * program.plan.size)
+
+    monkeypatch.setattr(simulate, "_propagators", asked)
+    monkeypatch.setattr(pulseshape, "_propagators", asked)
+    m = random_model("general", 2, 64, 1.0, 0)
+    with pytest.raises(_Asked) as err:
+        pulse_error_scan(rectangular_pulse(), m, SZ, np.geomspace(1e-3, 1e-1, 300_000))
+    assert 0 < err.value.args[0] <= simulate.BATCH_BYTES
 
 
 def _error_stack(shape, model, omega, tau_grid):

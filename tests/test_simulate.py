@@ -135,6 +135,15 @@ def test_fit_loglog_names_the_first_time_that_is_not_positive_and_finite(bad):
     assert str(err.value) == f"fit total time {bad} must be positive and finite"
 
 
+@pytest.mark.parametrize("floor", [-1.0, -1e-300, math.nan, math.inf],
+                         ids=["negative", "tiny_negative", "nan", "inf"])
+def test_fit_loglog_rejects_a_floor_that_is_negative_or_not_finite(floor):
+    # a negative floor used to keep an error of 0 and fit its log
+    with pytest.raises(PreconditionError) as err:
+        fit_loglog([(0.1, 0.0), (0.2, 1e-4), (0.3, 1e-3)], floor, 1e-2)
+    assert str(err.value) == f"error_floor must be non-negative and finite, got {floor}"
+
+
 def test_fit_loglog_points_at_one_t_are_unfittable():
     # no slope through points that share one T; numpy's lstsq used to warn
     # and then fail to converge here
@@ -271,10 +280,14 @@ _INCREASING = "t_grid must be strictly increasing"
         ({"threads": 0}, "threads must be >= 1, got 0"),
         ({"t_grid": (0.2, 0.1)}, _INCREASING),
         ({"t_grid": (0.1, 0.1)}, _INCREASING),
+        ({"error_floor": -1.0}, "error_floor must be non-negative and finite, got -1.0"),
+        ({"error_floor": math.nan}, "error_floor must be non-negative and finite, got nan"),
+        ({"error_floor": -math.inf}, "error_floor must be non-negative and finite, got -inf"),
     ],
     ids=["empty_grid", "zero_time", "negative_times", "infinite_time",
          "empty_seeds", "floor_equals_ceiling", "floor_above_ceiling", "zero_threads",
-         "decreasing_grid", "repeated_time"],
+         "decreasing_grid", "repeated_time", "negative_floor", "nan_floor",
+         "minus_infinite_floor"],
 )
 def test_run_config_rejects_invalid(kwargs, needle):
     # each of these used to be accepted and end in a silent "exact" fit, an
