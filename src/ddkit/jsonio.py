@@ -24,24 +24,6 @@ _KIND_NAMES = {
 }
 
 
-def _is_finite(value) -> bool:
-    # An integer beyond the float range is not a finite number either.
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _is_kind(value, kind: type) -> bool:
-    # json.loads yields exact int and float, never a bool for a number; it
-    # also accepts NaN and Infinity, which no ddkit document holds.
-    if kind is float:
-        return type(value) in (int, float) and _is_finite(value)
-    if kind is int:
-        return type(value) is int
-    return isinstance(value, kind)
-
-
 def all_of_kind(values: list, kind: type) -> bool:
     """Whether every item of ``values`` is of ``kind``, decided over the whole
     list at once.  It tests exact types, which is what json.loads yields, so
@@ -74,7 +56,7 @@ def get_field(doc: dict, key: str, kind: type, what: str):
         value = doc[key]
     except KeyError:
         raise PreconditionError(f"{what} JSON is missing key {key!r}") from None
-    if not _is_kind(value, kind):
+    if not all_of_kind((value,), kind):
         raise PreconditionError(
             f"{what} JSON key {key!r} must be {_KIND_NAMES[kind]}, "
             f"got {type(value).__name__}"
@@ -87,7 +69,7 @@ def get_list(doc: dict, key: str, kind: type, what: str) -> list:
     values = get_field(doc, key, list, what)
     if not all_of_kind(values, kind):
         for v in values:
-            if not _is_kind(v, kind):
+            if not all_of_kind((v,), kind):
                 raise PreconditionError(
                     f"{what} JSON key {key!r}: every item must be "
                     f"{_KIND_NAMES[kind]}, got {type(v).__name__}"

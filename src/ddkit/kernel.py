@@ -5,12 +5,15 @@ total times at once.
 
 ``Plan`` records the work, in one walk made once per ``simulate.Program``,
 and how many matrices it holds; ``run`` does that work in the models'
-eigenbasis, once per chunk of ``simulate._sweep``, sized by ``Plan.size``.
+eigenbasis, once per chunk of ``simulate._sweep``, sized by ``Plan.size``,
+and once at T = 0 on the system pulses for ``simulate.Program.net``.
 """
 
 from collections import Counter
 
 import numpy as np
+
+from .linalg import expm_i_eig
 
 __all__ = ["Plan", "run"]
 
@@ -150,7 +153,5 @@ def run(plan, energy, lifted):
         else:
             frac, (axis, angle), _ = b
             diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(dim)
-            vals, q = np.linalg.eigh(angle * lifted[axis][:, None] + diag)
-            np.matmul(q * np.exp(-1j * vals)[..., None, :], q.conj().swapaxes(-1, -2),
-                      out=cols[a])
+            expm_i_eig(*np.linalg.eigh(angle * lifted[axis][:, None] + diag), out=cols[a])
     return mats[plan.result]

@@ -28,6 +28,7 @@ __all__ = [
     "herm_deviation",
     "require_hermitian",
     "expm_i",
+    "expm_i_eig",
     "spectral_norm",
     "spectral_norm_le",
     "kron",
@@ -89,10 +90,15 @@ def expm_i(h, t) -> np.ndarray:
     Computed via Hermitian eigendecomposition so the phases are exact and
     the result is unitary to machine precision (no series truncation).
     """
-    a = require_hermitian(h)
-    evals, evecs = np.linalg.eigh(a)
+    return expm_i_eig(*np.linalg.eigh(require_hermitian(h)), t)
+
+
+def expm_i_eig(evals, evecs, t=1.0, out=None) -> np.ndarray:
+    """V diag(exp(-i lambda t)) V^dag from a Hermitian eigendecomposition
+    (``evals`` lambda [..., d], ``evecs`` V [..., d, d]), with ``t`` broadcast
+    over the leading axes; written into ``out`` when it is given."""
     phases = np.exp(-1j * evals * np.asarray(t)[..., None])
-    return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    return np.matmul(evecs * phases[..., None, :], evecs.conj().swapaxes(-1, -2), out=out)
 
 
 def spectral_norm(m) -> float:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import MAX_DIM, kron, require_hermitian, spectral_norm
-from .operators import Operator, pauli
+from .linalg import MAX_DIM, expm_i_eig, kron, require_hermitian, spectral_norm
+from .operators import Operator, check_dimension, pauli
 
 __all__ = ["HamiltonianModel", "random_model"]
 
@@ -76,17 +76,11 @@ class HamiltonianModel:
     def propagator(self, t) -> np.ndarray:
         """exp(-i * h_total * t) from the cached eigendecomposition; an array
         of times gives a stack (..., d, d), each equal to its scalar call."""
-        evals, evecs = self.eig()
-        phases = np.exp(-1j * evals * np.asarray(t)[..., None])
-        return (evecs * phases[..., None, :]) @ evecs.conj().T
+        return expm_i_eig(*self.eig(), t)
 
     def lift(self, op: Operator) -> np.ndarray:
         """System operator lifted to the full space as Omega (x) I_bath."""
-        if op.acts_on != self.sys_dim:
-            raise PreconditionError(
-                f"operator {op.label!r} acts on dimension {op.acts_on}, "
-                f"system dimension is {self.sys_dim}"
-            )
+        check_dimension((op,), self.sys_dim, "system")
         return kron(op.matrix, np.eye(self.bath_dim))
 
 

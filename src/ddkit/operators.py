@@ -112,6 +112,16 @@ def check_labels(ops) -> None:
             raise PreconditionError(f"two different operators are labelled {op.label!r}")
 
 
+def check_dimension(ops, dim: int, what: str) -> None:
+    """Reject an operator that does not act on the ``what`` dimension ``dim``."""
+    for op in ops:
+        if op.acts_on != dim:
+            raise PreconditionError(
+                f"operator {op.label!r} acts on dimension {op.acts_on}, "
+                f"{what} dimension is {dim}"
+            )
+
+
 def _monomial(m: np.ndarray):
     """Describe a matrix M with exactly one nonzero per row and per column as
     (src, vals): row r holds vals[r] in column src[r].  None for any other

@@ -18,7 +18,7 @@ from .errors import DDKitError, PreconditionError
 from .jsonio import get_field, get_list, load_object
 from .linalg import expm_i, require_hermitian
 from .model import HamiltonianModel
-from .operators import Operator
+from .operators import Operator, check_dimension
 from .simulate import (
     Program,
     RunConfig,
@@ -142,8 +142,10 @@ def eta_integrals(shape: PulseShape) -> tuple[float, float]:
     about tau_s.
 
     Both moments scale as tau_p at a fixed area, so they are evaluated on the
-    shape stretched to tau_p = 1, where b**2 below neither overflows nor
-    vanishes, and scaled back; at tau_p = 1 the stretch is exact.
+    shape stretched to tau_p = 1 and scaled back; at tau_p = 1 the stretch is
+    exact.  A segment whose phase turns by |b h| < 1/16 over its length h,
+    where the antiderivatives' 1/b**2 terms cancel, or whose b**2 overflows,
+    is integrated about its midpoint instead (``_segment_moments``).
     """
     tau_p = shape.tau_p
     segments = [(f, a * tau_p) for f, a in shape.segments]
@@ -173,6 +175,12 @@ def eta_integrals(shape: PulseShape) -> tuple[float, float]:
         # phi0 - psi(t) = A + B t inside the segment
         b = -2.0 * amp
         a_coef = phi0 + 2 * v_at_s - 2 * v_cum[j] + 2 * amp * t0
+        if abs(b * (t1 - t0)) < 0.0625 or b * b == math.inf:
+            mid = (t0 + t1) / 2
+            m11, m12 = _segment_moments(a_coef + b * mid, mid - tau_s, (t1 - t0) / 2, b)
+            eta11 += amp * m11
+            eta12 += amp * m12
+            continue
 
         def f_cos(t):
             return (t - tau_s) * math.sin(a_coef + b * t) / b + math.cos(
@@ -187,6 +195,26 @@ def eta_integrals(shape: PulseShape) -> tuple[float, float]:
         eta11 += amp * (f_cos(t1) - f_cos(t0))
         eta12 += amp * (f_sin(t1) - f_sin(t0))
     return eta11 * tau_p, eta12 * tau_p
+
+
+def _segment_moments(theta: float, c: float, half: float, b: float) -> tuple[float, float]:
+    """The integrals over s in [-half, half] of (c + s) cos(theta + b s) and
+    (c + s) sin(theta + b s), as 2 half (c sinc(x) cos theta - half g(x)
+    sin theta) and its sine counterpart, with x = b half and g(x) =
+    (sinc(x) - cos x) / x summed as its series below |x| = 1/2, where the
+    difference would cancel."""
+    x = b * half
+    sinc = math.sin(x) / x if x else 1.0
+    if abs(x) < 0.5:
+        g, term = 0.0, x / 3
+        for k in range(1, 10):  # term k is (-1)^(k+1) 2k x^(2k-1) / (2k+1)!
+            g += term
+            term *= -x * x / (2 * k * (2 * k + 3))
+    else:
+        g = (sinc - math.cos(x)) / x
+    p, q = 2 * half * c * sinc, 2 * half * half * g
+    return (p * math.cos(theta) - q * math.sin(theta),
+            p * math.sin(theta) + q * math.cos(theta))
 
 
 _FAMILIES = ("sym3", "sym5", "rect")
@@ -264,19 +292,14 @@ def _pulse_program(shape: PulseShape, model: HamiltonianModel, omega: Operator,
     """One driven step per segment, whose angle len_frac * tau_p * amp is the
     segment's share of the pulse area at every duration.  ``reference``
     appends U_ref^dag (see ``pulse_error_scan``)."""
-    if omega.acts_on != model.sys_dim:
-        raise PreconditionError(
-            f"operator {omega.label!r} acts on dimension {omega.acts_on}, "
-            f"system dimension is {model.sys_dim}"
-        )
+    check_dimension((omega,), model.sys_dim, "system")
     pulses = {"A": require_hermitian(omega.matrix)}
     steps = [(f, ("A", f * shape.tau_p * a), None) for f, a in shape.segments]
     if reference:
         s = shape.tau_s / shape.tau_p
         pulses["P"] = expm_i(omega.matrix, -shape.area)  # P^dag
         steps += [(s - 1, None, "P"), (-s, None, None)]
-    net = pulses["P"] if reference else np.eye(omega.acts_on)
-    return Program((tuple(steps), ()), pulses, Operator("net", net, omega.acts_on))
+    return Program((tuple(steps), ()), pulses, model.sys_dim)
 
 
 def propagate_pulse(shape: PulseShape, model: HamiltonianModel, omega: Operator) -> np.ndarray:

@@ -11,7 +11,7 @@ instant, each a MOOS element or one of the ``extra`` named system
 operators.  It has no other mode: a conjugated run and a Hahn echo are
 schedules (``sequences.conjugated``, ``sequences.hahn_echo``).  The product
 of the pulses is the net pulse the preservation error compensates;
-``compile_program`` takes it from the program's grammar.
+``Program.net`` runs the program's own plan at T = 0 for it.
 
 The kernel runs a program for a batch of models and total times at once, in
 each model's eigenbasis H = V diag(lambda) V^dag: a free step is a phase
@@ -28,8 +28,8 @@ kernel forms such a rule's matrix on its first use and frees it after its
 last (``kernel.Plan``, made once per program).  A schedule with no nesting
 (made from events, or read from JSON) runs flat.  A sweep of T or of pulse
 durations runs in ``_sweep``: at most MAX_PRODUCTS grammar products over all
-its points (``check_sweep_budget``), in chunks whose matrices take no more
-memory than a flat program's would.  ``order_scan`` also checks a lower
+its points (``check_sweep_budget``), in chunks whose numbered kernel
+matrices take no more memory than a flat program's would.  ``order_scan`` also checks a lower
 bound read from the schedule before it compiles.
 """
 
@@ -46,7 +46,7 @@ from .errors import PreconditionError, UnfittableError
 from .kernel import Plan, run
 from .linalg import kron
 from .model import HamiltonianModel, check_model, random_model
-from .operators import Moos, Operator, check_labels
+from .operators import Moos, Operator, check_dimension, check_labels
 from .sequences import Schedule, compose_pulses, hahn_echo
 
 __all__ = [
@@ -179,8 +179,8 @@ class ScalingResult:
 
 @dataclass(frozen=True)
 class Program:
-    """A step grammar (top, rules), the pulses its steps name, and ``net``,
-    the ordered product of the pulses of all steps.
+    """A step grammar (top, rules), the pulses its steps name, and the
+    dimension ``dim`` they act on.
 
     A step (fraction of T, drive, pulse key) is evolution over that fraction
     of T, driven when ``drive`` is (axis key, angle) and free when it is
@@ -192,20 +192,21 @@ class Program:
 
     grammar: tuple
     pulses: dict
-    net: Operator
+    dim: int
 
     @cached_property
     def plan(self) -> Plan:
         return Plan(self.grammar)
 
-
-def _check_dims(ops, moos: Moos) -> None:
-    for op in ops:
-        if op.acts_on != moos.dim:
-            raise PreconditionError(
-                f"operator {op.label!r} acts on dimension {op.acts_on}, "
-                f"MOOS dimension is {moos.dim}"
-            )
+    @cached_property
+    def net(self) -> Operator:
+        """The program run by its plan at T = 0, where every phase is 1: the
+        ordered product of the pulses of all steps (and of a driven step's
+        drive alone), grouped as a propagator groups them, so it is exact
+        when the pulses' products are, as for signed permutations."""
+        pulses = {key: p[None] for key, p in self.pulses.items()}
+        net = run(self.plan, np.zeros((1, self.dim, 1)), pulses)[0, :, 0]
+        return Operator("net", net, self.dim)
 
 
 def check_sweep_budget(products: int) -> None:
@@ -222,8 +223,9 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
 
     The grammar comes from the schedule's nesting.  A schedule without one
     (made from events, or read from JSON) runs flat, one step per
-    interval."""
-    _check_dims(extra, moos)
+    interval.  The net pulse is not formed here: ``Program.net`` runs the
+    plan on its first read."""
+    check_dimension(extra, moos.dim, "MOOS")
     check_labels((*moos.elements, *extra))
     # One pulse per distinct label tuple, keyed by the tuple.
     pulses = {ops: compose_pulses(ops, moos, extra)
@@ -232,7 +234,7 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
         grammar = _flat_grammar(schedule)
     else:
         grammar = _nested_grammar(schedule.nesting, schedule.closing_ops)
-    return Program(grammar, pulses, Operator("net", _net(grammar, pulses, moos.dim), moos.dim))
+    return Program(grammar, pulses, moos.dim)
 
 
 def _flat_grammar(schedule: Schedule):
@@ -243,27 +245,6 @@ def _flat_grammar(schedule: Schedule):
     codes, distinct = [*schedule.codes.tolist(), len(schedule.ops_table)], {}
     steps = zip(fracs, repeat(None), map(keys.__getitem__, codes))
     return tuple(distinct.setdefault(step, step) for step in steps), ()
-
-
-def _net(grammar, pulses, dim) -> np.ndarray:
-    """The ordered product of the pulses of a grammar's steps: each rule's
-    product once, from its symbols' in turn, then the top sequence's, one
-    product per symbol.  The products group the factors differently from a
-    step-by-step product, so they agree exactly when the pulses' products
-    are exact, as for signed permutations with entries 0, +-1 and +-i."""
-    top, rules = grammar
-    eye, nets = np.eye(dim, dtype=complex), []  # nets: per rule
-
-    def product(seq):
-        out = eye
-        for s in seq:
-            out = (nets[s] if isinstance(s, int) else eye if s[2] is None
-                   else pulses[s[2]]) @ out
-        return out
-
-    for rule in rules:
-        nets.append(product(rule))
-    return product(top)
 
 
 def _nested_grammar(nesting, closing):
@@ -332,10 +313,8 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     """Propagators of ``program`` for every model and total time, as an
     array indexed [model, time] of full-space matrices."""
     sys_dim, bath_dim = models[0].sys_dim, models[0].bath_dim
-    if program.net.acts_on != sys_dim:
-        raise PreconditionError(
-            f"MOOS dimension {program.net.acts_on} != system dimension {sys_dim}"
-        )
+    if program.dim != sys_dim:
+        raise PreconditionError(f"MOOS dimension {program.dim} != system dimension {sys_dim}")
     evals = np.stack([m.eig()[0] for m in models])
     vecs = np.stack([m.eig()[1] for m in models])
     vecs_h = vecs.conj().swapaxes(-1, -2)
@@ -353,8 +332,11 @@ def _sweep(program: Program, times, seeds, realize, dim: int):
     grammar's products at every point are charged; a chunk's models,
     ``realize(seed)`` of dimension ``dim``, are made when it runs.  A flat
     program holds two matrices a point (the running product and the next),
-    so a chunk's matrices number at most two a point of the whole sweep,
-    unless one would be under MIN_CHUNK_BYTES, and take at most BATCH_BYTES."""
+    so a chunk's ``Plan.size`` matrices number at most two a point of the
+    whole sweep, unless one would be under MIN_CHUNK_BYTES, and take at most
+    BATCH_BYTES.  That bound leaves out the rotation back (one matrix more),
+    a driven step's ``eigh`` and exponential (a few more) and numpy's ufunc
+    buffers (about 2 x 8192 complex entries a call)."""
     top, rules = program.grammar
     n_t, n_s = len(times), len(seeds)
     check_sweep_budget((len(top) + sum(len(rule) - 1 for rule in rules)) * n_t * n_s)
@@ -495,7 +477,7 @@ def order_scan(
     """
     if operators is None:
         operators = list(moos.elements)
-    _check_dims(operators, moos)
+    check_dimension(operators, moos.dim, "MOOS")
     check_labels(operators)
     if config.threads > 1:
         warnings.warn(

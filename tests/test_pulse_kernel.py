@@ -285,8 +285,8 @@ def test_pulse_train_grammar_matches_the_flat_program():
     m = random_model("general", 2, 4, 1.0, 0)
     one = _pulse_program(SHAPES["sym3"], m, SX, reference=True)
     steps = one.grammar[0]
-    train = Program(((0,) * 8, (steps,)), one.pulses, one.net)
-    flat = Program((steps * 8, ()), one.pulses, one.net)
+    train = Program(((0,) * 8, (steps,)), one.pulses, one.dim)
+    flat = Program((steps * 8, ()), one.pulses, one.dim)
     times = [0.01, 0.05]
     assert np.abs(_propagators(train, [m], times) - _propagators(flat, [m], times)).max() <= 1e-12
 

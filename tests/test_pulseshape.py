@@ -135,6 +135,27 @@ def test_eta_closed_form_matches_blind_quadrature():
         assert cf[1] == pytest.approx(quad[1], abs=1e-11)
 
 
+@pytest.mark.parametrize("amp", [1e-3, 1e-6, 1e-8])
+def test_eta_closed_form_matches_quadrature_at_small_amplitudes(amp):
+    # the antiderivatives' 1/b**2 terms cancel as b = -2 amp -> 0; the
+    # midpoint form of such a segment does not
+    shape = PulseShape(1.0, 0.5, ((0.5, amp), (0.5, 1.0)))
+    cf = eta_integrals(shape)
+    quad = eta_integrals_quadrature(shape)
+    assert cf[0] == pytest.approx(quad[0], abs=1e-12)
+    assert cf[1] == pytest.approx(quad[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("amp", [1e-200, 1e200])
+def test_eta_moments_are_finite_at_extreme_amplitudes(amp):
+    # b**2 vanished (ZeroDivisionError) or overflowed (OverflowError) here
+    eta = eta_integrals(PulseShape(1.0, 0.5, ((0.5, amp), (0.5, 1.0))))
+    assert all(math.isfinite(x) for x in eta)
+    if amp < 1:  # a segment that small adds nothing to either moment
+        zero = eta_integrals(PulseShape(1.0, 0.5, ((0.5, 0.0), (0.5, 1.0))))
+        assert eta == pytest.approx(zero, abs=1e-15)
+
+
 def test_eta_closed_form_skips_a_zero_amplitude_segment():
     # a zero segment adds nothing to either moment but still moves psi's
     # start for the segments after it

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ddkit import simulate
 from ddkit.errors import PreconditionError, UnfittableError
+from ddkit.kernel import run
 from ddkit.linalg import expm_i, kron, spectral_norm
 from ddkit.model import HamiltonianModel, random_model
 from ddkit.operators import Moos, Operator, pauli, qubit_full_moos
@@ -319,7 +320,7 @@ _EPS = np.finfo(float).eps
 def _flat_program(schedule, moos, extra=()):
     """``compile_program``'s program run flat: the steps event by event."""
     program = compile_program(schedule, moos, extra)
-    return Program((tuple(event_steps(schedule)), ()), program.pulses, program.net)
+    return Program((tuple(event_steps(schedule)), ()), program.pulses, program.dim)
 
 
 def _transformed(schedule, moos, transforms):
@@ -419,6 +420,43 @@ def test_order_scan_holds_no_more_memory_than_a_flat_program():
     finally:
         tracemalloc.stop()
     assert peak <= 5.6 * 16 * 8 * 12 * 16 * 16
+
+
+def test_kernel_run_holds_its_plan_matrices_and_little_more():
+    # numpy's ufunc buffers stay near 2 x 8192 complex entries, so at 4 MiB a
+    # matrix one kernel call holds its Plan.size matrices and no full copy
+    program = compile_program(cdd_nested(MOOS2, (2, 2, 2, 2)), MOOS2)
+    evals, vecs = random_model("general", 4, 16, 1.0, 0).eig()
+    lifted = {key: (vecs.conj().T @ kron(p, np.eye(16)) @ vecs)[None]
+              for key, p in program.pulses.items()}
+    energy = evals[None, :, None] * np.linspace(0.1, 1.0, 64)
+    plan = program.plan
+    tracemalloc.start()
+    try:
+        w = run(plan, energy, lifted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.nbytes >= 4 * 2**20
+    assert peak <= (plan.size + 1.5) * w.nbytes
+
+
+def test_net_pulse_is_one_kernel_run_on_first_read(monkeypatch):
+    # compiling forms no net; the first read runs the plan once at T = 0 and
+    # later reads reuse it
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(simulate, "run", counting)
+    program = compile_program(nudd(MOOS2, (2, 2, 2, 3)), MOOS2)
+    assert len(calls) == 0
+    net = program.net
+    assert len(calls) == 1
+    assert program.net is net and len(calls) == 1
+    assert net.acts_on == program.dim == 4
 
 
 @pytest.mark.parametrize("bounds", [(2**40, 2**40), (1, 1), (2**16 * 5, 2**25)],
