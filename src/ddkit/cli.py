@@ -267,10 +267,6 @@ def cmd_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
         op=args.op if args.scheme == "udd" else None, allow_odd_inner=args.allow_odd_inner,
     )
     spec = parse_model_spec(args.model, norm_bound)
-    if moos.dim != spec.sys_dim:
-        raise PreconditionError(
-            f"MOOS dimension {moos.dim} != model system dimension {spec.sys_dim}"
-        )
     if args.seeds is not None:
         # Each seed x T point forms at least one product: bound the count
         # before the seed tuple is made.

@@ -74,8 +74,7 @@ class PulseShape:
         values = (self.tau_p, self.tau_s, *(x for seg in segs for x in seg))
         if not all(math.isfinite(x) for x in values):
             raise PreconditionError("tau_p, tau_s and every segment value must be finite")
-        if self.tau_p <= 0:
-            raise PreconditionError("pulse duration must be positive")
+        _check_duration(self.tau_p)
         if not (0.0 <= self.tau_s <= self.tau_p):
             raise PreconditionError("tau_s must lie inside [0, tau_p]")
         if not segs or any(f <= 0 for f, _ in segs):
@@ -134,66 +133,39 @@ def _symmetric_shape(amps) -> PulseShape:
 
 
 def eta_integrals(shape: PulseShape) -> tuple[float, float]:
-    """First-order error moments (eta_11, eta_12) of the envelope, from the
-    closed-form per-segment antiderivatives.
+    """First-order error moments (eta_11, eta_12) of the envelope, summed
+    segment by segment about each segment's midpoint.
 
     eta_11 = int (t - tau_s) v(t) cos(phi0 - psi(t)) dt and eta_12 the sine
     counterpart, with psi(t) = 2 int_{tau_s}^t v and phi0 the area imbalance
-    about tau_s.
+    about tau_s, so that phi0 - psi(t) = area - 2 int_0^t v.  Inside a
+    segment of amplitude a that phase is theta - 2 a s at a distance s from
+    the midpoint, where it is theta, and ``_segment_moments`` integrates
+    each segment in that form.
 
     Both moments scale as tau_p at a fixed area, so they are evaluated on the
     shape stretched to tau_p = 1 and scaled back; at tau_p = 1 the stretch is
-    exact.  A segment whose phase turns by |b h| < 1/16 over its length h,
-    where the antiderivatives' 1/b**2 terms cancel, or whose b**2 overflows,
-    is integrated about its midpoint instead (``_segment_moments``).
+    exact.  An amplitude whose stretched phase rate 2 a overflows raises
+    ``PreconditionError`` before any moment is summed.
     """
     tau_p = shape.tau_p
-    segments = [(f, a * tau_p) for f, a in shape.segments]
-    tau_s = shape.tau_s / tau_p
+    for _, a in shape.segments:
+        if not math.isfinite(2 * (a * tau_p)):
+            raise PreconditionError(
+                f"segment amplitude {a} is too large: its phase rate 2 * amp * tau_p overflows")
+    amps = [a * tau_p for _, a in shape.segments]
     edges = [e / tau_p for e in shape.boundaries()]
-    # cumulative integral of v at segment starts
-    v_cum = [0.0]
-    for (f, a), j in zip(segments, range(len(segments))):
-        v_cum.append(v_cum[-1] + a * (edges[j + 1] - edges[j]))
-    area = v_cum[-1]
-
-    def v_int(t: float) -> float:
-        for j in range(len(segments)):
-            if t <= edges[j + 1] or j == len(segments) - 1:
-                return v_cum[j] + segments[j][1] * (t - edges[j])
-        raise AssertionError
-
-    v_at_s = v_int(tau_s)
-    phi0 = area - 2 * v_at_s
-
-    eta11 = 0.0
-    eta12 = 0.0
-    for j, (_, amp) in enumerate(segments):
-        if amp == 0.0:
-            continue
-        t0, t1 = edges[j], edges[j + 1]
-        # phi0 - psi(t) = A + B t inside the segment
-        b = -2.0 * amp
-        a_coef = phi0 + 2 * v_at_s - 2 * v_cum[j] + 2 * amp * t0
-        if abs(b * (t1 - t0)) < 0.0625 or b * b == math.inf:
-            mid = (t0 + t1) / 2
-            m11, m12 = _segment_moments(a_coef + b * mid, mid - tau_s, (t1 - t0) / 2, b)
-            eta11 += amp * m11
-            eta12 += amp * m12
-            continue
-
-        def f_cos(t):
-            return (t - tau_s) * math.sin(a_coef + b * t) / b + math.cos(
-                a_coef + b * t
-            ) / b**2
-
-        def f_sin(t):
-            return -(t - tau_s) * math.cos(a_coef + b * t) / b + math.sin(
-                a_coef + b * t
-            ) / b**2
-
-        eta11 += amp * (f_cos(t1) - f_cos(t0))
-        eta12 += amp * (f_sin(t1) - f_sin(t0))
+    spans = list(zip(amps, edges, edges[1:]))
+    area = sum(a * (t1 - t0) for a, t0, t1 in spans)
+    tau_s = shape.tau_s / tau_p
+    eta11 = eta12 = before = 0.0  # before: the integral of v up to the segment
+    for amp, t0, t1 in spans:
+        mid = (t0 + t1) / 2
+        theta = area - 2 * (before + amp * (mid - t0))
+        m11, m12 = _segment_moments(theta, mid - tau_s, (t1 - t0) / 2, -2 * amp)
+        eta11 += amp * m11
+        eta12 += amp * m12
+        before += amp * (t1 - t0)
     return eta11 * tau_p, eta12 * tau_p
 
 

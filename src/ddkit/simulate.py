@@ -21,21 +21,21 @@ V^dag (P x I) V, and the result is rotated back as V W V^dag.  Sweep points
 (T x seed) are independent, so results never depend on how a sweep is batched.
 
 A program's steps are a grammar, read from the schedule's nesting
-(``_nested_grammar``): one rule per block of the nesting that occurs more
-than once at one scale, its symbols in turn, so NUDD's nested blocks, CDD's
-self-similar ones and the two halves of a Hahn echo run once each.  The
-kernel forms such a rule's matrix on its first use and frees it after its
-last (``kernel.Plan``, made once per program).  A schedule with no nesting
-(made from events, or read from JSON) runs flat.  A sweep of T or of pulse
-durations runs in ``_sweep``: at most MAX_PRODUCTS grammar products over all
-its points (``check_sweep_budget``), in chunks whose numbered kernel
-matrices take no more memory than a flat program's would.  ``order_scan`` also checks a lower
-bound read from the schedule before it compiles.
+(``_nested_grammar``): one rule per distinct block of the nesting at one
+scale, its symbols in turn.  ``kernel.Plan``, made once per program, runs a
+rule named once in place and forms the matrix of a rule named more often on
+its first use, freeing it after its last, so NUDD's nested blocks, CDD's
+self-similar ones and the two halves of a Hahn echo run once each.  A
+schedule with no nesting (made from events, or read from JSON) runs flat.
+A sweep of T or of pulse durations runs in ``_sweep``: at most MAX_PRODUCTS
+grammar products over all its points (``check_sweep_budget``), in chunks
+whose numbered kernel matrices take no more memory than a flat program's
+would.  ``order_scan`` also checks a lower bound read from the schedule
+before it compiles.
 """
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -249,28 +249,27 @@ def _flat_grammar(schedule: Schedule):
 
 def _nested_grammar(nesting, closing):
     """The grammar of a nesting of ``sequences.Layer`` blocks: one rule per
-    distinct (block, scale) that occurs more than once, counted from the
-    outermost block in.  A scale is the multiset of the lengths of the
-    intervals around a block, and a step's fraction their product with its
-    own length in sorted order, so NUDD's equal orders share blocks.
+    distinct (block, scale, pulses after it), found from the outermost block
+    in.  A scale is the multiset of the lengths of the intervals around a
+    block, and a step's fraction their product with its own length in sorted
+    order, so NUDD's equal orders share blocks.
 
     A block is its intervals in turn, each a free step or the block nested
     in it, with its pulses between them and after it the pulses that follow
     it.  A pulse rides on the step before it; after a block followed by
-    different pulses at different places it is a step of fraction 0, which
-    makes a rule with the block where it follows it more than once.  A
-    block that occurs once is spliced in, so UDD runs flat.  A rule is the
-    block's symbols, or the block's rule and the step after it, in turn.
-    The top sequence is the outermost block, followed by ``closing``."""
-    # Per block and scale: how often it occurs before each pulse tuple.
+    different pulses at different places it is a step of fraction 0, in a
+    rule of the block's rule and that step.  Whether a rule gets a matrix of
+    its own is ``kernel.Plan``'s decision: it runs a rule named once in
+    place, so UDD, one rule, runs flat.  The top sequence is the outermost
+    block's rule, whose last step carries ``closing``."""
+    # Per block and scale: the pulse tuples that follow it, in order found.
     seen = [{} for _ in nesting]
-    seen[-1][()] = Counter({closing: 1})
+    seen[-1][()] = {closing: None}
     for block, at in zip(reversed(nesting), reversed(seen)):
         for scale, trails in at.items():
-            n = trails.total()
             for length, inner, after in _intervals(block, trails):
                 if inner is not None:
-                    seen[inner].setdefault(_scaled(scale, length), Counter())[after] += n
+                    seen[inner].setdefault(_scaled(scale, length), {})[after] = None
     rules, symbols = [], [{} for _ in nesting]  # per block, scale and pulses after
     for block, at, made in zip(nesting, seen, symbols):
         for scale, trails in at.items():
@@ -280,16 +279,11 @@ def _nested_grammar(nesting, closing):
                 if inner is None:
                     seq.append((math.prod(sub), None, after or None))
                 else:
-                    seq += symbols[inner][sub][after]
-            if len(trails) == 1:  # seq ends with the pulses after it
-                made[scale] = {after: seq if trails.total() == 1 else [_rule(seq, rules)]}
-                continue
-            rule = _rule(seq, rules)
-            for after, n in trails.items():
-                tail = [rule, (0.0, None, after)] if after else [rule]
-                made.setdefault(scale, {})[after] = (
-                    [_rule(tail, rules)] if n > 1 and after else tail)
-    return tuple(symbols[-1][()][closing]), tuple(rules)
+                    seq.append(symbols[inner][sub][after])
+            rule = _rule(seq, rules)  # its last step carries the pulses after it if one tuple
+            made[scale] = {after: rule if len(trails) == 1 or not after
+                           else _rule([rule, (0.0, None, after)], rules) for after in trails}
+    return (symbols[-1][()][closing],), tuple(rules)
 
 
 def _intervals(block, trails):
@@ -314,7 +308,8 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     array indexed [model, time] of full-space matrices."""
     sys_dim, bath_dim = models[0].sys_dim, models[0].bath_dim
     if program.dim != sys_dim:
-        raise PreconditionError(f"MOOS dimension {program.dim} != system dimension {sys_dim}")
+        raise PreconditionError(
+            f"MOOS dimension {program.dim} != model system dimension {sys_dim}")
     evals = np.stack([m.eig()[0] for m in models])
     vecs = np.stack([m.eig()[1] for m in models])
     vecs_h = vecs.conj().swapaxes(-1, -2)

@@ -2,10 +2,12 @@
 because no library path needs them: blind adaptive quadrature of the pulse
 moment integrals (scipy), the split of a Hamiltonian into the parts that
 commute and anticommute with a pulse, the spectral norm from an SVD, a
-log-log line from ``np.polyfit``, a schedule's steps event by event, and
-the steps a program's grammar expands to."""
+log-log line from ``np.polyfit``, a schedule's steps event by event, the
+steps a program's grammar expands to, and a grammar with its rules named
+once spliced in."""
 
 import math
+from collections import Counter
 
 import numpy as np
 from scipy import integrate
@@ -102,3 +104,29 @@ def joined_steps(steps):
             out.append((frac, *step[1:]))
             frac = 0.0
     return [*out, (frac + steps[-1][0], *steps[-1][1:])]
+
+
+def splice_single_rules(grammar):
+    """The grammar (top, rules) with each rule named once replaced by its
+    symbols where it is named, and the rules named more often renumbered in
+    their order."""
+    top, rules = grammar
+    names = Counter(s for seq in (top, *rules) for s in seq if isinstance(s, int))
+    kept, index = [], {}
+
+    def splice(seq):
+        out = []
+        for s in seq:
+            if not isinstance(s, int):
+                out.append(s)
+            elif names[s] == 1:
+                out += splice(rules[s])
+            else:
+                out.append(index[s])
+        return out
+
+    for i, rule in enumerate(rules):
+        if names[i] > 1:
+            index[i] = len(kept)
+            kept.append(tuple(splice(rule)))
+    return tuple(splice(top)), tuple(kept)

@@ -55,7 +55,7 @@ def test_pulse_criterion_ratios_equal_the_per_seed_scans(monkeypatch):
     monkeypatch.setattr(acceptance, "median", recording)
     result = acceptance.criterion_pulse_shaping()
     assert result.details == (
-        "|eta11| = 5.6e-17, |eta12| = 4.2e-17, area residual 0.0e+00; "
+        "|eta11| = 8.3e-17, |eta12| = 1.4e-17, area residual 0.0e+00; "
         "designed slope 2.000 in [1.8, 2.3]; "
         "rect/designed error ratio at tau_p|H| = 0.01: median 494.2 (want >= 10)"
     )

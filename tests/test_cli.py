@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -325,6 +326,21 @@ def test_readme_config_schema_is_the_default(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(block)
     assert load_config(str(cfg)) == load_config(None)
+
+
+def test_readme_cli_examples_exit_0(tmp_path, capsys, monkeypatch):
+    # every command of README's CLI block, in order, in one directory: the
+    # pulse scan reads the design's pulse.json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("ddkit ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DDKIT_CONFIG", raising=False)
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 def test_config_values_checked_by_every_command(tmp_path, capsys):

@@ -31,7 +31,7 @@ from ddkit.sequences import (
     udd_schedule,
 )
 from ddkit.simulate import ModelSpec, RunConfig, _propagators, compile_program, order_scan
-from oracles import event_steps, expand_grammar, joined_steps
+from oracles import event_steps, expand_grammar, joined_steps, splice_single_rules
 from test_kernel import TOL, oracle_propagator
 
 EPS = np.finfo(float).eps
@@ -87,6 +87,19 @@ def test_net_pulse_and_propagators_match_the_expm_oracle(case):
         want_u, want_net = oracle_propagator(schedule, moos, model, t, extra=extra)
         assert np.array_equal(program.net.matrix, want_net)
         assert np.linalg.norm(u[i] - want_u, ord=2) <= TOL
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_runs_a_rule_named_once_in_place(case):
+    # the plan is that of the grammar with every rule named once spliced into
+    # the symbol naming it: only a rule named more than once gets a matrix
+    schedule, moos, extra = CASES[case]
+    grammar = compile_program(schedule, moos, extra).grammar
+    spliced = splice_single_rules(grammar)
+    names = Counter(s for seq in (spliced[0], *spliced[1]) for s in seq if isinstance(s, int))
+    assert all(names[i] > 1 for i in range(len(spliced[1])))
+    assert expand_grammar(spliced) == expand_grammar(grammar)
+    assert Plan(grammar).ops == Plan(spliced).ops
 
 
 READ_BACK = sorted(BUILT) + ["sdd(first_order(2))", "sdd(first_order(2,closing))"]

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -156,6 +157,28 @@ def test_eta_moments_are_finite_at_extreme_amplitudes(amp):
         assert eta == pytest.approx(zero, abs=1e-15)
 
 
+def test_eta_moments_match_quadrature_across_a_phase_turn_of_one_sixteenth():
+    # the first segment's phase turns by |b h| = amp, from 0.3 % below 1/16
+    # to 2.9 % above: the moments used to be summed about the midpoint below
+    # 1/16 and from antiderivatives above it, whose 1/b**2 terms cancelled
+    # to 7e-16 off the quadrature
+    worst = 0.0
+    for k in range(-3, 30):
+        shape = PulseShape(1.0, 0.5, ((0.5, 0.0625 * (1 + k * 1e-3)), (0.5, 1.0)))
+        cf, quad = eta_integrals(shape), eta_integrals_quadrature(shape)
+        worst = max(worst, abs(cf[0] - quad[0]), abs(cf[1] - quad[1]))
+    assert worst <= 2e-16
+
+
+@pytest.mark.parametrize("amp", [1e308, -1e308, 1.7e308])
+def test_eta_rejects_an_amplitude_whose_phase_rate_overflows(amp):
+    # b = -2 amp was -inf, and math.sin(-inf) raised ValueError
+    shape = PulseShape(1.0, 0.5, ((0.5, amp), (0.5, 1.0)))
+    with pytest.raises(PreconditionError,
+                       match=f"^segment amplitude {re.escape(repr(amp))} is too large"):
+        eta_integrals(shape)
+
+
 def test_eta_closed_form_skips_a_zero_amplitude_segment():
     # a zero segment adds nothing to either moment but still moves psi's
     # start for the segments after it
@@ -215,8 +238,8 @@ def test_design_pulse_deterministic():
 
 
 @pytest.mark.parametrize("family, digest", [
-    ("sym3", "4156d5dce791f17c79f3f1b8badbf30455109b4b2ad0b8851beca874876a7dd1"),
-    ("sym5", "1bd6727885216ffc309fba4a7610b1463f4503a4d7d0852f38a30c1273dd4a78"),
+    ("sym3", "4cb7203f315fb1f1b5fb98c5070a91610baece744bb18ec55a56fc3c8494e7d3"),
+    ("sym5", "43ace4503e5bdd94c6c897ba5b8e2b836e7d135e1a4f40e43a0eaa6936e5614d"),
 ])
 def test_design_pulse_is_pinned_bit_for_bit(family, digest):
     # one Newton start, no restarts and nothing random: the design depends

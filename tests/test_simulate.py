@@ -357,10 +357,13 @@ def test_grammar_expands_to_the_steps(scheme, n_qubits, data):
 @pytest.mark.parametrize("schedule", [udd_schedule("Z1", 4), udd_schedule("Z1", 9)],
                          ids=["udd(4)", "udd(9)"])
 def test_programs_without_repeats_run_flat(schedule):
-    # a UDD schedule is one block, which occurs once: its steps in turn
-    top, rules = compile_program(schedule, MOOS1).grammar
-    assert rules == () and len(top) == schedule.intervals
-    assert [key for _, _, key in top] == [key for _, _, key in event_steps(schedule)]
+    # a UDD schedule is one block, one rule named once, which the kernel runs
+    # in place: its steps in turn on a running product and the next matrix
+    plan = compile_program(schedule, MOOS1).plan
+    ops = [op for op, *_ in plan.ops]
+    assert "product" not in ops and "copy" not in ops and plan.size == 2
+    keys = [c for op, _, _, c in plan.ops if op in ("leaf", "pulse")]
+    assert keys == [key for _, _, key in event_steps(schedule) if key is not None]
 
 
 MOOS2 = qubit_full_moos(2)
