@@ -173,7 +173,8 @@ def criterion_moos_suites() -> CriterionResult:
     """All MOOS constructions validate; divisibility and trace obstructions."""
     parts, ok = [], True
     # Moos() rejects an element that is not unitary Hermitian and an
-    # anticommuting member with a trace, so each suite is validated when built.
+    # anticommuting member with a trace, so each suite is validated on its
+    # first build in the process.
     for make, arg in ((qubit_dephasing_moos, 2), (qubit_full_moos, 1), (qubit_full_moos, 2),
                       (mlevel_diagonal_moos, 5), (mlevel_full_moos, 4), (mlevel_full_moos, 6)):
         make(arg)

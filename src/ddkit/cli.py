@@ -12,6 +12,8 @@ DDKIT_CONFIG environment variable; flags override config values.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -201,10 +203,15 @@ def _report(result: ScalingResult, scheme: str, orders, out: str) -> int:
     """Write the CSV rows and the companion fit JSON, print the fits, and
     raise UnfittableError if any operator could not be fitted."""
     order_str = ",".join(str(n) for n in orders)
-    lines = ["scheme,orders,operator,T,seed,error"]
-    for label, t, seed, err in result.rows():
-        lines.append(f"{scheme},{order_str},{label},{t!r},{seed},{err!r}")
-    _write(out, "\n".join(lines) + "\n")
+    # The csv module quotes an orders field with more than one order.
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")
+    rows.writerow(("scheme", "orders", "operator", "T", "seed", "error"))
+    rows.writerows(
+        (scheme, order_str, label, repr(t), seed, repr(err))
+        for label, t, seed, err in result.rows()
+    )
+    _write(out, text.getvalue())
     fit_path = (out[: -len(".csv")] if out.endswith(".csv") else out) + ".fits.json"
     _write(fit_path, json.dumps(_fit_doc(result), indent=2) + "\n")
     print(f"wrote {out} and {fit_path}")

@@ -22,10 +22,22 @@ the spectral-norm rule on the dense matrices.
 the generated Lie algebra; a basis that could exceed ``MAX_CLOSURE_BYTES``
 is rejected before any product is formed.
 
+The four standard suites (``qubit_dephasing_moos``, ``qubit_full_moos``,
+``mlevel_diagonal_moos``, ``mlevel_full_moos``, and ``build_moos``, which
+names them) build and validate each distinct (family, size) once per process
+and hand the same ``Moos`` to every later caller; their least recently used
+entries are dropped beyond ``MOOS_CACHE_SIZE``.  A size that is rejected
+raises on every call and is never kept.  A shared suite is immutable: each
+element's ``matrix`` and the suite's ``signature`` are read-only.  A suite
+built with ``Moos(...)`` and an operator from ``pauli()`` stay writable.  The
+largest suite, 16 elements at d = 256, holds 16 MiB, so the cache holds at
+most ``MOOS_CACHE_SIZE`` * 16 MiB = 128 MiB.
+
 Qubit ordering convention: qubit 1 is the slowest (leftmost) Kronecker
 factor.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,6 +77,9 @@ MAX_LEVELS = 256
 
 # Largest basis lie_closure allocates, in bytes; simulate.BATCH_BYTES's size.
 MAX_CLOSURE_BYTES = 2**25
+# Standard suites kept per process: the 6 distinct ones an acceptance run
+# draws, and two more.
+MOOS_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -337,11 +352,34 @@ def sigma_x_level(l: int, m_levels: int) -> Operator:
     return Operator(f"Sx{l}", m, m_levels)
 
 
+@functools.lru_cache(maxsize=MOOS_CACHE_SIZE, typed=True)
+def _standard_moos(build, size: int) -> Moos:
+    """``build(size)``, validated once and made read-only; one object per
+    (constructor, size) while it stays in the cache."""
+    moos = build(size)
+    for op in moos.elements:
+        op.matrix.flags.writeable = False
+    moos.signature.flags.writeable = False
+    return moos
+
+
+def _shared(build):
+    """A standard suite constructor, made to return the cached suite."""
+
+    @functools.wraps(build)
+    def shared(size: int) -> Moos:
+        return _standard_moos(build, size)
+
+    return shared
+
+
+@_shared
 def qubit_dephasing_moos(num_qubits: int) -> Moos:
     """MOOS {sigma_x^(l)} protecting an L-qubit pure-dephasing system."""
     return Moos(tuple(pauli("x", q, num_qubits) for q in range(1, num_qubits + 1)))
 
 
+@_shared
 def qubit_full_moos(num_qubits: int) -> Moos:
     """MOOS {sigma_z^(l), sigma_x^(l)} protecting all L-qubit operators."""
     ops = []
@@ -351,6 +389,7 @@ def qubit_full_moos(num_qubits: int) -> Moos:
     return Moos(tuple(ops))
 
 
+@_shared
 def mlevel_diagonal_moos(m_levels: int) -> Moos:
     """MOOS {Sigma_z^(l)} protecting all diagonal operators of an M-level
     system; contains ceil(log2 M) mutually commuting elements."""
@@ -358,6 +397,7 @@ def mlevel_diagonal_moos(m_levels: int) -> Moos:
     return Moos(tuple(sigma_z_level(l, m_levels) for l in range(1, n_bits + 1)))
 
 
+@_shared
 def mlevel_full_moos(m_levels: int) -> Moos:
     """MOOS {Sigma_x^(l) | M mod 2^l = 0} plus {Sigma_z^(l) | 2^l <= M}."""
     _level_bits(m_levels)

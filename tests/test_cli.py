@@ -1,3 +1,4 @@
+import csv
 import json
 import shlex
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import ddkit
+from ddkit import cli
 from ddkit.cli import load_config, main
 from ddkit.operators import moos_from_json
 from ddkit.pulseshape import pulse_from_json
@@ -82,6 +84,38 @@ def test_scan_csv_deterministic(tmp_path, capsys):
     fits = json.loads((tmp_path / "a.fits.json").read_text())
     assert fits["Z1"]["status"] == "ok"
     assert 2.7 <= fits["Z1"]["slope"] <= 3.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--scheme", "udd", "--orders", "2", "--op", "Z1"],
+    ["scan", "--scheme", "nudd", "--orders", "2,2,2,3", "--moos", "qubit_full:2",
+     "--model", "general:4x4"],
+    ["scan", "--scheme", "cdd_nested", "--orders", "2,2"],
+    # one order given, one order per MOOS element in the schedule
+    ["scan", "--scheme", "cdd", "--orders", "2"],
+    ["scan", "--scheme", "first_order"],
+    ["pulse", "scan", "--pulse", "rect"],
+], ids=["udd", "nudd", "cdd_nested", "cdd", "first_order", "pulse_scan"])
+def test_scan_csv_reads_back_as_the_result_rows(argv, tmp_path, capsys, monkeypatch):
+    # an orders field of several orders is one quoted field, not one per order
+    reported = []
+    real = cli._report
+
+    def capture(result, scheme, orders, out):
+        reported.append((result, scheme, orders))
+        return real(result, scheme, orders, out)
+
+    monkeypatch.setattr(cli, "_report", capture)
+    out = tmp_path / "s.csv"
+    assert run(argv + ["--out", str(out)], capsys)[0] in (0, 3)
+    [(result, scheme, orders)] = reported
+    with open(out, newline="") as fh:
+        back = list(csv.DictReader(fh))
+    assert [(r["operator"], float(r["T"]), int(r["seed"]), float(r["error"]))
+            for r in back] == result.rows()
+    assert {(r["scheme"], r["orders"], None in r) for r in back} == {
+        (scheme, ",".join(map(str, orders)), False)
+    }
 
 
 def test_scan_unfittable_exit_3(tmp_path, capsys):

@@ -131,6 +131,93 @@ def test_build_moos_dispatch():
         build_moos("qubit_full")
 
 
+_SUITES = [
+    (qubit_dephasing_moos, 2, "qubit_dephasing:2"),
+    (qubit_full_moos, 2, "qubit_full:2"),
+    (mlevel_diagonal_moos, 5, "mlevel_diagonal:5"),
+    (mlevel_full_moos, 6, "mlevel_full:6"),
+]
+
+
+@pytest.mark.parametrize("make, size, spec", _SUITES,
+                         ids=[spec.partition(":")[0] for _, _, spec in _SUITES])
+def test_standard_suite_is_one_object_per_size(make, size, spec):
+    suite = make(size)
+    assert make(size) is suite
+    assert build_moos(spec) is suite
+    assert make(size + 2) is not suite
+    # one build that bypasses the cache validates to the same suite, writable
+    uncached = make.__wrapped__(size)
+    assert uncached is not suite and moos_to_json(uncached) == moos_to_json(suite)
+    assert uncached.elements[0].matrix.flags.writeable
+
+
+def test_rejected_suite_sizes_are_never_cached():
+    operators._standard_moos.cache_clear()
+    for _ in range(2):
+        for make, size in ((qubit_full_moos, 0), (qubit_full_moos, 9),
+                           (qubit_dephasing_moos, -1), (mlevel_diagonal_moos, 0),
+                           (mlevel_full_moos, 257)):
+            with pytest.raises(PreconditionError):
+                make(size)
+        with pytest.raises(PreconditionError):
+            build_moos("qubit_full:9")
+    assert operators._standard_moos.cache_info().currsize == 0
+
+
+def test_shared_suite_arrays_are_read_only():
+    suite = qubit_full_moos(2)
+    for write in [lambda m=op.matrix: m.__setitem__((0, 0), 0.0) for op in suite.elements] + [
+        lambda: suite.signature.__setitem__((0, 1), 1),
+    ]:
+        with pytest.raises(ValueError):
+            write()
+    assert suite.signature[0, 1] == -1
+
+
+def test_user_built_suite_and_paulis_stay_writable():
+    z, x = pauli("z", 1, 1), pauli("x", 1, 1)
+    assert z.matrix.flags.writeable and x.matrix.flags.writeable
+    moos = Moos((z, x))
+    assert moos.elements[0].matrix is z.matrix and z.matrix.flags.writeable
+    assert moos.signature.flags.writeable
+
+
+def test_suite_cache_is_bounded():
+    for m_levels in range(2, 2 + 3 * operators.MOOS_CACHE_SIZE):
+        mlevel_diagonal_moos(m_levels)
+    assert operators._standard_moos.cache_info().currsize <= operators.MOOS_CACHE_SIZE == 8
+
+
+def test_acceptance_validates_each_distinct_suite_once(monkeypatch):
+    from ddkit import acceptance
+
+    validations = []
+    real = Moos.__post_init__
+
+    def counted(self):
+        validations.append(self)
+        return real(self)
+
+    def run():
+        del validations[:]
+        details = [(r.number, r.passed, r.details) for r in acceptance.run_all()]
+        return details, len(validations)
+
+    monkeypatch.setattr(Moos, "__post_init__", counted)
+    operators._standard_moos.cache_clear()
+    cold, n_cold = run()
+    warm, n_warm = run()
+    distinct = operators._standard_moos.cache_info()
+    assert distinct.misses == distinct.currsize == 6
+    assert n_cold - n_warm == 6
+    monkeypatch.setattr(operators, "_standard_moos", operators._standard_moos.__wrapped__)
+    uncached, n_uncached = run()
+    # 21 suite builds a run, each validated when uncached, none when warm
+    assert n_uncached - n_warm == 21
+    assert cold == warm == uncached
+
+
 def test_moos_rejects_skew_pair():
     skew = Operator("D", (SX + SY) / np.sqrt(2), 2)
     with pytest.raises(PreconditionError) as err:
@@ -661,6 +748,8 @@ def test_monomial_pairs_run_no_norm_check(monkeypatch):
 
     for name in ("spectral_norm_le", "spectral_norm"):
         monkeypatch.setattr(operators, name, counting(name))
+    # a suite already in the cache would not be validated again
+    operators._standard_moos.cache_clear()
     assert len(Moos(_accept_set_8_qubits())) == 13
     for num_qubits in range(1, 9):
         assert len(qubit_full_moos(num_qubits)) == 2 * num_qubits

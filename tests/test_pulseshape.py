@@ -237,14 +237,17 @@ def test_design_pulse_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("family, digest", [
-    ("sym3", "4cb7203f315fb1f1b5fb98c5070a91610baece744bb18ec55a56fc3c8494e7d3"),
-    ("sym5", "43ace4503e5bdd94c6c897ba5b8e2b836e7d135e1a4f40e43a0eaa6936e5614d"),
-])
-def test_design_pulse_is_pinned_bit_for_bit(family, digest):
+@pytest.mark.parametrize("family", ["sym3", "sym5"])
+def test_design_pulse_is_pinned_bit_for_bit(family):
     # one Newton start, no restarts and nothing random: the design depends
-    # on the family alone, and its JSON is the same to the last bit
-    assert hashlib.sha256(pulse_to_json(design_pulse(family)).encode()).hexdigest() == digest
+    # on the family alone, and its JSON is the same to the last bit.  The
+    # digests stay out of the test ids, so a re-pinned design keeps its name.
+    pinned = {
+        "sym3": "4cb7203f315fb1f1b5fb98c5070a91610baece744bb18ec55a56fc3c8494e7d3",
+        "sym5": "43ace4503e5bdd94c6c897ba5b8e2b836e7d135e1a4f40e43a0eaa6936e5614d",
+    }
+    digest = hashlib.sha256(pulse_to_json(design_pulse(family)).encode()).hexdigest()
+    assert digest == pinned[family]
     assert "seed" not in inspect.signature(design_pulse).parameters
 
 
