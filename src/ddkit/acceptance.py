@@ -144,6 +144,9 @@ def criterion_pulse_counts() -> CriterionResult:
     parts, ok = [], True
     moos2 = qubit_full_moos(1)   # 2 elements
     moos4 = qubit_full_moos(2)   # 4 elements
+    # the 1- and 3-element sets are validated once a call
+    moos1 = Moos((pauli("z", 1, 1),))
+    moos3 = Moos(moos4.elements[:3])
 
     for moos in (moos2, moos4):
         s = first_order_schedule(moos)
@@ -155,14 +158,11 @@ def criterion_pulse_counts() -> CriterionResult:
         ok &= s.intervals == 2 ** (n * len(moos2)) == len(s.times) + 1
         parts.append(f"cdd N={n}: {s.intervals}")
     for orders in ((1,), (2, 3), (3, 4), (2, 2)):
-        moos = moos2 if len(orders) == 2 else Moos((pauli("z", 1, 1),))
-        s = cdd_nested(moos, orders)
+        s = cdd_nested(moos2 if len(orders) == 2 else moos1, orders)
         ok &= s.intervals == 2 ** sum(orders) == len(s.times) + 1
         parts.append(f"cdd_nested {orders}: {s.intervals}")
     for orders in ((2, 2), (2, 3), (4, 4), (1, 2), (2, 3, 2)):
-        moos = moos4 if len(orders) == 3 else moos2
-        moos = Moos(moos.elements[: len(orders)])
-        s = nudd(moos, orders, allow_odd_inner=True)
+        s = nudd(moos3 if len(orders) == 3 else moos2, orders, allow_odd_inner=True)
         want = math.prod(n + 1 for n in orders)
         ok &= s.intervals == want == len(s.times) + 1
         parts.append(f"nudd {orders}: {s.intervals}")

@@ -102,9 +102,10 @@ def expm_i_eig(evals, evecs, t=1.0, out=None) -> np.ndarray:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value of m."""
+    """Largest singular value of m: the LAPACK call ``np.linalg.norm(m, 2)``
+    makes, bit for bit, without its axis and dtype bookkeeping."""
     a = as_matrix(m)
-    return float(np.linalg.norm(a, ord=2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def spectral_norm_le(m, tol: float) -> bool:

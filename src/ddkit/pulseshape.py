@@ -6,8 +6,11 @@ integrals eta_11 and eta_12 vanish (together with the pi/2 area constraint).
 Envelopes here are piecewise constant; sign changes are allowed.  A shape
 runs as a segment program of ``simulate``, one driven step per segment, and
 a scan over pulse durations as a sweep of ``simulate._sweep``, in chunks.
+A designed envelope depends on its family alone, so each family's root is
+solved once per process and stretched to every requested duration.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import DDKitError, PreconditionError
 from .jsonio import get_field, get_list, load_object
-from .linalg import expm_i, require_hermitian
+from .linalg import expm_i_eig, require_hermitian
 from .model import HamiltonianModel
 from .operators import Operator, check_dimension
 from .simulate import (
@@ -203,6 +206,8 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0) -> PulseShape:
     depends on the family alone; 'rect' has no free parameter and reports
     its residual.  The moments scale as tau_p at a fixed area, so the solve
     runs at tau_p = 1 and the root found there is stretched to ``tau_p``.
+    That root is solved once per family per process (``_design_root``); the
+    inputs are checked on every call, before it is reached.
     """
     _check_duration(tau_p)
     if family == "rect":
@@ -215,6 +220,14 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0) -> PulseShape:
         )
     if family not in _FAMILIES:
         raise PreconditionError(f"unknown family {family!r}; choose from {_FAMILIES}")
+    return _design_root(family).rescaled(tau_p)
+
+
+@functools.cache
+def _design_root(family: str) -> PulseShape:
+    """``design_pulse``'s Newton solve at tau_p = 1 for 'sym3' or 'sym5',
+    cached by family: at most two entries.  A failed solve raises and is
+    not cached."""
     n_amps = {"sym3": 2, "sym5": 3}[family]
 
     def residual(x):
@@ -233,7 +246,7 @@ def design_pulse(family: str = "sym3", tau_p: float = 1.0) -> PulseShape:
             shape = _symmetric_shape(x)
             eta11, eta12 = eta_integrals(shape)
             if abs(eta11) <= ETA_TOL and abs(eta12) <= ETA_TOL:
-                return shape.rescaled(tau_p)
+                return shape
             break
         jac = np.zeros((2, n_amps))
         h = 1e-7 * max(1.0, float(np.max(np.abs(x))))
@@ -263,13 +276,15 @@ def _pulse_program(shape: PulseShape, model: HamiltonianModel, omega: Operator,
                    reference: bool = False) -> Program:
     """One driven step per segment, whose angle len_frac * tau_p * amp is the
     segment's share of the pulse area at every duration.  ``reference``
-    appends U_ref^dag (see ``pulse_error_scan``)."""
+    appends U_ref^dag (see ``pulse_error_scan``), whose P^dag is taken from
+    the eigendecomposition of the pulse axis checked once above."""
     check_dimension((omega,), model.sys_dim, "system")
-    pulses = {"A": require_hermitian(omega.matrix)}
+    axis = require_hermitian(omega.matrix)
+    pulses = {"A": axis}
     steps = [(f, ("A", f * shape.tau_p * a), None) for f, a in shape.segments]
     if reference:
         s = shape.tau_s / shape.tau_p
-        pulses["P"] = expm_i(omega.matrix, -shape.area)  # P^dag
+        pulses["P"] = expm_i_eig(*np.linalg.eigh(axis), -shape.area)  # P^dag
         steps += [(s - 1, None, "P"), (-s, None, None)]
     return Program((tuple(steps), ()), pulses, model.sys_dim)
 

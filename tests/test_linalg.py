@@ -138,6 +138,15 @@ def test_spectral_norm_pauli_sum():
     assert spectral_norm(SX + SZ) == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 128])
+def test_spectral_norm_is_numpys_two_norm_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert spectral_norm(a) == np.linalg.norm(a, 2)
+    assert spectral_norm(np.zeros((d, d))) == np.linalg.norm(np.zeros((d, d)), 2)
+
+
 def test_spectral_norm_matches_power_iteration():
     m = _rng(11).standard_normal((6, 6)) + 1j * _rng(12).standard_normal((6, 6))
     assert spectral_norm(m) == pytest.approx(power_iteration_norm(m), abs=1e-9)

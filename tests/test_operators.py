@@ -211,6 +211,8 @@ def test_acceptance_validates_each_distinct_suite_once(monkeypatch):
     distinct = operators._standard_moos.cache_info()
     assert distinct.misses == distinct.currsize == 6
     assert n_cold - n_warm == 6
+    # criterion 7 validates its 1- and 3-element sets, criteria 8 and 9 four more
+    assert n_warm == 6
     monkeypatch.setattr(operators, "_standard_moos", operators._standard_moos.__wrapped__)
     uncached, n_uncached = run()
     # 21 suite builds a run, each validated when uncached, none when warm

@@ -68,8 +68,9 @@ def test_layertrace_records_the_pulse_path_and_restores():
     assert metrics["pulseshape.propagate_pulse_calls"] == 1
     assert metrics["simulate.fit_points_offered"] == 3
     assert np.isfinite(metrics["pulseshape.scan_self_s"])
-    # one exponential, the ideal pulse of the scan; the kernel does the rest
-    assert metrics["linalg.expm_calls"] == 1
+    # no expm_i: the ideal pulse comes from the checked axis's eigh, and
+    # the kernel does the rest
+    assert metrics["linalg.expm_calls"] == 0
     assert metrics["model.exponentials"] == 0
 
 

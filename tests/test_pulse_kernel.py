@@ -294,7 +294,7 @@ def test_pulse_train_grammar_matches_the_flat_program():
 @pytest.mark.parametrize("family, calls", [("sym3", 3), ("sym5", 4), ("rect", 2)])
 def test_identical_driven_steps_are_exponentiated_once(monkeypatch, family, calls):
     # sym3's mirrored outer segments, and sym5's two mirrored pairs, are one
-    # batched eigh each; the reference pulse's expm_i is one more
+    # batched eigh each; the reference pulse's eigh is one more
     m = random_model("general", 2, 4, 1.0, 0)
     m.eig()
     eigh, counted = np.linalg.eigh, []

@@ -232,9 +232,47 @@ def test_design_pulse_stable_restart():
 
 
 def test_design_pulse_deterministic():
-    a = design_pulse("sym3")
-    b = design_pulse("sym3")
-    assert a == b
+    # against uncached solves, so the cache cannot hide a varying result
+    solve = pulseshape._design_root.__wrapped__
+    assert design_pulse("sym3") == solve("sym3") == solve("sym3")
+
+
+def test_design_root_is_solved_once_per_family(monkeypatch):
+    lstsq, steps = np.linalg.lstsq, []
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    pulseshape._design_root.cache_clear()
+    design_pulse("sym5")
+    solved = len(steps)
+    assert solved > 0
+    design_pulse("sym5")
+    design_pulse("sym5", 0.3)
+    assert len(steps) == solved
+    info = pulseshape._design_root.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+@pytest.mark.parametrize("family", ["sym3", "sym5"])
+@pytest.mark.parametrize("tau_p", [1.0, 0.3, 1e-3])
+def test_cached_design_is_the_rescaled_uncached_root(family, tau_p):
+    uncached = pulseshape._design_root.__wrapped__(family).rescaled(tau_p)
+    assert design_pulse(family, tau_p) == uncached  # tau_p, tau_s and segments
+
+
+def test_rejected_families_raise_every_call_and_are_never_cached():
+    pulseshape._design_root.cache_clear()
+    for _ in range(2):
+        with pytest.raises(PulseDesignError):
+            design_pulse("rect")
+        with pytest.raises(PreconditionError):
+            design_pulse("sym7")
+        with pytest.raises(PreconditionError):
+            design_pulse("sym3", 0.0)
+    assert pulseshape._design_root.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("family", ["sym3", "sym5"])
