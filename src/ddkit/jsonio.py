@@ -51,11 +51,15 @@ def load_object(text: str, what: str) -> dict:
 
 
 def get_field(doc: dict, key: str, kind: type, what: str):
-    """``doc[key]``, which must be present and of ``kind``."""
+    """``doc[key]``, which must be present and of ``kind``.  A value of
+    exactly that type (a finite one, for a float: json.loads reads NaN and
+    Infinity) is taken without ``all_of_kind``'s set of types."""
     try:
         value = doc[key]
     except KeyError:
         raise PreconditionError(f"{what} JSON is missing key {key!r}") from None
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
     if not all_of_kind((value,), kind):
         raise PreconditionError(
             f"{what} JSON key {key!r} must be {_KIND_NAMES[kind]}, "

@@ -3,10 +3,13 @@ from a schedule's nesting by ``simulate._nested_grammar``, each rule a tuple
 of symbols run in turn) run on numbered matrices, for a batch of models and
 total times at once.
 
-``Plan`` records the work, in one walk made once per ``simulate.Program``,
-and how many matrices it holds; ``run`` does that work in the models'
-eigenbasis, once per chunk of ``simulate._sweep``, sized by ``Plan.size``,
-and once at T = 0 on the system pulses for ``simulate.Program.net``.
+``Plan`` records the work, in one walk made once per grammar
+(``simulate._plan``), and how many matrices it holds; ``run`` does that
+work in the models' eigenbasis, once per chunk of ``simulate._sweep``,
+sized by ``Plan.size`` and ``Plan.driven``, and once at T = 0 on the system
+pulses for ``simulate.Program.net``.  All driven steps of a run are
+exponentiated together, from one batched ``eigh``, before its first
+product.
 """
 
 from collections import Counter
@@ -27,13 +30,14 @@ class Plan:
     allocates matrix a where the walk first takes its number; "leaf" a =
     P(c) Phi(b), the pulse after free evolution over fraction b; "phase" a =
     Phi(b) a; "pulse" b = P(c) a; "product" c = a b; "copy" b = a; "driven"
-    a = the driven step b (its pulse excluded).  P(None) is the identity.
+    a = the exponential of step ``driven[b]`` (its pulse excluded).  P(None)
+    is the identity.
 
     A rule that occurs once in the grammar runs symbol by symbol where it
     occurs.  The matrix of a rule that occurs more often, or of a driven
     step, is formed on its first use and its number freed after its last
-    use, so identical driven steps are exponentiated once.  A freed number
-    is reused.
+    use, so identical driven steps are listed in ``driven`` once, and
+    exponentiated once.  A freed number is reused.
     """
 
     def __init__(self, grammar):
@@ -41,7 +45,7 @@ class Plan:
         uses = Counter(s for rule in self.rules for s in rule if _is_operand(s))
         uses.update(s for s in top if _is_operand(s))
         self.uses = {s: n for s, n in uses.items() if n > 1 or not isinstance(s, int)}
-        self.held, self.free, self.size, self.ops = {}, [], 0, []
+        self.held, self.free, self.size, self.ops, self.driven = {}, [], 0, [], []
         self.result = self.chain(top)
 
     def new(self):
@@ -109,7 +113,8 @@ class Plan:
         if isinstance(s, int):
             return self.chain(self.rules[s])
         x = self.new()
-        self.ops.append(("driven", x, s, None))
+        self.ops.append(("driven", x, len(self.driven), None))
+        self.driven.append(s)
         return x if s[2] is None else self.advance(x, (0.0, None, s[2]))
 
 
@@ -124,9 +129,12 @@ def run(plan, energy, lifted):
     (``energy`` [model, level, time], ``lifted`` the pulses there): a free
     step is a phase multiply of the rows, a pulse one product per model over
     every time at once, and a product of two matrices runs on their [model,
-    time, row, column] views."""
+    time, row, column] views.  A driven step's matrix is its exponential
+    from ``_eigh_driven``, one batched ``eigh`` of all of them."""
     n_models, dim, n_times = energy.shape
     mats, rows, cols, phases = [], [], [], {}
+    if plan.driven:
+        evals, vecs = _eigh_driven(plan.driven, energy, lifted)
 
     def phase(frac):
         if frac not in phases:
@@ -151,7 +159,19 @@ def run(plan, energy, lifted):
         elif op == "copy":
             mats[b][...] = mats[a]
         else:
-            frac, (axis, angle), _ = b
-            diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(dim)
-            expm_i_eig(*np.linalg.eigh(angle * lifted[axis][:, None] + diag), out=cols[a])
+            expm_i_eig(evals[b], vecs[b], out=cols[a])
     return mats[plan.result]
+
+
+def _eigh_driven(steps, energy, lifted):
+    """The eigendecompositions of the driven steps' frac T diag(lambda) +
+    angle A, indexed [step, model, time], from one batched ``eigh`` of a
+    stack built in place: the drive, then the energies added on its
+    diagonal."""
+    n_models, dim, n_times = energy.shape
+    stack = np.empty((len(steps), n_models, n_times, dim, dim), dtype=complex)
+    diagonal = stack.reshape(len(steps), n_models, n_times, dim * dim)[..., :: dim + 1]
+    for k, (frac, (axis, angle), _) in enumerate(steps):
+        np.multiply(angle, lifted[axis][:, None], out=stack[k])
+        diagonal[k] += (frac * energy).swapaxes(1, 2)
+    return np.linalg.eigh(stack)

@@ -299,8 +299,8 @@ def _pulse_errors(shape: PulseShape, models, omega: Operator, tau_grid) -> np.nd
     that charges every step of every model against the sweep budget."""
     program = _pulse_program(shape, models[0], omega, True)
     errs = np.empty((len(models), len(tau_grid)))
-    for chunk, span, u in _sweep(program, tau_grid, models, lambda m: m, models[0].dim):
-        a = u - np.eye(u.shape[-1])
+    for chunk, span, w, _ in _sweep(program, tau_grid, models, lambda m: m, models[0].dim):
+        a = w.transpose(0, 2, 1, 3) - np.eye(w.shape[-1])
         _, exp = np.frexp(np.abs(a).max(axis=(-2, -1)))
         a = np.ldexp(a.view(float), -exp[..., None, None]).view(complex)
         lam = np.linalg.eigvalsh(a.conj().swapaxes(-1, -2) @ a)[..., -1]
@@ -320,12 +320,15 @@ def pulse_error_scan(
     The ideal reference is U_ref = exp(-i (tau_p - tau_s) H) (P (x) I)
     exp(-i tau_s H) with P = exp(-i * area * Omega).  The program runs the
     shape and then U_ref^dag, by backward free evolution, over the grid in
-    chunks; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|.
+    chunks; the error is the spectral norm |U_ref^dag U - I| = |U - U_ref|,
+    read from the kernel's product in each model's eigenbasis, W =
+    V^dag U_ref^dag U V, as |W - I|: V is unitary, so there is no rotation
+    back.
     The fit window is (ERROR_FLOOR, ERROR_CEILING).  Each step at each
     duration is charged against the sweep budget.  The errors come from
     ``_pulse_errors``, which sweeps a list of models at once.
 
-    The norm of A = U_ref^dag U - I is sqrt(lambda_max(A^dag A)), from one
+    The norm of A = W - I is sqrt(lambda_max(A^dag A)), from one
     batched product and one batched ``eigvalsh`` instead of an SVD.  The
     Gram matrix loses only the small singular values; the largest keeps a
     relative error of O(eps).  Each A is first scaled by the exact power of

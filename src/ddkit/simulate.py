@@ -15,29 +15,32 @@ of the pulses is the net pulse the preservation error compensates;
 
 The kernel runs a program for a batch of models and total times at once, in
 each model's eigenbasis H = V diag(lambda) V^dag: a free step is a phase
-multiply by exp(-i frac T lambda), a driven step one batched ``eigh`` of
-frac T diag(lambda) + angle V^dag (A x I) V, a pulse one batched product with
-V^dag (P x I) V, and the result is rotated back as V W V^dag.  Sweep points
+multiply by exp(-i frac T lambda), a pulse one batched product with
+V^dag (P x I) V, and all driven steps together one batched ``eigh`` of
+frac T diag(lambda) + angle V^dag (A x I) V.  Its result is the product W in
+the eigenbasis.  Only the schedule error rotates it back, U = V W V^dag
+(``_rotated``); a pulse error reads |W - I| = |U - I| as it is.  Sweep points
 (T x seed) are independent, so results never depend on how a sweep is batched.
 
 A program's steps are a grammar, read from the schedule's nesting
 (``_nested_grammar``): one rule per distinct block of the nesting at one
-scale, its symbols in turn.  ``kernel.Plan``, made once per program, runs a
-rule named once in place and forms the matrix of a rule named more often on
-its first use, freeing it after its last, so NUDD's nested blocks, CDD's
-self-similar ones and the two halves of a Hahn echo run once each.  A
-schedule with no nesting (made from events, or read from JSON) runs flat.
-A sweep of T or of pulse durations runs in ``_sweep``: at most MAX_PRODUCTS
-grammar products over all its points (``check_sweep_budget``), in chunks
-whose numbered kernel matrices take no more memory than a flat program's
-would.  ``order_scan`` also checks a lower bound read from the schedule
-before it compiles.
+scale, its symbols in turn.  ``kernel.Plan``, made once per grammar and kept
+for the last PLAN_MEMO grammars planned (``_plan``), runs a rule named once
+in place and forms the matrix of a rule named more often on its first use,
+freeing it after its last, so NUDD's nested blocks, CDD's self-similar ones
+and the two halves of a Hahn echo run once each.  A schedule with no
+nesting (made from events, or read from JSON) runs flat.  A sweep of T or
+of pulse durations runs in ``_sweep``: at most MAX_PRODUCTS grammar
+products over all its points (``check_sweep_budget``), in chunks whose
+numbered kernel matrices and driven stack take no more memory than a flat
+program's would.  ``order_scan`` also checks a lower bound read from the
+schedule before it compiles.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -79,6 +82,10 @@ BATCH_BYTES = 2**25
 # one seed (12 points, 48 KB) run 1.7x slower than the whole sweep, chunks of
 # two or more seeds as fast.
 MIN_CHUNK_BYTES = 2**17
+# Grammars whose plans ``_plan`` keeps, the last used.  Of the perfbench
+# workloads only ``pulse`` plans a grammar twice in a pass: 3 grammars, 48
+# times.  A kept plan of n steps holds about 150 n bytes besides its grammar.
+PLAN_MEMO = 4
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,7 @@ class Program:
 
     @cached_property
     def plan(self) -> Plan:
-        return Plan(self.grammar)
+        return _plan(self.grammar)
 
     @cached_property
     def net(self) -> Operator:
@@ -207,6 +214,14 @@ class Program:
         pulses = {key: p[None] for key, p in self.pulses.items()}
         net = run(self.plan, np.zeros((1, self.dim, 1)), pulses)[0, :, 0]
         return Operator("net", net, self.dim)
+
+
+@lru_cache(maxsize=PLAN_MEMO)
+def _plan(grammar) -> Plan:
+    """The kernel plan of ``grammar``, walked once while it is among the
+    last PLAN_MEMO grammars planned.  A plan is read, never changed, by
+    ``kernel.run``, so programs of one grammar share it."""
+    return Plan(grammar)
 
 
 def check_sweep_budget(products: int) -> None:
@@ -303,9 +318,10 @@ def _rule(seq, rules):
     return len(rules) - 1
 
 
-def _propagators(program: Program, models, times) -> np.ndarray:
-    """Propagators of ``program`` for every model and total time, as an
-    array indexed [model, time] of full-space matrices."""
+def _eigenbasis(program: Program, models, times):
+    """The product W of ``program`` for every model and total time in each
+    model's eigenbasis, x[model, row, time, column] as ``kernel.run`` gives
+    it, and the models' eigenvectors V [model, row, column]."""
     sys_dim, bath_dim = models[0].sys_dim, models[0].bath_dim
     if program.dim != sys_dim:
         raise PreconditionError(
@@ -315,27 +331,39 @@ def _propagators(program: Program, models, times) -> np.ndarray:
     vecs_h = vecs.conj().swapaxes(-1, -2)
     eye_b = np.eye(bath_dim)
     lifted = {key: vecs_h @ kron(p, eye_b) @ vecs for key, p in program.pulses.items()}
-    # The run, and with it every other matrix, is freed before the rotation.
-    w = run(program.plan, evals[:, :, None] * np.asarray(times, dtype=float), lifted)
+    return run(program.plan, evals[:, :, None] * np.asarray(times, dtype=float), lifted), vecs
+
+
+def _rotated(w, vecs) -> np.ndarray:
+    """U = V W V^dag of ``_eigenbasis``'s output, as an array indexed
+    [model, time] of full-space matrices, written over W."""
     u = vecs[:, None] @ w.transpose(0, 2, 1, 3)
-    return np.matmul(u, vecs_h[:, None], out=w.reshape(u.shape))  # V W V^dag, over W
+    return np.matmul(u, vecs.conj().swapaxes(-1, -2)[:, None], out=w.reshape(u.shape))
+
+
+def _propagators(program: Program, models, times) -> np.ndarray:
+    """Propagators of ``program`` for every model and total time, as an
+    array indexed [model, time] of full-space matrices."""
+    return _rotated(*_eigenbasis(program, models, times))
 
 
 def _sweep(program: Program, times, seeds, realize, dim: int):
-    """Yields (seed slice, time slice, propagators [model, time]) of
-    ``program``, one chunk of the sweep's points at a time, once the
-    grammar's products at every point are charged; a chunk's models,
-    ``realize(seed)`` of dimension ``dim``, are made when it runs.  A flat
-    program holds two matrices a point (the running product and the next),
-    so a chunk's ``Plan.size`` matrices number at most two a point of the
-    whole sweep, unless one would be under MIN_CHUNK_BYTES, and take at most
-    BATCH_BYTES.  That bound leaves out the rotation back (one matrix more),
-    a driven step's ``eigh`` and exponential (a few more) and numpy's ufunc
-    buffers (about 2 x 8192 complex entries a call)."""
+    """Yields (seed slice, time slice, W, V) of ``program``, ``_eigenbasis``
+    of one chunk of the sweep's points at a time, once the grammar's
+    products at every point are charged; a chunk's models, ``realize(seed)``
+    of dimension ``dim``, are made when it runs.  A flat program holds two
+    matrices a point (the running product and the next), so a chunk's
+    kernel matrices number at most two a point of the whole sweep, unless
+    one would be under MIN_CHUNK_BYTES, and take at most BATCH_BYTES.  They
+    are its ``Plan.size`` numbered matrices and, for each driven step, two
+    of the driven stack: the matrix given to the batched ``eigh`` and its
+    eigenvectors.  That bound leaves out the rotation back of a schedule
+    error (one matrix more), a driven step's exponential (two more) and
+    numpy's ufunc buffers (about 2 x 8192 complex entries a call)."""
     top, rules = program.grammar
     n_t, n_s = len(times), len(seeds)
     check_sweep_budget((len(top) + sum(len(rule) - 1 for rule in rules)) * n_t * n_s)
-    n_mats = program.plan.size
+    n_mats = program.plan.size + 2 * len(program.plan.driven)
     point_bytes = 16 * dim**2
     points = max(2 * n_t * n_s // n_mats, MIN_CHUNK_BYTES // point_bytes)
     points = max(1, min(points, BATCH_BYTES // (point_bytes * n_mats)))
@@ -346,7 +374,7 @@ def _sweep(program: Program, times, seeds, realize, dim: int):
         models = [realize(seed) for seed in seeds[chunk]]
         for i in range(0, n_t, t_step):
             span = slice(i, i + t_step)
-            yield chunk, span, _propagators(program, models, times[span])
+            yield chunk, span, *_eigenbasis(program, models, times[span])
 
 
 def propagate(schedule: Schedule, model: HamiltonianModel, moos: Moos, total_time: float):
@@ -488,8 +516,10 @@ def order_scan(
                        * n_t * n_s)
     program = compile_program(schedule, moos, extra)
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}
-    for chunk, span, u in _sweep(program, config.t_grid, config.seeds, model_spec.realize,
-                                 model_spec.sys_dim * model_spec.bath_dim):
+    dim = model_spec.sys_dim * model_spec.bath_dim
+    for chunk, span, w, vecs in _sweep(program, config.t_grid, config.seeds,
+                                       model_spec.realize, dim):
+        u = _rotated(w, vecs)
         for op in operators:
             err = preservation_error(u, op, program.net, model_spec.bath_dim)
             errors[op.label][span, chunk] = err.T

@@ -169,8 +169,8 @@ def test_scan_cases_do_no_more_dense_kernel_work(name):
 
 def test_chunked_order_scan_plans_its_program_once(monkeypatch):
     # four chunks run one plan: the grammar is walked once, not once to size
-    # the chunks and once more per chunk
-    init, propagators, walks, chunks = Plan.__init__, simulate._propagators, [], []
+    # the chunks and once more per chunk (a warm memo would walk it not at all)
+    init, eigenbasis, walks, chunks = Plan.__init__, simulate._eigenbasis, [], []
 
     def walking(self, grammar):
         walks.append(grammar)
@@ -178,10 +178,11 @@ def test_chunked_order_scan_plans_its_program_once(monkeypatch):
 
     def counting(*args):
         chunks.append(1)
-        return propagators(*args)
+        return eigenbasis(*args)
 
+    simulate._plan.cache_clear()
     monkeypatch.setattr(Plan, "__init__", walking)
-    monkeypatch.setattr(simulate, "_propagators", counting)
+    monkeypatch.setattr(simulate, "_eigenbasis", counting)
     order_scan(nudd(Q2, (2, 2, 2, 3)), Q2, ModelSpec("general", 4, 4, 1.0))
     assert len(chunks) == 4
     assert len(walks) == 1

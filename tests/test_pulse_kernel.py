@@ -2,18 +2,19 @@
 
 ``propagate_pulse`` is checked against an ODE integration of the
 Schroedinger equation, ``pulse_error_scan`` against a per-duration loop of
-2-D exponentials and its norms against an SVD, and the batched ``expm_i``,
-``propagator`` and model-batched pulse errors against their one-at-a-time
-calls, bit for bit.
+2-D exponentials and its norms, read in the kernel's eigenbasis, against an
+SVD of the rotated propagators, and the batched ``expm_i``,
+``propagator``, driven-step exponentials and model-batched pulse errors
+against their one-at-a-time calls, bit for bit.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ddkit import pulseshape, simulate
+from ddkit import kernel, simulate
 from ddkit.errors import PreconditionError
-from ddkit.linalg import expm_i, kron
+from ddkit.linalg import expm_i, expm_i_eig, kron
 from ddkit.model import HamiltonianModel, random_model
 from ddkit.operators import Operator, pauli
 from ddkit.pulseshape import (
@@ -26,7 +27,7 @@ from ddkit.pulseshape import (
     pulse_error_scan,
     rectangular_pulse,
 )
-from ddkit.simulate import Program, _propagators
+from ddkit.simulate import Program, _eigenbasis, _propagators
 from oracles import spectral_norm_svd
 
 SZ = pauli("z", 1, 1)
@@ -116,13 +117,13 @@ def test_batched_pulse_errors_charge_every_model_against_the_budget(monkeypatch)
     models = [random_model("general", 2, 4, 1.0, seed) for seed in range(2)]
     steps = len(_pulse_program(shape, models[0], SZ, reference=True).grammar[0])
     monkeypatch.setattr(simulate, "MAX_PRODUCTS", steps * len(grid))
-    propagators, calls = simulate._propagators, []
+    eigenbasis, calls = simulate._eigenbasis, []
 
     def counting(*args):
         calls.append(1)
-        return propagators(*args)
+        return eigenbasis(*args)
 
-    monkeypatch.setattr(simulate, "_propagators", counting)
+    monkeypatch.setattr(simulate, "_eigenbasis", counting)
     with pytest.raises(PreconditionError, match="sweep budget exceeded"):
         _pulse_errors(shape, models, SZ, grid)
     assert not calls
@@ -136,13 +137,13 @@ def test_chunked_pulse_errors_equal_the_whole_sweep_bitwise(monkeypatch):
     shape, grid = SHAPES["sym3"], DEFAULT_TAU_GRID
     models = [random_model("general", 2, 4, 1.0, seed) for seed in range(8)]
     whole = _pulse_errors(shape, models, SZ, grid)
-    propagators, calls = simulate._propagators, []
+    eigenbasis, calls = simulate._eigenbasis, []
 
     def counting(program, chunk_models, times):
         calls.append((len(chunk_models), len(times)))
-        return propagators(program, chunk_models, times)
+        return eigenbasis(program, chunk_models, times)
 
-    monkeypatch.setattr(simulate, "_propagators", counting)
+    monkeypatch.setattr(simulate, "_eigenbasis", counting)
     monkeypatch.setattr(simulate, "MIN_CHUNK_BYTES", 1)
     monkeypatch.setattr(simulate, "BATCH_BYTES", 16 * 8 * 8 * 2 * 7)
     chunked = _pulse_errors(shape, models, SZ, grid)
@@ -157,12 +158,18 @@ class _Asked(Exception):
 def test_large_pulse_sweep_asks_for_chunks_within_the_batch_bytes(monkeypatch):
     # 300,000 durations at d = 128 pass the sweep budget (3 steps each); the
     # kernel used to be asked for one [1, 128, 300000, 128] matrix (78.6 GB)
-    # and to hold two.  The spy stops the sweep before anything is allocated.
+    # and to hold two.  The spy stops the sweep before anything is allocated,
+    # and a kernel that runs at all fails the test at once, so a spy that no
+    # longer sits where the sweep calls cannot start the real sweep.
     def asked(program, models, times):
-        raise _Asked(len(models) * len(times) * 16 * 128**2 * program.plan.size)
+        plan = program.plan
+        raise _Asked(len(models) * len(times) * 16 * 128**2 * (plan.size + 2 * len(plan.driven)))
 
-    monkeypatch.setattr(simulate, "_propagators", asked)
-    monkeypatch.setattr(pulseshape, "_propagators", asked)
+    def ran(*args):
+        raise AssertionError("the kernel ran: the spy no longer stops the sweep")
+
+    monkeypatch.setattr(simulate, "_eigenbasis", asked)
+    monkeypatch.setattr(simulate, "run", ran)
     m = random_model("general", 2, 64, 1.0, 0)
     with pytest.raises(_Asked) as err:
         pulse_error_scan(rectangular_pulse(), m, SZ, np.geomspace(1e-3, 1e-1, 300_000))
@@ -170,16 +177,18 @@ def test_large_pulse_sweep_asks_for_chunks_within_the_batch_bytes(monkeypatch):
 
 
 def _error_stack(shape, model, omega, tau_grid):
-    """U_ref^dag U - I over the grid, from the same kernel call
-    ``pulse_error_scan`` makes."""
+    """W - I over the grid, W = V^dag U_ref^dag U V the kernel's product in
+    the model's eigenbasis, from the same kernel call ``pulse_error_scan``
+    makes."""
     program = _pulse_program(shape, model, omega, reference=True)
-    return _propagators(program, [model], tau_grid)[0] - np.eye(model.dim)
+    w, _ = _eigenbasis(program, [model], tau_grid)
+    return w[0].transpose(1, 0, 2) - np.eye(model.dim)
 
 
 @pytest.mark.parametrize("family", ["rect", "sym3", "sym5"])
 def test_pulse_errors_match_the_svd_norm(family):
     # the largest eigenvalue of the Gram matrix gives the largest singular
-    # value to a relative O(eps)
+    # value of the same matrix to a relative O(eps)
     shape = SHAPES[family]
     for seed in range(8):
         m = random_model("general", 2, 4, 1.0, seed)
@@ -187,6 +196,22 @@ def test_pulse_errors_match_the_svd_norm(family):
             errs = pulse_error_scan(shape, m, omega, DEFAULT_TAU_GRID).errors[omega.label][:, 0]
             want = spectral_norm_svd(_error_stack(shape, m, omega, DEFAULT_TAU_GRID))
             assert np.max(np.abs(errs - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("family", ["rect", "sym3", "sym5"])
+def test_eigenbasis_errors_match_the_svd_of_the_rotated_propagators(family):
+    # |W - I| = |V (W - I) V^dag| = |U - I|: the errors read in the kernel's
+    # eigenbasis keep the SVD norm of U_ref^dag U - I, rotated back, to an
+    # absolute 1e-15 (the errors range down to ~3e-7)
+    shape = SHAPES[family]
+    for seed in range(8):
+        m = random_model("general", 2, 4, 1.0, seed)
+        for omega in (SZ, SX):
+            program = _pulse_program(shape, m, omega, reference=True)
+            u = _propagators(program, [m], DEFAULT_TAU_GRID)[0]
+            want = spectral_norm_svd(u - np.eye(m.dim))
+            errs = pulse_error_scan(shape, m, omega, DEFAULT_TAU_GRID).errors[omega.label][:, 0]
+            assert np.max(np.abs(errs - want)) <= 1e-15
 
 
 def test_pulse_errors_far_below_the_square_root_of_the_smallest_double():
@@ -291,18 +316,68 @@ def test_pulse_train_grammar_matches_the_flat_program():
     assert np.abs(_propagators(train, [m], times) - _propagators(flat, [m], times)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("family, calls", [("sym3", 3), ("sym5", 4), ("rect", 2)])
-def test_identical_driven_steps_are_exponentiated_once(monkeypatch, family, calls):
-    # sym3's mirrored outer segments, and sym5's two mirrored pairs, are one
-    # batched eigh each; the reference pulse's eigh is one more
+@pytest.mark.parametrize("family, steps", [("sym3", 2), ("sym5", 3), ("rect", 1)])
+def test_identical_driven_steps_are_exponentiated_once(monkeypatch, family, steps):
+    # every distinct driven step of the scan, at every duration, is in one
+    # batched eigh (sym3's mirrored outer segments, and sym5's two mirrored
+    # pairs, are one step each); the reference pulse's eigh is the other
     m = random_model("general", 2, 4, 1.0, 0)
     m.eig()
-    eigh, counted = np.linalg.eigh, []
+    eigh, shapes = np.linalg.eigh, []
 
-    def counting(*args, **kwargs):
-        counted.append(1)
-        return eigh(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     pulse_error_scan(SHAPES[family], m, SZ, np.geomspace(0.003, 0.1, 10))
-    assert len(counted) == calls
+    assert len(shapes) == 2
+    assert (steps, 1, 10, 8, 8) in shapes
+
+
+@pytest.mark.parametrize("family", ["sym3", "sym5", "asym"])
+def test_batched_driven_exponentials_equal_per_step_calls_bitwise(family):
+    # each step's exponential from the one eigh of the stack built in place
+    # equals the one from an eigh of that step's own matrix, angle A +
+    # frac T diag(lambda) with the diagonal added as a full matrix, bit for bit
+    models = [random_model("general", 2, 4, 1.0, seed) for seed in (0, 1)]
+    program = _pulse_program(SHAPES[family], models[0], SX, reference=True)
+    steps = program.plan.driven
+    evals = np.stack([m.eig()[0] for m in models])
+    vecs = np.stack([m.eig()[1] for m in models])
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    lifted = {"A": vecs_h @ kron(SX.matrix, np.eye(4)) @ vecs}
+    energy = evals[:, :, None] * np.asarray(DEFAULT_TAU_GRID)
+    lam, v = kernel._eigh_driven(steps, energy, lifted)
+    assert lam.shape == (len(steps), 2, len(DEFAULT_TAU_GRID), 8)
+    for k, (frac, (axis, angle), _) in enumerate(steps):
+        diag = (frac * energy).swapaxes(1, 2)[..., None] * np.eye(8)
+        want = expm_i_eig(*np.linalg.eigh(angle * lifted[axis][:, None] + diag))
+        assert expm_i_eig(lam[k], v[k]).tobytes() == want.tobytes()
+
+
+def _pulse_pass():
+    """The perfbench ``pulse`` pass's 48 scans: three families, Z1 and X1,
+    model seeds 0-7; their errors in order."""
+    shapes = [SHAPES["sym3"], SHAPES["sym5"], SHAPES["rect"]]
+    return [pulse_error_scan(shape, random_model("general", 2, 4, 1.0, seed), omega,
+                             DEFAULT_TAU_GRID).errors[omega.label]
+            for seed in range(8) for omega in (SZ, SX) for shape in shapes]
+
+
+def test_a_pulse_pass_plans_each_grammar_once(monkeypatch):
+    # a family's scan program has the same grammar for every model and
+    # operator: 48 scans walk 3 plans cold and none warm, with equal errors
+    init, walks = kernel.Plan.__init__, []
+
+    def walking(self, grammar):
+        walks.append(grammar)
+        init(self, grammar)
+
+    monkeypatch.setattr(kernel.Plan, "__init__", walking)
+    simulate._plan.cache_clear()
+    cold = _pulse_pass()
+    assert len(walks) == 3
+    warm = _pulse_pass()
+    assert len(walks) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))

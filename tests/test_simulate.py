@@ -462,6 +462,36 @@ def test_net_pulse_is_one_kernel_run_on_first_read(monkeypatch):
     assert net.acts_on == program.dim == 4
 
 
+def test_plans_are_kept_for_the_last_plan_memo_grammars(monkeypatch):
+    # PLAN_MEMO + 1 distinct grammars: the last PLAN_MEMO are kept, so the
+    # first is walked again and the last is not
+    init, walks = simulate.Plan.__init__, []
+
+    def walking(self, grammar):
+        walks.append(grammar)
+        init(self, grammar)
+
+    monkeypatch.setattr(simulate.Plan, "__init__", walking)
+    simulate._plan.cache_clear()
+    grammars = [(((1.0 / (k + 1), None, ("Z1",)),), ()) for k in range(simulate.PLAN_MEMO + 1)]
+    plans = [Program(g, {("Z1",): SZ.matrix}, 2).plan for g in grammars]
+    assert len(walks) == simulate.PLAN_MEMO + 1
+    assert simulate._plan.cache_info().currsize == simulate.PLAN_MEMO
+    assert Program(grammars[-1], {}, 2).plan is plans[-1] and len(walks) == simulate.PLAN_MEMO + 1
+    assert Program(grammars[0], {}, 2).plan is not plans[0]
+    assert len(walks) == simulate.PLAN_MEMO + 2
+
+
+def test_scan_rows_are_equal_with_a_cold_and_a_warm_plan_memo():
+    schedule = nudd(MOOS2, (2, 2, 2, 3))
+    simulate._plan.cache_clear()
+    cold = order_scan(schedule, MOOS2, GENERAL2).rows()
+    assert simulate._plan.cache_info().misses == 1
+    warm = order_scan(schedule, MOOS2, GENERAL2).rows()
+    assert simulate._plan.cache_info().hits == 1
+    assert cold == warm
+
+
 @pytest.mark.parametrize("bounds", [(2**40, 2**40), (1, 1), (2**16 * 5, 2**25)],
                          ids=["one_chunk", "one_point_per_chunk", "uneven_chunks"])
 def test_order_scan_chunking_of_rules_is_invisible(monkeypatch, bounds):
