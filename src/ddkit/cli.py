@@ -164,7 +164,7 @@ def build_schedule(scheme, orders, moos: Moos, op=None, allow_odd_inner=False,
         if len(orders) != 1:
             raise PreconditionError("udd takes exactly one order")
         label = op or moos.labels[0]
-        moos.by_label(label)  # raises KeyError for a bad label
+        moos.by_label(label)  # rejects a bad label
         return udd_schedule(label, orders[0])
     if scheme == "free":
         return Schedule("free", (0,), (), (), 1)
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionError, KeyError) as exc:
+    except PreconditionError as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"precondition violated: {msg}", file=sys.stderr)
         return 2

@@ -1,4 +1,7 @@
-"""Exception types shared across ddkit."""
+"""Exception types shared across ddkit, and the integer check of the
+library's boundary."""
+
+import operator
 
 
 class DDKitError(Exception):
@@ -11,3 +14,12 @@ class PreconditionError(DDKitError, ValueError):
 
 class UnfittableError(DDKitError):
     """A scaling fit could not be produced from the surviving data points."""
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as an int, by ``operator.index``: an integer is taken, and
+    anything else (a float, a string) is a ``PreconditionError`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, as_index
 from .linalg import MAX_DIM, expm_i_eig, kron, require_hermitian, spectral_norm
 from .operators import Operator, check_dimension, pauli
 
@@ -97,7 +97,7 @@ def check_model(structure: str, sys_dim: int, bath_dim: int, norm_bound: float) 
         raise PreconditionError(
             f"unknown model structure {structure!r}; choose from {list(STRUCTURES)}"
         )
-    if sys_dim < 1 or bath_dim < 1:
+    if as_index(sys_dim, "sys_dim") < 1 or as_index(bath_dim, "bath_dim") < 1:
         raise PreconditionError(
             f"sys_dim and bath_dim must be >= 1, got {sys_dim} and {bath_dim}"
         )
@@ -108,7 +108,7 @@ def check_model(structure: str, sys_dim: int, bath_dim: int, norm_bound: float) 
 
 def check_seed(seed: int) -> None:
     """Reject a seed the Philox generator cannot take as its key."""
-    if not (0 <= seed < 2**128):
+    if not (0 <= as_index(seed, "seed") < 2**128):
         raise PreconditionError(f"seed must lie in [0, 2^128), got {seed}")
 
 

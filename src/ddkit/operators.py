@@ -292,7 +292,7 @@ class Moos:
         for op in self.elements:
             if op.label == label:
                 return op
-        raise KeyError(f"no MOOS element labelled {label!r}")
+        raise PreconditionError(f"no MOOS element labelled {label!r}")
 
 
 def pauli(axis: str, qubit_index: int, num_qubits: int) -> Operator:

@@ -97,13 +97,6 @@ class PulseShape:
         edges[-1] = self.tau_p
         return edges
 
-    def envelope(self, t: float) -> float:
-        edges = self.boundaries()
-        for j, (_, amp) in enumerate(self.segments):
-            if t <= edges[j + 1]:
-                return amp
-        return self.segments[-1][1]
-
     def rescaled(self, tau_p: float) -> "PulseShape":
         """Same shape at a new duration; amplitudes scale to preserve area."""
         _check_duration(tau_p)

@@ -7,10 +7,10 @@ for CDD and the first-order scheme.  Two transforms make new schedules from
 old: ``conjugated`` conjugates every free interval by one pulse, and
 ``hahn_echo`` runs a schedule twice, each run closed by an echo pulse.
 
-The builders and the transforms record the nesting they build
-(``Schedule.nesting``, ``Layer``), from which ``simulate.compile_program``
-reads its grammar; its UDD lengths are in closed form (``udd_lengths``).  A
-schedule made from events or read from JSON has no nesting and runs flat.
+Every schedule has a nesting (``Schedule.nesting``, ``Layer``), from which
+``simulate.compile_program`` reads its grammar: the one the builders and the
+transforms record, UDD lengths in closed form (``udd_lengths``), or else one
+block made from the event times.
 
 Schedules live on the normalized time axis [0, 1]; the physical total time T
 is applied at simulation time.  Pulses at a common instant are stored as one
@@ -42,14 +42,14 @@ are coded in first-appearance order.
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, count, repeat
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, as_index
 from .jsonio import all_of_kind, get_field, get_list, load_object
 from .operators import Moos
 
@@ -90,12 +90,12 @@ class Event(NamedTuple):
 
 
 class Layer(NamedTuple):
-    """A block of a nesting: intervals of ``lengths`` (fractions of it), the
-    pulses ``key`` between them, and per interval the index of the block in
-    it, or None.  Blocks follow the blocks in them; the last is the whole."""
+    """A block of a nesting: intervals of ``lengths`` (fractions of it), one
+    label tuple in ``keys`` per boundary between them, and per interval the
+    block in it, or None.  Blocks follow the blocks in them; the last is the whole."""
 
     lengths: tuple[float, ...]
-    key: tuple[str, ...]
+    keys: tuple[tuple[str, ...], ...]
     inner: tuple[int | None, ...]
 
 
@@ -120,8 +120,8 @@ class Schedule:
 
     Two schedules are equal when their scheme, orders, times (bit for bit),
     labels per event, closing and intervals are, in whatever order their
-    tables list the label tuples; ``nesting`` (None unless a builder or a
-    transform made the schedule) is not compared.  A schedule is not hashable.
+    tables list the label tuples; ``nesting`` (one block unless a builder or
+    a transform made the schedule) is not compared.  A schedule is not hashable.
     """
 
     scheme: str
@@ -131,7 +131,6 @@ class Schedule:
     codes: np.ndarray
     closing_ops: tuple[str, ...]
     intervals: int
-    nesting: tuple[Layer, ...] | None = None
 
     __hash__ = None
 
@@ -143,11 +142,12 @@ class Schedule:
 
     @classmethod
     def _of(cls, scheme, orders, times, ops_table, codes, closing_ops, intervals,
-            nesting=None):
+            nesting=()):
         """A schedule from its columns, checked as one made from events."""
         self = object.__new__(cls)
         self._set(scheme, orders, times, ops_table, codes, closing_ops, intervals)
-        vars(self)["nesting"] = nesting
+        if nesting:
+            vars(self)["nesting"] = nesting
         return self
 
     def _set(self, scheme, orders, given, ops_table, codes, closing_ops, intervals):
@@ -186,6 +186,15 @@ class Schedule:
         remap = np.array([index.get(o, -1) for o in self.ops_table], dtype=np.intp)
         return np.array_equal(remap[self.codes], other.codes)
 
+    @cached_property
+    def nesting(self) -> tuple[Layer, ...]:
+        """The nesting a builder or a transform recorded, or else the schedule
+        as one block, made on first read: the differences of (0, times, 1),
+        each event's labels at its boundary, and no block nested in any."""
+        lengths = np.diff(np.concatenate(((0.0,), self.times, (1.0,)))).tolist()
+        keys = tuple(map(self.ops_table.__getitem__, self.codes.tolist()))
+        return (Layer(tuple(lengths), keys, (None,) * len(lengths)),)
+
     @property
     def events(self) -> tuple[Event, ...]:
         """The events as ``Event`` tuples, made from the columns on each read."""
@@ -203,7 +212,7 @@ class Schedule:
 
 def udd_times(n: int) -> list[float]:
     """Uhrig pulse fractions sin^2(k pi / (2N+2)) for k = 1..N."""
-    _check_udd_order(n)
+    n = _check_udd_order(n)
     angles = np.arange(1, n + 1) * math.pi / (2 * n + 2)
     return list(map(pow, map(math.sin, angles.tolist()), repeat(2)))
 
@@ -212,18 +221,20 @@ def udd_lengths(n: int) -> list[float]:
     """The N+1 UDD interval lengths sin((2j+1) theta) sin(theta), theta =
     pi / (2N+2), whose first k sum to sin^2(k theta); length j is computed
     at min(j, N-j), once, so mirrored lengths are equal bit for bit."""
-    _check_udd_order(n)
+    n = _check_udd_order(n)
     theta = math.pi / (2 * n + 2)
     angles = (2 * np.arange(n // 2 + 1) + 1) * theta
     half = list(map(mul, map(math.sin, angles.tolist()), repeat(math.sin(theta))))
     return half + half[: (n + 1) // 2][::-1]
 
 
-def _check_udd_order(n: int) -> None:
+def _check_udd_order(n: int) -> int:
+    n = as_index(n, "UDD order")
     if n < 0:
         raise PreconditionError("UDD order must be >= 0")
     if n + 1 > MAX_INTERVALS:
         raise _too_many_intervals("udd", n + 1)
+    return n
 
 
 def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
@@ -231,7 +242,7 @@ def _too_many_intervals(scheme: str, intervals) -> PreconditionError:
 
 
 def _check_orders(moos: Moos, orders, scheme: str) -> tuple[int, ...]:
-    orders = tuple(int(x) for x in orders)
+    orders = tuple(as_index(x, f"{scheme} order") for x in orders)
     if len(orders) != len(moos):
         raise PreconditionError(
             f"got {len(orders)} orders for an MOOS of size {len(moos)}"
@@ -260,12 +271,13 @@ def _nest(scheme: str, orders, layers) -> Schedule:
             codes = np.tile(np.append(codes, len(table)), len(fracs) + 1)[:-1]
             table.append(leftover + (label,))
             inner = len(nesting) - 1 if nesting else None
-            nesting.append(Layer(tuple(lengths), table[-1], (inner,) * len(lengths)))
+            keys = (table[-1],) * len(fracs)
+            nesting.append(Layer(tuple(lengths), keys, (inner,) * len(lengths)))
         if keep:
             leftover += (label,)
     times = _boundaries([fracs for _, fracs, _, _ in layers])
     return Schedule._of(scheme, orders, times, tuple(table), codes, leftover, len(times) + 1,
-                        tuple(nesting) or None)
+                        tuple(nesting))
 
 
 def _boundaries(fractions) -> np.ndarray:
@@ -282,6 +294,7 @@ def _boundaries(fractions) -> np.ndarray:
 def udd_schedule(op_label: str, n: int) -> Schedule:
     """Nth-order UDD of a single operator; the leftover Omega^N rotation is
     not emitted as a closing pulse (the error metric compensates for it)."""
+    n = _check_udd_order(n)
     return _nest("udd", (n,), [(op_label, udd_times(n), udd_lengths(n), False)])
 
 
@@ -308,12 +321,10 @@ def sdd_schedule(inner: Schedule) -> Schedule:
         raise _too_many_intervals("sdd", 2 * inner.intervals)
     half, closing, n = 0.5 * inner.times, tuple(inner.closing_ops), len(inner.ops_table)
     mid = [closing + closing[::-1]] if closing else []
-    nesting = inner.nesting
-    if nesting is not None:  # the mirrors are numbered k on
-        k = len(nesting)
-        nesting += (*(Layer(b.lengths[::-1], b.key[::-1], tuple(
-            None if i is None else i + k for i in b.inner[::-1])) for b in nesting),
-            Layer(_HALVES, closing + closing[::-1], (k - 1, 2 * k - 1)))
+    nesting, k = inner.nesting, len(inner.nesting)  # the mirrors are numbered k on
+    nesting += (*(Layer(b.lengths[::-1], _mapped(b.keys[::-1], lambda o: o[::-1]), tuple(
+        None if i is None else i + k for i in b.inner[::-1])) for b in nesting),
+        Layer(_HALVES, (closing + closing[::-1],), (k - 1, 2 * k - 1)))
     # The mirror's tuples are the table's reversed, coded n on; the
     # constructor merges those that read the same both ways.
     return Schedule._of(
@@ -332,7 +343,7 @@ def cdd_uniform(moos: Moos, n: int) -> Schedule:
     """Concatenated DD: N recursive substitutions of the bracketed
     first-order pattern X -> Omega X(T/2) Omega X(T/2) into its own free
     intervals; 2^(N*L) intervals."""
-    size = len(moos)
+    size, n = len(moos), as_index(n, "CDD order")
     if n < 1:
         raise PreconditionError("CDD order must be >= 1")
     if n * size > _LOG2_MAX_INTERVALS:
@@ -385,9 +396,9 @@ def conjugated(schedule: Schedule, label: str) -> Schedule:
     event's pulses become (C, *ops, C) and the closing (C, *closing).  The
     leading C is left out: it is a right factor of the propagator and of the
     net pulse, so every preservation error is unchanged.  The nesting's
-    pulses are conjugated alike."""
-    nesting = schedule.nesting and tuple(
-        b._replace(key=b.key and (label, *b.key, label)) for b in schedule.nesting)
+    pulses are conjugated alike; a boundary without pulses stays so (C C = I)."""
+    nesting = tuple(b._replace(keys=_mapped(b.keys, lambda o: o and (label, *o, label)))
+                    for b in schedule.nesting)
     return Schedule._of(schedule.scheme, schedule.orders, schedule.times,
                         tuple((label, *o, label) for o in schedule.ops_table),
                         schedule.codes, (label, *schedule.closing_ops), schedule.intervals,
@@ -402,29 +413,32 @@ def hahn_echo(schedule: Schedule, label: str) -> Schedule:
         raise _too_many_intervals("hahn_echo", 2 * schedule.intervals)
     half, echo, codes = 0.5 * schedule.times, (*schedule.closing_ops, label), schedule.codes
     nesting = schedule.nesting
-    if nesting is not None:
-        nesting += (Layer(_HALVES, echo, (len(nesting) - 1,) * 2),)
     return Schedule._of(schedule.scheme, schedule.orders,
                         np.concatenate((half, _HALF, 0.5 + half)),
                         (*schedule.ops_table, echo),
                         np.concatenate((codes, [len(schedule.ops_table)], codes)),
-                        echo, 2 * schedule.intervals, nesting)
+                        echo, 2 * schedule.intervals,
+                        (*nesting, Layer(_HALVES, (echo,), (len(nesting) - 1,) * 2)))
+
+
+def _mapped(keys, f):
+    """``f`` of each label tuple of ``keys``, called once per distinct one."""
+    new = {o: f(o) for o in dict.fromkeys(keys)}
+    return tuple(map(new.__getitem__, keys))
 
 
 def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:
     """Product of the pulses ``labels``, each one of the ``extra`` system
     operators or else a MOOS element, the first label acting first: the
     matrix product runs latest-applied leftmost."""
-    named = {op.label: op for op in extra}
+    named = {op.label: op for op in (*moos.elements, *extra)}  # extra ones win
     product = np.eye(moos.dim, dtype=complex)
     for lab in labels:
-        try:
-            op = named[lab] if lab in named else moos.by_label(lab)
-        except KeyError:
+        if lab not in named:
             raise PreconditionError(
                 f"schedule references label {lab!r} not present in the MOOS"
             )
-        product = op.matrix @ product
+        product = named[lab].matrix @ product
     return product
 
 

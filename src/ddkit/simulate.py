@@ -27,9 +27,9 @@ A program's steps are a grammar, read from the schedule's nesting
 scale, its symbols in turn.  ``kernel.Plan``, made once per grammar and kept
 for the last PLAN_MEMO grammars planned (``_plan``), runs a rule named once
 in place and forms the matrix of a rule named more often on its first use,
-freeing it after its last, so NUDD's nested blocks, CDD's self-similar ones
-and the two halves of a Hahn echo run once each.  A schedule with no
-nesting (made from events, or read from JSON) runs flat.  A sweep of T or
+freeing it after its last, so one block (of a schedule made from events or
+read from JSON) runs flat, and NUDD's nested blocks, CDD's self-similar ones
+and the two halves of a Hahn echo run once each.  A sweep of T or
 of pulse durations runs in ``_sweep``: at most MAX_PRODUCTS grammar
 products over all its points (``check_sweep_budget``), in chunks whose
 numbered kernel matrices and driven stack take no more memory than a flat
@@ -41,11 +41,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
 
 import numpy as np
 
-from .errors import PreconditionError, UnfittableError
+from .errors import PreconditionError, UnfittableError, as_index
 from .kernel import Plan, run
 from .linalg import kron
 from .model import HamiltonianModel, check_model, random_model
@@ -110,7 +109,7 @@ class RunConfig:
             raise PreconditionError("every total time in t_grid must be positive and finite")
         if any(t2 <= t1 for t1, t2 in zip(grid, grid[1:])):
             raise PreconditionError("t_grid must be strictly increasing")
-        seeds = tuple(int(s) for s in self.seeds)
+        seeds = tuple(as_index(s, "seed") for s in self.seeds)
         if not seeds:
             raise PreconditionError("seeds must not be empty")
         _check_floor(self.error_floor)
@@ -236,30 +235,16 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
     ``extra`` system operators, else a MOOS element; an extra operator may
     share a MOOS element's label only with the same matrix.
 
-    The grammar comes from the schedule's nesting.  A schedule without one
-    (made from events, or read from JSON) runs flat, one step per
-    interval.  The net pulse is not formed here: ``Program.net`` runs the
-    plan on its first read."""
+    The grammar comes from the schedule's nesting, one block for a schedule
+    made from events or read from JSON.  The net pulse is not formed here:
+    ``Program.net`` runs the plan on its first read."""
     check_dimension(extra, moos.dim, "MOOS")
     check_labels((*moos.elements, *extra))
     # One pulse per distinct label tuple, keyed by the tuple.
     pulses = {ops: compose_pulses(ops, moos, extra)
               for ops in (*schedule.ops_table, schedule.closing_ops) if ops}
-    if schedule.nesting is None:
-        grammar = _flat_grammar(schedule)
-    else:
-        grammar = _nested_grammar(schedule.nesting, schedule.closing_ops)
+    grammar = _nested_grammar(schedule.nesting, schedule.closing_ops)
     return Program(grammar, pulses, moos.dim)
-
-
-def _flat_grammar(schedule: Schedule):
-    """One step per interval: the difference of two event times and the
-    pulses at the later one.  Equal steps share one tuple."""
-    fracs = np.diff(np.concatenate(((0.0,), schedule.times, (1.0,)))).tolist()
-    keys = [ops or None for ops in (*schedule.ops_table, schedule.closing_ops)]
-    codes, distinct = [*schedule.codes.tolist(), len(schedule.ops_table)], {}
-    steps = zip(fracs, repeat(None), map(keys.__getitem__, codes))
-    return tuple(distinct.setdefault(step, step) for step in steps), ()
 
 
 def _nested_grammar(nesting, closing):
@@ -305,7 +290,7 @@ def _intervals(block, trails):
     """(length, inner block, pulses after it) per interval of ``block``; the
     last is followed by the one tuple in ``trails``, or by none."""
     trail = next(iter(trails)) if len(trails) == 1 else ()
-    return zip(block.lengths, block.inner, [*repeat(block.key, len(block.lengths) - 1), trail])
+    return zip(block.lengths, block.inner, [*block.keys, trail])
 
 
 def _scaled(scale, length):
@@ -500,6 +485,8 @@ def order_scan(
     """
     if operators is None:
         operators = list(moos.elements)
+    if not operators:
+        raise PreconditionError("operators must not be empty")
     check_dimension(operators, moos.dim, "MOOS")
     check_labels(operators)
     if config.threads > 1:
@@ -510,10 +497,8 @@ def order_scan(
         )
     n_t, n_s = len(config.t_grid), len(config.seeds)
     # Checked before compiling, at a lower bound of the grammar's products:
-    # the intervals of a flat program, or those of the outermost block.
-    nesting = schedule.nesting
-    check_sweep_budget((schedule.intervals if nesting is None else len(nesting[-1].lengths))
-                       * n_t * n_s)
+    # the intervals of the outermost block.
+    check_sweep_budget(len(schedule.nesting[-1].lengths) * n_t * n_s)
     program = compile_program(schedule, moos, extra)
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}
     dim = model_spec.sys_dim * model_spec.bath_dim

@@ -1,7 +1,8 @@
 """Oracles the tests check the library against, kept out of the library
 because no library path needs them: blind adaptive quadrature of the pulse
 moment integrals (scipy), the split of a Hamiltonian into the parts that
-commute and anticommute with a pulse, the spectral norm from an SVD, a
+commute and anticommute with a pulse, a pulse's envelope at one instant,
+the spectral norm from an SVD, a
 log-log line from ``np.polyfit``, a schedule's steps event by event, the
 steps a program's grammar expands to, and a grammar with its rules named
 once spliced in."""
@@ -11,6 +12,16 @@ from collections import Counter
 
 import numpy as np
 from scipy import integrate
+
+
+def envelope(shape, t: float) -> float:
+    """The amplitude of the segment of ``shape`` that holds instant ``t``;
+    at a boundary, that of the segment it ends."""
+    edges = shape.boundaries()
+    for j, (_, amp) in enumerate(shape.segments):
+        if t <= edges[j + 1]:
+            return amp
+    return shape.segments[-1][1]
 
 
 def eta_integrals_quadrature(shape, tol: float = 1e-12):
@@ -30,7 +41,7 @@ def eta_integrals_quadrature(shape, tol: float = 1e-12):
     phi0 = psi(shape.tau_p) / 2 + psi(0.0) / 2  # int_s^p v - int_0^s v
 
     def integrand(t, trig):
-        return (t - shape.tau_s) * shape.envelope(t) * trig(phi0 - psi(t))
+        return (t - shape.tau_s) * envelope(shape, t) * trig(phi0 - psi(t))
 
     pts = edges[1:-1]
     eta11, _ = integrate.quad(

@@ -48,6 +48,25 @@ def test_sequence_odd_inner_rejected_exit_2(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("argv", [["scan", "--scheme", "cdd", "--orders", "1"],
+                                  ["pulse", "scan", "--pulse", "rect"]],
+                         ids=["scan", "pulse_scan"])
+def test_unknown_operator_label_exit_2(tmp_path, capsys, argv):
+    code, _, err = run([*argv, "--op", "Q9", "--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 2
+    assert "precondition violated: no MOOS element labelled 'Q9'" in err
+
+
+def test_key_error_inside_a_command_is_not_a_precondition(monkeypatch):
+    # only a PreconditionError is reported as a violated precondition
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_moos", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["moos", "--spec", "qubit_full:1"])
+
+
 def test_sequence_counterexample_with_override(tmp_path, capsys):
     out = tmp_path / "ce.json"
     code, stdout, _ = run(

@@ -1,7 +1,8 @@
 """The grammar ``compile_program`` reads from a schedule's nesting, checked
-against the schedule's events: every builder and transform, schedules read
-back from JSON (which keep no nesting and run flat), the kernel's work and
-the sweep budget's count on the benchmark's scan cases.
+against the schedule's events: every builder and transform, schedules made
+from events or read back from JSON (each one block, which runs flat) and
+their transforms, the kernel's work and the sweep budget's count on the
+benchmark's scan cases.
 
 Each case's grammar must expand to the steps event by event, its net pulse
 must be the label-by-label product exactly, and its propagators must match
@@ -62,7 +63,34 @@ TRANSFORMED = {
     "sdd(hahn_echo(nudd(1,(2,3))))": (
         sdd_schedule(hahn_echo(nudd(Q1, (2, 3)), "Y1")), Q1, (Y1[1],)),
 }
-CASES = {**BUILT, **TRANSFORMED}
+
+
+def _moved(schedule, i):
+    """``schedule`` made from its events, event ``i`` an ulp later."""
+    events = list(schedule.events)
+    events[i] = Event(np.nextafter(events[i].time, 1.0), events[i].ops)
+    return Schedule(schedule.scheme, schedule.orders, events, schedule.closing_ops,
+                    schedule.intervals)
+
+
+def _read_back(schedule):
+    return schedule_from_json(schedule_to_json(schedule))
+
+
+# Schedules no builder made, each one block, with their MOOS and the echo
+# pulse of their Hahn echo; their transforms nest that block.
+DERIVED = {
+    "moved(nudd(1,(2,3)))": (_moved(nudd(Q1, (2, 3)), 4), Q1, Y1[1]),
+    "read_back(first_order(2,closing))": (_read_back(first_order_schedule(Q2, True)), Q2, Y1[2]),
+}
+for _name, (_schedule, _moos, _y) in DERIVED.items():
+    TRANSFORMED.update({
+        f"conjugated({_name})": (conjugated(_schedule, "X1"), _moos, ()),
+        f"hahn_echo({_name})": (hahn_echo(_schedule, "Y1"), _moos, (_y,)),
+        f"sdd({_name})": (sdd_schedule(_schedule), _moos, ()),
+    })
+CASES = {**BUILT, **{name: (s, moos, ()) for name, (s, moos, _) in DERIVED.items()},
+         **TRANSFORMED}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -102,19 +130,72 @@ def test_kernel_runs_a_rule_named_once_in_place(case):
     assert Plan(grammar).ops == Plan(spliced).ops
 
 
+def _runs_flat(schedule, grammar):
+    """Whether ``grammar`` is one rule of the steps event by event, which the
+    kernel runs as it runs them flat."""
+    steps = event_steps(schedule)
+    top, rules = grammar
+    return (top == (0,) and len(rules) == 1 and list(rules[0]) == steps
+            and Plan(grammar).ops == Plan((tuple(steps), ())).ops)
+
+
+@pytest.mark.parametrize("make", [_read_back, lambda s: _moved(s, 0)],
+                         ids=["read_back", "moved"])
+def test_nesting_of_a_schedule_no_builder_made_is_one_block(make):
+    # made on first read, not by the reader or the events constructor: the
+    # differences of (0, times, 1), and each event's labels at its boundary
+    schedule = make(sdd_schedule(conjugated(udd_schedule("Z1", 3), "X1")))
+    assert "nesting" not in vars(schedule)
+    (block,) = schedule.nesting
+    edges = np.concatenate(((0.0,), schedule.times, (1.0,)))
+    assert block.lengths == tuple(np.diff(edges).tolist())
+    assert block.keys == tuple(e.ops for e in schedule.events)
+    assert block.inner == (None,) * len(block.lengths)
+
+
+def test_transforms_reuse_the_block_of_a_schedule_no_builder_made():
+    back = _read_back(nudd(Q1, (2, 3)))
+    (block,) = back.nesting
+    assert hahn_echo(back, "Y1").nesting[0] is block
+    assert sdd_schedule(back).nesting[0] is block
+    conj = conjugated(back, "X1").nesting[0]
+    assert conj.lengths is block.lengths and conj.inner is block.inner
+    # the echo's two halves are one rule named twice
+    grammar = compile_program(hahn_echo(back, "Y1"), Q1, (Y1[1],)).grammar
+    assert grammar == ((1,), (grammar[1][0], (0, 0)))
+
+
+@pytest.mark.parametrize("transform", ["plain", "conjugated"])
+def test_label_less_event_matches_the_expm_oracle(transform):
+    # an event without labels is a boundary without pulses; conjugated
+    # leaves it so, where the events read (X1, X1), the identity
+    schedule = Schedule("custom", (1,), [(0.25, ("Z1",)), (0.5, ()), (0.75, ("X1", "Z1"))],
+                        ("X1",), 4)
+    if transform == "conjugated":
+        schedule = conjugated(schedule, "X1")
+    assert schedule.nesting[0].keys[1] == ()
+    program = compile_program(schedule, Q1)
+    model = ModelSpec("general", 2, 4, 1.0).realize(2)
+    times = (0.1, 0.6)
+    u = _propagators(program, [model], times)[0]
+    for i, t in enumerate(times):
+        want_u, want_net = oracle_propagator(schedule, Q1, model, t)
+        assert np.array_equal(program.net.matrix, want_net)
+        assert np.linalg.norm(u[i] - want_u, ord=2) <= TOL
+
+
 READ_BACK = sorted(BUILT) + ["sdd(first_order(2))", "sdd(first_order(2,closing))"]
 
 
 @pytest.mark.parametrize("case", READ_BACK)
 def test_read_back_schedule_runs_flat(case):
-    # the reader keeps no nesting, so the program is one step per event and
-    # runs the built schedule's propagators
+    # read back, the schedule is one block: one rule of one step per event,
+    # which runs flat and gives the built schedule's propagators
     schedule, moos, extra = CASES[case]
-    back = schedule_from_json(schedule_to_json(schedule))
-    assert back.nesting is None and back == schedule
+    back = _read_back(schedule)
+    assert len(back.nesting) == 1 and back == schedule
     program = compile_program(back, moos, extra)
-    top, rules = program.grammar
-    assert rules == () and list(top) == event_steps(back)
+    assert _runs_flat(back, program.grammar)
     model = ModelSpec("general", moos.dim, 4, 1.0).realize(2)
     times = (0.1, 0.6)
     built = _propagators(compile_program(schedule, moos, extra), [model], times)
@@ -123,22 +204,18 @@ def test_read_back_schedule_runs_flat(case):
 
 
 def test_schedule_unlike_its_rebuild_runs_flat():
-    # made from events, one time an ulp away from the builder's: no nesting
-    schedule = nudd(Q1, (2, 3))
-    events = list(schedule.events)
-    events[4] = Event(np.nextafter(events[4].time, 1.0), events[4].ops)
-    moved = Schedule(schedule.scheme, schedule.orders, events, schedule.closing_ops,
-                     schedule.intervals)
-    top, rules = compile_program(moved, Q1).grammar
-    assert rules == () and list(top) == event_steps(moved)
+    # made from events, one time an ulp away from the builder's: one block
+    moved = _moved(nudd(Q1, (2, 3)), 4)
+    assert len(moved.nesting) == 1
+    assert _runs_flat(moved, compile_program(moved, Q1).grammar)
 
 
 def test_read_back_transformed_deep_schedule_runs_flat_over_the_budget():
-    # read back, it has no nesting, so it runs flat
+    # read back, it is one block of 2^16 intervals, which runs flat
     schedule = conjugated(cdd_uniform(Q2, 4), "X1")
-    back = schedule_from_json(schedule_to_json(schedule))
+    back = _read_back(schedule)
     top, rules = compile_program(back, Q2).grammar
-    assert rules == () and len(top) == 2**16
+    assert top == (0,) and len(rules) == 1 and len(rules[0]) == 2**16
     spec = ModelSpec("general", 4, 4, 1.0)
     with pytest.raises(PreconditionError,
                        match=r"^sweep budget exceeded: 6291456 products > 1000000$"):
@@ -213,13 +290,22 @@ def test_budget_counts_the_grammar_products(monkeypatch, name):
     assert _charged(monkeypatch, schedule, moos) == products
 
 
+def test_bound_before_compiling_is_below_the_products(monkeypatch):
+    # 100 intervals and no events: one step, which both checks charge
+    charged = []
+    monkeypatch.setattr(simulate, "check_sweep_budget", charged.append)
+    order_scan(Schedule("udd", (99,), (), (), 100), Q1, ModelSpec(),
+               RunConfig(t_grid=(0.1,), seeds=(0,)))
+    assert charged == [1, 1]
+
+
 @pytest.mark.parametrize("read_back", [True, False], ids=["read_back_cdd", "udd"])
 def test_over_budget_sweep_is_rejected_before_compiling(monkeypatch, read_back):
-    # 2^20 intervals x 96 points: a flat program's intervals, or those of
-    # the outermost block, bound the products from below
+    # 2^20 intervals x 96 points: the intervals of the outermost block, one
+    # block when read back, bound the products from below
     if read_back:
-        schedule = schedule_from_json(schedule_to_json(cdd_uniform(Q1, 10)))
-        assert schedule.nesting is None
+        schedule = _read_back(cdd_uniform(Q1, 10))
+        assert len(schedule.nesting) == 1
     else:
         schedule = udd_schedule("Z1", 2**20 - 1)
 

@@ -24,8 +24,11 @@ from ddkit.sequences import (
     first_order_schedule,
     hahn_echo,
     nudd,
+    schedule_from_json,
+    schedule_to_json,
     sdd_schedule,
     udd_schedule,
+    udd_times,
 )
 from ddkit.simulate import (
     ModelSpec,
@@ -299,11 +302,51 @@ def test_run_config_rejects_invalid(kwargs, needle):
 
 
 def test_order_scan_budget_cap():
+    # 100 intervals between 99 events x 20,000 points
     cfg = RunConfig(t_grid=tuple(np.geomspace(0.01, 0.5, 200)),
                     seeds=tuple(range(100)))
-    big = Schedule("udd", (99,), tuple(), (), 100)
-    with pytest.raises(PreconditionError):
+    big = Schedule("udd", (99,), udd_schedule("Z1", 99).events, (), 100)
+    with pytest.raises(PreconditionError,
+                       match=r"^sweep budget exceeded: 2000000 products > 1000000$"):
         order_scan(big, MOOS1, GENERAL, cfg, operators=[SZ])
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda: nudd(MOOS1, (2.9, 3)), "UDD order must be an integer, got 2.9"),
+    (lambda: udd_times(2.5), "UDD order must be an integer, got 2.5"),
+    (lambda: udd_schedule("Z1", 2.5), "UDD order must be an integer, got 2.5"),
+    (lambda: cdd_uniform(MOOS1, 2.5), "CDD order must be an integer, got 2.5"),
+    (lambda: RunConfig(seeds=(0.5,)), "seed must be an integer, got 0.5"),
+    (lambda: RunConfig(seeds=("3",)), "seed must be an integer, got '3'"),
+    (lambda: random_model("general", 2, 4, 1.0, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: ModelSpec("general", 2.0, 4), "sys_dim must be an integer, got 2.0"),
+], ids=["nudd_order", "udd_times", "udd_schedule", "cdd_uniform", "float_seed",
+        "string_seed", "model_seed", "model_dimension"])
+def test_non_integer_input_is_rejected_naming_it(call, needle):
+    # these used to truncate (nudd orders, float seeds), parse a string, build
+    # meaningless times, keep a float seed, or fail later with a TypeError
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert str(err.value) == needle
+
+
+def test_numpy_integer_orders_are_kept_as_ints():
+    # a numpy integer order used to stay in the orders, where the JSON
+    # writer failed with a TypeError
+    n = np.int64(2)
+    for schedule in (udd_schedule("Z1", n), cdd_uniform(MOOS1, n), nudd(MOOS1, (n, n))):
+        assert all(type(order) is int for order in schedule.orders)
+        assert schedule_from_json(schedule_to_json(schedule)) == schedule
+
+
+def test_empty_operator_list_is_rejected_before_compiling(monkeypatch):
+    # used to sweep every point and return a result with no errors and no fits
+    def fail(*args):
+        raise AssertionError("compiled before the operators were checked")
+
+    monkeypatch.setattr(simulate, "compile_program", fail)
+    with pytest.raises(PreconditionError, match="^operators must not be empty$"):
+        order_scan(udd_schedule("Z1", 2), MOOS1, GENERAL, operators=[])
 
 
 def test_order_scan_budget_counts_grammar_products():
@@ -600,7 +643,10 @@ def test_non_moos_wrap_degrades_protection():
 
 
 def test_unknown_pulse_label_is_a_precondition_for_scan_and_propagate():
-    # both used to raise a bare KeyError from Moos.by_label
+    # both used to raise a bare KeyError from Moos.by_label, which now
+    # raises a PreconditionError of its own
+    with pytest.raises(PreconditionError, match="^no MOOS element labelled 'Q9'$"):
+        MOOS1.by_label("Q9")
     sched = udd_schedule("Q9", 2)
     needle = "schedule references label 'Q9' not present in the MOOS"
     with pytest.raises(PreconditionError, match=needle):
