@@ -73,11 +73,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _geomspace(start, stop, num) -> tuple[float, ...]:
-    """Geometric grid from ``start`` to ``stop``; numpy's complaint about the
-    bounds becomes a violated precondition.  Each point costs a product, so
-    more than MAX_PRODUCTS points are rejected before the grid is made."""
+def _geomspace(start, stop, num, names) -> tuple[float, ...]:
+    """Geometric grid from ``start`` to ``stop``, given as the two options or
+    config keys ``names``: a grid of more than one point must start below
+    its stop, and numpy's complaint about the bounds becomes a violated
+    precondition.  Each point costs a product, so more than MAX_PRODUCTS
+    points are rejected before the grid is made."""
     check_sweep_budget(num)
+    if num > 1 and start >= stop:
+        raise PreconditionError(f"{names[0]} {start} must be below {names[1]} {stop}")
     try:
         return tuple(np.geomspace(start, stop, num))
     except ValueError as exc:
@@ -115,7 +119,8 @@ def load_config(path: str | None) -> tuple[RunConfig, float]:
         value[key] = (tuple(get_list(doc, key, int, what)) if key == "seeds"
                       else get_field(doc, key, type(defaults[key]), what))
     run_cfg = RunConfig(
-        t_grid=_geomspace(value["t_min"], value["t_max"], value["t_points"]),
+        t_grid=_geomspace(value["t_min"], value["t_max"], value["t_points"],
+                          (f"{what} key 't_min'", "'t_max'")),
         seeds=value["seeds"],
         error_floor=value["error_floor"],
         error_ceiling=value["error_ceiling"],
@@ -307,7 +312,8 @@ def cmd_pulse_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
     model = parse_model_spec(args.model, norm_bound).realize(args.seed)
     moos = build_moos(args.moos)
     omega = moos.by_label(args.op) if args.op else moos.elements[0]
-    tau_grid = _geomspace(args.tau_min, args.tau_max, args.tau_points)
+    tau_grid = _geomspace(args.tau_min, args.tau_max, args.tau_points,
+                          ("--tau-min", "--tau-max"))
     result = pulse_error_scan(shape, model, omega, tau_grid)
     return _report(result, "pulse", (), args.out)
 

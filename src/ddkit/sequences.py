@@ -19,31 +19,20 @@ first label acts first).
 
 A ``Schedule`` holds its events as columns: a float64 array of the event
 times, a tuple of the distinct label tuples, and one integer code per event
-into that tuple.  The builders, the transforms and the JSON writer work on
-the columns with array operations and make no Python object per event;
-``Schedule.events`` makes ``Event`` tuples only when it is read.
+into that tuple.  The builders and the transforms work on the columns with
+array operations and make no Python object per event; ``Schedule.events``
+makes ``Event`` tuples only when it is read.
 
-The JSON writer encodes the time column with one ``json.dumps`` and each
-distinct label tuple once.  The reader takes text in the writer's layout
-apart at the writer's fixed separators: one ``json.loads`` for each half of
-the header, one for the times of each slice of about ``_CHUNK_CHARS``
-characters of events, and one per distinct label list.  It makes no dict or
-list per event, and holds the strings of one slice's events at a time.  It
-does so only where the parts show that ``json.loads`` of the whole text
-gives the same document and every event is valid; other text (another
-spacing or key order, an extra key, a bad event, malformed text) is parsed
-whole by ``json.loads``, and its events are read by one checked walk in
-order into ``Schedule``'s events constructor.  Both ways end in the same
-header checks and the same ``Schedule`` checks, so a text reads the same
-either way, to the schedule or the message.  Either way the label tuples
-are coded in first-appearance order.
+The JSON form is those columns too: the writer is one ``json.dumps``, and
+the reader one ``json.loads`` of the whole text, whatever its layout,
+followed by checks of each key.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain, count, repeat
+from functools import cached_property
+from itertools import chain, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -442,155 +431,34 @@ def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:
     return product
 
 
-_dumps = partial(json.dumps, separators=(",", ":"))
-# The writer's fixed separators, at which the reader splits its text.
-_EVENTS = ',"events":['  # after the orders, opening the event list
-_FIRST = '{"t":'  # opening the first event
-_OPS = ',"ops":'  # between an event's time and its labels
-_NEXT = '},{"t":'  # between an event's labels and the next event's time
-_CLOSING = '],"closing":'  # closing the event list
-
-
 def schedule_to_json(schedule: Schedule) -> str:
-    """Compact JSON: byte for byte ``json.dumps`` of the dict form
+    """Compact JSON, ``json.dumps`` with ``separators=(",", ":")`` of the
+    schedule's columns:
 
-        {"scheme": ..., "orders": [...], "events": [{"t": ..., "ops": [...]}, ...],
-         "closing": [...], "intervals": ...}
+        {"scheme": ..., "orders": [...], "times": [...], "ops_table": [[...], ...],
+         "codes": [...], "closing": [...], "intervals": ...}
 
-    with ``separators=(",", ":")``.  The events are written without building
-    that dict, as columns: one ``json.dumps`` of the time column writes every
-    time as json does (``float.__repr__``) and is split at its commas, and
-    each distinct label tuple is encoded once, with the text that closes its
-    event and opens the next.  The events are the times and these tails,
-    interleaved."""
-    codes = schedule.codes.tolist()
-    head = f'{{"scheme":{_dumps(schedule.scheme)},"orders":{_dumps(list(schedule.orders))}{_EVENTS}'
-    end = (
-        f'{_CLOSING}{_dumps(list(schedule.closing_ops))},'
-        f'"intervals":{_dumps(schedule.intervals)}}}'
-    )
-    if not codes:
-        return head + end
-    tails = [f"{_OPS}{_dumps(o)}{_NEXT}" for o in schedule.ops_table]
-    # One join makes the whole text: the head, each event's time and tail,
-    # and the end, which the last tail opens instead of a next event.
-    pieces = [None] * (2 * len(codes) + 1)
-    pieces[0] = head + _FIRST
-    pieces[1::2] = _dumps(schedule.times.tolist())[1:-1].split(",")
-    pieces[2::2] = map(tails.__getitem__, codes)
-    pieces[-1] = pieces[-1][: -len(_NEXT)] + "}" + end
-    return "".join(pieces)
-
-
-# The reader splits the events in slices of about this many characters, so
-# that the strings it makes per event at once stay cache-sized; slices of
-# 2^14 to 2^18 characters read a 2^16-event text alike, and 2^12 a little
-# slower.
-_CHUNK_CHARS = 2**16
-
-
-def _slice_columns(chunk: str):
-    """The times and the label texts of the events ``chunk``, split at
-    ``_OPS`` and ``_NEXT``, or None unless the parts alternate as written
-    and the times parse, joined by commas, to one finite number per event
-    (a number holds no comma, so each part is one number)."""
-    parts = chunk.replace(_NEXT, _OPS).split(_OPS)
-    times, labels = parts[::2], parts[1::2]
-    n = len(labels)
-    if len(times) != n:
-        return None
-    rebuilt = [_NEXT] * (4 * n - 1)
-    rebuilt[::4], rebuilt[1::4], rebuilt[2::4] = times, [_OPS] * n, labels
-    if "".join(rebuilt) != chunk:
-        return None
-    try:
-        times = json.loads(f"[{','.join(times)}]")
-    except ValueError:
-        return None
-    return (times, labels) if len(times) == n and all_of_kind(times, float) else None
-
-
-def _split_columns(text):
-    """The header and the columns of ``text`` split at the writer's
-    separators, or None unless the split shows that ``json.loads(text)``
-    gives the same document and every event is valid.
-
-    The text must be the object's opening keys, ``_EVENTS``, the events,
-    ``_CLOSING`` and the object's closing keys.  Each part is parsed on its
-    own, and together they show the whole document: the opening part closed
-    by "}" parses to an object with the keys scheme and orders only, so the
-    split is at the top level, and the closing part opened by "{" parses to
-    one with the keys closing and intervals only.  The events are read in
-    slices of about ``_CHUNK_CHARS`` characters, each ending at a ``_NEXT``
-    or at the last event, and each must pass ``_slice_columns``.  Slices
-    meet at ``_NEXT``, so together they show that times and label lists
-    alternate as written over all the events.  The label texts are coded in
-    first-appearance order over all the slices, and each distinct one must
-    parse to a list of strings (such a list holds neither separator).
-    ``json.loads`` reads what this rejects."""
-    if not isinstance(text, str):
-        return None
-    i, j = text.find(_EVENTS), text.rfind(_CLOSING)
-    first = i + len(_EVENTS)
-    if i < 0 or j < first:
-        return None
-    try:
-        head = json.loads(text[:i] + "}")
-        tail = json.loads("{" + text[j:].removeprefix("],"))
-    except ValueError:
-        return None
-    # Text that parses and ends with "}" (or starts with "{") is an object.
-    if list(head) != ["scheme", "orders"] or list(tail) != ["closing", "intervals"]:
-        return None
-    start, stop = first + len(_FIRST), j - 1
-    if not (text.startswith(_FIRST, first) and text.endswith("}", start, j)):
-        return None
-    # Each label text is stored with the index of its first appearance, and
-    # each event gets the index stored for its text.
-    table, counter, times, firsts = {}, count(), [], []
-    pos = start
-    while pos <= stop:
-        end = text.find(_NEXT, pos + _CHUNK_CHARS, stop)
-        end = stop if end < 0 else end
-        columns = _slice_columns(text[pos:end])
-        if columns is None:
-            return None
-        times += columns[0]
-        firsts.append(np.fromiter(map(table.setdefault, columns[1], counter), dtype=np.intp,
-                                  count=len(columns[1])))
-        pos = end + len(_NEXT)
-    # The stored indices increase, so a text's code is the rank of its first
-    # appearance among them.
-    codes = np.searchsorted(np.fromiter(table.values(), dtype=np.intp, count=len(table)),
-                            np.concatenate(firsts))
-    try:
-        ops = list(map(json.loads, table))
-    except ValueError:
-        return None
-    if not (all_of_kind(ops, list) and all_of_kind(list(chain.from_iterable(ops)), str)):
-        return None
-    return head | tail, times, tuple(map(tuple, ops)), codes
+    Each time is written as ``float.__repr__`` writes it, so it reads back
+    bit for bit; ``ops_table`` lists each distinct label list once, and
+    ``codes`` holds one index into it per event."""
+    return json.dumps({
+        "scheme": schedule.scheme,
+        "orders": schedule.orders,
+        "times": schedule.times.tolist(),
+        "ops_table": schedule.ops_table,
+        "codes": schedule.codes.tolist(),
+        "closing": schedule.closing_ops,
+        "intervals": schedule.intervals,
+    }, separators=(",", ":"))
 
 
 def schedule_from_json(text: str) -> Schedule:
-    """Inverse of ``schedule_to_json``.
-
-    Text in the writer's layout is split at its fixed separators, a slice
-    of events at a time, and its header, the times of each slice and its
-    distinct label lists are each parsed once, with no dict or list per
-    event (``_split_columns``).  That is done only where it
-    shows that ``json.loads`` of the whole text gives the same document, and
-    every event is valid; any other input is parsed by ``json.loads``.
-    Either way the same header checks follow, so a result or a message does
-    not depend on the way taken.
-
-    A schedule of more than ``MAX_INTERVALS`` intervals is rejected from the
-    header keys, before the events of a parsed document are read.  Those
-    are then walked in order, each time and label list checked as it is
-    reached so that the first bad key is named, into the ``Schedule``
-    events constructor."""
-    split = _split_columns(text)
-    doc = load_object(text, "schedule") if split is None else split[0]
+    """Inverse of ``schedule_to_json``, for text in any layout: one
+    ``json.loads`` of the whole text, then each key read and checked, so
+    that a bad one is named.  A schedule of more than ``MAX_INTERVALS``
+    intervals is rejected before any array is made.  Every code must index
+    ``ops_table``, and every entry there must be some event's."""
+    doc = load_object(text, "schedule")
     scheme = get_field(doc, "scheme", str, "schedule")
     orders = tuple(get_list(doc, "orders", int, "schedule"))
     closing = tuple(get_list(doc, "closing", str, "schedule"))
@@ -599,9 +467,25 @@ def schedule_from_json(text: str) -> Schedule:
         raise PreconditionError(
             f"schedule JSON has {intervals} control intervals, {_MORE_THAN_MAX}"
         )
-    if split is not None:
-        return Schedule._of(scheme, orders, *split[1:], closing, intervals)
-    events = [(get_field(e, "t", float, "schedule event"),
-               tuple(get_list(e, "ops", str, "schedule event")))
-              for e in get_list(doc, "events", dict, "schedule")]
-    return Schedule(scheme, orders, events, closing, intervals)
+    times = get_list(doc, "times", float, "schedule")
+    table = get_list(doc, "ops_table", list, "schedule")
+    if not all_of_kind(list(chain.from_iterable(table)), str):
+        raise PreconditionError("schedule JSON key 'ops_table': every item must be "
+                                "a list of strings")
+    codes = get_list(doc, "codes", int, "schedule")
+    if len(codes) != len(times):
+        raise PreconditionError(f"schedule JSON keys 'times' and 'codes' differ in length: "
+                                f"{len(times)} and {len(codes)}")
+    try:
+        codes = np.array(codes, dtype=np.intp)
+    except OverflowError:  # a code beyond the integer range
+        codes = None
+    if codes is None or len(codes) and not 0 <= codes.min() <= codes.max() < len(table):
+        raise PreconditionError(f"schedule JSON key 'codes': every code must index "
+                                f"'ops_table', of {len(table)} entries")
+    used = np.bincount(codes, minlength=len(table))
+    if not used.all():
+        raise PreconditionError(f"schedule JSON key 'ops_table': entry {used.argmin()} "
+                                f"is no event's")
+    return Schedule._of(scheme, orders, times, tuple(map(tuple, table)), codes, closing,
+                        intervals)

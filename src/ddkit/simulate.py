@@ -267,19 +267,21 @@ def _nested_grammar(nesting, closing):
     seen[-1][()] = {closing: None}
     for block, at in zip(reversed(nesting), reversed(seen)):
         for scale, trails in at.items():
+            subs = _scales(scale, block.lengths)
             for length, inner, after in _intervals(block, trails):
                 if inner is not None:
-                    seen[inner].setdefault(_scaled(scale, length), {})[after] = None
+                    seen[inner].setdefault(subs[length], {})[after] = None
     rules, symbols = [], [{} for _ in nesting]  # per block, scale and pulses after
     for block, at, made in zip(nesting, seen, symbols):
         for scale, trails in at.items():
+            subs = _scales(scale, block.lengths)
+            fracs = {length: math.prod(sub) for length, sub in subs.items()}
             seq = []
             for length, inner, after in _intervals(block, trails):
-                sub = _scaled(scale, length)
                 if inner is None:
-                    seq.append((math.prod(sub), None, after or None))
+                    seq.append((fracs[length], None, after or None))
                 else:
-                    seq.append(symbols[inner][sub][after])
+                    seq.append(symbols[inner][subs[length]][after])
             rule = _rule(seq, rules)  # its last step carries the pulses after it if one tuple
             made[scale] = {after: rule if len(trails) == 1 or not after
                            else _rule([rule, (0.0, None, after)], rules) for after in trails}
@@ -293,8 +295,10 @@ def _intervals(block, trails):
     return zip(block.lengths, block.inner, [*block.keys, trail])
 
 
-def _scaled(scale, length):
-    return tuple(sorted((*scale, length)))
+def _scales(scale, lengths):
+    """The scale of each distinct length of ``lengths`` inside ``scale``,
+    formed once per length."""
+    return {length: tuple(sorted((*scale, length))) for length in set(lengths)}
 
 
 def _rule(seq, rules):

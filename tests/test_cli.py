@@ -12,9 +12,9 @@ import pytest
 import ddkit
 from ddkit import cli
 from ddkit.cli import load_config, main
-from ddkit.operators import moos_from_json
+from ddkit.operators import moos_from_json, qubit_full_moos
 from ddkit.pulseshape import pulse_from_json
-from ddkit.sequences import schedule_from_json, udd_times
+from ddkit.sequences import cdd_uniform, schedule_from_json, schedule_to_json, udd_times
 from ddkit.simulate import RunConfig
 
 
@@ -381,6 +381,15 @@ def test_readme_config_schema_is_the_default(tmp_path):
     assert load_config(str(cfg)) == load_config(None)
 
 
+def test_readme_schedule_example_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A schedule file is one object", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0].rstrip("\n")
+    sched = schedule_from_json(block)
+    assert schedule_to_json(sched) == block
+    assert sched == cdd_uniform(qubit_full_moos(1), 1)
+
+
 def test_readme_cli_examples_exit_0(tmp_path, capsys, monkeypatch):
     # every command of README's CLI block, in order, in one directory: the
     # pulse scan reads the design's pulse.json
@@ -413,6 +422,29 @@ def test_pulse_scan_zero_tau_min_exit_2(tmp_path, capsys):
     assert code == 2
     assert "invalid time grid" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("low, high", [("0.1", "0.01"), ("0.05", "0.05")],
+                         ids=["above", "equal"])
+def test_pulse_scan_tau_min_not_below_tau_max_names_both_flags(tmp_path, capsys, low, high):
+    # used to say "t_grid must be strictly increasing", a name the user never typed
+    code, _, err = run(["pulse", "scan", "--pulse", "rect", "--tau-min", low, "--tau-max", high,
+                        "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2
+    assert f"--tau-min {float(low)} must be below --tau-max {float(high)}" in err
+    assert "t_grid" not in err and not (tmp_path / "x.csv").exists()
+
+
+def test_config_t_min_not_below_t_max_names_both_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_min": 0.6, "t_max": 0.02}))
+    code, _, err = run(["--config", str(cfg), "sequence", "--scheme", "free"], capsys)
+    assert code == 2
+    assert f"config {str(cfg)!r} key 't_min' 0.6 must be below 't_max' 0.02" in err
+    assert "t_grid" not in err
+    # one point needs no order between the bounds
+    cfg.write_text(json.dumps({"t_min": 0.6, "t_max": 0.02, "t_points": 1}))
+    assert load_config(str(cfg))[0].t_grid == (0.6,)
 
 
 def test_pulse_scan_notes_that_sweep_keys_apply_to_scan_only(tmp_path, capsys):

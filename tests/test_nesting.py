@@ -93,6 +93,16 @@ CASES = {**BUILT, **{name: (s, moos, ()) for name, (s, moos, _) in DERIVED.items
          **TRANSFORMED}
 
 
+@pytest.mark.parametrize("case", [*sorted(CASES), "cdd_uniform(1,10)"])
+def test_json_round_trip_keeps_the_table_and_the_codes(case):
+    # builders, transforms (SDD's silent midpoints among them), schedules
+    # made from events, and the largest schedule a builder makes
+    schedule = CASES[case][0] if case in CASES else cdd_uniform(Q1, 10)
+    back = _read_back(schedule)
+    assert back == schedule and back.ops_table == schedule.ops_table
+    assert np.array_equal(back.codes, schedule.codes)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_grammar_expands_to_the_event_steps(case):
     schedule, moos, extra = CASES[case]

@@ -1,29 +1,28 @@
 """Property tests of every schedule builder, of the two schedule transforms,
 of the schedule JSON writer and reader, and of the net pulse.
 
-The builders work on columns and the writer assembles its text by hand, so
-both are checked against independent references: per-event versions of the
-recursions written out below (times must agree bit for bit), ``json.dumps``
-of the documented dict form (the byte oracle of the writer), and SHA-256
-digests of ``ddkit sequence --out`` files.  The reader's split of the
-writer's text is checked against ``json.loads`` of the whole text, on
-mutated and on crafted text, at the real slice size and with every event its
-own slice.  The net pulse, which ``compile_program`` takes from its grammar,
-is checked against the product of the pulses event by event.
+The builders work on columns, so they are checked against independent
+references: per-event versions of the recursions written out below (times
+must agree bit for bit).  The writer is checked against ``json.dumps`` of
+the documented dict form made from the events view, and ``ddkit sequence
+--out`` files against SHA-256 digests of their bytes and of the schedules
+they hold.  The reader is checked on the writer's text in other layouts, on
+mutated text and on crafted text.  The net pulse, which ``compile_program``
+takes from its grammar, is checked against the product of the pulses event
+by event.
 """
 
 import functools
 import hashlib
 import json
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddkit import acceptance, sequences
+from ddkit import acceptance, cli
 from ddkit.cli import main
 from ddkit.errors import PreconditionError
 from ddkit.operators import Moos, Operator, pauli, qubit_full_moos
@@ -204,7 +203,9 @@ def _dict_form(s: Schedule) -> str:
     doc = {
         "scheme": s.scheme,
         "orders": list(s.orders),
-        "events": [{"t": e.time, "ops": list(e.ops)} for e in s.events],
+        "times": [float(e.time) for e in s.events],
+        "ops_table": [list(o) for o in s.ops_table],
+        "codes": [s.ops_table.index(e.ops) for e in s.events],
         "closing": list(s.closing_ops),
         "intervals": s.intervals,
     }
@@ -275,11 +276,12 @@ def test_writer_matches_json_dumps_on_any_text(sched):
 
 
 # Text that json writes escaped (a quote, a backslash, non-ASCII, a lone
-# surrogate) and the writer's own separators, which must stay inside strings.
+# surrogate) and text that looks like the writer's own keys and separators,
+# which must stay inside strings.
 _JSON_TEXT = st.one_of(
     st.text(max_size=4),
-    st.sampled_from(['"', "\\", "é", "\u2028", "\ud800", '},{"t":', ',"ops":',
-                     ',"events":[', '],"closing":', '"},{"t":0.5,"ops":["']),
+    st.sampled_from(['"', "\\", "é", "\u2028", "\ud800", '],"codes":[', ',"times":',
+                     '"ops_table":[["', '"],["', "]]"]),
 )
 # Characters that make or break JSON structure, and two that make none.
 _MUTANTS = list('{}[],:"\\ \n0123456789.-+eEINaflnrstu') + ["Z", "é"]
@@ -290,7 +292,7 @@ def _read(text):
     message of what it raises."""
     try:
         return schedule_from_json(text)
-    except Exception as exc:  # compared with the other way's, never hidden
+    except Exception as exc:  # compared with what is allowed, never hidden
         return type(exc), str(exc)
 
 
@@ -305,96 +307,84 @@ def _same_reading(got, want):
 @given(_hand_built(_JSON_TEXT, _JSON_TEXT))
 def test_writer_text_reads_back_in_any_layout(sched):
     text = schedule_to_json(sched)
-    for layout in (text, text + "\n", json.dumps(json.loads(text))):
-        assert schedule_from_json(layout) == sched
+    doc = json.loads(text)
+    for layout in (text, text + "\n", json.dumps(doc), json.dumps(doc, indent=1),
+                   json.dumps(dict(reversed(doc.items())))):
+        assert _same_reading(schedule_from_json(layout), sched)
 
 
-def _mutated_text_reads_as_json_loads_reads_it(sched, data):
+@settings(max_examples=300, deadline=None)
+@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
+def test_mutated_text_reads_as_its_document_or_is_rejected(sched, data):
     # one character inserted, deleted or replaced anywhere in the writer's
-    # text: the reader's split must give what json.loads of the whole text
-    # gives, the same schedule or the same message
+    # text: the reader gives a schedule, the same one where json reads the
+    # same document, or a PreconditionError, never another exception
     text = schedule_to_json(sched)
     at = data.draw(st.integers(0, len(text) - 1))
     edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
     char = "" if edit == "delete" else data.draw(st.sampled_from(_MUTANTS))
     mutated = text[:at] + char + text[at + (edit != "insert"):]
-    with mock.patch.object(sequences, "_split_columns", return_value=None):
-        want = _read(mutated)
-    assert _same_reading(_read(mutated), want)
+    got = _read(mutated)
+    if isinstance(got, Schedule):
+        assert _same_reading(schedule_from_json(schedule_to_json(got)), got)
+    else:
+        assert got[0] is PreconditionError, got
+    try:
+        same = json.loads(mutated) == json.loads(text)
+    except ValueError:
+        same = False
+    if same:
+        assert _same_reading(got, sched)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
-def test_split_reading_is_the_json_loads_reading_of_mutated_text(sched, data):
-    _mutated_text_reads_as_json_loads_reads_it(sched, data)
+def _columns(**changes):
+    doc = {"scheme": "x", "orders": [2], "times": [0.25, 0.5], "ops_table": [["Z1"], ["X1"]],
+           "codes": [0, 1], "closing": [], "intervals": 3}
+    return json.dumps(dict(doc, **changes), separators=(",", ":"))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
-def test_one_event_slices_read_mutated_text_as_json_loads_does(sched, data):
-    # every event is its own slice, so slices meet at every separator
-    # between events; the writer's own text is still read split
-    with mock.patch.object(sequences, "_CHUNK_CHARS", 1):
-        split = sequences._split_columns(schedule_to_json(sched))
-        assert (split is None) == (len(sched.times) == 0)
-        _mutated_text_reads_as_json_loads_reads_it(sched, data)
+_X = Schedule("x", (2,), (Event(0.25, ("Z1",)), Event(0.5, ("X1",))), (), 3)
 
-
-def _events_between(events, closing='"closing":[],"intervals":3'):
-    return '{"scheme":"x","orders":[2],"events":[' + events + "]," + closing + "}"
-
-
-_ONE = '{"t":0.5,"ops":["Z1"]}'
-
+# Each text with the schedule it reads as, or a part of its message.
 CRAFTED = {
-    # the separators out of turn: the first event has no labels
-    "out_of_turn": _events_between('{"t":0.25},{"t":["Z1"],"ops":0.5,"ops":["X1"]}'),
-    # out of turn across a slice boundary: the second event has no labels
-    # and the third has two, so the events hold as many times as label
-    # lists, but not one of each
-    "out_of_turn_across_slices": _events_between(
-        '{"t":0.25,"ops":["Z1"]},{"t":0.5},{"t":["X1"],"ops":0.75,"ops":["Y1"]}'),
-    # an event with no time, and so an empty last slice
-    "empty_last_event": _events_between(_ONE + ',{"t":}'),
-    # two numbers where one time belongs
-    "two_times": _events_between('{"t":0.25,0.5,"ops":["Z1"]}'),
-    # a second events key after the closing one
-    "events_key_after": _events_between(_ONE, '"closing":[],"events":5,"intervals":3'),
-    # a separator inside a nested value of the header, or of the labels
-    "nested_header": '{"scheme":"x","orders":[{"a":1,"events":[' + _ONE + '],"closing":2}]},'
-                     '{"closing":[],"intervals":3}',
-    "nested_label": _events_between('{"t":0.5,"ops":[{"a":[1],"ops":2}]}'),
-    # duplicate header keys, read as json reads them: the last one counts
-    "duplicate_keys": '{"scheme":"a","scheme":"b","orders":[2],"events":[' + _ONE
-                      + '],"closing":[],"closing":["Z1"],"intervals":2}',
-    "nan_time": _events_between('{"t":NaN,"ops":["Z1"]}'),
-    "byte_order_mark": "\ufeff" + _events_between(_ONE),
-    "spaced_event": _events_between('{"t":0.5, "ops":["Z1"]}'),
-    "no_events_key": _events_between("").replace(',"events":[]', ""),
+    # duplicate keys, read as json reads them: the last one counts
+    "duplicate_keys": (_columns()[:-1] + ',"scheme":"y","closing":["Z1"]}',
+                       Schedule("y", (2,), _X.events, ("Z1",), 3)),
+    # a key that is not the writer's is ignored, as is the old events list
+    "extra_key": (_columns(note="hand-edited", events=[]), _X),
+    # a label list listed twice is one entry
+    "repeated_entry": (_columns(times=[0.25, 0.5, 0.75], ops_table=[["Z1"], ["X1"], ["Z1"]],
+                                codes=[0, 1, 2], intervals=4),
+                       Schedule("x", (2,), (*_X.events, Event(0.75, ("Z1",))), (), 4)),
+    "empty_labels": (_columns(ops_table=[[], ["X1"]]),
+                     Schedule("x", (2,), (Event(0.25, ()), Event(0.5, ("X1",))), (), 3)),
+    "integer_time": (_columns(times=[0.25, 1]), "event time 1 outside the open interval (0, 1)"),
+    "nan_time": (_columns().replace("0.5", "NaN"),
+                 "'times': every item must be a finite number, got float"),
+    "infinite_time": (_columns().replace("0.5", "-Infinity"),
+                      "'times': every item must be a finite number, got float"),
+    "nested_labels": (_columns(ops_table=[["Z1"], [["X1"]]]), "'ops_table': every item must"),
+    "codes_object": (_columns(codes={"0": 0}), "'codes' must be a list, got dict"),
+    "codes_nested": (_columns(codes=[0, [1]]), "'codes': every item must be an integer, got list"),
+    "byte_order_mark": ("\ufeff" + _columns(), "malformed schedule JSON"),
+    "bytes": (_columns().encode(), _X),
+    "bad_utf8": (b"\xff" + _columns().encode(), "malformed schedule JSON"),
 }
 
 
-def _crafted_text_reads_as_json_loads_reads_it(text):
-    with mock.patch.object(sequences, "_split_columns", return_value=None):
-        want = _read(text)
-    assert _same_reading(_read(text), want)
-
-
-@pytest.mark.parametrize("text", CRAFTED.values(), ids=CRAFTED.keys())
-def test_split_reading_is_the_json_loads_reading_of_crafted_text(text):
-    _crafted_text_reads_as_json_loads_reads_it(text)
-
-
-@pytest.mark.parametrize("text", CRAFTED.values(), ids=CRAFTED.keys())
-def test_one_event_slices_read_crafted_text_as_json_loads_does(text):
-    with mock.patch.object(sequences, "_CHUNK_CHARS", 1):
-        _crafted_text_reads_as_json_loads_reads_it(text)
+@pytest.mark.parametrize("text, want", CRAFTED.values(), ids=CRAFTED.keys())
+def test_crafted_text_reads_as_its_json_document(text, want):
+    got = _read(text)
+    if isinstance(want, Schedule):
+        assert got == want
+    else:
+        assert got[0] is PreconditionError and want in got[1], got
 
 
 def test_writer_formats_float_subclasses_as_json_does():
     sched = Schedule("udd", (1,), (Event(np.float64(0.5), ("Z1",)),), (), 2)
     assert schedule_to_json(sched) == _dict_form(sched)
-    assert '"t":0.5,' in schedule_to_json(sched)
+    assert '"times":[0.5],' in schedule_to_json(sched)
 
 
 @pytest.mark.parametrize("sched", [
@@ -448,42 +438,43 @@ def test_hahn_echo_rejects_more_than_max_intervals():
 
 
 # ---------------------------------------------------------------------------
-# Golden digests of `ddkit sequence --out`, recorded when the schedule
-# builders still made one event object per event.
+# Golden digests of `ddkit sequence --out`, recorded when the file first
+# held the schedule's columns; the content digests below pin the schedules
+# themselves, unchanged since the builders made one event object per event.
 
 GOLDEN = [
     ("--scheme udd --orders 5",
-     "09ccbb5018a4f35693e7b695565d32e24e8612f62abf112934f58a315d4dddb9"),
+     "20f510e450021484c8747ad2cac129057686cf9a62172ec04811d86a391d1d4a"),
     ("--scheme udd --orders 4 --moos qubit_full:2 --op X2",
-     "e749b0810b336180323355d8440a9601cfc65da419b63b55dda24d6307330f21"),
+     "ad18a51748921475935ec15a715851b9900ac4a309d85804bbfd8545677ff9ec"),
     ("--scheme free",
-     "7bf11d88f6e6866e4c1fa5dcb30314926fec80c00cd714982e8c85c230ac0066"),
+     "89e19ed80146890f641f87846ad1b3a3c078e8213fd52806797d923a150c1ae9"),
     ("--scheme first_order --moos qubit_full:2",
-     "983eeb00bf9647c2a98389fecafc993866e653ea29c58e5280a522134d7bfcaf"),
+     "0dbaf27242f69ae61314c31ea54f8759e2ddc78edadace17a83d4a996540c0f7"),
     ("--scheme first_order --moos qubit_full:2 --include-closing",
-     "2c5ca4a380c291781425622164725309e94246ad61e0bf39715f6d3fe52886ce"),
+     "c866780e6445472772f2c2ff46ba39e6e65ef92f61c1d330a8fb1060848e1a37"),
     ("--scheme sdd --moos qubit_full:2",
-     "18fcaef180d8963d594cf2cd549de09686a9d6298ed44beed012c2e6d8e762b1"),
+     "c21d02ec675d097b8c9956e0cd719827b5482180d660de0fd4d3c26e09bfc4f9"),
     ("--scheme sdd --moos qubit_full:1 --include-closing",
-     "81bcdcb980403a81fef37a71f1b1beaeabfe325214e2e5583b27bb1f3f4f3e26"),
+     "beba50e672efa1adb413c2dc024cd454d39396af201596365c3ac8f08ff2976d"),
     ("--scheme cdd --orders 3 --moos qubit_full:1",
-     "192b87c3218c0c01e8aa5f83addc8e743a682e2682996a5726a466b62f8e21ef"),
+     "f9f063721d8ffe4f025c6b8942ef7565db001a024cdc5b0406b62595337cb2f4"),
     ("--scheme cdd --orders 2 --moos mlevel_full:2",
-     "e13caea43682526ac21cd44a8822e76d6d02720144b553a0806fa8d2d6b2e91c"),
+     "a2af4690fced2b21cad6d2d294a6b375621c8665df7977218a236781bebdd871"),
     ("--scheme cdd --orders 3 --moos qubit_full:2",
-     "138b3c60e357b7f73f0c3f89e10e45d7211e77ca34722872cc9a9e12bf8cf909"),
+     "810a350503331d8d6f82546db1ca01a50cce5663549c9b56154d08a6f14e2d82"),
     ("--scheme cdd_nested --orders 2,1,0,2 --moos qubit_full:2",
-     "dca1fcf2c07d6402c43f5ce5c32e5d3bc2b6aa1b479428ac33bdacbaf00930ed"),
+     "7ea306c67509b9043b95b5e1c7807e8b2c93c0c3bf060892301928745f79dc8b"),
     ("--scheme nudd --orders 2,3",
-     "ee982cb05ac780df773ff27f960661fc9e8da290810ec5fdc4232d7df03cc0eb"),
+     "8ee280286e0a81408bdb24d41afaf433318322511dd925bcb02b9710fbb5f229"),
     ("--scheme nudd --orders 1,2 --allow-odd-inner",
-     "5aa213f6eb165f954bbf7bbf3d6b093692ddab2491b524d82e7c16a2dd40da02"),
+     "e242b08cf61d7b0cd7b1bada9dee7e4bc0e66c7206fcda5b6c0fe40ef281acb6"),
     ("--scheme nudd --orders 2,2,2,3 --moos qubit_full:2",
-     "c2742a72db61f2ef0caf50ec3fda7ba45c8f97c7942b355de816343ba97e841a"),
+     "11c6590e1fb4f002cd85d0f9a1a309d6669cc239fe25e51bf9468408e164952d"),
     ("--scheme nudd --orders 3,2 --allow-odd-inner",
-     "0d4550fecde9cf205cf8018c29b637176f1536006d66e683cdfd89c49ff628be"),
+     "2424db3bdec5aba0e93d9499222e85178343bbcde61230eef11d815c808f8ab3"),
     ("--scheme nudd --orders 4,0 --moos mlevel_diagonal:3",
-     "eece83728bb087787894f21d2f22e58348518d65ebf2900a088a43d9c4f5b040"),
+     "3478522a4dfaa6d135c4c6acf94e54424f6519ea148c578d4c016f789bde63a7"),
 ]
 
 
@@ -493,6 +484,65 @@ def test_sequence_out_golden_sha256(tmp_path, capsys, args, digest):
     assert main(["sequence", *args.split(), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the schedule each GOLDEN command writes, taken from the
+# schedule's columns, not from the file: the bytes of its times, then the
+# repr of (each event's labels, its closing, its intervals).  They pin what
+# the file digests above hold, whatever the file's layout.
+GOLDEN_CONTENT = {
+    "--scheme udd --orders 5":
+        "432d368ed0bfe2a7b55408f3ae76db6f2a7fd4d3b7b590cbd9f5dff27eec615a",
+    "--scheme udd --orders 4 --moos qubit_full:2 --op X2":
+        "87924b390646b52f262da511bbeede8003132118d75730092c6e277ca470ff7e",
+    "--scheme free":
+        "dfbbbd16673a74e53060501ffc39c5d29b0841c6c4d7bd005e565f4f89ce0dee",
+    "--scheme first_order --moos qubit_full:2":
+        "16de50da671bcdb353e246eaa8f7bbf49de6a021680e6d42adec9a1b4432804e",
+    "--scheme first_order --moos qubit_full:2 --include-closing":
+        "091658889d2bb3f2d8c002b2b3dbfe66c7fca5f532896e02642c0d33f302d2fb",
+    "--scheme sdd --moos qubit_full:2":
+        "ba886aa61edd9b10e2c0cdfb41d9b4c62dd8a4bc413cc6c8cfce114f37dca11a",
+    "--scheme sdd --moos qubit_full:1 --include-closing":
+        "a018dafdfbc37fc973b8e77f3f79eb9ac304337dada1027fe87c8776ecb2dc3a",
+    "--scheme cdd --orders 3 --moos qubit_full:1":
+        "595b9461f60c2ba3b5efa95ef497985765f1839cb87b29f431a5c1faa6107965",
+    "--scheme cdd --orders 2 --moos mlevel_full:2":
+        "df9a7797b1c6553c5dd2057d21e876e9ce0e510b740aa452a7768e9e2f42d04d",
+    "--scheme cdd --orders 3 --moos qubit_full:2":
+        "71f413bf994678f043b35badf05dceecfa6e06cc811ec862414b8ec504d17431",
+    "--scheme cdd_nested --orders 2,1,0,2 --moos qubit_full:2":
+        "4d90649a0d8925f1c7bce013b65feebcd507838026a7fca9ae17d0e183a3964e",
+    "--scheme nudd --orders 2,3":
+        "c833aac1c388a050e435924f47751b22f4a04cb0d27e6571c589b3c532739201",
+    "--scheme nudd --orders 1,2 --allow-odd-inner":
+        "781cbb111efcee44e4e7f3a8428c592a65308ea583b59e51d86addc78c71b640",
+    "--scheme nudd --orders 2,2,2,3 --moos qubit_full:2":
+        "ae05bbef886fa0a2442548f4776a553d16e145e419f1665555a2a31565aad55f",
+    "--scheme nudd --orders 3,2 --allow-odd-inner":
+        "411d50572c8e6556ea6416eb68d6b5472614f0530b0fb9ec9bf556b9a2aba294",
+    "--scheme nudd --orders 4,0 --moos mlevel_diagonal:3":
+        "70534d5ff5ac7c13101b5ded883d4269e6e4dcbfd61cfbaa3aea5c73cf1450c6",
+}
+
+
+def _content_digest(s: Schedule) -> str:
+    labels = tuple(map(s.ops_table.__getitem__, s.codes.tolist()))
+    digest = hashlib.sha256(s.times.tobytes())
+    digest.update(repr((labels, s.closing_ops, s.intervals)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("args", GOLDEN_CONTENT)
+def test_sequence_out_golden_content_sha256(tmp_path, capsys, monkeypatch, args):
+    # the schedule the command writes, and the one its file reads back as
+    written = []
+    monkeypatch.setattr(cli, "schedule_to_json", lambda s: written.append(s) or schedule_to_json(s))
+    out = tmp_path / "s.json"
+    assert main(["sequence", *args.split(), "--out", str(out)]) == 0
+    capsys.readouterr()
+    back = schedule_from_json(out.read_text())
+    assert _content_digest(written[0]) == _content_digest(back) == GOLDEN_CONTENT[args]
 
 
 def test_writer_matches_json_dumps_on_a_2_to_the_16_interval_schedule():
@@ -505,8 +555,8 @@ def test_writer_matches_json_dumps_on_a_2_to_the_16_interval_schedule():
 
 
 def test_reader_peak_memory_on_a_2_to_the_16_interval_schedule():
-    # the events are read a slice at a time, so the reader never holds a
-    # string per event of the whole text (split whole, this text peaks at 15.3 MB)
+    # json.loads of the columns makes a float per time and a list of codes
+    # that are the cached small ints, and no string, dict or list per event
     sched = cdd_uniform(qubit_full_moos(1), 8)
     text = schedule_to_json(sched)
     tracemalloc.start()
@@ -552,13 +602,14 @@ def test_grammar_net_of_the_skew_echo_within_roundoff():
 
 
 def test_schedules_compare_by_their_columns_not_their_tables():
-    # the SDD builder lists the mirrored tuples before the midpoint's; the
-    # reader and the constructor list them in order of first appearance
+    # the SDD builder lists the mirrored tuples before the midpoint's, and
+    # the reader keeps the written table; the constructor lists them in
+    # order of first appearance
     sched = sdd_schedule(first_order_schedule(qubit_full_moos(2), include_closing=True))
     back = schedule_from_json(schedule_to_json(sched))
     by_hand = Schedule(sched.scheme, sched.orders, sched.events, sched.closing_ops,
                        sched.intervals)
-    assert back.ops_table == by_hand.ops_table != sched.ops_table
+    assert back.ops_table == sched.ops_table != by_hand.ops_table
     assert sched == back == by_hand and by_hand == sched
     events = list(sched.events)
     last_bit = events[:3] + [Event(np.nextafter(events[3].time, 1.0), events[3].ops)] + events[4:]
