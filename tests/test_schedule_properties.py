@@ -313,13 +313,10 @@ def test_writer_text_reads_back_in_any_layout(sched):
         assert _same_reading(schedule_from_json(layout), sched)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
-def test_mutated_text_reads_as_its_document_or_is_rejected(sched, data):
-    # one character inserted, deleted or replaced anywhere in the writer's
-    # text: the reader gives a schedule, the same one where json reads the
-    # same document, or a PreconditionError, never another exception
-    text = schedule_to_json(sched)
+def _mutated_text_reads_as_its_document_or_is_rejected(sched, text, data):
+    # one character inserted, deleted or replaced anywhere in text that
+    # reads as sched: the reader gives a schedule, the same one where json
+    # reads the same document, or a PreconditionError, never another exception
     at = data.draw(st.integers(0, len(text) - 1))
     edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
     char = "" if edit == "delete" else data.draw(st.sampled_from(_MUTANTS))
@@ -335,6 +332,23 @@ def test_mutated_text_reads_as_its_document_or_is_rejected(sched, data):
         same = False
     if same:
         assert _same_reading(got, sched)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
+def test_mutated_text_reads_as_its_document_or_is_rejected(sched, data):
+    _mutated_text_reads_as_its_document_or_is_rejected(sched, schedule_to_json(sched), data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hand_built(_JSON_TEXT, _JSON_TEXT), st.data())
+def test_mutated_indented_text_reads_as_its_document_or_is_rejected(sched, data):
+    # a layout the writer does not make: every key and list item on a line
+    # of its own, and the keys in reverse order
+    doc = json.loads(schedule_to_json(sched))
+    text = json.dumps(dict(reversed(doc.items())), indent=1)
+    assert _same_reading(schedule_from_json(text), sched)
+    _mutated_text_reads_as_its_document_or_is_rejected(sched, text, data)
 
 
 def _columns(**changes):
