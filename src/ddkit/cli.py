@@ -74,18 +74,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _geomspace(start, stop, num, names) -> tuple[float, ...]:
-    """Geometric grid from ``start`` to ``stop``, given as the two options or
-    config keys ``names``: a grid of more than one point must start below
-    its stop, and numpy's complaint about the bounds becomes a violated
-    precondition.  Each point costs a product, so more than MAX_PRODUCTS
-    points are rejected before the grid is made."""
+    """Geometric grid of ``num`` points from ``start`` to ``stop``.  ``names``
+    are a prefix and the options or config keys that gave the start, the
+    stop and the count, each named in the message that rejects it: each
+    bound must be positive and finite, the count at least 1, and a grid of
+    more than one point must start below its stop.  Each point costs a
+    product, so more than MAX_PRODUCTS points are rejected before the grid
+    is made."""
+    prefix, start_name, stop_name, num_name = names
     check_sweep_budget(num)
+    if num < 1:
+        raise PreconditionError(f"invalid time grid: {prefix}{num_name} must be at least 1, "
+                                f"got {num}")
+    for name, bound in ((start_name, start), (stop_name, stop)):
+        if not (math.isfinite(bound) and bound > 0):
+            raise PreconditionError(f"invalid time grid: {prefix}{name} must be positive and "
+                                    f"finite, got {bound}")
     if num > 1 and start >= stop:
-        raise PreconditionError(f"{names[0]} {start} must be below {names[1]} {stop}")
-    try:
-        return tuple(np.geomspace(start, stop, num))
-    except ValueError as exc:
-        raise PreconditionError(f"invalid time grid: {exc}")
+        raise PreconditionError(f"{prefix}{start_name} {start} must be below {stop_name} {stop}")
+    return tuple(np.geomspace(start, stop, num))
 
 
 def load_config(path: str | None) -> tuple[RunConfig, float]:
@@ -120,7 +127,7 @@ def load_config(path: str | None) -> tuple[RunConfig, float]:
                       else get_field(doc, key, type(defaults[key]), what))
     run_cfg = RunConfig(
         t_grid=_geomspace(value["t_min"], value["t_max"], value["t_points"],
-                          (f"{what} key 't_min'", "'t_max'")),
+                          (f"{what} key ", "'t_min'", "'t_max'", "'t_points'")),
         seeds=value["seeds"],
         error_floor=value["error_floor"],
         error_ceiling=value["error_ceiling"],
@@ -280,6 +287,8 @@ def cmd_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
     )
     spec = parse_model_spec(args.model, norm_bound)
     if args.seeds is not None:
+        if args.seeds < 1:
+            raise PreconditionError(f"--seeds must be at least 1, got {args.seeds}")
         # Each seed x T point forms at least one product: bound the count
         # before the seed tuple is made.
         check_sweep_budget(args.seeds * len(run_cfg.t_grid))
@@ -313,7 +322,7 @@ def cmd_pulse_scan(args, run_cfg: RunConfig, norm_bound: float) -> int:
     moos = build_moos(args.moos)
     omega = moos.by_label(args.op) if args.op else moos.elements[0]
     tau_grid = _geomspace(args.tau_min, args.tau_max, args.tau_points,
-                          ("--tau-min", "--tau-max"))
+                          ("", "--tau-min", "--tau-max", "--tau-points"))
     result = pulse_error_scan(shape, model, omega, tau_grid)
     return _report(result, "pulse", (), args.out)
 

@@ -101,11 +101,9 @@ class PulseShape:
         """Same shape at a new duration; amplitudes scale to preserve area."""
         _check_duration(tau_p)
         ratio = self.tau_p / tau_p
-        return PulseShape(
-            tau_p,
-            self.tau_s * tau_p / self.tau_p,
-            tuple((f, a * ratio) for f, a in self.segments),
-        )
+        segments = tuple((f, a * ratio) for f, a in self.segments)
+        _check_amplitudes(segments, tau_p)
+        return PulseShape(tau_p, self.tau_s * tau_p / self.tau_p, segments)
 
 
 def _check_duration(tau_p: float) -> None:
@@ -113,10 +111,20 @@ def _check_duration(tau_p: float) -> None:
         raise PreconditionError(f"pulse duration must be positive and finite, got {tau_p}")
 
 
+def _check_amplitudes(segments, tau_p: float) -> None:
+    """Reject a duration so short that an amplitude of ``segments``, which
+    scales as 1/tau_p at a fixed area, overflows."""
+    if not all(math.isfinite(a) for _, a in segments):
+        raise PreconditionError(
+            f"pulse duration {tau_p} is too short: its amplitude overflows")
+
+
 def rectangular_pulse(tau_p: float = 1.0) -> PulseShape:
     """Constant amplitude pi/(2 tau_p), centered: the zero-parameter family."""
     _check_duration(tau_p)
-    return PulseShape(tau_p, tau_p / 2, ((1.0, TARGET_AREA / tau_p),))
+    segments = ((1.0, TARGET_AREA / tau_p),)
+    _check_amplitudes(segments, tau_p)
+    return PulseShape(tau_p, tau_p / 2, segments)
 
 
 def _symmetric_shape(amps) -> PulseShape:

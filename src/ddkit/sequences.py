@@ -9,8 +9,12 @@ old: ``conjugated`` conjugates every free interval by one pulse, and
 
 Every schedule has a nesting (``Schedule.nesting``, ``Layer``), from which
 ``simulate.compile_program`` reads its grammar: the one the builders and the
-transforms record, UDD lengths in closed form (``udd_lengths``), or else one
-block made from the event times.
+transforms record, or else one block made from the event times.  A layer is
+held as columns, as the schedule is: its interval lengths, a table of its
+distinct label tuples with one code per boundary, and the block in each
+interval.  It also names the rule of its lengths: ``("udd", N)``, the UDD
+closed form (``udd_lengths``), or ``("halves",)``; a block made from event
+times has none, and shares the schedule's own ``ops_table`` and ``codes``.
 
 Schedules live on the normalized time axis [0, 1]; the physical total time T
 is applied at simulation time.  Pulses at a common instant are stored as one
@@ -67,8 +71,7 @@ _LOG2_MAX_INTERVALS = 20
 MAX_INTERVALS = 2**_LOG2_MAX_INTERVALS
 _MORE_THAN_MAX = f"more than MAX_INTERVALS = 2^{_LOG2_MAX_INTERVALS}"
 _TIME_TOL = 1e-12
-_HALF = (0.5,)  # exact; udd_times(1) is 0.49999999999999994
-_HALVES = (0.5, 0.5)
+_HALVES = ("halves",)  # the rule of a layer of two halves
 
 
 class Event(NamedTuple):
@@ -79,13 +82,24 @@ class Event(NamedTuple):
 
 
 class Layer(NamedTuple):
-    """A block of a nesting: intervals of ``lengths`` (fractions of it), one
-    label tuple in ``keys`` per boundary between them, and per interval the
-    block in it, or None.  Blocks follow the blocks in them; the last is the whole."""
+    """A block of a nesting, held as columns as a ``Schedule`` holds its events.
 
-    lengths: tuple[float, ...]
-    keys: tuple[tuple[str, ...], ...]
-    inner: tuple[int | None, ...]
+    ``rule`` names the law of its lengths: ``("udd", N)`` for the N+1 UDD
+    lengths ``udd_lengths(N)``, ``("halves",)`` for two exact halves, or None
+    for a block made from event times.  ``lengths`` is a read-only float64
+    array of its intervals' lengths, as fractions of the block.  Boundary i,
+    between intervals i and i+1, carries the labels ``table[codes[i]]``:
+    ``table`` holds the block's distinct label tuples, and ``codes`` is a
+    read-only intp array.  ``inner`` is a read-only intp array of the index
+    of the block in each interval, or -1 for a free one; a uniform column is
+    a zero-stride view, so a layer makes no Python object per interval.
+    Blocks follow the blocks in them; the last is the whole."""
+
+    rule: tuple | None
+    lengths: np.ndarray
+    table: tuple[tuple[str, ...], ...]
+    codes: np.ndarray
+    inner: np.ndarray
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -178,11 +192,13 @@ class Schedule:
     @cached_property
     def nesting(self) -> tuple[Layer, ...]:
         """The nesting a builder or a transform recorded, or else the schedule
-        as one block, made on first read: the differences of (0, times, 1),
-        each event's labels at its boundary, and no block nested in any."""
-        lengths = np.diff(np.concatenate(((0.0,), self.times, (1.0,)))).tolist()
-        keys = tuple(map(self.ops_table.__getitem__, self.codes.tolist()))
-        return (Layer(tuple(lengths), keys, (None,) * len(lengths)),)
+        as one block with no rule, made on first read: its lengths the
+        differences of (0, times, 1), its boundaries the schedule's own
+        ``ops_table`` and ``codes`` (shared, not copied), and no block nested
+        in any interval."""
+        lengths = np.diff(self.times, prepend=0.0, append=1.0)
+        lengths.flags.writeable = False
+        return (Layer(None, lengths, self.ops_table, self.codes, _column(-1, len(lengths))),)
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -241,30 +257,54 @@ def _check_orders(moos: Moos, orders, scheme: str) -> tuple[int, ...]:
     return orders
 
 
+def _layer(rule, key, inner) -> tuple[list[float], Layer]:
+    """The interior boundary fractions of a layer of ``rule``, and the layer:
+    the rule's lengths, the labels ``key`` at every boundary, and the block
+    ``inner`` (one index for all intervals, or one per interval) in its
+    intervals.  UDD's fractions and lengths are its closed forms; a
+    halving's are exact (``udd_times(1)`` is 0.49999999999999994)."""
+    if rule == _HALVES:
+        fracs, lengths = [0.5], [0.5, 0.5]
+    else:
+        fracs, lengths = udd_times(rule[1]), udd_lengths(rule[1])
+    lengths = np.array(lengths)
+    lengths.flags.writeable = False
+    return fracs, Layer(rule, lengths, (key,), _column(0, len(fracs)),
+                        _column(inner, len(lengths)))
+
+
+def _column(values, n: int) -> np.ndarray:
+    """``values`` (one value for all n, or n values) as a read-only intp
+    array of length n: a zero-stride view when it is one value."""
+    return np.broadcast_to(np.asarray(values, dtype=np.intp), (n,))
+
+
 def _nest(scheme: str, orders, layers) -> Schedule:
-    """``layers`` are (label, interior fractions, interval lengths,
-    leftover) tuples, innermost first.  Each layer puts boundaries at
-    a + (b - a) * f inside every interval (a, b) of the layers outside it.
-    A layer's pulse is the inner layers' leftover labels followed by its
-    own; a layer with ``leftover`` appends its label to them, and what is
-    left after the outermost layer is the closing.  Each layer with
-    fractions is a ``Layer`` of the nesting."""
+    """``layers`` are (label, rule, leftover) tuples, innermost first.  Each
+    layer puts boundaries at a + (b - a) * f, f the interior fractions of
+    its rule, inside every interval (a, b) of the layers outside it.  A
+    layer's pulse is the inner layers' leftover labels followed by its own;
+    a layer with ``leftover`` appends its label to them, and what is left
+    after the outermost layer is the closing.  Each layer with boundaries is
+    a ``Layer`` of the nesting, each of its intervals holding the layer
+    before it (-1, none, for the first)."""
     table: list[tuple[str, ...]] = []
     nesting: list[Layer] = []
+    fractions: list[list[float]] = []
     codes = np.empty(0, dtype=np.intp)
     leftover: tuple[str, ...] = ()
-    for label, fracs, lengths, keep in layers:
+    for label, rule, keep in layers:
+        fracs, layer = _layer(rule, leftover + (label,), len(nesting) - 1)
         if fracs:
             # The inner layers' pattern in each of this layer's intervals,
             # with this layer's pulse between them.
             codes = np.tile(np.append(codes, len(table)), len(fracs) + 1)[:-1]
-            table.append(leftover + (label,))
-            inner = len(nesting) - 1 if nesting else None
-            keys = (table[-1],) * len(fracs)
-            nesting.append(Layer(tuple(lengths), keys, (inner,) * len(lengths)))
+            table.append(layer.table[0])
+            nesting.append(layer)
+            fractions.append(fracs)
         if keep:
             leftover += (label,)
-    times = _boundaries([fracs for _, fracs, _, _ in layers])
+    times = _boundaries(fractions)
     return Schedule._of(scheme, orders, times, tuple(table), codes, leftover, len(times) + 1,
                         tuple(nesting))
 
@@ -274,9 +314,8 @@ def _boundaries(fractions) -> np.ndarray:
     # layer at once.
     edges = np.array([0.0, 1.0])
     for fracs in reversed(fractions):
-        if fracs:
-            a = edges[:-1, None]
-            edges = np.append(np.hstack((a, a + (edges[1:, None] - a) * fracs)), 1.0)
+        a = edges[:-1, None]
+        edges = np.append(np.hstack((a, a + (edges[1:, None] - a) * fracs)), 1.0)
     return edges[1:-1]
 
 
@@ -284,7 +323,7 @@ def udd_schedule(op_label: str, n: int) -> Schedule:
     """Nth-order UDD of a single operator; the leftover Omega^N rotation is
     not emitted as a closing pulse (the error metric compensates for it)."""
     n = _check_udd_order(n)
-    return _nest("udd", (n,), [(op_label, udd_times(n), udd_lengths(n), False)])
+    return _nest("udd", (n,), [(op_label, ("udd", n), False)])
 
 
 def first_order_schedule(moos: Moos, include_closing: bool = False) -> Schedule:
@@ -297,29 +336,32 @@ def first_order_schedule(moos: Moos, include_closing: bool = False) -> Schedule:
     size = len(moos)
     if size > MAX_FIRST_ORDER_SIZE:
         raise PreconditionError(f"MOOS size {size} exceeds {MAX_FIRST_ORDER_SIZE}")
-    layers = [(lab, _HALF, _HALVES, include_closing) for lab in moos.labels]
-    return _nest("first_order", (1,) * size, layers)
+    return _nest("first_order", (1,) * size,
+                 [(lab, _HALVES, include_closing) for lab in moos.labels])
 
 
 def sdd_schedule(inner: Schedule) -> Schedule:
     """Mirror symmetrization: the inner schedule compressed into [0, 1/2]
     followed by its time mirror.  An inner closing bracket collides with the
     mirror's opening bracket at the midpoint and the two compose in order.
-    The nesting adds each inner block mirrored: every tuple reversed."""
+    The nesting adds each inner block mirrored, with its rule, as UDD and
+    halving lengths are mirror-symmetric bit for bit: its columns reversed,
+    and each label tuple of its table."""
     if 2 * inner.intervals > MAX_INTERVALS:
         raise _too_many_intervals("sdd", 2 * inner.intervals)
     half, closing, n = 0.5 * inner.times, tuple(inner.closing_ops), len(inner.ops_table)
     mid = [closing + closing[::-1]] if closing else []
     nesting, k = inner.nesting, len(inner.nesting)  # the mirrors are numbered k on
-    nesting += (*(Layer(b.lengths[::-1], _mapped(b.keys[::-1], lambda o: o[::-1]), tuple(
-        None if i is None else i + k for i in b.inner[::-1])) for b in nesting),
-        Layer(_HALVES, (closing + closing[::-1],), (k - 1, 2 * k - 1)))
+    nesting += (*(Layer(b.rule, b.lengths[::-1], tuple(o[::-1] for o in b.table), b.codes[::-1],
+                        _column(np.where(b.inner < 0, -1, b.inner + k)[::-1], len(b.inner)))
+                  for b in nesting),
+                _layer(_HALVES, closing + closing[::-1], (k - 1, 2 * k - 1))[1])
     # The mirror's tuples are the table's reversed, coded n on; the
     # constructor merges those that read the same both ways.
     return Schedule._of(
         "sdd",
         inner.orders,
-        np.concatenate((half, _HALF * len(mid), 1.0 - half[::-1])),
+        np.concatenate((half, [0.5] * len(mid), 1.0 - half[::-1])),
         (*inner.ops_table, *(o[::-1] for o in inner.ops_table), *mid),
         np.concatenate((inner.codes, np.full(len(mid), 2 * n), inner.codes[::-1] + n)),
         (),
@@ -337,7 +379,7 @@ def cdd_uniform(moos: Moos, n: int) -> Schedule:
         raise PreconditionError("CDD order must be >= 1")
     if n * size > _LOG2_MAX_INTERVALS:
         raise _too_many_intervals("cdd", f"2^{n * size}")
-    return _nest("cdd", (n,) * size, [(lab, _HALF, _HALVES, True) for lab in moos.labels * n])
+    return _nest("cdd", (n,) * size, [(lab, _HALVES, True) for lab in moos.labels * n])
 
 
 def cdd_nested(moos: Moos, orders) -> Schedule:
@@ -347,7 +389,7 @@ def cdd_nested(moos: Moos, orders) -> Schedule:
     if sum(orders) > _LOG2_MAX_INTERVALS:
         raise _too_many_intervals("cdd_nested", f"2^{sum(orders)}")
     labels = chain.from_iterable(map(repeat, moos.labels, orders))
-    return _nest("cdd_nested", orders, [(lab, _HALF, _HALVES, True) for lab in labels])
+    return _nest("cdd_nested", orders, [(lab, _HALVES, True) for lab in labels])
 
 
 def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
@@ -375,7 +417,7 @@ def nudd(moos: Moos, orders, allow_odd_inner: bool = False) -> Schedule:
         raise _too_many_intervals("nudd", intervals)
     outer = len(orders) - 1
     return _nest("nudd", orders, [
-        (lab, udd_times(n), udd_lengths(n), n % 2 == 1 and l < outer)
+        (lab, ("udd", n), n % 2 == 1 and l < outer)
         for l, (lab, n) in enumerate(zip(moos.labels, orders))
     ])
 
@@ -385,8 +427,9 @@ def conjugated(schedule: Schedule, label: str) -> Schedule:
     event's pulses become (C, *ops, C) and the closing (C, *closing).  The
     leading C is left out: it is a right factor of the propagator and of the
     net pulse, so every preservation error is unchanged.  The nesting's
-    pulses are conjugated alike; a boundary without pulses stays so (C C = I)."""
-    nesting = tuple(b._replace(keys=_mapped(b.keys, lambda o: o and (label, *o, label)))
+    pulses are conjugated alike, in each block's table; a boundary without
+    pulses stays so (C C = I)."""
+    nesting = tuple(b._replace(table=tuple(o and (label, *o, label) for o in b.table))
                     for b in schedule.nesting)
     return Schedule._of(schedule.scheme, schedule.orders, schedule.times,
                         tuple((label, *o, label) for o in schedule.ops_table),
@@ -403,17 +446,11 @@ def hahn_echo(schedule: Schedule, label: str) -> Schedule:
     half, echo, codes = 0.5 * schedule.times, (*schedule.closing_ops, label), schedule.codes
     nesting = schedule.nesting
     return Schedule._of(schedule.scheme, schedule.orders,
-                        np.concatenate((half, _HALF, 0.5 + half)),
+                        np.concatenate((half, [0.5], 0.5 + half)),
                         (*schedule.ops_table, echo),
                         np.concatenate((codes, [len(schedule.ops_table)], codes)),
                         echo, 2 * schedule.intervals,
-                        (*nesting, Layer(_HALVES, (echo,), (len(nesting) - 1,) * 2)))
-
-
-def _mapped(keys, f):
-    """``f`` of each label tuple of ``keys``, called once per distinct one."""
-    new = {o: f(o) for o in dict.fromkeys(keys)}
-    return tuple(map(new.__getitem__, keys))
+                        (*nesting, _layer(_HALVES, echo, len(nesting) - 1)[1]))
 
 
 def compose_pulses(labels, moos: Moos, extra=()) -> np.ndarray:

@@ -248,11 +248,12 @@ def compile_program(schedule: Schedule, moos: Moos, extra=()) -> Program:
 
 
 def _nested_grammar(nesting, closing):
-    """The grammar of a nesting of ``sequences.Layer`` blocks: one rule per
-    distinct (block, scale, pulses after it), found from the outermost block
-    in.  A scale is the multiset of the lengths of the intervals around a
-    block, and a step's fraction their product with its own length in sorted
-    order, so NUDD's equal orders share blocks.
+    """The grammar of a nesting of ``sequences.Layer`` blocks, read from
+    their columns: one rule per distinct (block, scale, pulses after it),
+    found from the outermost block in.  A scale is the multiset of the
+    lengths of the intervals around a block, and a step's fraction their
+    product with its own length in sorted order, so NUDD's equal orders
+    share blocks.
 
     A block is its intervals in turn, each a free step or the block nested
     in it, with its pulses between them and after it the pulses that follow
@@ -262,23 +263,27 @@ def _nested_grammar(nesting, closing):
     its own is ``kernel.Plan``'s decision: it runs a rule named once in
     place, so UDD, one rule, runs flat.  The top sequence is the outermost
     block's rule, whose last step carries ``closing``."""
+    # Each block's (lengths, block in each interval or -1, labels at each
+    # boundary) as Python values, made once; a step's fraction is a float.
+    blocks = [(b.lengths.tolist(), b.inner.tolist(), [*map(b.table.__getitem__, b.codes.tolist())])
+              for b in nesting]
     # Per block and scale: the pulse tuples that follow it, in order found.
     seen = [{} for _ in nesting]
     seen[-1][()] = {closing: None}
-    for block, at in zip(reversed(nesting), reversed(seen)):
+    for block, at in zip(reversed(blocks), reversed(seen)):
         for scale, trails in at.items():
-            subs = _scales(scale, block.lengths)
+            subs = _scales(scale, block[0])
             for length, inner, after in _intervals(block, trails):
-                if inner is not None:
+                if inner >= 0:
                     seen[inner].setdefault(subs[length], {})[after] = None
     rules, symbols = [], [{} for _ in nesting]  # per block, scale and pulses after
-    for block, at, made in zip(nesting, seen, symbols):
+    for block, at, made in zip(blocks, seen, symbols):
         for scale, trails in at.items():
-            subs = _scales(scale, block.lengths)
+            subs = _scales(scale, block[0])
             fracs = {length: math.prod(sub) for length, sub in subs.items()}
             seq = []
             for length, inner, after in _intervals(block, trails):
-                if inner is None:
+                if inner < 0:
                     seq.append((fracs[length], None, after or None))
                 else:
                     seq.append(symbols[inner][subs[length]][after])
@@ -289,10 +294,11 @@ def _nested_grammar(nesting, closing):
 
 
 def _intervals(block, trails):
-    """(length, inner block, pulses after it) per interval of ``block``; the
-    last is followed by the one tuple in ``trails``, or by none."""
+    """(length, inner block, pulses after it) per interval of ``block``'s
+    columns; the last is followed by the one tuple in ``trails``, or by none."""
+    lengths, inner, keys = block
     trail = next(iter(trails)) if len(trails) == 1 else ()
-    return zip(block.lengths, block.inner, [*block.keys, trail])
+    return zip(lengths, inner, [*keys, trail])
 
 
 def _scales(scale, lengths):

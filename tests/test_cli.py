@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +198,43 @@ def test_scan_zero_seeds_exit_2(tmp_path, capsys):
          "--out", str(tmp_path / "x.csv")], capsys,
     )
     assert code == 2
-    assert "seeds must not be empty" in err
+    assert "--seeds must be at least 1, got 0" in err
+
+
+# Each bad grid bound or seed count is named by the flag or the config key
+# the user typed; these used to name t_grid, or say "seeds must not be
+# empty", and -0.1 and inf also printed numpy's RuntimeWarning.
+_BAD_BOUNDS = {
+    "tau_min_nan": (["--tau-min", "nan"], "--tau-min must be positive and finite, got nan"),
+    "tau_min_negative": (["--tau-min", "-0.1"],
+                         "--tau-min must be positive and finite, got -0.1"),
+    "tau_max_inf": (["--tau-max", "inf"], "--tau-max must be positive and finite, got inf"),
+    "tau_points_zero": (["--tau-points", "0"], "--tau-points must be at least 1, got 0"),
+    "tau_points_negative": (["--tau-points", "-3"], "--tau-points must be at least 1, got -3"),
+    "config_t_min": ({"t_min": -0.1}, "key 't_min' must be positive and finite, got -0.1"),
+    "config_t_points": ({"t_points": 0}, "key 't_points' must be at least 1, got 0"),
+    "seeds_negative": (["--seeds", "-5"], "--seeds must be at least 1, got -5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BOUNDS))
+def test_bad_grid_bound_or_seed_count_names_its_flag_or_key(tmp_path, capsys, case):
+    given, needle = _BAD_BOUNDS[case]
+    out = ["--out", str(tmp_path / "x.csv")]
+    if isinstance(given, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given))
+        argv = ["--config", str(cfg), "scan", "--scheme", "udd", "--orders", "2", *out]
+    elif given[0] == "--seeds":
+        argv = ["scan", "--scheme", "udd", "--orders", "2", "--op", "Z1", *given, *out]
+    else:
+        argv = ["pulse", "scan", "--pulse", "rect", *given, *out]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(argv, capsys)
+    assert code == 2 and needle in err
+    assert "t_grid" not in err and "Traceback" not in err
+    assert caught == [] and not (tmp_path / "x.csv").exists()
 
 
 def test_config_env_var_and_unknown_key(tmp_path, capsys, monkeypatch):
@@ -275,7 +312,9 @@ def test_pulse_design_rect_exit_3(capsys):
     ("rect", "1e-160", 3, "residual |eta_12| = 3.183e-161"),
     ("sym3", "1e200", 0, "area = "),
     ("rect", "1e200", 3, "residual |eta_12| = 3.183e+199"),
-    ("sym3", "1e-320", 2, "must be finite"),
+    ("sym3", "1e-320", 2, "is too short"),
+    ("sym5", "1e-320", 2, "pulse duration 1e-320 is too short: its amplitude overflows"),
+    ("rect", "1e-320", 2, "pulse duration 1e-320 is too short: its amplitude overflows"),
 ])
 def test_pulse_design_tau_p_never_ends_in_a_traceback(capsys, family, tau_p, code, needle):
     # zero, tiny and huge durations used to end in ZeroDivisionError or

@@ -12,6 +12,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddkit import simulate
 from ddkit.errors import PreconditionError
@@ -29,11 +31,13 @@ from ddkit.sequences import (
     schedule_from_json,
     schedule_to_json,
     sdd_schedule,
+    udd_lengths,
     udd_schedule,
 )
 from ddkit.simulate import ModelSpec, RunConfig, _propagators, compile_program, order_scan
 from oracles import event_steps, expand_grammar, joined_steps, splice_single_rules
 from test_kernel import TOL, oracle_propagator
+from test_simulate import _transformed
 
 EPS = np.finfo(float).eps
 Q1, Q2 = qubit_full_moos(1), qubit_full_moos(2)
@@ -153,14 +157,55 @@ def _runs_flat(schedule, grammar):
                          ids=["read_back", "moved"])
 def test_nesting_of_a_schedule_no_builder_made_is_one_block(make):
     # made on first read, not by the reader or the events constructor: the
-    # differences of (0, times, 1), and each event's labels at its boundary
+    # differences of (0, times, 1), and the schedule's own table and codes
+    # at its boundaries, shared and not copied
     schedule = make(sdd_schedule(conjugated(udd_schedule("Z1", 3), "X1")))
     assert "nesting" not in vars(schedule)
     (block,) = schedule.nesting
     edges = np.concatenate(((0.0,), schedule.times, (1.0,)))
-    assert block.lengths == tuple(np.diff(edges).tolist())
-    assert block.keys == tuple(e.ops for e in schedule.events)
-    assert block.inner == (None,) * len(block.lengths)
+    assert block.rule is None
+    assert block.lengths.dtype == np.float64 and not block.lengths.flags.writeable
+    assert block.lengths.tobytes() == np.diff(edges).tobytes()
+    assert block.table is schedule.ops_table and block.codes is schedule.codes
+    assert np.array_equal(block.inner, np.full(len(block.lengths), -1))
+    assert not block.inner.flags.writeable and block.inner.strides == (0,)
+
+
+def _built(scheme, moos, data):
+    """A ``scheme`` schedule on ``moos`` of orders drawn from ``data``."""
+    if scheme == "first_order":
+        return first_order_schedule(moos, data.draw(st.booleans()))
+    if scheme == "cdd_uniform":
+        return cdd_uniform(moos, data.draw(st.integers(1, 2)))
+    orders = data.draw(st.lists(st.integers(0, 3), min_size=len(moos), max_size=len(moos)))
+    if scheme == "cdd_nested":
+        return cdd_nested(moos, orders)
+    return nudd(moos, orders, allow_odd_inner=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["nudd", "cdd_uniform", "cdd_nested", "first_order"]),
+       st.integers(1, 2), st.data())
+def test_layers_hold_their_rules_lengths_and_codes_into_their_tables(scheme, n_qubits, data):
+    # under any stack of transforms every layer a builder or a transform
+    # records has a rule, whose lengths it holds bit for bit; its codes index
+    # its table of distinct label tuples, and its blocks are earlier ones
+    moos = qubit_full_moos(n_qubits)
+    schedule = _built(scheme, moos, data)
+    recorded = "nesting" in vars(schedule)  # else no layer had boundaries
+    transforms = data.draw(st.lists(st.sampled_from(["sdd", "conjugated", "hahn_echo"]),
+                                    max_size=3))
+    for i, layer in enumerate(_transformed(schedule, moos, transforms).nesting):
+        assert layer.rule is not None or not recorded
+        if layer.rule is not None:
+            want = [0.5, 0.5] if layer.rule == ("halves",) else udd_lengths(layer.rule[1])
+            assert layer.lengths.tobytes() == np.array(want).tobytes()
+        assert not layer.lengths.flags.writeable and not layer.codes.flags.writeable
+        assert len(set(layer.table)) == len(layer.table)
+        assert len(layer.codes) == len(layer.lengths) - 1
+        assert all(0 <= c < len(layer.table) for c in layer.codes.tolist())
+        assert len(layer.inner) == len(layer.lengths)
+        assert all(-1 <= b < i for b in layer.inner.tolist())
 
 
 def test_transforms_reuse_the_block_of_a_schedule_no_builder_made():
@@ -170,6 +215,7 @@ def test_transforms_reuse_the_block_of_a_schedule_no_builder_made():
     assert sdd_schedule(back).nesting[0] is block
     conj = conjugated(back, "X1").nesting[0]
     assert conj.lengths is block.lengths and conj.inner is block.inner
+    assert conj.codes is block.codes
     # the echo's two halves are one rule named twice
     grammar = compile_program(hahn_echo(back, "Y1"), Q1, (Y1[1],)).grammar
     assert grammar == ((1,), (grammar[1][0], (0, 0)))
@@ -183,7 +229,8 @@ def test_label_less_event_matches_the_expm_oracle(transform):
                         ("X1",), 4)
     if transform == "conjugated":
         schedule = conjugated(schedule, "X1")
-    assert schedule.nesting[0].keys[1] == ()
+    block = schedule.nesting[0]
+    assert block.table[block.codes[1]] == ()
     program = compile_program(schedule, Q1)
     model = ModelSpec("general", 2, 4, 1.0).realize(2)
     times = (0.1, 0.6)
