@@ -3,8 +3,8 @@ from a schedule's nesting by ``simulate._nested_grammar``, each rule a tuple
 of symbols run in turn) run on numbered matrices, for a batch of models and
 total times at once.
 
-``Plan`` records the work, in one walk made once per grammar
-(``simulate._plan``), and how many matrices it holds; ``run`` does that
+``Plan`` records the work, in one walk made once per program
+(``simulate.Program.plan``), and how many matrices it holds; ``run`` does that
 work in the models' eigenbasis, once per chunk of ``simulate._sweep``,
 sized by ``Plan.size`` and ``Plan.driven``, and once at T = 0 on the system
 pulses for ``simulate.Program.net``.  All driven steps of a run are

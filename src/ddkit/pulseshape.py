@@ -4,16 +4,17 @@ A shaped pulse H(t) = v(t) * Omega replaces an instantaneous pi pulse with an
 error O(tau_p^2) in the pulse duration once the two first-order moment
 integrals eta_11 and eta_12 vanish (together with the pi/2 area constraint).
 Envelopes here are piecewise constant; sign changes are allowed.  A shape
-runs as a segment program of ``simulate``, one driven step per segment, and
-a scan over pulse durations as a sweep of ``simulate._sweep``, in chunks.
-A designed envelope depends on its family alone, so each family's root is
-solved once per process and stretched to every requested duration.
+runs as a segment program of ``simulate``, one driven step per segment, built
+once per pulse axis, and a scan over pulse durations as a sweep of
+``simulate._sweep``, in chunks.  A designed envelope depends on its family
+alone, so each family's root is solved once per process and stretched to
+every requested duration.
 """
 
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +72,7 @@ class PulseShape:
     tau_p: float
     tau_s: float
     segments: tuple[tuple[float, float], ...]
+    _programs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple((float(f), float(a)) for f, a in self.segments)
@@ -278,16 +280,21 @@ def _pulse_program(shape: PulseShape, model: HamiltonianModel, omega: Operator,
     """One driven step per segment, whose angle len_frac * tau_p * amp is the
     segment's share of the pulse area at every duration.  ``reference``
     appends U_ref^dag (see ``pulse_error_scan``), whose P^dag is taken from
-    the eigendecomposition of the pulse axis checked once above."""
+    the eigendecomposition of the pulse axis checked once below.  The shape
+    keeps the program per axis (read back from its key's bytes) and
+    ``reference`` for every model; the dimension is checked on every call."""
     check_dimension((omega,), model.sys_dim, "system")
-    axis = require_hermitian(omega.matrix)
-    pulses = {"A": axis}
-    steps = [(f, ("A", f * shape.tau_p * a), None) for f, a in shape.segments]
-    if reference:
-        s = shape.tau_s / shape.tau_p
-        pulses["P"] = expm_i_eig(*np.linalg.eigh(axis), -shape.area)  # P^dag
-        steps += [(s - 1, None, "P"), (-s, None, None)]
-    return Program((tuple(steps), ()), pulses, model.sys_dim)
+    key = (omega.matrix.tobytes(), reference)
+    if key not in shape._programs:
+        axis = require_hermitian(np.frombuffer(key[0], complex).reshape(omega.matrix.shape))
+        pulses = {"A": axis}
+        steps = [(f, ("A", f * shape.tau_p * a), None) for f, a in shape.segments]
+        if reference:
+            s = shape.tau_s / shape.tau_p
+            pulses["P"] = expm_i_eig(*np.linalg.eigh(axis), -shape.area)  # P^dag
+            steps += [(s - 1, None, "P"), (-s, None, None)]
+        shape._programs[key] = Program((tuple(steps), ()), pulses, model.sys_dim)
+    return shape._programs[key]
 
 
 def propagate_pulse(shape: PulseShape, model: HamiltonianModel, omega: Operator) -> np.ndarray:

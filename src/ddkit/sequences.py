@@ -274,8 +274,10 @@ def _layer(rule, key, inner) -> tuple[list[float], Layer]:
 
 
 def _column(values, n: int) -> np.ndarray:
-    """``values`` (one value for all n, or n values) as a read-only intp
-    array of length n: a zero-stride view when it is one value."""
+    """``values`` (one int for all n, or n values) as a read-only intp
+    array of length n: one int is a zero-stride view of an intp scalar."""
+    if isinstance(values, int):
+        return np.ndarray((n,), np.intp, np.intp(values), strides=(0,))
     return np.broadcast_to(np.asarray(values, dtype=np.intp), (n,))
 
 

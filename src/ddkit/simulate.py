@@ -24,13 +24,13 @@ the eigenbasis.  Only the schedule error rotates it back, U = V W V^dag
 
 A program's steps are a grammar, read from the schedule's nesting
 (``_nested_grammar``): one rule per distinct block of the nesting at one
-scale, its symbols in turn.  ``kernel.Plan``, made once per grammar and kept
-for the last PLAN_MEMO grammars planned (``_plan``), runs a rule named once
-in place and forms the matrix of a rule named more often on its first use,
-freeing it after its last, so one block (of a schedule made from events or
-read from JSON) runs flat, and NUDD's nested blocks, CDD's self-similar ones
-and the two halves of a Hahn echo run once each.  A sweep of T or
-of pulse durations runs in ``_sweep``: at most MAX_PRODUCTS grammar
+scale, its symbols in turn.  ``kernel.Plan``, made once per program on the
+first read of ``Program.plan``, runs a rule named once in place and forms
+the matrix of a rule named more often on its first use, freeing it after its
+last, so one block (of a schedule made from events or read from JSON) runs
+flat, and NUDD's nested blocks, CDD's self-similar ones and the two halves
+of a Hahn echo run once each.  A sweep of T or of pulse durations runs in
+``_sweep``: at most MAX_PRODUCTS grammar
 products over all its points (``check_sweep_budget``), in chunks whose
 numbered kernel matrices and driven stack take no more memory than a flat
 program's would.  ``order_scan`` also checks a lower bound read from the
@@ -40,7 +40,8 @@ schedule before it compiles.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -81,10 +82,6 @@ BATCH_BYTES = 2**25
 # one seed (12 points, 48 KB) run 1.7x slower than the whole sweep, chunks of
 # two or more seeds as fast.
 MIN_CHUNK_BYTES = 2**17
-# Grammars whose plans ``_plan`` keeps, the last used.  Of the perfbench
-# workloads only ``pulse`` plans a grammar twice in a pass: 3 grammars, 48
-# times.  A kept plan of n steps holds about 150 n bytes besides its grammar.
-PLAN_MEMO = 4
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,7 @@ class Program:
 
     @cached_property
     def plan(self) -> Plan:
-        return _plan(self.grammar)
+        return Plan(self.grammar)
 
     @cached_property
     def net(self) -> Operator:
@@ -213,14 +210,6 @@ class Program:
         pulses = {key: p[None] for key, p in self.pulses.items()}
         net = run(self.plan, np.zeros((1, self.dim, 1)), pulses)[0, :, 0]
         return Operator("net", net, self.dim)
-
-
-@lru_cache(maxsize=PLAN_MEMO)
-def _plan(grammar) -> Plan:
-    """The kernel plan of ``grammar``, walked once while it is among the
-    last PLAN_MEMO grammars planned.  A plan is read, never changed, by
-    ``kernel.run``, so programs of one grammar share it."""
-    return Plan(grammar)
 
 
 def check_sweep_budget(products: int) -> None:
@@ -262,49 +251,52 @@ def _nested_grammar(nesting, closing):
     rule of the block's rule and that step.  Whether a rule gets a matrix of
     its own is ``kernel.Plan``'s decision: it runs a rule named once in
     place, so UDD, one rule, runs flat.  The top sequence is the outermost
-    block's rule, whose last step carries ``closing``."""
-    # Each block's (lengths, block in each interval or -1, labels at each
-    # boundary) as Python values, made once; a step's fraction is a float.
-    blocks = [(b.lengths.tolist(), b.inner.tolist(), [*map(b.table.__getitem__, b.codes.tolist())])
-              for b in nesting]
+    block's rule, whose last step carries ``closing``.  Its free steps are
+    made from whole columns, so a block that nests nothing is no Python loop."""
+    blocks = [_columns(b) for b in nesting]
     # Per block and scale: the pulse tuples that follow it, in order found.
     seen = [{} for _ in nesting]
     seen[-1][()] = {closing: None}
-    for block, at in zip(reversed(blocks), reversed(seen)):
+    for (distinct, _, _, nested), at in zip(reversed(blocks), reversed(seen)):
         for scale, trails in at.items():
-            subs = _scales(scale, block[0])
-            for length, inner, after in _intervals(block, trails):
-                if inner >= 0:
-                    seen[inner].setdefault(subs[length], {})[after] = None
+            subs = _scales(scale, distinct)
+            trail = next(iter(trails)) if len(trails) == 1 else ()  # after its last interval
+            for _, inner, length, after in nested:
+                seen[inner].setdefault(subs[length], {})[trail if after is None else after] = None
     rules, symbols = [], [{} for _ in nesting]  # per block, scale and pulses after
-    for block, at, made in zip(blocks, seen, symbols):
+    for (distinct, index, keys, nested), at, made in zip(blocks, seen, symbols):
         for scale, trails in at.items():
-            subs = _scales(scale, block[0])
-            fracs = {length: math.prod(sub) for length, sub in subs.items()}
-            seq = []
-            for length, inner, after in _intervals(block, trails):
-                if inner < 0:
-                    seq.append((fracs[length], None, after or None))
-                else:
-                    seq.append(symbols[inner][subs[length]][after])
+            subs = _scales(scale, distinct)
+            fracs = [math.prod(subs[length]) for length in distinct]
+            trail = next(iter(trails)) if len(trails) == 1 else ()  # after its last interval
+            seq = [*zip(map(fracs.__getitem__, index), repeat(None), [*keys, trail or None])]
+            for i, inner, length, after in nested:
+                seq[i] = symbols[inner][subs[length]][trail if after is None else after]
             rule = _rule(seq, rules)  # its last step carries the pulses after it if one tuple
             made[scale] = {after: rule if len(trails) == 1 or not after
                            else _rule([rule, (0.0, None, after)], rules) for after in trails}
     return (symbols[-1][()][closing],), tuple(rules)
 
 
-def _intervals(block, trails):
-    """(length, inner block, pulses after it) per interval of ``block``'s
-    columns; the last is followed by the one tuple in ``trails``, or by none."""
-    lengths, inner, keys = block
-    trail = next(iter(trails)) if len(trails) == 1 else ()
-    return zip(lengths, inner, [*keys, trail])
+def _columns(block):
+    """``block``'s distinct lengths, each interval's index among them, the
+    labels at each boundary (None for none), and (interval, inner block,
+    length, labels after it, None after the last) per interval holding a block."""
+    lengths, table, codes = block.lengths, block.table, block.codes
+    ordered = np.sort(lengths)
+    below = ordered[:-1][ordered[1:] != ordered[:-1]]  # all distinct lengths but the largest
+    index = below.searchsorted(lengths).tolist()
+    distinct = [*below.tolist(), *ordered[-1:].tolist()]
+    keys = np.fromiter((o or None for o in table), object, len(table))[codes].tolist()
+    nested = [(i, int(block.inner[i]), distinct[index[i]],
+               table[codes[i]] if i < len(codes) else None)
+              for i in (block.inner >= 0).nonzero()[0].tolist()]
+    return distinct, index, keys, nested
 
 
-def _scales(scale, lengths):
-    """The scale of each distinct length of ``lengths`` inside ``scale``,
-    formed once per length."""
-    return {length: tuple(sorted((*scale, length))) for length in set(lengths)}
+def _scales(scale, distinct):
+    """The scale of each of the ``distinct`` lengths inside ``scale``."""
+    return {length: tuple(sorted((*scale, length))) for length in distinct}
 
 
 def _rule(seq, rules):
@@ -408,9 +400,15 @@ def preservation_error(u: np.ndarray, omega: Operator, net_pulse: Operator, bath
     eye_b = np.eye(bath_dim)
     q = kron(omega.matrix, eye_b)
     p = kron(net_pulse.matrix, eye_b)
-    diff = u.conj().swapaxes(-1, -2) @ q @ u - p.conj().T @ q @ p
-    norm = np.abs(np.linalg.eigvalsh(diff)[..., [0, -1]]).max(axis=-1)
+    norm = _preservation_error(u, q, p.conj().T @ q @ p)
     return float(norm) if u.ndim == 2 else norm
+
+
+def _preservation_error(u: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``preservation_error`` of each U of the stack, from Q = Omega x I and
+    R = P^dag Q P, which a scan forms once per operator."""
+    diff = u.conj().swapaxes(-1, -2) @ q @ u - r
+    return np.abs(np.linalg.eigvalsh(diff)[..., [0, -1]]).max(axis=-1)
 
 
 def fit_loglog(points, floor: float, ceiling: float):
@@ -459,7 +457,8 @@ def fit_operator(label: str, t_grid, errors, floor: float, ceiling: float) -> Op
     if np.all(np.asarray(errors) <= floor):
         return OperatorFit(label, math.nan, math.nan, 0.0, 0, "exact")
     try:
-        slope, intercept, rms, n_used = fit_loglog(list(zip(t_grid, errors)), floor, ceiling)
+        slope, intercept, rms, n_used = fit_loglog(np.column_stack((t_grid, errors)),
+                                                   floor, ceiling)
     except UnfittableError:
         return OperatorFit(label, math.nan, math.nan, math.nan, 0, "unfittable")
     ok = n_used >= MIN_FIT_POINTS and rms <= MAX_FIT_RESIDUAL
@@ -511,13 +510,17 @@ def order_scan(
     check_sweep_budget(len(schedule.nesting[-1].lengths) * n_t * n_s)
     program = compile_program(schedule, moos, extra)
     errors = {op.label: np.zeros((n_t, n_s)) for op in operators}
-    dim = model_spec.sys_dim * model_spec.bath_dim
+    lifted = []  # (errors, Q, R) per operator, formed once the budget is checked
+    dim, eye_b = model_spec.sys_dim * model_spec.bath_dim, np.eye(model_spec.bath_dim)
     for chunk, span, w, vecs in _sweep(program, config.t_grid, config.seeds,
                                        model_spec.realize, dim):
         u = _rotated(w, vecs)
-        for op in operators:
-            err = preservation_error(u, op, program.net, model_spec.bath_dim)
-            errors[op.label][span, chunk] = err.T
+        if not lifted:
+            p = kron(program.net.matrix, eye_b)
+            lifted = [(errors[op.label], q, p.conj().T @ q @ p)
+                      for op in operators for q in [kron(op.matrix, eye_b)]]
+        for err, q, r in lifted:
+            err[span, chunk] = _preservation_error(u, q, r).T
 
     medians = {label: median(err) for label, err in errors.items()}
     fits = {

@@ -201,6 +201,8 @@ def test_layers_hold_their_rules_lengths_and_codes_into_their_tables(scheme, n_q
             want = [0.5, 0.5] if layer.rule == ("halves",) else udd_lengths(layer.rule[1])
             assert layer.lengths.tobytes() == np.array(want).tobytes()
         assert not layer.lengths.flags.writeable and not layer.codes.flags.writeable
+        assert not layer.inner.flags.writeable
+        assert layer.codes.dtype == layer.inner.dtype == np.intp
         assert len(set(layer.table)) == len(layer.table)
         assert len(layer.codes) == len(layer.lengths) - 1
         assert all(0 <= c < len(layer.table) for c in layer.codes.tolist())
@@ -303,7 +305,7 @@ def test_scan_cases_do_no_more_dense_kernel_work(name):
 
 def test_chunked_order_scan_plans_its_program_once(monkeypatch):
     # four chunks run one plan: the grammar is walked once, not once to size
-    # the chunks and once more per chunk (a warm memo would walk it not at all)
+    # the chunks and once more per chunk
     init, eigenbasis, walks, chunks = Plan.__init__, simulate._eigenbasis, [], []
 
     def walking(self, grammar):
@@ -314,7 +316,6 @@ def test_chunked_order_scan_plans_its_program_once(monkeypatch):
         chunks.append(1)
         return eigenbasis(*args)
 
-    simulate._plan.cache_clear()
     monkeypatch.setattr(Plan, "__init__", walking)
     monkeypatch.setattr(simulate, "_eigenbasis", counting)
     order_scan(nudd(Q2, (2, 2, 2, 3)), Q2, ModelSpec("general", 4, 4, 1.0))

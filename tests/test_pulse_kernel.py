@@ -8,11 +8,13 @@ SVD of the rotated propagators, and the batched ``expm_i``,
 against their one-at-a-time calls, bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ddkit import kernel, simulate
+from ddkit import kernel, pulseshape, simulate
 from ddkit.errors import PreconditionError
 from ddkit.linalg import expm_i, expm_i_eig, kron
 from ddkit.model import HamiltonianModel, random_model
@@ -29,6 +31,7 @@ from ddkit.pulseshape import (
 )
 from ddkit.simulate import Program, _eigenbasis, _propagators
 from oracles import spectral_norm_svd
+from test_simulate import _walks
 
 SZ = pauli("z", 1, 1)
 SX = pauli("x", 1, 1)
@@ -316,13 +319,8 @@ def test_pulse_train_grammar_matches_the_flat_program():
     assert np.abs(_propagators(train, [m], times) - _propagators(flat, [m], times)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("family, steps", [("sym3", 2), ("sym5", 3), ("rect", 1)])
-def test_identical_driven_steps_are_exponentiated_once(monkeypatch, family, steps):
-    # every distinct driven step of the scan, at every duration, is in one
-    # batched eigh (sym3's mirrored outer segments, and sym5's two mirrored
-    # pairs, are one step each); the reference pulse's eigh is the other
-    m = random_model("general", 2, 4, 1.0, 0)
-    m.eig()
+def _counting_eigh(monkeypatch):
+    """The shapes of the arrays ``np.linalg.eigh`` takes from now on."""
     eigh, shapes = np.linalg.eigh, []
 
     def counting(a, *args, **kwargs):
@@ -330,9 +328,27 @@ def test_identical_driven_steps_are_exponentiated_once(monkeypatch, family, step
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    pulse_error_scan(SHAPES[family], m, SZ, np.geomspace(0.003, 0.1, 10))
+    return shapes
+
+
+@pytest.mark.parametrize("family, steps", [("sym3", 2), ("sym5", 3), ("rect", 1)])
+def test_identical_driven_steps_are_exponentiated_once(monkeypatch, family, steps):
+    # every distinct driven step of the scan, at every duration, is in one
+    # batched eigh (sym3's mirrored outer segments, and sym5's two mirrored
+    # pairs, are one step each); the reference pulse's eigh of the axis runs
+    # on the first scan of the shape and axis only
+    m = random_model("general", 2, 4, 1.0, 0)
+    m.eig()
+    shape = replace(SHAPES[family])  # equal, with no program built yet
+    shapes = _counting_eigh(monkeypatch)
+    grid = np.geomspace(0.003, 0.1, 10)
+    first = pulse_error_scan(shape, m, SZ, grid).errors["Z1"]
     assert len(shapes) == 2
-    assert (steps, 1, 10, 8, 8) in shapes
+    assert (steps, 1, 10, 8, 8) in shapes and (2, 2) in shapes
+    shapes.clear()
+    again = pulse_error_scan(shape, m, SZ, grid).errors["Z1"]
+    assert shapes == [(steps, 1, 10, 8, 8)]
+    assert again.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("family", ["sym3", "sym5", "asym"])
@@ -356,28 +372,108 @@ def test_batched_driven_exponentials_equal_per_step_calls_bitwise(family):
         assert expm_i_eig(lam[k], v[k]).tobytes() == want.tobytes()
 
 
-def _pulse_pass():
-    """The perfbench ``pulse`` pass's 48 scans: three families, Z1 and X1,
+def _pulse_pass(shapes):
+    """The perfbench ``pulse`` pass's 48 scans of ``shapes``: Z1 and X1,
     model seeds 0-7; their errors in order."""
-    shapes = [SHAPES["sym3"], SHAPES["sym5"], SHAPES["rect"]]
     return [pulse_error_scan(shape, random_model("general", 2, 4, 1.0, seed), omega,
                              DEFAULT_TAU_GRID).errors[omega.label]
             for seed in range(8) for omega in (SZ, SX) for shape in shapes]
 
 
 def test_a_pulse_pass_plans_each_grammar_once(monkeypatch):
-    # a family's scan program has the same grammar for every model and
-    # operator: 48 scans walk 3 plans cold and none warm, with equal errors
-    init, walks = kernel.Plan.__init__, []
+    # a shape's scan program is built once per axis and shared by every
+    # model: 48 scans of three shapes plan 6 programs cold and none warm,
+    # with equal errors
+    shapes = [replace(SHAPES[family]) for family in ("sym3", "sym5", "rect")]
+    walks = _walks(monkeypatch)
+    cold = _pulse_pass(shapes)
+    assert len(walks) == 6
+    warm = _pulse_pass(shapes)
+    assert len(walks) == 6
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cold, warm))
 
-    def walking(self, grammar):
-        walks.append(grammar)
-        init(self, grammar)
 
-    monkeypatch.setattr(kernel.Plan, "__init__", walking)
-    simulate._plan.cache_clear()
-    cold = _pulse_pass()
-    assert len(walks) == 3
-    warm = _pulse_pass()
-    assert len(walks) == 3
-    assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+def test_a_benchmark_pulse_pass_builds_six_programs_and_54_eighs(monkeypatch):
+    # the benchmark makes its shapes anew each pass, and its models are warm:
+    # one program, one plan and one axis eigh per (shape, axis), and one
+    # batched eigh of the driven steps per scan
+    for seed in range(8):
+        random_model("general", 2, 4, 1.0, seed).eig()
+    built = []
+
+    def program(*args):
+        built.append(Program(*args))
+        return built[-1]
+
+    monkeypatch.setattr(pulseshape, "Program", program)
+    walks = _walks(monkeypatch)
+    eighs = _counting_eigh(monkeypatch)
+    errs = _pulse_pass([design_pulse("sym3"), design_pulse("sym5"), rectangular_pulse()])
+    assert len(built) == 6 and len(walks) == 6
+    assert len(eighs) == 54 and eighs.count((2, 2)) == 6
+    assert len(errs) == 48
+
+
+def test_one_shapes_program_is_shared_across_models():
+    # keyed by the axis's bytes and ``reference``: any model of the system's
+    # dimension, and an equal axis under another label, share one program
+    shape = replace(SHAPES["sym5"])
+    m4, m8 = random_model("general", 2, 4, 1.0, 0), random_model("general", 2, 8, 1.0, 1)
+    program = _pulse_program(shape, m4, SX, True)
+    assert _pulse_program(shape, m8, SX, True) is program
+    assert _pulse_program(shape, m4, Operator("other", SX.matrix.copy(), 2), True) is program
+    assert _pulse_program(shape, m4, SZ, True) is not program
+    assert _pulse_program(shape, m4, SX, False) is not program
+    assert len(shape._programs) == 3
+    # the kept axis is read back from the key, so it cannot change with omega
+    assert not program.pulses["A"].flags.writeable
+    assert np.array_equal(program.pulses["A"], SX.matrix)
+
+
+def test_a_non_hermitian_axis_is_rejected_on_every_call():
+    skew = Operator("S", np.array([[0, 1], [0, 0]], dtype=complex), 2)
+    shape = replace(SHAPES["sym3"])
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="not Hermitian"):
+            pulse_error_scan(shape, MODEL, skew, [0.01, 0.02])
+        with pytest.raises(PreconditionError, match="not Hermitian"):
+            propagate_pulse(shape, MODEL, skew)
+    assert not shape._programs
+
+
+def test_an_operator_of_the_wrong_dimension_is_rejected_after_a_memo_hit():
+    # the Z1 program kept for a two-level system is not handed to a
+    # four-level one
+    shape = replace(SHAPES["sym3"])
+    pulse_error_scan(shape, MODEL, SZ, [0.01, 0.02])
+    propagate_pulse(shape, MODEL, SZ)
+    m4 = random_model("general", 4, 2, 1.0, 0)
+    msg = "operator 'Z1' acts on dimension 2, system dimension is 4"
+    with pytest.raises(PreconditionError, match=msg):
+        pulse_error_scan(shape, m4, SZ, [0.01, 0.02])
+    with pytest.raises(PreconditionError, match=msg):
+        propagate_pulse(shape, m4, SZ)
+
+
+def test_a_rescaled_shape_builds_its_own_program():
+    shape = replace(SHAPES["sym3"])
+    program = _pulse_program(shape, MODEL, SZ, True)
+    longer = shape.rescaled(2.0)
+    assert not longer._programs
+    other = _pulse_program(longer, MODEL, SZ, True)
+    assert other is not program
+    assert [*shape._programs.values()][0] is program and len(shape._programs) == 1
+    assert [*longer._programs.values()][0] is other and len(longer._programs) == 1
+
+
+@pytest.mark.parametrize("family", sorted(SHAPES))
+def test_errors_from_a_kept_program_equal_a_fresh_one_bitwise(family):
+    shape = replace(SHAPES[family])
+    models = [random_model("general", 2, 4, 1.0, seed) for seed in range(3)]
+    for omega in (SZ, SX):
+        fresh = [pulse_error_scan(replace(shape), m, omega, DEFAULT_TAU_GRID) for m in models]
+        for _ in range(2):  # the first call builds the program, the second hits
+            kept = [pulse_error_scan(shape, m, omega, DEFAULT_TAU_GRID) for m in models]
+            for a, b in zip(kept, fresh):
+                assert a.errors[omega.label].tobytes() == b.errors[omega.label].tobytes()
+                assert a.fits == b.fits

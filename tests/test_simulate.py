@@ -505,9 +505,8 @@ def test_net_pulse_is_one_kernel_run_on_first_read(monkeypatch):
     assert net.acts_on == program.dim == 4
 
 
-def test_plans_are_kept_for_the_last_plan_memo_grammars(monkeypatch):
-    # PLAN_MEMO + 1 distinct grammars: the last PLAN_MEMO are kept, so the
-    # first is walked again and the last is not
+def _walks(monkeypatch):
+    """The grammars ``Plan`` walks from now on, in order."""
     init, walks = simulate.Plan.__init__, []
 
     def walking(self, grammar):
@@ -515,24 +514,47 @@ def test_plans_are_kept_for_the_last_plan_memo_grammars(monkeypatch):
         init(self, grammar)
 
     monkeypatch.setattr(simulate.Plan, "__init__", walking)
-    simulate._plan.cache_clear()
-    grammars = [(((1.0 / (k + 1), None, ("Z1",)),), ()) for k in range(simulate.PLAN_MEMO + 1)]
-    plans = [Program(g, {("Z1",): SZ.matrix}, 2).plan for g in grammars]
-    assert len(walks) == simulate.PLAN_MEMO + 1
-    assert simulate._plan.cache_info().currsize == simulate.PLAN_MEMO
-    assert Program(grammars[-1], {}, 2).plan is plans[-1] and len(walks) == simulate.PLAN_MEMO + 1
-    assert Program(grammars[0], {}, 2).plan is not plans[0]
-    assert len(walks) == simulate.PLAN_MEMO + 2
+    return walks
 
 
-def test_scan_rows_are_equal_with_a_cold_and_a_warm_plan_memo():
+def test_each_program_walks_its_own_plan_once(monkeypatch):
+    # a plan is the program's own, walked on the first read and kept by it;
+    # a second program of the same grammar walks its own, equal plan
+    walks = _walks(monkeypatch)
+    grammar = (((0.5, None, ("Z1",)),), ())
+    program = Program(grammar, {("Z1",): SZ.matrix}, 2)
+    plan = program.plan
+    assert walks == [grammar] and program.plan is plan and len(walks) == 1
+    other = Program(grammar, {("Z1",): SZ.matrix}, 2).plan
+    assert len(walks) == 2 and other is not plan and other.ops == plan.ops
+
+
+def test_repeated_scans_walk_one_plan_each_with_equal_rows(monkeypatch):
     schedule = nudd(MOOS2, (2, 2, 2, 3))
-    simulate._plan.cache_clear()
+    walks = _walks(monkeypatch)
     cold = order_scan(schedule, MOOS2, GENERAL2).rows()
-    assert simulate._plan.cache_info().misses == 1
+    assert len(walks) == 1
     warm = order_scan(schedule, MOOS2, GENERAL2).rows()
-    assert simulate._plan.cache_info().hits == 1
+    assert len(walks) == 2 and walks[0] == walks[1]
     assert cold == warm
+
+
+def test_order_scan_lifts_each_operator_once_with_preservation_errors(monkeypatch):
+    # four chunks, four operators: Omega (x) I and P^dag (Omega (x) I) P are
+    # formed once per operator, not once per chunk, and the errors are
+    # preservation_error's of the same propagators, bit for bit
+    schedule = nudd(MOOS2, (2, 2, 2, 3))
+    error, calls = simulate._preservation_error, []
+    monkeypatch.setattr(simulate, "_preservation_error",
+                        lambda u, q, r: calls.append((id(q), id(r))) or error(u, q, r))
+    res = order_scan(schedule, MOOS2, GENERAL2)
+    assert len(calls) == 16 and len(set(calls)) == 4 and calls[:4] * 4 == calls
+    program = compile_program(schedule, MOOS2)
+    models = [GENERAL2.realize(seed) for seed in res.config.seeds]
+    u = _propagators(program, models, res.config.t_grid)
+    for op in MOOS2.elements:
+        want = preservation_error(u, op, program.net, GENERAL2.bath_dim)
+        assert res.errors[op.label].tobytes() == want.T.tobytes()
 
 
 @pytest.mark.parametrize("bounds", [(2**40, 2**40), (1, 1), (2**16 * 5, 2**25)],
